@@ -16,7 +16,6 @@ from .exact_linalg import (
     quotient_group,
     smith_normal_form,
     tate_h_minus1,
-    torus_h1,
 )
 from .families import (
     OrthogonalSet,
@@ -77,7 +76,6 @@ __all__ = [
     "tate_h_minus1",
     "tau",
     "tau_hat",
-    "torus_h1",
     "v_tilde_lattice",
     "verify_prasad_identity",
     "volume_analytic",

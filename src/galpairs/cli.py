@@ -46,14 +46,14 @@ def chamber_order(system: rd.RestrictedRootSystem) -> list[int]:
 
 
 def parse_point(text: str) -> tuple[Fraction, ...]:
-    return tuple(Fraction(part.strip()) for part in text.split(","))
+    return rd._parse_vec(text.split(","))
 
 
 def orthogonal_set_from_dict(data: dict, system: rd.RestrictedRootSystem) -> fam.OrthogonalSet:
     """Fixture schema: either {"special": [x...]} or
     {"points": [[...], ...]} listed in the canonical chamber order."""
     if "special" in data:
-        return fam.OrthogonalSet.special(system, [Fraction(x) for x in data["special"]])
+        return fam.OrthogonalSet.special(system, data["special"])
     if "points" in data:
         order = chamber_order(system)
         pts = data["points"]
@@ -61,9 +61,7 @@ def orthogonal_set_from_dict(data: dict, system: rd.RestrictedRootSystem) -> fam
             raise ValueError(
                 f"expected {len(order)} chamber points, got {len(pts)}"
             )
-        return fam.OrthogonalSet(
-            system, {c: [Fraction(x) for x in p] for c, p in zip(order, pts)}
-        )
+        return fam.OrthogonalSet(system, dict(zip(order, pts)))
     raise ValueError("orthogonal set fixture needs 'special' or 'points'")
 
 
@@ -96,14 +94,17 @@ class Report:
         lines.append("OK" if self.ok else "FAILED")
         return "\n".join(lines) + "\n"
 
+    def result(self, fmt: str) -> tuple[int, str]:
+        """(exit code, rendered report)."""
+        return (EXIT_PASS if self.ok else EXIT_VIOLATION), self.render(fmt)
+
 
 # -- subcommand implementations ---------------------------------------------------
 
 
 def cmd_verify_prasad(args) -> tuple[int, str]:
     report = Report("verify-prasad")
-    max_m = args.max_m if args.max_m is not None else (args.m if args.m is not None else 6)
-    min_m = max_m if args.m is not None and args.max_m is None else 0
+    min_m, max_m = (args.m, args.m) if args.m is not None else (0, args.max_m)
     for m in range(min_m, max_m + 1):
         cert = mu.verify_prasad_identity(m)
         bad = sum(1 for chi, c in cert.coefficients.items() if c != cert.expected[chi])
@@ -127,7 +128,7 @@ def cmd_verify_prasad(args) -> tuple[int, str]:
             all_ok,
             f"{checked} characters of B",
         )
-    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
+    return report.result(args.format)
 
 
 def cmd_ortho(args) -> tuple[int, str]:
@@ -146,7 +147,7 @@ def _load_set(args, system: rd.RestrictedRootSystem) -> Optional[fam.OrthogonalS
         with open(args.fixture, "r", encoding="utf-8") as fh:
             return orthogonal_set_from_dict(json.load(fh), system)
     if getattr(args, "special", None):
-        return fam.OrthogonalSet.special(system, parse_point(args.special))
+        return fam.OrthogonalSet.special(system, args.special.split(","))
     return None
 
 
@@ -176,7 +177,7 @@ def _ortho_check(args, system) -> tuple[int, str]:
             f"{sb.nonzero} supported points, c_emp={frac_str(sb.c_empirical)}, "
             f"c_bound={frac_str(sb.c_bound)}",
         )
-    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
+    return report.result(args.format)
 
 
 def _ortho_volume(args, system) -> tuple[int, str]:
@@ -191,7 +192,7 @@ def _ortho_volume(args, system) -> tuple[int, str]:
         vp == va,
         f"polytope={frac_str(vp)}, analytic={frac_str(va)}",
     )
-    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
+    return report.result(args.format)
 
 
 def _ortho_ehrhart(args, system) -> tuple[int, str]:
@@ -220,7 +221,7 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
         ok and decreasing_ok,
         "errors " + ", ".join(frac_str(e) for e in errors) + f"; volume={frac_str(target)}",
     )
-    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
+    return report.result(args.format)
 
 
 def _resolve_torus(args):
@@ -233,17 +234,22 @@ def _resolve_torus(args):
     raise ValueError("a torus is required: --fixture, --norm-one or --split")
 
 
+def _killed_by_group_order(torus, group) -> bool:
+    """The group order annihilates H^-1: every invariant factor divides it."""
+    return all(torus.order % f == 0 for f in group.invariant_factors)
+
+
 def cmd_h1(args) -> tuple[int, str]:
     report = Report("h1")
     torus = _resolve_torus(args)
     group = tate_h_minus1(torus)
     report.add(
         "cohomology",
-        True,
+        _killed_by_group_order(torus, group),
         f"invariant factors ({', '.join(str(f) for f in group.invariant_factors)}), "
         f"order {group.order}",
     )
-    return EXIT_PASS, report.render(args.format)
+    return report.result(args.format)
 
 
 def cmd_fibers(args) -> tuple[int, str]:
@@ -251,8 +257,12 @@ def cmd_fibers(args) -> tuple[int, str]:
     torus = _resolve_torus(args)
     group = tate_h_minus1(torus)
     count = pr.inner_form_fiber_count(group.order, args.h1g)
-    report.add("fiber-count", True, f"|H1(T)|={group.order}, |H1(G)|={args.h1g}, fibers={count}")
-    return EXIT_PASS, report.render(args.format)
+    report.add(
+        "fiber-count",
+        _killed_by_group_order(torus, group),
+        f"|H1(T)|={group.order}, |H1(G)|={args.h1g}, fibers={count}",
+    )
+    return report.result(args.format)
 
 
 def cmd_list_levis(args) -> tuple[int, str]:
@@ -268,10 +278,22 @@ def cmd_list_levis(args) -> tuple[int, str]:
             f"sign={d.sign:+d} ker1={d.ker1_size} mab_index={d.mab_index}{label}",
         )
     report.add("invariant ker1*index=2^|I|", ok, f"{len(data)} subsets")
-    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
+    return report.result(args.format)
 
 
 # -- argument parsing ---------------------------------------------------------------
+
+
+def _int_at_least(lowest: int):
+    """argparse type: an integer no smaller than ``lowest``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < lowest:
+            raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        return value
+
+    return count
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -279,10 +301,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galpairs", description="Exact verification of multiplicity combinatorics"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    nonnegative, positive = _int_at_least(0), _int_at_least(1)
 
     p = sub.add_parser("verify-prasad", help="character-collapse and multiplicity checks")
-    p.add_argument("--m", type=int, default=None, help="single ambient rank to check")
-    p.add_argument("--max-m", type=int, default=None, help="check all ranks up to this")
+    ranks = p.add_mutually_exclusive_group()
+    ranks.add_argument("--m", type=nonnegative, default=None, help="single ambient rank to check")
+    ranks.add_argument("--max-m", type=nonnegative, default=6, help="check all ranks up to this")
     p.add_argument("--preset", action="append", help="preset spec GL:n / U:n / fixture path")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_prasad)
@@ -290,21 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ortho", help="orthogonal-set checks")
     p.add_argument("action", choices=("check", "volume", "ehrhart"))
     p.add_argument("--system", required=True, help="built-in name or fixture path")
-    p.add_argument("--samples", type=int, default=100)
+    p.add_argument("--samples", type=positive, default=100)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--fixture", help="orthogonal set fixture path")
     p.add_argument("--special", help="comma-separated base point for a swept set")
     p.add_argument("--x0", help="comma-separated integer sweep point (ehrhart)")
-    p.add_argument("--kmax", type=int, default=4)
-    p.add_argument("--max-period", type=int, default=2)
+    p.add_argument("--kmax", type=positive, default=4)
+    p.add_argument("--max-period", type=positive, default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ortho)
 
     for name, func in (("h1", cmd_h1), ("fibers", cmd_fibers)):
         p = sub.add_parser(name, help="torus cohomology" if name == "h1" else "inner-form fibers")
         p.add_argument("--fixture", help="lattice-with-action fixture path")
-        p.add_argument("--norm-one", type=int, default=None, help="product of k norm-one tori")
-        p.add_argument("--split", type=int, default=None, help="split torus of this rank")
+        p.add_argument("--norm-one", type=nonnegative, default=None, help="product of k norm-one tori")
+        p.add_argument("--split", type=nonnegative, default=None, help="split torus of this rank")
         if name == "fibers":
             p.add_argument("--h1g", type=int, required=True, help="order of the ambient H1")
         p.add_argument("--format", choices=("text", "json"), default="text")
@@ -329,6 +353,8 @@ def run(argv: Optional[Sequence[str]] = None) -> tuple[int, str]:
         return args.func(args)
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
         return EXIT_USAGE, f"error: {exc}\n"
+    except ArithmeticError as exc:  # an exact identity failed inside a computation
+        return EXIT_VIOLATION, f"error: {exc}\n"
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -4,7 +4,7 @@ The central computation is ``tate_h_minus1``: given a lattice with an action
 of a finite integer matrix group, return the finite abelian group
 ker(norm map) / (augmentation sublattice), presented by invariant factors.
 For cocharacter lattices of tori this group classifies the first Galois
-cohomology of the torus, which is what ``torus_h1`` exposes.
+cohomology of the torus.
 """
 
 from __future__ import annotations
@@ -39,9 +39,18 @@ def _identity(n: int) -> IntMat:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def _int_matmul(a: IntMat, b: IntMat) -> IntMat:
-    nb = len(b[0]) if b else 0
-    return [[sum(a[i][k] * b[k][j] for k in range(len(b))) for j in range(nb)] for i in range(len(a))]
+def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
+    """Matrix whose columns are the integer coordinates of the vectors in the basis.
+
+    Raises ValueError(error) when a vector is not in the lattice the basis spans.
+    """
+    cols = []
+    for v in vectors:
+        coords = linalg.coordinates_in_basis(basis, v)
+        if coords is None or any(c.denominator != 1 for c in coords):
+            raise ValueError(error)
+        cols.append([int(c) for c in coords])
+    return [[col[i] for col in cols] for i in range(len(basis))]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
@@ -260,16 +269,10 @@ def quotient_group(sup: IntLattice, sub: IntLattice) -> FiniteAbelianGroup:
         raise ValueError("lattices live in different ambient spaces")
     if sub.rank != sup.rank:
         raise ValueError("quotient is infinite: ranks differ")
-    cols = []
     sup_basis = [linalg.vec(b) for b in sup.basis]
-    for b in sub.basis:
-        coords = linalg.coordinates_in_basis(sup_basis, linalg.vec(b))
-        if coords is None:
-            raise ValueError("sub is not contained in the span of sup")
-        if any(c.denominator != 1 for c in coords):
-            raise ValueError("sub is not a sublattice of sup")
-        cols.append([int(c) for c in coords])
-    m = [[cols[j][i] for j in range(len(cols))] for i in range(sup.rank)]
+    m = _integer_coordinate_matrix(
+        sup_basis, (linalg.vec(b) for b in sub.basis), "sub is not a sublattice of sup"
+    )
     return cokernel_structure(m, sup.rank)
 
 
@@ -300,31 +303,25 @@ class LatticeWithAction:
                 )
                 if prod not in seen:
                     raise ValueError("action set is not closed under multiplication")
-        # each matrix must map the lattice bijectively to itself
-        basis = [linalg.vec(b) for b in self.lattice.basis]
-        for a in self.actions:
-            am = linalg.mat(a)
-            for b in basis:
-                img = linalg.matvec(am, b)
-                coords = linalg.coordinates_in_basis(basis, img)
-                if coords is None or any(c.denominator != 1 for c in coords):
-                    raise ValueError("a group element does not preserve the lattice")
+        # each matrix must map the lattice to itself (onto, as the group has inverses)
+        self.in_basis_matrices()
 
     @property
     def order(self) -> int:
         return len(self.actions)
 
     def in_basis_matrices(self) -> list[IntMat]:
-        """The action matrices rewritten in lattice-basis coordinates."""
+        """The action matrices rewritten in lattice-basis coordinates.
+
+        Raises ValueError when an element does not preserve the lattice.
+        """
         basis = [linalg.vec(b) for b in self.lattice.basis]
         out = []
         for a in self.actions:
             am = linalg.mat(a)
-            cols = []
-            for b in basis:
-                coords = linalg.coordinates_in_basis(basis, linalg.matvec(am, b))
-                cols.append([int(c) for c in coords])
-            out.append([[cols[j][i] for j in range(len(cols))] for i in range(len(basis))])
+            images = (linalg.matvec(am, b) for b in basis)
+            error = "a group element does not preserve the lattice"
+            out.append(_integer_coordinate_matrix(basis, images, error))
         return out
 
 
@@ -351,27 +348,12 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
         return TRIVIAL_GROUP
     # augmentation sublattice: integer span of (g - 1) columns, expressed in
     # the kernel basis (they land in the kernel since the norm kills them)
-    cols = []
-    for g in mats:
-        for j in range(r):
-            col = linalg.vec([g[i][j] - (1 if i == j else 0) for i in range(r)])
-            coords = linalg.coordinates_in_basis(kernel_basis, col)
-            if coords is None:
-                raise ValueError("augmentation image escapes the norm kernel")
-            if any(c.denominator != 1 for c in coords):
-                raise ValueError("augmentation image is not integral in the kernel")
-            cols.append([int(c) for c in coords])
-    m = [[cols[j][i] for j in range(len(cols))] for i in range(k)]
+    images = (
+        linalg.vec([g[i][j] - (1 if i == j else 0) for i in range(r)]) for g in mats for j in range(r)
+    )
+    error = "augmentation image is not integral in the norm kernel"
+    m = _integer_coordinate_matrix(kernel_basis, images, error)
     return cokernel_structure(m, k)
-
-
-def torus_h1(x: LatticeWithAction) -> FiniteAbelianGroup:
-    """First cohomology of a torus with the given cocharacter lattice action.
-
-    For an induced Galois action on cocharacters this agrees with
-    ``tate_h_minus1`` of the lattice, which is how it is computed.
-    """
-    return tate_h_minus1(x)
 
 
 def direct_sum_action(a: LatticeWithAction, b: LatticeWithAction) -> LatticeWithAction:

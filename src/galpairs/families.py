@@ -14,6 +14,7 @@ membership on that measure-zero set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -21,8 +22,8 @@ from itertools import combinations
 from typing import Callable, Optional, Sequence
 
 from . import linalg
-from .linalg import Mat, Vec
-from .root_data import Cone, RestrictedRootSystem, _parse_vec
+from .linalg import Vec
+from .root_data import RestrictedRootSystem, _parse_vec
 
 
 # -- orthogonal sets ----------------------------------------------------------
@@ -43,7 +44,7 @@ class OrthogonalSet:
             raise ValueError("points must be indexed by exactly the chambers")
         self.points: dict[int, Vec] = {p: _parse_vec(v) for p, v in points.items()}
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
-        self._proj_cache: dict[int, Vec] = {}
+        self._projections: dict[int, Vec] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -55,14 +56,14 @@ class OrthogonalSet:
             hyp = sys.hyperplanes[wall]
             coroot = None
             for a, av in sys.chamber_simple_pairs(p):
-                c = _proportional_coefficient(a, hyp)
+                c = linalg.proportionality(a, hyp)
                 if c is not None:
                     coroot = av
                     break
             if coroot is None:
                 raise ValueError("no simple root along the shared wall")
             diff = linalg.vsub(self.points[p], self.points[q])
-            r = _proportional_coefficient(diff, coroot)
+            r = linalg.proportionality(diff, coroot)
             if r is None:
                 raise ValueError(
                     f"chambers {p}, {q}: point difference {diff} is not a multiple "
@@ -77,12 +78,11 @@ class OrthogonalSet:
 
     def projected(self, cone: int) -> Vec:
         """Y projected onto the span of the cone (independent of the chamber)."""
-        if cone not in self._proj_cache:
+        if cone not in self._projections:
             sys = self.system
-            chamber = min(c for c in sys.chambers if sys.parabolic_leq(c, cone))
             proj = sys.levi_projection(cone)
-            self._proj_cache[cone] = linalg.matvec(proj, self.points[chamber])
-        return self._proj_cache[cone]
+            self._projections[cone] = linalg.matvec(proj, self.points[sys.chamber_below(cone)])
+        return self._projections[cone]
 
     def verify_projection_coherence(self) -> bool:
         """Check that every chamber below a cone projects to the same point."""
@@ -129,39 +129,7 @@ class OrthogonalSet:
         return OrthogonalSet(self.system, {c: linalg.vscale(t, p) for c, p in self.points.items()})
 
 
-def _proportional_coefficient(a: Vec, b: Vec) -> Optional[Fraction]:
-    """c with a = c * b (None if not proportional).  a = 0 gives c = 0."""
-    if linalg.is_zero_vec(a):
-        return Fraction(0)
-    c = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return None
-        else:
-            ratio = Fraction(x) / Fraction(y)
-            if c is None:
-                c = ratio
-            elif ratio != c:
-                return None
-    return c
-
-
 # -- indicator functions ------------------------------------------------------
-
-
-def _vanishing_indices(sys: RestrictedRootSystem, p: int, q: int) -> list[int]:
-    """Indices into the simple pairs of cone p of roots vanishing on span(q)."""
-    key = ("vanish", p, q)
-    if key not in sys._cache:
-        span = sys.cones[q].span_basis
-        pairs = sys.cone_simple_pairs(p)
-        sys._cache[key] = [
-            i
-            for i, (a, _) in enumerate(pairs)
-            if all(linalg.dot(a, b) == 0 for b in span)
-        ]
-    return sys._cache[key]
 
 
 def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
@@ -170,39 +138,10 @@ def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
         raise ValueError("tau requires p <= q in the parabolic order")
     hv = _parse_vec(h)
     pairs = sys.cone_simple_pairs(p)
-    for i in _vanishing_indices(sys, p, q):
+    for i in sys.vanishing_indices(p, q):
         if linalg.dot(pairs[i][0], hv) <= 0:
             return 0
     return 1
-
-
-def _dual_basis(sys: RestrictedRootSystem, p: int, q: int) -> list[Vec]:
-    """Covectors dual to the coroots of the simple roots of p inside q.
-
-    Each covector pairs to delta with those coroots and vanishes both on the
-    span of q and on the coroots of roots vanishing on the span of p.
-    """
-    key = ("dual", p, q)
-    if key not in sys._cache:
-        pairs = sys.cone_simple_pairs(p)
-        idx = _vanishing_indices(sys, p, q)
-        coroots = [pairs[i][1] for i in idx]
-        rows = list(coroots)
-        rows += list(sys.cones[q].span_basis)
-        rows += linalg.independent_subset(
-            [sys._coroot_of[a] for a in sys.zero_roots(p)]
-        )
-        if len(rows) != sys.ambient_dim:
-            raise ValueError("degenerate cone pair in dual basis computation")
-        duals = []
-        for i in range(len(coroots)):
-            rhs = [Fraction(1 if j == i else 0) for j in range(len(rows))]
-            sol = linalg.solve(rows, rhs)
-            if sol is None:
-                raise ValueError("dual basis system is singular")
-            duals.append(sol)
-        sys._cache[key] = duals
-    return sys._cache[key]
 
 
 def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
@@ -210,7 +149,7 @@ def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     if not sys.parabolic_leq(p, q):
         raise ValueError("tau_hat requires p <= q in the parabolic order")
     hv = _parse_vec(h)
-    for w in _dual_basis(sys, p, q):
+    for w in sys.dual_basis(p, q):
         if linalg.dot(w, hv) <= 0:
             return 0
     return 1
@@ -306,7 +245,7 @@ def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
             placed = False
             for cls in classes:
                 rj = tuple(linalg.dot(sys.hyperplanes[cls[0]], b) for b in span)
-                if _proportional_coefficient(ri, rj) is not None:
+                if linalg.proportionality(ri, rj) is not None:
                     cls.append(i)
                     placed = True
                     break
@@ -325,7 +264,7 @@ def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
             coroot = None
             for a, av in sys.cone_simple_pairs(qa):
                 a_restr = tuple(linalg.dot(a, b) for b in span)
-                if _proportional_coefficient(a_restr, wall_restr) is not None:
+                if linalg.proportionality(a_restr, wall_restr) is not None:
                     if sys.restricted_coroot(qa, a) != av:
                         return False
                     coroot = av
@@ -333,14 +272,9 @@ def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
             if coroot is None:
                 return False
             d = linalg.vsub(y.projected(qa), y.projected(qb))
-            if _proportional_coefficient(d, coroot) is None:
+            if linalg.proportionality(d, coroot) is None:
                 return False
     return True
-
-
-def enumerate_cones(sys: RestrictedRootSystem) -> list[Cone]:
-    """All cones of the fan (one per realizable sign vector)."""
-    return list(sys.cones)
 
 
 # -- lattice coordinates ------------------------------------------------------
@@ -430,14 +364,7 @@ class Hull:
             if len(verts2[0]) == 0:
                 return 0
             return 0 if Hull(verts2).classify(p2) >= 0 else -1
-        on_boundary = False
-        for nrm, rhs in self.facets:
-            v = sum(a * b for a, b in zip(nrm, sp))
-            if v > rhs:
-                return -1
-            if v == rhs:
-                on_boundary = True
-        return 0 if on_boundary else 1
+        return _facet_side(self.facets, sp)
 
     def lattice_classifier(self, basis: Sequence[Vec]) -> Callable[[tuple[int, ...]], int]:
         """Classifier for points given by integer coordinates in a rational basis.
@@ -446,14 +373,7 @@ class Hull:
         """
         if not self.full_dim:
             basis_v = list(basis)
-
-            def classify_coords_degenerate(m: tuple[int, ...]) -> int:
-                pt = linalg.zero_vec(self.dim)
-                for c, b in zip(m, basis_v):
-                    pt = linalg.vadd(pt, linalg.vscale(c, b))
-                return self.classify(pt)
-
-            return classify_coords_degenerate
+            return lambda m: self.classify(linalg.combination(m, basis_v, self.dim))
 
         rows = []
         for nrm, rhs in self.facets:
@@ -468,18 +388,7 @@ class Hull:
                 tuple(int(c * den) for c in coeffs),
                 int(Fraction(rhs) * den),
             ))
-
-        def classify_coords(m: tuple[int, ...]) -> int:
-            boundary = False
-            for coeffs, rhs in rows:
-                v = sum(a * b for a, b in zip(coeffs, m))
-                if v > rhs:
-                    return -1
-                if v == rhs:
-                    boundary = True
-            return 0 if boundary else 1
-
-        return classify_coords
+        return functools.partial(_facet_side, rows)
 
     def volume(self) -> Fraction:
         """Euclidean volume in the coordinates the points were given in."""
@@ -508,6 +417,18 @@ class Hull:
         else:
             raise ValueError("volume implemented for dimension <= 3")
         return raw / Fraction(self.scale) ** d
+
+
+def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> int:
+    """+1 strictly inside every facet inequality n . p <= rhs, 0 on one, -1 outside."""
+    boundary = False
+    for nrm, rhs in facets:
+        v = sum(a * b for a, b in zip(nrm, p))
+        if v > rhs:
+            return -1
+        if v == rhs:
+            boundary = True
+    return 0 if boundary else 1
 
 
 def _integer_normal(rows: list[tuple[int, ...]], d: int) -> Optional[tuple[int, ...]]:
@@ -591,17 +512,12 @@ def _project_to_affine_basis(vertices, sp):
     diffs = [linalg.vsub(linalg.vec(v), base) for v in vertices[1:]]
     basis = linalg.independent_subset(diffs)
     offset = linalg.vsub(linalg.vec(sp), base)
-    coords_p = linalg.coordinates_in_basis(basis, offset) if basis else (() if linalg.is_zero_vec(offset) else None)
+    coords_p = linalg.coordinates_in_basis(basis, offset)
     if coords_p is None:
         return None
-    verts2 = [tuple()] if not basis else []
-    if basis:
-        verts2 = []
-        for v in vertices:
-            c = linalg.coordinates_in_basis(basis, linalg.vsub(linalg.vec(v), base))
-            verts2.append(tuple(c))
-    else:
-        verts2 = [tuple() for _ in vertices]
+    verts2 = [
+        tuple(linalg.coordinates_in_basis(basis, linalg.vsub(linalg.vec(v), base))) for v in vertices
+    ]
     return verts2, tuple(coords_p)
 
 
@@ -707,10 +623,10 @@ def support_bound_certificate(sys: RestrictedRootSystem) -> Fraction:
     basis = [linalg.vec(b) for b in sys.lattice.basis]
     for c in sys.chambers:
         pairs = sys.cone_simple_pairs(c)
-        duals = _dual_basis(sys, c, g)
+        duals = sys.dual_basis(c, g)
         total = Fraction(0)
         for (a, av), w in zip(
-            [pairs[i] for i in _vanishing_indices(sys, c, g)], duals
+            [pairs[i] for i in sys.vanishing_indices(c, g)], duals
         ):
             av_c = linalg.coordinates_in_basis(basis, av)
             w_norm = sum(abs(x) for x in w)
@@ -799,9 +715,7 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
                 continue
             if side < 0:
                 continue
-        point = linalg.zero_vec(sys.ambient_dim)
-        for c, b in zip(m, basis):
-            point = linalg.vadd(point, linalg.vscale(c, b))
+        point = linalg.combination(m, basis, sys.ambient_dim)
         if gamma_family(sys, g, point, shifted) == 1:
             count += 1
     return count
@@ -874,11 +788,6 @@ def fit_exp_polynomial(
     )
 
 
-def exp_poly_constant_term(samples: Sequence, max_period: int = 4, max_degree: int = 3) -> Fraction:
-    """Constant term of the polynomial part of the fitted quasi-polynomial."""
-    return fit_exp_polynomial(samples, max_period, max_degree).polynomial_part_constant
-
-
 def refinement_constant_term(
     y: OrthogonalSet,
     x0: Sequence,
@@ -897,10 +806,6 @@ def refinement_constant_term(
     basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
     if num_samples is None:
         num_samples = max_period * (r + 2) + 2
-    counts = []
-    x0v = _parse_vec(x0)
-    for j in range(num_samples):
-        shifted = y.add(OrthogonalSet.special(sys, x0v).scale(j))
-        counts.append(_count_kernel_points(shifted, basis, exact=False))
+    counts = [v_tilde_lattice(y, basis, j, x0) for j in range(num_samples)]
     fit = fit_exp_polynomial(counts, max_period=max_period, max_degree=r)
     return fit.polynomial_part_constant * Fraction(1, k**r)

@@ -53,6 +53,41 @@ def is_zero_vec(a: Vec) -> bool:
     return all(x == 0 for x in a)
 
 
+def combination(coeffs: Sequence, vectors: Sequence[Vec], n: int) -> Vec:
+    """sum(c_i * vectors_i) in dimension n."""
+    out = zero_vec(n)
+    for c, v in zip(coeffs, vectors):
+        out = vadd(out, vscale(c, v))
+    return out
+
+
+def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
+    """c with a = c * b (None if not proportional).  a = 0 gives c = 0."""
+    if is_zero_vec(a):
+        return Fraction(0)
+    c = None
+    for x, y in zip(a, b):
+        if y == 0:
+            if x != 0:
+                return None
+        else:
+            ratio = Fraction(x) / y
+            if c is None:
+                c = ratio
+            elif ratio != c:
+                return None
+    return c
+
+
+def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
+    """Signs (-1, 0, +1) of each covector at v."""
+    out = []
+    for h in covectors:
+        x = dot(h, v)
+        out.append(0 if x == 0 else (1 if x > 0 else -1))
+    return tuple(out)
+
+
 def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 
@@ -183,14 +218,6 @@ def independent_subset(vectors: Sequence[Vec]) -> list[Vec]:
         if rank(chosen + [v]) > len(chosen):
             chosen.append(v)
     return chosen
-
-
-def in_span(vectors: Sequence[Vec], v: Vec) -> bool:
-    if is_zero_vec(v):
-        return True
-    if not vectors:
-        return False
-    return rank(list(vectors)) == rank(list(vectors) + [v])
 
 
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Optional[Vec]:

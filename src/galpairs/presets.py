@@ -77,7 +77,6 @@ class EllipticLeviDatum:
     sign: int  # (-1)^(|delta_minus| - |I|)
     ker1_size: int  # 2^|I| / |projection of B to the I coordinates|
     mab_index: int  # |projection of B to the I coordinates|
-    h1_exponents: int  # the cohomology group is (Z/2)^|I|
     label: Optional[tuple[int, ...]] = None  # composition label for unitary presets
 
     @property
@@ -109,7 +108,6 @@ def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
                 sign=(-1) ** (m - len(subset)),
                 ker1_size=ker1,
                 mab_index=mab,
-                h1_exponents=len(subset),
                 label=label,
             )
         )

@@ -29,14 +29,12 @@ from .linalg import Mat, Vec
 _MAX_WEYL = 10000
 
 
-def _parse_rational(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def _parse_vec(xs) -> Vec:
-    return tuple(_parse_rational(x) for x in xs)
+    """Rational vector from ints, Fractions or "p/q" strings; ValueError on bad entries."""
+    try:
+        return linalg.vec(xs)
+    except (TypeError, ZeroDivisionError) as exc:
+        raise ValueError(f"not a rational vector: {xs!r}") from exc
 
 
 @dataclass(frozen=True)
@@ -171,21 +169,14 @@ class RestrictedRootSystem:
                 raise ValueError("simple roots are dependent")
             face_points.append((zero, point))
 
-        def sign_vector(p: Vec) -> tuple[int, ...]:
-            out = []
-            for h in self.hyperplanes:
-                v = linalg.dot(h, p)
-                out.append(0 if v == 0 else (1 if v > 0 else -1))
-            return tuple(out)
-
         seen: dict[tuple[int, ...], int] = {}
         cones: list[Cone] = []
         chamber_w: dict[int, Mat] = {}
-        base_interior = face_points[0][1]
+        self._base_interior = face_points[0][1]
         for w in self.weyl_elements:
             for zero, p in face_points:
                 img = linalg.matvec(w, p)
-                sv = sign_vector(img)
+                sv = linalg.sign_vector(self.hyperplanes, img)
                 if sv not in seen:
                     zero_rows = [self.hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
                     span = (
@@ -215,7 +206,7 @@ class RestrictedRootSystem:
                 pairs.append((linalg.vecmat(a, w_inv), linalg.matvec(w, av)))
             self._chamber_simples[ci] = pairs
 
-        self.base_chamber: int = self._sign_index[sign_vector(base_interior)]
+        self.base_chamber: int = seen[linalg.sign_vector(self.hyperplanes, self._base_interior)]
 
     # -- basic fan queries -----------------------------------------------------
 
@@ -228,12 +219,7 @@ class RestrictedRootSystem:
 
     def facet_of(self, point: Sequence) -> Cone:
         """The unique cone whose relative interior contains the point."""
-        p = _parse_vec(point)
-        sv = []
-        for h in self.hyperplanes:
-            v = linalg.dot(h, p)
-            sv.append(0 if v == 0 else (1 if v > 0 else -1))
-        return self.cone_by_signs(tuple(sv))
+        return self.cone_by_signs(linalg.sign_vector(self.hyperplanes, _parse_vec(point)))
 
     def parabolic_leq(self, p: int, q: int) -> bool:
         """True when the cone q is a face of the closure of the cone p.
@@ -299,6 +285,13 @@ class RestrictedRootSystem:
                 self._cache[key] = linalg.projection_matrix(c.span_basis, complement)
         return self._cache[key]
 
+    def chamber_below(self, cone: int) -> int:
+        """The least chamber P with P <= cone: the one chamber used per cone."""
+        key = ("chamber", cone)
+        if key not in self._cache:
+            self._cache[key] = min(ch for ch in self.chambers if self.parabolic_leq(ch, cone))
+        return self._cache[key]
+
     def cone_simple_pairs(self, cone: int) -> list[tuple[Vec, Vec]]:
         """Simple (root, coroot) pairs of the cone, as canonical extensions.
 
@@ -309,15 +302,53 @@ class RestrictedRootSystem:
         key = ("simples", cone)
         if key not in self._cache:
             c = self.cones[cone]
-            chamber = min(ch for ch in self.chambers if self.parabolic_leq(ch, cone))
             proj = self.levi_projection(cone)
             pairs = []
-            for a, av in self._chamber_simples[chamber]:
+            for a, av in self._chamber_simples[self.chamber_below(cone)]:
                 restricted = all(linalg.dot(a, b) == 0 for b in c.span_basis)
                 if restricted:
                     continue
                 pairs.append((linalg.vecmat(a, proj), linalg.matvec(proj, av)))
             self._cache[key] = pairs
+        return self._cache[key]
+
+    def vanishing_indices(self, p: int, q: int) -> list[int]:
+        """Indices into the simple pairs of cone p of roots vanishing on span(q)."""
+        key = ("vanish", p, q)
+        if key not in self._cache:
+            span = self.cones[q].span_basis
+            self._cache[key] = [
+                i
+                for i, (a, _) in enumerate(self.cone_simple_pairs(p))
+                if all(linalg.dot(a, b) == 0 for b in span)
+            ]
+        return self._cache[key]
+
+    def dual_basis(self, p: int, q: int) -> list[Vec]:
+        """Covectors dual to the coroots of the simple roots of p inside q.
+
+        Each covector pairs to delta with those coroots and vanishes both on the
+        span of q and on the coroots of roots vanishing on the span of p.
+        """
+        key = ("dual", p, q)
+        if key not in self._cache:
+            pairs = self.cone_simple_pairs(p)
+            coroots = [pairs[i][1] for i in self.vanishing_indices(p, q)]
+            rows = list(coroots)
+            rows += list(self.cones[q].span_basis)
+            rows += linalg.independent_subset(
+                [self._coroot_of[a] for a in self.zero_roots(p)]
+            )
+            if len(rows) != self.ambient_dim:
+                raise ValueError("degenerate cone pair in dual basis computation")
+            duals = []
+            for i in range(len(coroots)):
+                rhs = [Fraction(1 if j == i else 0) for j in range(len(rows))]
+                sol = linalg.solve(rows, rhs)
+                if sol is None:
+                    raise ValueError("dual basis system is singular")
+                duals.append(sol)
+            self._cache[key] = duals
         return self._cache[key]
 
     def adjacent_chambers(self, p: int, q: int) -> Optional[int]:
@@ -367,12 +398,12 @@ class RestrictedRootSystem:
         patterns = set()
         for ch in self.chambers:
             w = self._chamber_w[ch]
-            interior = linalg.matvec(w, self._base_interior_point())
-            patterns.add(tuple(_sign(linalg.dot(h, interior)) for h in sub_hyps))
+            interior = linalg.matvec(w, self._base_interior)
+            patterns.add(linalg.sign_vector(sub_hyps, interior))
 
         # signs of the sub-roots on the half-space {x in cone span : alpha > 0}
         y = self._generic_halfspace_point(span, a, sub_hyps)
-        target = tuple(_sign(linalg.dot(h, y)) for h in sub_hyps)
+        target = linalg.sign_vector(sub_hyps, y)
 
         results = []
         for pat in sorted(patterns):
@@ -398,12 +429,6 @@ class RestrictedRootSystem:
             if other != first:
                 raise ValueError("restricted coroot depends on the chamber choice")
         return first
-
-    def _base_interior_point(self) -> Vec:
-        simple = [self.roots[i] for i in self.simple_indices]
-        p = linalg.solve(simple, [Fraction(1)] * len(simple))
-        assert p is not None
-        return p
 
     def _generic_halfspace_point(self, span: list[Vec], a: Vec, hyps: list[Vec]) -> Vec:
         """A point of the cone span with alpha > 0, off every sub-hyperplane
@@ -439,33 +464,13 @@ class RestrictedRootSystem:
         return r1 + r2 == combined == self.ambient_dim
 
 
-def _sign(x: Fraction) -> int:
-    return 0 if x == 0 else (1 if x > 0 else -1)
-
-
 def _pattern_sign(root: Vec, hyps: list[Vec], pattern: tuple[int, ...]) -> int:
     """Sign of a sub-root on a sub-chamber, given the chamber's hyperplane signs."""
     for h, s in zip(hyps, pattern):
-        coeff = _proportionality(root, h)
+        coeff = linalg.proportionality(root, h)
         if coeff is not None:
             return s if coeff > 0 else -s
     raise ValueError("root is not proportional to any sub-hyperplane")
-
-
-def _proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
-    """c with a = c*b, or None."""
-    c = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return None
-        else:
-            ratio = Fraction(x, 1) / y
-            if c is None:
-                c = ratio
-            elif c != ratio:
-                return None
-    return c
 
 
 def _intersect_spans(span1: list[Vec], span2: list[Vec]) -> list[Vec]:
@@ -476,14 +481,8 @@ def _intersect_spans(span1: list[Vec], span2: list[Vec]) -> list[Vec]:
     # x in both spans: x = A u = B v; solve [A | -B] (u,v)^T = 0
     cols = [list(v) for v in span1] + [[-x for x in v] for v in span2]
     m = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(n)]
-    out = []
-    for sol in linalg.nullspace(m, ncols=len(cols)):
-        u = sol[: len(span1)]
-        x = linalg.zero_vec(n)
-        for c, v in zip(u, span1):
-            x = linalg.vadd(x, linalg.vscale(c, v))
-        out.append(x)
-    return linalg.independent_subset(out)
+    sols = linalg.nullspace(m, ncols=len(cols))
+    return linalg.independent_subset([linalg.combination(u[: len(span1)], span1, n) for u in sols])
 
 
 # -- built-in systems -------------------------------------------------------------

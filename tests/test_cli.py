@@ -33,6 +33,59 @@ class TestExitCodes:
         assert code == EXIT_USAGE
 
 
+class TestBadInput:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--kmax", "0"],
+            ["ortho", "check", "--system", "A1", "--samples", "-3"],
+            ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--max-period", "0"],
+            ["verify-prasad", "--max-m", "-2"],
+            ["verify-prasad", "--m", "-1"],
+            ["verify-prasad", "--m", "3", "--max-m", "1"],
+            ["h1", "--split", "-1"],
+            ["fibers", "--norm-one", "-2", "--h1g", "1"],
+        ],
+    )
+    def test_count_flags_bounded_at_parse_time(self, argv):
+        assert run(argv) == (EXIT_USAGE, "")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["ortho", "volume", "--system", "B2", "--special", "1/0,1"], "not a rational"),
+            (["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1/0"], "not a rational"),
+            # the sweep turns the set non-positive at j = 3: refused before any fit
+            (["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "-1"], "positive"),
+        ],
+    )
+    def test_bad_point_is_a_usage_error(self, argv, message):
+        code, text = run(argv)
+        assert code == EXIT_USAGE
+        assert text.startswith("error:") and message in text
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [{"special": ["1/0", "1"]}, {"points": [["-1"], ["1/0"]]}, {"special": 5}],
+    )
+    def test_bad_fixture_entry_is_a_usage_error(self, tmp_path, fixture):
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps(fixture))
+        system = "A1" if "points" in fixture else "B2"
+        code, text = run(["ortho", "volume", "--system", system, "--fixture", str(path)])
+        assert code == EXIT_USAGE
+        assert text.startswith("error: not a rational")
+
+    def test_arithmetic_error_is_a_violation(self, monkeypatch):
+        def disagree(y, directions=None):
+            raise ArithmeticError("analytic volume differs across directions")
+
+        monkeypatch.setattr("galpairs.families.volume_analytic", disagree)
+        code, text = run(["ortho", "volume", "--system", "A1", "--special", "2"])
+        assert code == EXIT_VIOLATION
+        assert "differs across directions" in text
+
+
 class TestVerifyPrasad:
     def test_single_m(self):
         code, text = run(["verify-prasad", "--m", "3"])
@@ -135,6 +188,19 @@ class TestToriAndLevis:
         code, text = run(["fibers", "--norm-one", "4", "--h1g", "2"])
         assert code == EXIT_PASS
         assert "fibers=8" in text
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["h1", "--norm-one", "1"], ["fibers", "--norm-one", "1", "--h1g", "1"]],
+    )
+    def test_cohomology_not_killed_by_group_order_fails(self, monkeypatch, argv):
+        from galpairs.exact_linalg import FiniteAbelianGroup
+
+        # the action has order 2, so Z/3 cannot be its H^-1
+        monkeypatch.setattr("galpairs.cli.tate_h_minus1", lambda torus: FiniteAbelianGroup((3,)))
+        code, text = run(argv)
+        assert code == EXIT_VIOLATION
+        assert text.startswith("# ") and "FAIL " in text
 
     def test_list_levis(self):
         code, text = run(["list-levis", "--preset", "U:4"])

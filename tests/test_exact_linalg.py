@@ -197,9 +197,3 @@ class TestTateCohomology:
         }
         x = el.lattice_with_action_from_dict(data)
         assert el.tate_h_minus1(x).invariant_factors == (2,)
-
-
-class TestTorusH1:
-    def test_alias_agrees(self):
-        x = el.norm_one_torus(3)
-        assert el.torus_h1(x) == el.tate_h_minus1(x)
