@@ -206,15 +206,13 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
     if any(x.denominator != 1 for x in x0):
         raise ValueError("the sweep point must have integer coordinates")
     target = fam.volume_polytope(y)
-    errors = []
-    ok = True
-    for k in range(1, args.kmax + 1):
-        ck = fam.refinement_constant_term(y, x0, k, max_period=args.max_period)
-        errors.append(abs(ck - target))
-    c_fit = max((k * e for k, e in zip(range(1, args.kmax + 1), errors)), default=Fraction(0))
-    for k, e in zip(range(1, args.kmax + 1), errors):
-        if e * k > c_fit:
-            ok = False
+    errors = [
+        abs(fam.refinement_constant_term(y, x0, k, max_period=args.max_period) - target)
+        for k in range(1, args.kmax + 1)
+    ]
+    # the constant c is fitted on k <= 2 and must bound k * e_k for every later k
+    c_fit = max(k * e for k, e in enumerate(errors[:2], start=1))
+    ok = all(k * e <= c_fit for k, e in enumerate(errors[2:], start=3))
     decreasing_ok = errors[-1] <= errors[0] or errors[-1] == 0
     report.add(
         "refinement-constants",

@@ -288,6 +288,7 @@ class LatticeWithAction:
     lattice: IntLattice
     actions: tuple[tuple[tuple[int, ...], ...], ...]
     label: str = ""
+    _in_basis: list[IntMat] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
@@ -304,7 +305,13 @@ class LatticeWithAction:
                 if prod not in seen:
                     raise ValueError("action set is not closed under multiplication")
         # each matrix must map the lattice to itself (onto, as the group has inverses)
-        self.in_basis_matrices()
+        basis = [linalg.vec(b) for b in self.lattice.basis]
+        error = "a group element does not preserve the lattice"
+        mats = [
+            _integer_coordinate_matrix(basis, (linalg.matvec(linalg.mat(a), b) for b in basis), error)
+            for a in self.actions
+        ]
+        object.__setattr__(self, "_in_basis", mats)
 
     @property
     def order(self) -> int:
@@ -313,16 +320,10 @@ class LatticeWithAction:
     def in_basis_matrices(self) -> list[IntMat]:
         """The action matrices rewritten in lattice-basis coordinates.
 
-        Raises ValueError when an element does not preserve the lattice.
+        They are solved once, when the constructor checks that every element
+        preserves the lattice.
         """
-        basis = [linalg.vec(b) for b in self.lattice.basis]
-        out = []
-        for a in self.actions:
-            am = linalg.mat(a)
-            images = (linalg.matvec(am, b) for b in basis)
-            error = "a group element does not preserve the lattice"
-            out.append(_integer_coordinate_matrix(basis, images, error))
-        return out
+        return self._in_basis
 
 
 def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:

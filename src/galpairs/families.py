@@ -42,26 +42,15 @@ class OrthogonalSet:
         self.system = system
         if sorted(points) != sorted(system.chambers):
             raise ValueError("points must be indexed by exactly the chambers")
-        self.points: dict[int, Vec] = {p: _parse_vec(v) for p, v in points.items()}
+        self.points: dict[int, Vec] = {
+            p: _parse_vec(v, system.ambient_dim) for p, v in points.items()
+        }
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
         self._projections: dict[int, Vec] = {}
         self._validate()
 
     def _validate(self) -> None:
-        sys = self.system
-        for p, q in combinations(sys.chambers, 2):
-            wall = sys.adjacent_chambers(p, q)
-            if wall is None:
-                continue
-            hyp = sys.hyperplanes[wall]
-            coroot = None
-            for a, av in sys.chamber_simple_pairs(p):
-                c = linalg.proportionality(a, hyp)
-                if c is not None:
-                    coroot = av
-                    break
-            if coroot is None:
-                raise ValueError("no simple root along the shared wall")
+        for p, q, _, coroot in self.system.walls(self.system.base_chamber):
             diff = linalg.vsub(self.points[p], self.points[q])
             r = linalg.proportionality(diff, coroot)
             if r is None:
@@ -103,7 +92,7 @@ class OrthogonalSet:
     @classmethod
     def special(cls, system: RestrictedRootSystem, x: Sequence) -> "OrthogonalSet":
         """The set Y_P = w_P(x) obtained by sweeping one point around the fan."""
-        xv = _parse_vec(x)
+        xv = _parse_vec(x, system.ambient_dim)
         pts = {
             c: linalg.matvec(system.chamber_weyl(c), xv) for c in system.chambers
         }
@@ -224,55 +213,18 @@ def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
     """The projected family on each Levi span is again an orthogonal set.
 
     For every linear span V arising as the span of a cone, the cones with span
-    exactly V are the chambers of the induced fan on V.  Two of them are
-    wall-adjacent when their sign vectors differ on exactly one class of
-    hyperplanes restricting to the same wall of V; the projected points must
-    then differ by a rational multiple of the restricted coroot of that wall.
+    exactly V are the chambers of the induced fan on V, and ``sys.walls`` lists
+    their wall-adjacent pairs.  Across each wall the restricted coroot must be
+    the simple coroot of the table, and the projected points must differ by a
+    rational multiple of it.
     """
-    by_span: dict[tuple, list[int]] = {}
-    for c in sys.cones:
-        key = tuple(i for i, s in enumerate(c.signs) if s == 0)
-        by_span.setdefault(key, []).append(c.index)
-    for zero_set, cone_ids in by_span.items():
-        if len(cone_ids) < 2:
-            continue
-        span = sys.cones[cone_ids[0]].span_basis
-        # group the active hyperplanes by their restriction direction on V
-        active = [i for i in range(len(sys.hyperplanes)) if i not in zero_set]
-        classes: list[list[int]] = []
-        for i in active:
-            ri = tuple(linalg.dot(sys.hyperplanes[i], b) for b in span)
-            placed = False
-            for cls in classes:
-                rj = tuple(linalg.dot(sys.hyperplanes[cls[0]], b) for b in span)
-                if linalg.proportionality(ri, rj) is not None:
-                    cls.append(i)
-                    placed = True
-                    break
-            if not placed:
-                classes.append([i])
-        for qa, qb in combinations(cone_ids, 2):
-            sa = sys.cones[qa].signs
-            sb = sys.cones[qb].signs
-            diff_classes = [
-                ci for ci, cls in enumerate(classes) if any(sa[i] != sb[i] for i in cls)
-            ]
-            if len(diff_classes) != 1:
-                continue
-            wall = sys.hyperplanes[classes[diff_classes[0]][0]]
-            wall_restr = tuple(linalg.dot(wall, b) for b in span)
-            coroot = None
-            for a, av in sys.cone_simple_pairs(qa):
-                a_restr = tuple(linalg.dot(a, b) for b in span)
-                if linalg.proportionality(a_restr, wall_restr) is not None:
-                    if sys.restricted_coroot(qa, a) != av:
-                        return False
-                    coroot = av
-                    break
-            if coroot is None:
+    one_cone_per_span = {tuple(s == 0 for s in c.signs): c.index for c in sys.cones}
+    for cone in one_cone_per_span.values():
+        for p, q, a, av in sys.walls(cone):
+            if sys.restricted_coroot(p, a) != av:
                 return False
-            d = linalg.vsub(y.projected(qa), y.projected(qb))
-            if linalg.proportionality(d, coroot) is None:
+            d = linalg.vsub(y.projected(p), y.projected(q))
+            if linalg.proportionality(d, av) is None:
                 return False
     return True
 
@@ -296,10 +248,12 @@ def _sup_norm(v: Vec) -> Fraction:
 
 
 class Hull:
-    """Exact convex hull of rational points in dimension <= 3.
+    """Exact convex hull of rational points.
 
-    Facet inequalities are found by brute force over point subsets; points are
-    rescaled to integers first so all subsequent tests are integer-only.
+    Facet inequalities are found by brute force over point subsets, which is
+    implemented for dimension <= 3; the volume is computed from the facets by
+    code that does not depend on the dimension.  Points are rescaled to integers first so all
+    subsequent tests are integer-only.
     ``classify`` returns +1 (interior), 0 (boundary) or -1 (outside), where a
     hull of less than full dimension has no interior.
     """
@@ -391,32 +345,40 @@ class Hull:
         return functools.partial(_facet_side, rows)
 
     def volume(self) -> Fraction:
-        """Euclidean volume in the coordinates the points were given in."""
+        """Euclidean volume in the coordinates the points were given in.
+
+        Sums |det| / d! over a pulling triangulation: each face is coned from
+        its least point (a vertex, being lexicographically least) over its
+        facets that miss that point, down to single points.  The facets of a
+        face are the inclusion-maximal proper cuts of it by the facet point
+        sets of the hull.
+        """
         if not self.full_dim:
             return Fraction(0)
-        d = self.dim
         pts = self.vertices
-        raw: Fraction
-        if d == 1:
-            raw = Fraction(pts[-1][0] - pts[0][0])
-        elif d == 2:
-            ordered = _convex_polygon_order(pts)
-            raw = _shoelace(ordered)
-        elif d == 3:
-            centroid = tuple(Fraction(sum(p[i] for p in pts), len(pts)) for i in range(3))
-            total = Fraction(0)
-            for nrm, rhs in self.facets:
-                on_facet = [p for p in pts if sum(a * b for a, b in zip(nrm, p)) == rhs]
-                ordered = _order_coplanar_polygon(on_facet, nrm)
-                v0 = linalg.vsub(linalg.vec(ordered[0]), centroid)
-                for i in range(1, len(ordered) - 1):
-                    v1 = linalg.vsub(linalg.vec(ordered[i]), centroid)
-                    v2 = linalg.vsub(linalg.vec(ordered[i + 1]), centroid)
-                    total += abs(_det3(v0, v1, v2))
-            raw = total / 6
-        else:
-            raise ValueError("volume implemented for dimension <= 3")
-        return raw / Fraction(self.scale) ** d
+        cuts = [
+            frozenset(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(nrm, p)) == rhs)
+            for nrm, rhs in self.facets
+        ]
+
+        def simplices(face: frozenset) -> list[tuple[int, ...]]:
+            apex = min(face)
+            if len(face) == 1:
+                return [(apex,)]
+            sub = {face & c for c in cuts} - {face, frozenset()}
+            return [
+                (apex,) + rest
+                for f in sub
+                if apex not in f and not any(f < g for g in sub)
+                for rest in simplices(f)
+            ]
+
+        total = Fraction(0)
+        for simplex in simplices(frozenset(range(len(pts)))):
+            base = pts[simplex[0]]
+            edges = [[x - b for x, b in zip(pts[i], base)] for i in simplex[1:]]
+            total += abs(linalg.det(edges))
+        return total / (math.factorial(self.dim) * self.scale**self.dim)
 
 
 def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> int:
@@ -453,59 +415,6 @@ def _integer_normal(rows: list[tuple[int, ...]], d: int) -> Optional[tuple[int, 
     raise ValueError("normals implemented for dimension 2 and 3")
 
 
-def _convex_polygon_order(pts: list[tuple[int, ...]]) -> list[tuple[int, ...]]:
-    """Order the vertices of a convex polygon counterclockwise (monotone chain)."""
-    pts = sorted(set(pts))
-
-    def cross(o, a, b):
-        return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-    lower: list = []
-    for p in pts:
-        while len(lower) >= 2 and cross(lower[-2], lower[-1], p) <= 0:
-            lower.pop()
-        lower.append(p)
-    upper: list = []
-    for p in reversed(pts):
-        while len(upper) >= 2 and cross(upper[-2], upper[-1], p) <= 0:
-            upper.pop()
-        upper.append(p)
-    return lower[:-1] + upper[:-1]
-
-
-def _shoelace(ordered: list[tuple[int, ...]]) -> Fraction:
-    s = 0
-    for i in range(len(ordered)):
-        x1, y1 = ordered[i]
-        x2, y2 = ordered[(i + 1) % len(ordered)]
-        s += x1 * y2 - x2 * y1
-    return Fraction(abs(s), 2)
-
-
-def _order_coplanar_polygon(pts: list, normal: tuple[int, ...]) -> list:
-    """Boundary-ordered extreme points of a coplanar 3D point set.
-
-    Points interior to the facet polygon (or interior to its edges) are
-    dropped by running a 2D convex hull in planar coordinates.
-    """
-    pts = sorted(set(pts))
-    # planar coordinates: drop the axis with the largest |normal| component,
-    # which makes the projection injective on the facet plane
-    drop = max(range(3), key=lambda i: abs(normal[i]))
-    keep = [i for i in range(3) if i != drop]
-    flat_to_solid = {(p[keep[0]], p[keep[1]]): p for p in pts}
-    ordered_flat = _convex_polygon_order(list(flat_to_solid))
-    return [flat_to_solid[f] for f in ordered_flat]
-
-
-def _det3(a: Vec, b: Vec, c: Vec) -> Fraction:
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
-    )
-
-
 def _project_to_affine_basis(vertices, sp):
     """Coordinates of scaled vertices and point in their affine span, or None."""
     base = linalg.vec(vertices[0])
@@ -527,11 +436,6 @@ def _project_to_affine_basis(vertices, sp):
 def hull_membership(points: Sequence[Sequence], h: Sequence) -> bool:
     """Exact rational test: is h in the convex hull of the points?"""
     return Hull(points).classify(h) >= 0
-
-
-def hull_position(points: Sequence[Sequence], h: Sequence) -> int:
-    """+1 interior, 0 boundary, -1 outside (interior requires a full-dim hull)."""
-    return Hull(points).classify(h)
 
 
 def volume_polytope(y: OrthogonalSet) -> Fraction:
@@ -559,28 +463,22 @@ def _generic_directions(sys: RestrictedRootSystem, count: int) -> list[Vec]:
     return out
 
 
-def volume_analytic(y: OrthogonalSet, directions: Optional[Sequence[Sequence]] = None) -> Fraction:
+def volume_analytic(y: OrthogonalSet) -> Fraction:
     """Volume as the leading coefficient of the chamber exponential sum.
 
     For each generic covector mu the value is
     sum_P covol(Z[coroots_P]) * <mu, Y_P>^r / (r! * prod <mu, coroot>), which
-    is independent of mu; at least three directions are evaluated and must
-    agree exactly.
+    is independent of mu; three directions are evaluated and must agree
+    exactly.
     """
     sys = y.system
     r = sys.ambient_dim
     if linalg.rank(sys.roots) != r:
         raise ValueError("analytic volume requires roots of full rank")
     basis = [linalg.vec(b) for b in sys.lattice.basis]
-    if directions is None:
-        mus = _generic_directions(sys, 3)
-    else:
-        mus = [_parse_vec(m) for m in directions]
-        if len(mus) < 3:
-            raise ValueError("at least three directions are required")
     values = []
     rfact = math.factorial(r)
-    for mu in mus:
+    for mu in _generic_directions(sys, 3):
         total = Fraction(0)
         for c in sys.chambers:
             pairs = sys.chamber_simple_pairs(c)
@@ -684,7 +582,7 @@ def v_tilde_lattice(
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     sys = y.system
-    shifted = y.add(OrthogonalSet.special(sys, _parse_vec(x0)).scale(k))
+    shifted = y.add(OrthogonalSet.special(sys, x0).scale(k))
     if not shifted.is_positive:
         raise ValueError("lattice counting requires a positive orthogonal set")
     basis = [_parse_vec(b) for b in lattice_basis]
@@ -792,7 +690,6 @@ def refinement_constant_term(
     y: OrthogonalSet,
     x0: Sequence,
     k: int,
-    num_samples: Optional[int] = None,
     max_period: int = 4,
 ) -> Fraction:
     """Normalized constant term of the lattice-count family at refinement 1/k.
@@ -804,8 +701,6 @@ def refinement_constant_term(
     sys = y.system
     r = sys.ambient_dim
     basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
-    if num_samples is None:
-        num_samples = max_period * (r + 2) + 2
-    counts = [v_tilde_lattice(y, basis, j, x0) for j in range(num_samples)]
+    counts = [v_tilde_lattice(y, basis, j, x0) for j in range(max_period * (r + 2) + 2)]
     fit = fit_exp_polynomial(counts, max_period=max_period, max_degree=r)
     return fit.polynomial_part_constant * Fraction(1, k**r)

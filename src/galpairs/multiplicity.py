@@ -141,10 +141,6 @@ class ReducedOmega:
     mask: int
     values_on_b_generators: tuple[int, ...]
 
-    @property
-    def trivial_on_b(self) -> bool:
-        return all(v == 1 for v in self.values_on_b_generators)
-
 
 def prasad_omega(preset: ThetaPreset) -> ReducedOmega:
     m = preset.m

@@ -29,12 +29,16 @@ from .linalg import Mat, Vec
 _MAX_WEYL = 10000
 
 
-def _parse_vec(xs) -> Vec:
-    """Rational vector from ints, Fractions or "p/q" strings; ValueError on bad entries."""
+def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
+    """Rational vector from ints, Fractions or "p/q" strings; ValueError on bad
+    entries, or on a length other than ``dim`` when it is given."""
     try:
-        return linalg.vec(xs)
+        v = linalg.vec(xs)
     except (TypeError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational vector: {xs!r}") from exc
+    if dim is not None and len(v) != dim:
+        raise ValueError(f"expected a point with {dim} coordinates, got {len(v)}: {xs!r}")
+    return v
 
 
 @dataclass(frozen=True)
@@ -351,12 +355,48 @@ class RestrictedRootSystem:
             self._cache[key] = duals
         return self._cache[key]
 
-    def adjacent_chambers(self, p: int, q: int) -> Optional[int]:
-        """If the chambers share a wall, return its hyperplane index, else None."""
-        sp = self.cones[p].signs
-        sq = self.cones[q].signs
-        diff = [i for i in range(len(sp)) if sp[i] != sq[i]]
-        return diff[0] if len(diff) == 1 else None
+    def walls(self, cone: int) -> list[tuple[int, int, Vec, Vec]]:
+        """Wall table of the fan induced on the span of the cone.
+
+        The cones with that span are the chambers of the induced fan (for a
+        chamber, the chambers of the system).  Two of them are adjacent when
+        their signs differ on exactly one class of hyperplanes whose
+        restrictions to the span are proportional.  Each adjacent pair
+        (p, q), p < q, is listed as (p, q, root, coroot) with the simple pair
+        of ``cone_simple_pairs(p)`` along the shared wall.
+        """
+        zero = tuple(s == 0 for s in self.cones[cone].signs)
+        key = ("walls", zero)
+        if key not in self._cache:
+            span = self.cones[cone].span_basis
+            restricted = [tuple(linalg.dot(h, b) for b in span) for h in self.hyperplanes]
+            classes: list[list[int]] = []
+            for i in range(len(self.hyperplanes)):
+                if zero[i]:
+                    continue
+                for cls in classes:
+                    if linalg.proportionality(restricted[i], restricted[cls[0]]) is not None:
+                        cls.append(i)
+                        break
+                else:
+                    classes.append([i])
+            same_span = [c for c in self.cones if tuple(s == 0 for s in c.signs) == zero]
+            table = []
+            for cp, cq in combinations(same_span, 2):
+                differing = [
+                    cls for cls in classes if any(cp.signs[i] != cq.signs[i] for i in cls)
+                ]
+                if len(differing) != 1:
+                    continue
+                wall = restricted[differing[0][0]]
+                for a, av in self.cone_simple_pairs(cp.index):
+                    if linalg.proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
+                        table.append((cp.index, cq.index, a, av))
+                        break
+                else:
+                    raise ValueError("no simple root along the shared wall")
+            self._cache[key] = table
+        return self._cache[key]
 
     # -- restricted coroots -----------------------------------------------------
 

@@ -31,12 +31,10 @@ def sample_points(
     return [sample_rational_point(rng, dim, numerator_bound, max_denominator) for _ in range(count)]
 
 
-def random_dominant_point(
-    rng: random.Random, sys: RestrictedRootSystem, bound: int = 8
-) -> Vec:
+def random_dominant_point(rng: random.Random, sys: RestrictedRootSystem) -> Vec:
     """A point of the closed base chamber with nonnegative simple-root values."""
     simple = [sys.roots[i] for i in sys.simple_indices]
-    targets = [Fraction(rng.randint(0, bound), rng.randint(1, 3)) for _ in simple]
+    targets = [Fraction(rng.randint(0, 8), rng.randint(1, 3)) for _ in simple]
     x = linalg.solve(simple, targets)
     assert x is not None
     return x
@@ -51,11 +49,9 @@ def random_positive_set(rng: random.Random, sys: RestrictedRootSystem) -> Orthog
     return out
 
 
-def random_nonpositive_set(
-    rng: random.Random, sys: RestrictedRootSystem, max_tries: int = 200
-) -> OrthogonalSet:
+def random_nonpositive_set(rng: random.Random, sys: RestrictedRootSystem) -> OrthogonalSet:
     """A swept set with at least one negative wall coefficient."""
-    for _ in range(max_tries):
+    for _ in range(200):
         x = sample_rational_point(rng, sys.ambient_dim, numerator_bound=8, max_denominator=3)
         candidate = OrthogonalSet.special(sys, x)
         if not candidate.is_positive:

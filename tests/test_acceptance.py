@@ -136,8 +136,7 @@ def test_criterion_6_hull_volume_coherence():
                     continue  # boundary points follow the closed-kernel convention
                 if fam.gamma_family(sys_, g, h, y) != (1 if side > 0 else 0):
                     gamma_bad += 1
-            directions = fam._generic_directions(sys_, 3)
-            if fam.volume_analytic(y, directions) != fam.volume_polytope(y):
+            if fam.volume_analytic(y) != fam.volume_polytope(y):
                 vol_bad += 1
     _report(
         "criterion-6 hull-volume-coherence",
@@ -163,8 +162,9 @@ def test_criterion_7_refinement_approximation():
         errs = []
         for k in range(1, 9):
             errs.append(abs(fam.refinement_constant_term(y, x0, k) - vol))
-        c = max(k * e for k, e in zip(range(1, 9), errs))
-        if any(e > c / k for k, e in zip(range(1, 9), errs)):
+        # c is fitted on k <= 2 and must bound k * e_k for k = 3..8
+        c = max(k * e for k, e in enumerate(errs[:2], start=1))
+        if any(k * e > c for k, e in enumerate(errs[2:], start=3)):
             ok = False
         # the fit itself must reproduce the raw counts exactly
         basis = [tuple(Fraction(x) for x in b) for b in sys_.lattice.basis]

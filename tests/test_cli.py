@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
+from galpairs import families as fam
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, frac_str, run
 
 
@@ -76,8 +78,26 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert text.startswith("error: not a rational")
 
+    @pytest.mark.parametrize(
+        "argv, points",
+        [
+            (["ortho", "volume", "--system", "A2", "--special", "1,2,3"], None),
+            (["ortho", "check", "--system", "A2", "--special", "1", "--samples", "5"], None),
+            (["ortho", "ehrhart", "--system", "A2", "--special", "1,1", "--x0", "1,1,1"], None),
+            (["ortho", "volume", "--system", "A1"], [["-1"], ["3", "1"]]),
+        ],
+    )
+    def test_point_of_wrong_dimension_is_a_usage_error(self, tmp_path, argv, points):
+        if points is not None:
+            path = tmp_path / "set.json"
+            path.write_text(json.dumps({"points": points}))
+            argv = argv + ["--fixture", str(path)]
+        code, text = run(argv)
+        assert code == EXIT_USAGE
+        assert text.startswith("error: expected a point with")
+
     def test_arithmetic_error_is_a_violation(self, monkeypatch):
-        def disagree(y, directions=None):
+        def disagree(y):
             raise ArithmeticError("analytic volume differs across directions")
 
         monkeypatch.setattr("galpairs.families.volume_analytic", disagree)
@@ -156,6 +176,20 @@ class TestOrtho:
         )
         assert code == EXIT_PASS
         assert "refinement-constants" in text
+
+    def test_ehrhart_refinement_bound_can_fail(self, monkeypatch):
+        # errors 1, 1/2, 1/2, 1/2: c = 1 from k <= 2, but 3 * 1/2 > c, while
+        # the errors still do not grow; only the c/k bound is broken
+        errors = [Fraction(1), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)]
+
+        def perturbed(y, x0, k, max_period):
+            return fam.volume_polytope(y) + errors[k - 1]
+
+        monkeypatch.setattr("galpairs.families.refinement_constant_term", perturbed)
+        argv = ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1"]
+        code, text = run(argv + ["--kmax", "4"])
+        assert code == EXIT_VIOLATION
+        assert "errors 1, 1/2, 1/2, 1/2" in text
 
     def test_ehrhart_rejects_fractional_sweep(self):
         code, text = run(

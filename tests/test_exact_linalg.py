@@ -189,6 +189,12 @@ class TestTateCohomology:
             rot = ((0, -1), (1, 0))
             el.LatticeWithAction(el.IntLattice.standard(2), (ident, rot))
 
+    def test_basis_matrices_solved_once(self):
+        x = el.norm_one_torus(2)
+        assert x.in_basis_matrices() is x.in_basis_matrices()
+        assert x.in_basis_matrices() == [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
+        assert x == el.norm_one_torus(2) and hash(x) == hash(el.norm_one_torus(2))
+
     def test_fixture_round_trip(self):
         data = {
             "ambient_rank": 1,

@@ -15,7 +15,6 @@ from galpairs.families import (
     gamma_cone_pair,
     gamma_family,
     hull_membership,
-    hull_position,
     partition_of_unity_value,
     refinement_constant_term,
     support_bound_certificate,
@@ -161,7 +160,7 @@ class TestGammaKernels:
         verts = [y.points[ch] for ch in sys.chambers]
         mism = 0
         for h in sampling.sample_points(rng, 2, 60):
-            if hull_position(verts, h) == 0:
+            if Hull(verts).classify(h) == 0:
                 continue  # boundary convention differs; tested separately
             if gamma_family(sys, g, h, y) != (1 if hull_membership(verts, h) else 0):
                 mism += 1
@@ -200,6 +199,14 @@ class TestLeviCoherence:
         y = sampling.random_positive_set(rng, sys)
         assert verify_levi_coherence(sys, y)
 
+    def test_wrong_restricted_coroot_fails(self, monkeypatch):
+        sys = builtin_system("A2")
+        y = sampling.random_positive_set(random.Random(31), sys)
+        monkeypatch.setattr(
+            type(sys), "restricted_coroot", lambda self, cone, alpha: (Fraction(0),) * 2
+        )
+        assert not verify_levi_coherence(sys, y)
+
 
 class TestHull:
     def test_segment(self):
@@ -227,6 +234,16 @@ class TestHull:
         assert h.classify((1, 1, 1)) == 1
         assert h.classify((2, 1, 1)) == 0
         assert h.classify((3, 1, 1)) == -1
+
+    def test_cube_with_edge_and_face_points(self):
+        corners = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (0, 2)]
+        edges = (
+            [(1, y, z) for y in (0, 2) for z in (0, 2)]
+            + [(x, 1, z) for x in (0, 2) for z in (0, 2)]
+            + [(x, y, 1) for x in (0, 2) for y in (0, 2)]
+        )
+        faces = [(0, 1, 1), (2, 1, 1), (1, 0, 1), (1, 2, 1), (1, 1, 0), (1, 1, 2)]
+        assert Hull(edges + faces + corners).volume() == 8
 
     def test_simplex_volume(self):
         pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]

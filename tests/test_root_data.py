@@ -44,6 +44,26 @@ def test_cone_dimensions(name):
     assert sorted(top) == sorted(sys.chambers)
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_chamber_walls(name):
+    """Each chamber has rank walls, each shared by two chambers."""
+    sys = builtin_system(name)
+    walls = sys.walls(sys.base_chamber)
+    assert len(walls) == len(sys.weyl_elements) * sys.rank // 2
+    for p, q, a, av in walls:
+        assert p < q and p in sys.chambers and q in sys.chambers
+        assert (a, av) in sys.chamber_simple_pairs(p)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_line_walls(name):
+    """On the span of a ray the induced fan is two opposite rays and one wall."""
+    sys = builtin_system(name)
+    for cone in sys.cones:
+        if cone.dim == 1:
+            assert len(sys.walls(cone.index)) == 1
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "BC2"])
 def test_facet_of_partition(name):
     """Every rational point lands in exactly one relative interior."""
