@@ -19,13 +19,9 @@ from .exact_linalg import (
 )
 from .families import (
     OrthogonalSet,
-    delta,
-    gamma_cone_pair,
     gamma_family,
     hull_membership,
     partition_of_unity_value,
-    tau,
-    tau_hat,
     v_tilde_lattice,
     volume_analytic,
     volume_polytope,
@@ -60,9 +56,7 @@ __all__ = [
     "builtin_preset",
     "builtin_system",
     "composition_identity",
-    "delta",
     "enumerate_elliptic_levis",
-    "gamma_cone_pair",
     "gamma_family",
     "gln_induction_identity",
     "hull_membership",
@@ -74,8 +68,6 @@ __all__ = [
     "steinberg_indicator",
     "steinberg_multiplicity",
     "tate_h_minus1",
-    "tau",
-    "tau_hat",
     "v_tilde_lattice",
     "verify_prasad_identity",
     "volume_analytic",

@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import families as fam
+from . import linalg
 from . import multiplicity as mu
 from . import presets as pr
 from . import root_data as rd
@@ -165,11 +166,11 @@ def _ortho_check(args, system) -> tuple[int, str]:
     for label, y in sets:
         points = sampling.sample_points(rng, system.ambient_dim, args.samples)
         bad = fam.partition_of_unity_check(system, y, points)
-        report.add(
-            f"partition-of-unity [{label}]",
-            not bad,
-            f"{args.samples} points, {len(bad)} violations",
-        )
+        detail = f"{args.samples} points, {len(bad)} violations"
+        if bad:
+            h, value = bad[0]
+            detail += f"; first at h={','.join(frac_str(x) for x in h)}: value {value}, want 1"
+        report.add(f"partition-of-unity [{label}]", not bad, detail)
         sb = fam.support_bound_check(system, y, points)
         report.add(
             f"support-bound [{label}]",
@@ -200,9 +201,9 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
     y = _load_set(args, system)
     if y is None:
         raise ValueError("ortho ehrhart needs --fixture or --special")
-    x0 = parse_point(args.x0) if args.x0 else tuple(
+    x0 = parse_point(args.x0) if args.x0 else linalg.clear_denominators(
         sampling.random_dominant_point(random.Random(0), system)
-    )
+    )[0]
     if any(x.denominator != 1 for x in x0):
         raise ValueError("the sweep point must have integer coordinates")
     target = fam.volume_polytope(y)

@@ -2,10 +2,10 @@
 
 An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.
-This module implements the indicator functions tau / tau-hat / delta, the two
-alternating-sum kernels built from them, the resulting partition of unity,
-exact convex-hull volumes (computed two independent ways), and lattice-point
-counting with exponential-polynomial extrapolation.
+This module implements the alternating-sum kernels of the indicators tau /
+tau-hat / delta, compiled per system to integer sign tests, the resulting
+partition of unity, exact convex-hull volumes (computed two independent ways),
+and lattice-point counting with exponential-polynomial extrapolation.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says, which may differ from closed-hull
@@ -18,7 +18,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 from typing import Callable, Optional, Sequence
 
 from . import linalg
@@ -47,6 +47,7 @@ class OrthogonalSet:
         }
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
         self._projections: dict[int, Vec] = {}
+        self._thresholds: dict[int, tuple[list[int], int]] = {}
         self._validate()
 
     def _validate(self) -> None:
@@ -72,6 +73,13 @@ class OrthogonalSet:
             proj = sys.levi_projection(cone)
             self._projections[cone] = linalg.matvec(proj, self.points[sys.chamber_below(cone)])
         return self._projections[cone]
+
+    def thresholds(self, cone: int, kernel: "KernelTables") -> tuple[list[int], int]:
+        """Integers nums, den > 0 with <c, Y_cone> = nums[i] / den for each kernel covector."""
+        row = self._thresholds.get(cone)
+        if row is None or len(row[0]) != len(kernel.covectors):
+            row = self._thresholds[cone] = kernel.point(self.projected(cone))
+        return row
 
     def verify_projection_coherence(self) -> bool:
         """Check that every chamber below a cone projects to the same point."""
@@ -111,89 +119,100 @@ class OrthogonalSet:
         )
 
     def translate(self, v: Sequence) -> "OrthogonalSet":
-        vv = _parse_vec(v)
+        vv = _parse_vec(v, self.system.ambient_dim)
         return OrthogonalSet(self.system, {c: linalg.vadd(p, vv) for c, p in self.points.items()})
 
     def scale(self, t) -> "OrthogonalSet":
         return OrthogonalSet(self.system, {c: linalg.vscale(t, p) for c, p in self.points.items()})
 
 
-# -- indicator functions ------------------------------------------------------
+# -- the indicator kernel, compiled to integer sign tests ------------------------
 
 
-def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
-    """1 when every simple root of p that lies in the Levi of q is positive at h."""
-    if not sys.parabolic_leq(p, q):
-        raise ValueError("tau requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
-    pairs = sys.cone_simple_pairs(p)
-    for i in sys.vanishing_indices(p, q):
-        if linalg.dot(pairs[i][0], hv) <= 0:
-            return 0
-    return 1
+class KernelTables:
+    """The alternating kernel of one system as integer sign tests.
+
+    ``covectors`` are distinct primitive integer covectors, each a positive
+    multiple of the root, dual-basis covector or hyperplane it stands for, so
+    comparisons keep their truth values.  ``compiled(q)`` is (ids of tau^G_q,
+    table): an entry (r, ids of delta^r, terms) per cone r <= q, and a term
+    (ids of tau^R_r, ids of tau_hat^q_R, (-1)^(dim R - dim q)) per r <= R <= q.
+    """
+
+    def __init__(self, sys: RestrictedRootSystem):
+        self.system = sys
+        self.covectors: list[tuple[int, ...]] = []
+        self._ids: dict[tuple, int] = {}  # rational covectors and their primitive forms
+        self._compiled: dict[int, tuple[list[int], list]] = {}
+
+    def _id(self, covector: Vec) -> int:
+        if covector not in self._ids:
+            c = linalg.scale_to_integers(covector)
+            if c not in self._ids:
+                self._ids[c] = len(self.covectors)
+                self.covectors.append(c)
+            self._ids[covector] = self._ids[c]
+        return self._ids[covector]
+
+    def _tau(self, p: int, q: int) -> list[int]:
+        pairs = self.system.cone_simple_pairs(p)
+        return [self._id(pairs[i][0]) for i in self.system.vanishing_indices(p, q)]
+
+    def compiled(self, q: int) -> tuple[list[int], list]:
+        if q not in self._compiled:
+            sys, below = self.system, self.system.cones_below(q)
+            table = []
+            for r in below:
+                terms = [
+                    (
+                        self._tau(r, rr),
+                        [self._id(w) for w in sys.dual_basis(rr, q)],
+                        (-1) ** ((sys.cones[rr].dim - sys.cones[q].dim) % 2),
+                    )
+                    for rr in below
+                    if sys.parabolic_leq(r, rr)
+                ]
+                table.append((r, [self._id(a) for a in sys.zero_roots(r)], terms))
+            self._compiled[q] = (self._tau(q, sys.full_cone().index), table)
+        return self._compiled[q]
+
+    def point(self, h: Sequence) -> tuple[list[int], int]:
+        """(<c, H> for every covector c so far, D) where h = H / D, H integral, D > 0."""
+        hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
+        return [sum(a * b for a, b in zip(c, hi)) for c in self.covectors], d
 
 
-def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
-    """1 when every dual-basis covector of (p, q) is positive at h."""
-    if not sys.parabolic_leq(p, q):
-        raise ValueError("tau_hat requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
-    for w in sys.dual_basis(p, q):
-        if linalg.dot(w, hv) <= 0:
-            return 0
-    return 1
-
-
-def delta(sys: RestrictedRootSystem, r: int, h: Sequence) -> int:
-    """1 exactly when h lies in the linear span of the cone r."""
-    hv = _parse_vec(h)
-    for a in sys.zero_roots(r):
-        if linalg.dot(a, hv) != 0:
-            return 0
-    return 1
-
-
-def gamma_cone_pair(sys: RestrictedRootSystem, p: int, q: int, h: Sequence, x: Sequence) -> int:
-    """Alternating sum over p <= R <= q of tau^R_p(h) * tau_hat^q_R(h - x)."""
-    if not sys.parabolic_leq(p, q):
-        raise ValueError("gamma requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
-    xv = _parse_vec(x)
-    hmx = linalg.vsub(hv, xv)
+def _gamma(kernel: KernelTables, table: list, dots: list[int], d: int, y: OrthogonalSet) -> int:
     total = 0
-    dim_q = sys.cones[q].dim
-    for r in sys.interval(p, q):
-        t = tau(sys, p, r, hv)
-        if t == 0:
+    for r, zeros, terms in table:
+        if any(dots[z] for z in zeros):
             continue
-        th = tau_hat(sys, r, q, hmx)
-        if th == 0:
-            continue
-        total += (-1) ** ((sys.cones[r].dim - dim_q) % 2)
+        nums, den = y.thresholds(r, kernel)
+        for tau_ids, hat_ids, sign in terms:
+            if all(dots[c] > 0 for c in tau_ids) and all(
+                dots[c] * den > d * nums[c] for c in hat_ids
+            ):
+                total += sign
     return total
 
 
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
-    hv = _parse_vec(h)
-    total = 0
-    for r in sys.cones_below(q):
-        if delta(sys, r, hv) == 0:
-            continue
-        total += gamma_cone_pair(sys, r, q, hv, y.projected(r))
-    return total
+    kernel = sys.kernel_tables
+    _, table = kernel.compiled(q)
+    return _gamma(kernel, table, *kernel.point(h), y)
 
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
-    hv = _parse_vec(h)
-    g = sys.full_cone().index
+    kernel = sys.kernel_tables
+    compiled = [kernel.compiled(q) for q in range(len(sys.cones))]
+    dots, d = kernel.point(h)
     total = 0
-    for cone in range(len(sys.cones)):
-        arg = linalg.vsub(hv, y.projected(cone))
-        if tau(sys, cone, g, arg) == 0:
-            continue
-        total += gamma_family(sys, cone, hv, y)
+    for q, (top, table) in enumerate(compiled):
+        nums, den = y.thresholds(q, kernel)
+        if all(dots[c] * den > d * nums[c] for c in top):
+            total += _gamma(kernel, table, dots, d, y)
     return total
 
 
@@ -304,7 +323,7 @@ class Hull:
         return sorted(facets)
 
     def classify(self, point: Sequence) -> int:
-        p = _parse_vec(point)
+        p = _parse_vec(point, self.dim)
         sp = tuple(x * self.scale for x in p)
         for nrm, rhs in self.span_equations:
             if sum(a * b for a, b in zip(nrm, sp)) != rhs:
@@ -603,8 +622,6 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
     hi = [max(math.ceil(c[i]) for c in coords) for i in range(dim)]
     classify = hull.lattice_classifier(basis)
     count = 0
-    from itertools import product
-
     for m in product(*[range(lo[i], hi[i] + 1) for i in range(dim)]):
         side = classify(m)
         if not exact:

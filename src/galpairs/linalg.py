@@ -7,6 +7,7 @@ anywhere in this package.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
@@ -248,14 +249,15 @@ def projection_matrix(target_basis: Sequence[Vec], complement_basis: Sequence[Ve
     return matmul(b, matmul(selector, b_inv))
 
 
+def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
+    """(N, d) with v = N / d, N integral and d > 0 the lcm of the denominators."""
+    fracs = [Fraction(x) for x in v]
+    d = math.lcm(*(x.denominator for x in fracs))
+    return tuple(x.numerator * (d // x.denominator) for x in fracs), d
+
+
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest positive multiple of v with integer coprime entries."""
-    from math import gcd, lcm
-
-    fracs = [Fraction(x) for x in v]
-    if all(x == 0 for x in fracs):
-        return tuple(0 for _ in fracs)
-    denom = lcm(*[x.denominator for x in fracs])
-    ints = [int(x * denom) for x in fracs]
-    g = gcd(*ints)
-    return tuple(x // g for x in ints)
+    ints, _ = clear_denominators(v)
+    g = math.gcd(*ints)
+    return tuple(x // g for x in ints) if g else ints

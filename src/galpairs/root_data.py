@@ -16,6 +16,7 @@ Conventions:
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -242,20 +243,7 @@ class RestrictedRootSystem:
 
     def cones_below(self, q: int) -> list[int]:
         """All cones R with R <= Q in the parabolic order (q a face of cl R)."""
-        key = ("below", q)
-        if key not in self._cache:
-            self._cache[key] = [c.index for c in self.cones if self.parabolic_leq(c.index, q)]
-        return self._cache[key]
-
-    def interval(self, p: int, q: int) -> list[int]:
-        key = ("interval", p, q)
-        if key not in self._cache:
-            self._cache[key] = [
-                c.index
-                for c in self.cones
-                if self.parabolic_leq(p, c.index) and self.parabolic_leq(c.index, q)
-            ]
-        return self._cache[key]
+        return [c.index for c in self.cones if self.parabolic_leq(c.index, q)]
 
     def chamber_weyl(self, chamber: int) -> Mat:
         return self._chamber_w[chamber]
@@ -267,6 +255,13 @@ class RestrictedRootSystem:
     def full_cone(self) -> Cone:
         """The minimal cone of the fan (all signs zero)."""
         return self.cone_by_signs((0,) * len(self.hyperplanes))
+
+    @functools.cached_property
+    def kernel_tables(self):
+        """The indicator kernel as ``families.KernelTables``, made on first use."""
+        from .families import KernelTables  # families builds on this module
+
+        return KernelTables(self)
 
     # -- per-cone structure ----------------------------------------------------
 
@@ -306,13 +301,15 @@ class RestrictedRootSystem:
         key = ("simples", cone)
         if key not in self._cache:
             c = self.cones[cone]
-            proj = self.levi_projection(cone)
-            pairs = []
-            for a, av in self._chamber_simples[self.chamber_below(cone)]:
-                restricted = all(linalg.dot(a, b) == 0 for b in c.span_basis)
-                if restricted:
-                    continue
-                pairs.append((linalg.vecmat(a, proj), linalg.matvec(proj, av)))
+            if c.dim == self.ambient_dim:  # a chamber: the projection is the identity
+                pairs = list(self._chamber_simples[cone])
+            else:
+                proj = self.levi_projection(cone)
+                pairs = [
+                    (linalg.vecmat(a, proj), linalg.matvec(proj, av))
+                    for a, av in self._chamber_simples[self.chamber_below(cone)]
+                    if any(linalg.dot(a, b) != 0 for b in c.span_basis)
+                ]
             self._cache[key] = pairs
         return self._cache[key]
 
@@ -338,21 +335,12 @@ class RestrictedRootSystem:
         if key not in self._cache:
             pairs = self.cone_simple_pairs(p)
             coroots = [pairs[i][1] for i in self.vanishing_indices(p, q)]
-            rows = list(coroots)
-            rows += list(self.cones[q].span_basis)
-            rows += linalg.independent_subset(
-                [self._coroot_of[a] for a in self.zero_roots(p)]
-            )
+            rows = coroots + list(self.cones[q].span_basis)
+            rows += linalg.independent_subset([self._coroot_of[a] for a in self.zero_roots(p)])
             if len(rows) != self.ambient_dim:
                 raise ValueError("degenerate cone pair in dual basis computation")
-            duals = []
-            for i in range(len(coroots)):
-                rhs = [Fraction(1 if j == i else 0) for j in range(len(rows))]
-                sol = linalg.solve(rows, rhs)
-                if sol is None:
-                    raise ValueError("dual basis system is singular")
-                duals.append(sol)
-            self._cache[key] = duals
+            inverse = linalg.invert(rows)  # column i pairs to 1 with row i, 0 with the rest
+            self._cache[key] = [tuple(row[i] for row in inverse) for i in range(len(coroots))]
         return self._cache[key]
 
     def walls(self, cone: int) -> list[tuple[int, int, Vec, Vec]]:

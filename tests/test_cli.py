@@ -191,6 +191,23 @@ class TestOrtho:
         assert code == EXIT_VIOLATION
         assert "errors 1, 1/2, 1/2, 1/2" in text
 
+    @pytest.mark.parametrize("argv", [["A1", "--special", "1"], ["B2", "--special", "1,1"]])
+    def test_ehrhart_default_sweep_point(self, argv):
+        # the default draw has fractional coordinates here and is scaled to integers
+        code, text = run(["ortho", "ehrhart", "--system", *argv, "--kmax", "1"])
+        assert code == EXIT_PASS, text
+
+    def test_check_failure_shows_witness(self, monkeypatch):
+        monkeypatch.setattr(
+            "galpairs.families.partition_of_unity_value", lambda sys, h, y: 1 if h[0] < 0 else 0
+        )
+        code, text = run(["ortho", "check", "--system", "A1", "--special", "2", "--samples", "5"])
+        assert code == EXIT_VIOLATION
+        line = next(l for l in text.splitlines() if l.startswith("FAIL partition-of-unity"))
+        h = line.split("first at h=")[1].split(":")[0]
+        assert Fraction(h) >= 0
+        assert line.endswith(f"first at h={h}: value 0, want 1")
+
     def test_ehrhart_rejects_fractional_sweep(self):
         code, text = run(
             ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1/2"]

@@ -10,23 +10,20 @@ from galpairs import sampling
 from galpairs.families import (
     Hull,
     OrthogonalSet,
-    delta,
     fit_exp_polynomial,
-    gamma_cone_pair,
     gamma_family,
     hull_membership,
     partition_of_unity_value,
     refinement_constant_term,
     support_bound_certificate,
     support_bound_check,
-    tau,
-    tau_hat,
     v_tilde_lattice,
     verify_levi_coherence,
     volume_analytic,
     volume_polytope,
 )
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
+from kernel_oracle import delta, gamma_cone_pair, tau, tau_hat
 
 
 def a1_segment():
@@ -95,6 +92,24 @@ class TestOrthogonalSet:
             sys = builtin_system(name)
             y = sampling.random_positive_set(rng, sys)
             assert y.verify_projection_coherence()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sys, y: gamma_family(sys, sys.full_cone().index, (0, 0, 99), y),
+        lambda sys, y: gamma_family(sys, sys.full_cone().index, (1,), y),
+        lambda sys, y: partition_of_unity_value(sys, (0, 0, 99), y),
+        lambda sys, y: y.translate((1, 2, 3)),
+        lambda sys, y: Hull([(0, 0), (1, 0), (0, 1)]).classify((0, 0, 5)),
+    ],
+    ids=["gamma_family", "gamma_family-short", "partition_of_unity_value", "translate", "classify"],
+)
+def test_point_of_wrong_length_is_rejected(call):
+    sys = builtin_system("A2")
+    y = OrthogonalSet.special(sys, (2, 1))
+    with pytest.raises(ValueError, match="expected a point with 2 coordinates"):
+        call(sys, y)
 
 
 class TestIndicators:
