@@ -20,7 +20,6 @@ from .exact_linalg import (
 from .families import (
     OrthogonalSet,
     gamma_family,
-    hull_membership,
     partition_of_unity_value,
     v_tilde_lattice,
     volume_analytic,
@@ -59,7 +58,6 @@ __all__ = [
     "enumerate_elliptic_levis",
     "gamma_family",
     "gln_induction_identity",
-    "hull_membership",
     "inner_form_fiber_count",
     "partition_of_unity_value",
     "prasad_omega",

@@ -267,87 +267,74 @@ def _sup_norm(v: Vec) -> Fraction:
 
 
 class Hull:
-    """Exact convex hull of rational points.
+    """Exact convex hull of rational points, as a list of integer inequalities.
 
-    Facet inequalities are found by brute force over point subsets, which is
-    implemented for dimension <= 3; the volume is computed from the facets by
-    code that does not depend on the dimension.  Points are rescaled to integers first so all
-    subsequent tests are integer-only.
-    ``classify`` returns +1 (interior), 0 (boundary) or -1 (outside), where a
-    hull of less than full dimension has no interior.
+    Points are rescaled to integers first, so every later test is integer
+    arithmetic.  ``facets`` lists pairs (normal, rhs), read as
+    normal . x <= rhs on scaled points: the integer equations of the affine
+    span in both orientations, then one inequality per facet.  A hull of
+    affine dimension k finds its facets from its k-point subsets, in any
+    dimension: a subset's normal is the cofactor normal of its differences
+    together with the span equations, and its plane is a facet when no two
+    points lie on opposite sides.  ``classify`` returns +1 (interior),
+    0 (boundary) or -1 (outside); a hull of less than full dimension has no
+    interior, so its points read 0.
     """
 
     def __init__(self, points: Sequence[Sequence]):
-        pts = [_parse_vec(p) for p in points]
+        pts = list(points)
         if not pts:
             raise ValueError("hull of no points")
-        self.dim = len(pts[0])
+        self.dim = len(_parse_vec(pts[0]))
+        pts = [_parse_vec(p, self.dim) for p in pts]
         denoms = [x.denominator for p in pts for x in p]
         self.scale = math.lcm(*denoms) if denoms else 1
-        scaled = sorted({tuple(int(x * self.scale) for x in p) for p in pts})
-        self.vertices: list[tuple[int, ...]] = scaled
-        diffs = [tuple(p[i] - scaled[0][i] for i in range(self.dim)) for p in scaled[1:]]
-        self.affine_dim = linalg.rank([linalg.vec(d) for d in diffs]) if diffs else 0
-        self.full_dim = self.affine_dim == self.dim
-        # linear constraints cutting out the affine span (for degenerate hulls)
-        self.span_equations: list[tuple[tuple[int, ...], int]] = []
-        if not self.full_dim:
-            for nrm in linalg.nullspace([linalg.vec(d) for d in diffs] or [linalg.zero_vec(self.dim)], ncols=self.dim):
-                nint = linalg.scale_to_integers(nrm)
-                rhs = sum(a * b for a, b in zip(nint, scaled[0]))
-                self.span_equations.append((nint, rhs))
+        self.vertices: list[tuple[int, ...]] = sorted(
+            {tuple(int(x * self.scale) for x in p) for p in pts}
+        )
+        base = self.vertices[0]
+        diffs = [[a - b for a, b in zip(p, base)] for p in self.vertices[1:]]
+        span = [linalg.scale_to_integers(e) for e in linalg.nullspace(diffs, ncols=self.dim)]
+        self.affine_dim = self.dim - len(span)
         self.facets: list[tuple[tuple[int, ...], int]] = []
-        if self.full_dim:
-            self.facets = self._find_facets()
+        for e in span:
+            rhs = sum(a * b for a, b in zip(e, base))
+            self.facets += [(e, rhs), (tuple(-x for x in e), -rhs)]
+        self.facets += self._find_facets(span)
 
-    def _find_facets(self) -> list[tuple[tuple[int, ...], int]]:
-        pts = self.vertices
-        d = self.dim
-        facets = set()
-        if d == 1:
-            lo = min(p[0] for p in pts)
-            hi = max(p[0] for p in pts)
-            return [((-1,), -lo), ((1,), hi)]
-        for subset in combinations(range(len(pts)), d):
-            base = pts[subset[0]]
-            rows = [tuple(pts[i][j] - base[j] for j in range(d)) for i in subset[1:]]
-            normal = _integer_normal(rows, d)
+    def _find_facets(self, span: list[tuple[int, ...]]) -> list[tuple[tuple[int, ...], int]]:
+        pts, k = self.vertices, self.affine_dim
+        decided = set()
+        facets = []
+        for subset in combinations(pts, k) if k else ():
+            base = subset[0]
+            normal = _cofactor_normal([[a - b for a, b in zip(p, base)] for p in subset[1:]] + span)
             if normal is None:
                 continue
             rhs = sum(a * b for a, b in zip(normal, base))
-            vals = [sum(a * b for a, b in zip(normal, p)) - rhs for p in pts]
-            if all(v <= 0 for v in vals):
-                facets.add((normal, rhs))
-            elif all(v >= 0 for v in vals):
-                facets.add((tuple(-x for x in normal), -rhs))
+            if (normal, rhs) in decided:
+                continue
+            decided.add((normal, rhs))
+            above = below = False
+            for p in pts:
+                v = sum(a * b for a, b in zip(normal, p)) - rhs
+                above = above or v > 0
+                below = below or v < 0
+                if above and below:
+                    break
+            else:
+                facets.append((tuple(-x for x in normal), -rhs) if above else (normal, rhs))
         return sorted(facets)
 
     def classify(self, point: Sequence) -> int:
         p = _parse_vec(point, self.dim)
-        sp = tuple(x * self.scale for x in p)
-        for nrm, rhs in self.span_equations:
-            if sum(a * b for a, b in zip(nrm, sp)) != rhs:
-                return -1
-        if not self.full_dim:
-            # membership in a lower-dimensional hull counts as boundary
-            sub = _project_to_affine_basis(self.vertices, sp)
-            if sub is None:
-                return -1
-            verts2, p2 = sub
-            if len(verts2[0]) == 0:
-                return 0
-            return 0 if Hull(verts2).classify(p2) >= 0 else -1
-        return _facet_side(self.facets, sp)
+        return _facet_side(self.facets, tuple(x * self.scale for x in p))
 
     def lattice_classifier(self, basis: Sequence[Vec]) -> Callable[[tuple[int, ...]], int]:
         """Classifier for points given by integer coordinates in a rational basis.
 
         All facet tests are reduced to integer comparisons up front.
         """
-        if not self.full_dim:
-            basis_v = list(basis)
-            return lambda m: self.classify(linalg.combination(m, basis_v, self.dim))
-
         rows = []
         for nrm, rhs in self.facets:
             # condition: sum_i nrm . (scale * basis_i) * m_i <= rhs * scale... the
@@ -372,7 +359,7 @@ class Hull:
         face are the inclusion-maximal proper cuts of it by the facet point
         sets of the hull.
         """
-        if not self.full_dim:
+        if self.affine_dim < self.dim:
             return Fraction(0)
         pts = self.vertices
         cuts = [
@@ -412,49 +399,30 @@ def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> i
     return 0 if boundary else 1
 
 
-def _integer_normal(rows: list[tuple[int, ...]], d: int) -> Optional[tuple[int, ...]]:
-    """Primitive integer normal to d-1 integer vectors, or None if degenerate."""
-    if d == 2:
-        (dx, dy) = rows[0]
-        if dx == 0 and dy == 0:
-            return None
-        g = math.gcd(dx, dy)
-        return (-dy // g, dx // g)
-    if d == 3:
-        a, b = rows
-        n = (
-            a[1] * b[2] - a[2] * b[1],
-            a[2] * b[0] - a[0] * b[2],
-            a[0] * b[1] - a[1] * b[0],
-        )
-        if n == (0, 0, 0):
-            return None
-        g = math.gcd(*n)
-        return tuple(x // g for x in n)
-    raise ValueError("normals implemented for dimension 2 and 3")
-
-
-def _project_to_affine_basis(vertices, sp):
-    """Coordinates of scaled vertices and point in their affine span, or None."""
-    base = linalg.vec(vertices[0])
-    diffs = [linalg.vsub(linalg.vec(v), base) for v in vertices[1:]]
-    basis = linalg.independent_subset(diffs)
-    offset = linalg.vsub(linalg.vec(sp), base)
-    coords_p = linalg.coordinates_in_basis(basis, offset)
-    if coords_p is None:
+def _cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:
+    """Primitive integer normal to n - 1 integer vectors in n-space, from their
+    signed maximal minors, first nonzero entry positive; None if they are dependent."""
+    minors = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
+    g = math.gcd(*minors)
+    if g == 0:
         return None
-    verts2 = [
-        tuple(linalg.coordinates_in_basis(basis, linalg.vsub(linalg.vec(v), base))) for v in vertices
-    ]
-    return verts2, tuple(coords_p)
+    if minors < [0] * len(minors):
+        g = -g
+    return tuple(x // g for x in minors)
 
 
-# -- hull membership and volumes ----------------------------------------------
+def _int_det(m: Sequence[Sequence[int]]) -> int:
+    """Determinant of a small square integer matrix, by first-row expansion."""
+    if len(m) <= 1:
+        return m[0][0] if m else 1
+    total = 0
+    for j, x in enumerate(m[0]):
+        if x:
+            total += (-1) ** j * x * _int_det([r[:j] + r[j + 1:] for r in m[1:]])
+    return total
 
 
-def hull_membership(points: Sequence[Sequence], h: Sequence) -> bool:
-    """Exact rational test: is h in the convex hull of the points?"""
-    return Hull(points).classify(h) >= 0
+# -- volumes ------------------------------------------------------------------
 
 
 def volume_polytope(y: OrthogonalSet) -> Fraction:

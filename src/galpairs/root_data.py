@@ -334,13 +334,11 @@ class RestrictedRootSystem:
         key = ("dual", p, q)
         if key not in self._cache:
             pairs = self.cone_simple_pairs(p)
+            roots = [pairs[i][0] for i in self.vanishing_indices(p, q)]
             coroots = [pairs[i][1] for i in self.vanishing_indices(p, q)]
-            rows = coroots + list(self.cones[q].span_basis)
-            rows += linalg.independent_subset([self._coroot_of[a] for a in self.zero_roots(p)])
-            if len(rows) != self.ambient_dim:
-                raise ValueError("degenerate cone pair in dual basis computation")
-            inverse = linalg.invert(rows)  # column i pairs to 1 with row i, 0 with the rest
-            self._cache[key] = [tuple(row[i] for row in inverse) for i in range(len(coroots))]
+            # those simple roots already vanish on both; invert their Cartan block
+            inverse = linalg.invert([[linalg.dot(a, av) for av in coroots] for a in roots])
+            self._cache[key] = [linalg.combination(row, roots, self.ambient_dim) for row in inverse]
         return self._cache[key]
 
     def walls(self, cone: int) -> list[tuple[int, int, Vec, Vec]]:

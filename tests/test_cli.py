@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from galpairs import families as fam
+from galpairs import multiplicity as mu
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, frac_str, run
 
 
@@ -126,6 +127,15 @@ class TestVerifyPrasad:
         assert payload["ok"] is True
         assert all(c["status"] == "pass" for c in payload["checks"])
 
+    def test_multiplicity_indicator_mismatch_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            "galpairs.multiplicity.steinberg_multiplicity",
+            lambda preset, chi: mu.steinberg_indicator(preset, chi) + 1,
+        )
+        code, text = run(["verify-prasad", "--m", "1", "--preset", "GL:4"])
+        assert code == EXIT_VIOLATION
+        assert "FAIL multiplicity-indicator GL:4" in text
+
 
 class TestOrtho:
     def test_check_seeded(self):
@@ -207,6 +217,12 @@ class TestOrtho:
         h = line.split("first at h=")[1].split(":")[0]
         assert Fraction(h) >= 0
         assert line.endswith(f"first at h={h}: value 0, want 1")
+
+    def test_support_bound_failure(self, monkeypatch):
+        monkeypatch.setattr("galpairs.families.support_bound_certificate", lambda sys: 0)
+        code, text = run(["ortho", "check", "--system", "A2", "--seed", "5", "--samples", "30"])
+        assert code == EXIT_VIOLATION
+        assert "FAIL support-bound [positive]: 18 supported points, c_emp=75/82, c_bound=0" in text
 
     def test_ehrhart_rejects_fractional_sweep(self):
         code, text = run(

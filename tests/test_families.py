@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -12,7 +13,6 @@ from galpairs.families import (
     OrthogonalSet,
     fit_exp_polynomial,
     gamma_family,
-    hull_membership,
     partition_of_unity_value,
     refinement_constant_term,
     support_bound_certificate,
@@ -172,12 +172,13 @@ class TestGammaKernels:
         rng = random.Random(11)
         y = sampling.random_positive_set(rng, sys)
         g = sys.full_cone().index
-        verts = [y.points[ch] for ch in sys.chambers]
+        hull = Hull([y.points[ch] for ch in sys.chambers])
         mism = 0
         for h in sampling.sample_points(rng, 2, 60):
-            if Hull(verts).classify(h) == 0:
+            side = hull.classify(h)
+            if side == 0:
                 continue  # boundary convention differs; tested separately
-            if gamma_family(sys, g, h, y) != (1 if hull_membership(verts, h) else 0):
+            if gamma_family(sys, g, h, y) != (1 if side > 0 else 0):
                 mism += 1
         assert mism == 0
 
@@ -271,6 +272,65 @@ class TestHull:
         assert h.volume() == 0
         assert h.classify((Fraction(1, 2), Fraction(1, 2), 0)) == 0
         assert h.classify((Fraction(1, 2), Fraction(1, 2), 1)) == -1
+
+    def test_four_cube(self):
+        h = Hull(list(product((0, 2), repeat=4)))
+        assert h.volume() == 16
+        assert h.classify((1, 1, 1, 1)) == 1
+        assert h.classify((2, 1, Fraction(1, 2), 1)) == 0
+        assert h.classify((1, 1, 1, Fraction(5, 2))) == -1
+        assert len(h.facets) == 8
+
+    def test_four_simplex_volume(self):
+        pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
+        assert Hull(pts).volume() == Fraction(1, 24)
+
+    @pytest.mark.parametrize(
+        "pts, k, n_facets, inside, outside",
+        [
+            ([(1, 2)], 0, 0, (1, 2), (1, 3)),
+            ([(0, 0, 0), (2, 4, 6)], 1, 2, (1, 2, 3), (3, 6, 9)),
+            (
+                [(x, y, z, x + y) for x in (0, 1) for y in (0, 1) for z in (0, 1)],
+                3,
+                6,
+                (Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 1),
+                (2, 0, 0, 2),
+            ),
+        ],
+        ids=["point", "segment-in-3-space", "cube-in-4-space"],
+    )
+    def test_lower_dimensional(self, pts, k, n_facets, inside, outside):
+        """Span equations in both orientations, then the facets within the span."""
+        h = Hull(pts)
+        assert h.affine_dim == k
+        assert len(h.facets) == 2 * (h.dim - k) + n_facets
+        assert h.volume() == 0
+        assert h.classify(inside) == 0
+        assert h.classify(outside) == -1
+        off_span = list(inside)
+        off_span[-1] += Fraction(1, 3)
+        assert h.classify(off_span) == -1
+
+    def test_lower_dimensional_lattice_classifier_matches_classify(self):
+        # a 4-simplex in 5-space, spanning x1 - x2 + x3 - x4 + x5 = 0
+        pts = [(0, 0, 0, 0, 0), (1, 1, 0, 0, 0), (0, 1, 1, 0, 0), (0, 0, 1, 1, 0), (0, 0, 0, 1, 1)]
+        h = Hull(pts)
+        assert h.affine_dim == 4
+        basis = [tuple(Fraction(1, 2) if i == j else 0 for j in range(5)) for i in range(5)]
+        lattice = h.lattice_classifier(basis)
+        sides = set()
+        for m in product(range(-1, 4), repeat=5):
+            side = h.classify([Fraction(x, 2) for x in m])
+            assert lattice(m) == side, m
+            sides.add(side)
+        assert sides == {0, -1}
+
+    def test_points_of_different_lengths_are_rejected(self):
+        with pytest.raises(ValueError, match="expected a point with 2 coordinates"):
+            Hull([(0, 0), (1, 0), (0, 1), (1, 1, 7)])
+        with pytest.raises(ValueError, match="expected a point with 3 coordinates"):
+            Hull([(0, 0, 0), (1, 0)])
 
 
 class TestVolumes:

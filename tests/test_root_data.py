@@ -64,6 +64,26 @@ def test_line_walls(name):
             assert len(sys.walls(cone.index)) == 1
 
 
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_dual_basis(name):
+    """For p <= q the covectors pair to delta with the coroots of p's simple roots
+    vanishing on span(q), and vanish on span(q) and on the coroots of zero_roots(p)."""
+    sys = builtin_system(name)
+    coroot_of = dict(zip(sys.roots, sys.coroots))
+    for p in range(len(sys.cones)):
+        zero_coroots = [coroot_of[a] for a in sys.zero_roots(p)]
+        for q in sys.cones:
+            if not sys.parabolic_leq(p, q.index):
+                continue
+            pairs = sys.cone_simple_pairs(p)
+            coroots = [pairs[i][1] for i in sys.vanishing_indices(p, q.index)]
+            duals = sys.dual_basis(p, q.index)
+            assert len(duals) == len(coroots)
+            for i, w in enumerate(duals):
+                assert [linalg.dot(w, av) for av in coroots] == [int(i == j) for j in range(len(coroots))]
+                assert all(linalg.dot(w, v) == 0 for v in list(q.span_basis) + zero_coroots)
+
+
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "BC2"])
 def test_facet_of_partition(name):
     """Every rational point lands in exactly one relative interior."""
