@@ -318,7 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="orthogonal set fixture path")
     p.add_argument("--special", help="comma-separated base point for a swept set")
     p.add_argument("--x0", help="comma-separated integer sweep point (ehrhart)")
-    p.add_argument("--kmax", type=positive, default=4)
+    # c is fitted on k <= 2, so the bound is only tested from k = 3 on
+    p.add_argument("--kmax", type=_int_at_least(3), default=4)
     p.add_argument("--max-period", type=positive, default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ortho)

@@ -42,15 +42,18 @@ def _identity(n: int) -> IntMat:
 def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
     """Matrix whose columns are the integer coordinates of the vectors in the basis.
 
-    Raises ValueError(error) when a vector is not in the lattice the basis spans.
+    One ``linalg._bareiss`` of [basis | vectors], taken as columns, serves
+    every vector: row i < len(basis) then holds d times the i-th coordinates.
+    Raises ValueError(error) when a vector is not in the lattice the basis
+    spans: a pivot past the basis columns (outside the span) or a coordinate
+    not divisible by d (not integral).
     """
-    cols = []
-    for v in vectors:
-        coords = linalg.coordinates_in_basis(basis, v)
-        if coords is None or any(c.denominator != 1 for c in coords):
-            raise ValueError(error)
-        cols.append([int(c) for c in coords])
-    return [[col[i] for col in cols] for i in range(len(basis))]
+    k = len(basis)
+    rows = linalg._integer_rows(linalg.transpose(tuple(basis) + tuple(vectors)))
+    pivots, d = linalg._bareiss(rows)
+    if pivots != list(range(k)) or any(x % d for row in rows[:k] for x in row[k:]):
+        raise ValueError(error)
+    return [[x // d for x in row[k:]] for row in rows[:k]]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
@@ -251,7 +254,7 @@ class IntLattice:
         for b in self.basis:
             if len(b) != self.ambient_dim:
                 raise ValueError("basis vector has wrong length")
-        if self.basis and linalg.rank([linalg.vec(b) for b in self.basis]) != len(self.basis):
+        if self.basis and linalg.rank(self.basis) != len(self.basis):
             raise ValueError("basis vectors are dependent")
 
     @property
@@ -269,10 +272,7 @@ def quotient_group(sup: IntLattice, sub: IntLattice) -> FiniteAbelianGroup:
         raise ValueError("lattices live in different ambient spaces")
     if sub.rank != sup.rank:
         raise ValueError("quotient is infinite: ranks differ")
-    sup_basis = [linalg.vec(b) for b in sup.basis]
-    m = _integer_coordinate_matrix(
-        sup_basis, (linalg.vec(b) for b in sub.basis), "sub is not a sublattice of sup"
-    )
+    m = _integer_coordinate_matrix(sup.basis, sub.basis, "sub is not a sublattice of sup")
     return cokernel_structure(m, sup.rank)
 
 
@@ -305,10 +305,10 @@ class LatticeWithAction:
                 if prod not in seen:
                     raise ValueError("action set is not closed under multiplication")
         # each matrix must map the lattice to itself (onto, as the group has inverses)
-        basis = [linalg.vec(b) for b in self.lattice.basis]
+        basis = self.lattice.basis
         error = "a group element does not preserve the lattice"
         mats = [
-            _integer_coordinate_matrix(basis, (linalg.matvec(linalg.mat(a), b) for b in basis), error)
+            _integer_coordinate_matrix(basis, (linalg.matvec(a, b) for b in basis), error)
             for a in self.actions
         ]
         object.__setattr__(self, "_in_basis", mats)
@@ -343,14 +343,14 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
     kernel_basis = []
     for j in range(r):
         if j >= len(diag) or diag[j] == 0:
-            kernel_basis.append(linalg.vec([v[i][j] for i in range(r)]))
+            kernel_basis.append([v[i][j] for i in range(r)])
     k = len(kernel_basis)
     if k == 0:
         return TRIVIAL_GROUP
     # augmentation sublattice: integer span of (g - 1) columns, expressed in
     # the kernel basis (they land in the kernel since the norm kills them)
     images = (
-        linalg.vec([g[i][j] - (1 if i == j else 0) for i in range(r)]) for g in mats for j in range(r)
+        [g[i][j] - (1 if i == j else 0) for i in range(r)] for g in mats for j in range(r)
     )
     error = "augmentation image is not integral in the norm kernel"
     m = _integer_coordinate_matrix(kernel_basis, images, error)

@@ -400,26 +400,26 @@ def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> i
 
 
 def _cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:
-    """Primitive integer normal to n - 1 integer vectors in n-space, from their
-    signed maximal minors, first nonzero entry positive; None if they are dependent."""
-    minors = [(-1) ** j * _int_det([r[:j] + r[j + 1:] for r in rows]) for j in range(len(rows) + 1)]
-    g = math.gcd(*minors)
-    if g == 0:
+    """Primitive integer normal to n - 1 integer vectors in n-space, first nonzero
+    entry positive; None if they are dependent.
+
+    It is the kernel vector read off ``linalg._bareiss``: d at the one free
+    column f and -row[f] at each row's pivot, which is (up to the sign and
+    content fixed here) the vector of signed maximal minors.
+    """
+    rows = list(rows)
+    pivots, d = linalg._bareiss(rows)
+    if len(pivots) < len(rows):
         return None
-    if minors < [0] * len(minors):
+    (free,) = set(range(len(rows) + 1)).difference(pivots)
+    normal = [0] * (len(rows) + 1)
+    normal[free] = d
+    for row, pc in zip(rows, pivots):
+        normal[pc] = -row[free]
+    g = math.gcd(*normal)
+    if normal < [0] * len(normal):
         g = -g
-    return tuple(x // g for x in minors)
-
-
-def _int_det(m: Sequence[Sequence[int]]) -> int:
-    """Determinant of a small square integer matrix, by first-row expansion."""
-    if len(m) <= 1:
-        return m[0][0] if m else 1
-    total = 0
-    for j, x in enumerate(m[0]):
-        if x:
-            total += (-1) ** j * x * _int_det([r[:j] + r[j + 1:] for r in m[1:]])
-    return total
+    return tuple(x // g for x in normal)
 
 
 # -- volumes ------------------------------------------------------------------
@@ -462,18 +462,18 @@ def volume_analytic(y: OrthogonalSet) -> Fraction:
     r = sys.ambient_dim
     if linalg.rank(sys.roots) != r:
         raise ValueError("analytic volume requires roots of full rank")
-    basis = [linalg.vec(b) for b in sys.lattice.basis]
+    # every chamber's coroots are w(simple coroots) with det w = +-1, so all
+    # chambers share the base chamber's coroot covolume
+    coroots = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
+    meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, av) for av in coroots]))
     values = []
     rfact = math.factorial(r)
     for mu in _generic_directions(sys, 3):
         total = Fraction(0)
         for c in sys.chambers:
-            pairs = sys.chamber_simple_pairs(c)
-            coords = [linalg.coordinates_in_basis(basis, av) for (_, av) in pairs]
-            meas = abs(linalg.det(coords))
             num = linalg.dot(mu, y.points[c]) ** r
             den = Fraction(rfact)
-            for _, av in pairs:
+            for _, av in sys.chamber_simple_pairs(c):
                 d = linalg.dot(mu, av)
                 if d == 0:
                     raise ValueError("direction is not generic")

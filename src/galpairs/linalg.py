@@ -1,8 +1,12 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples.  Everything
-is immutable and every computation is exact; no floating point appears
-anywhere in this package.
+Vectors are tuples of Fraction, matrices are tuples of row tuples; inputs
+may mix ints and Fractions.  Every elimination is the one fraction-free
+integer routine ``_bareiss``: ``rank``, ``nullspace``, ``solve``, ``invert``,
+``det`` and ``independent_subset`` scale each row to integers once and read
+their answer off its pivots, its rows and its final pivot d.  Integer callers
+(hull normals, lattice coordinates) use ``_bareiss`` directly.  Everything is
+exact; no floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -17,10 +21,6 @@ Mat = tuple
 
 def vec(entries: Iterable) -> Vec:
     return tuple(Fraction(x) for x in entries)
-
-
-def mat(rows: Iterable[Iterable]) -> Mat:
-    return tuple(vec(r) for r in rows)
 
 
 def zero_vec(n: int) -> Vec:
@@ -108,117 +108,108 @@ def transpose(m: Mat) -> Mat:
     return tuple(zip(*m)) if m else ()
 
 
-def _echelon(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (rows, pivot column list)."""
-    if not rows:
-        return rows, []
-    ncols = len(rows[0])
+def _bareiss(rows: list) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns (pivot columns, d).  Afterwards row i < rank has d at pivots[i]
+    and 0 at every other pivot column: it is d times row i of the reduced row
+    echelon form.  The rows from rank on are zero.  Each step replaces every
+    other row by (p * row - row[c] * pivot row) / d_prev, a minor of the
+    input, so every division is exact (Bareiss, Math. Comp. 1968).  A row
+    swap negates the incoming pivot row, so d is the determinant of a
+    full-rank square input (1 for no rows).
+    """
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
+    d = 1
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         if r == len(rows):
             break
-    return rows, pivots
+        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if i is None:
+            continue
+        if i != r:
+            rows[r], rows[i] = [-x for x in rows[i]], rows[r]
+        top = rows[r]
+        p = top[c]
+        for j, row in enumerate(rows):
+            f = row[c]
+            if j != r and (f or p != d):
+                rows[j] = [(p * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(c)
+        d = p
+    return pivots, d
+
+
+def _integer_rows(m: Sequence[Sequence]) -> list[tuple[int, ...]]:
+    """The rows of m, each scaled to integers by the lcm of its denominators."""
+    return [clear_denominators(row)[0] for row in m]
+
+
+def _echelon(m: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int]]:
+    """(nonzero rows of the reduced row echelon form of m, pivot columns)."""
+    rows = _integer_rows(m)
+    pivots, d = _bareiss(rows)
+    return [[Fraction(x, d) for x in row] for row in rows[: len(pivots)]], pivots
 
 
 def rank(m: Sequence[Sequence]) -> int:
-    rows = [[Fraction(x) for x in row] for row in m]
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_bareiss(_integer_rows(m))[0])
 
 
 def nullspace(m: Sequence[Sequence], ncols: Optional[int] = None) -> list[Vec]:
     """Basis of the right kernel of m (rows are linear functionals)."""
-    rows = [[Fraction(x) for x in row] for row in m]
     if ncols is None:
-        if not rows:
+        if not m:
             raise ValueError("need ncols for an empty matrix")
-        ncols = len(rows[0])
-    if not rows:
-        return [tuple(identity(ncols)[i]) for i in range(ncols)]
-    rows, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
+        ncols = len(m[0])
+    rows, pivots = _echelon(m)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [Fraction(0)] * ncols
         v[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            v[pc] = -rows[r][fc]
+        for row, pc in zip(rows, pivots):
+            v[pc] = -row[fc]
         basis.append(tuple(v))
     return basis
 
 
 def solve(m: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
     """One solution x of m @ x = b, or None if inconsistent."""
-    rows = [[Fraction(x) for x in row] + [Fraction(y)] for row, y in zip(m, b)]
     ncols = len(m[0]) if m else 0
-    rows, pivots = _echelon(rows)
+    rows, pivots = _echelon([tuple(row) + (y,) for row, y in zip(m, b)])
     if ncols in pivots:
         return None  # pivot in the augmented column
     x = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        x[pc] = rows[r][ncols]
+    for row, pc in zip(rows, pivots):
+        x[pc] = row[ncols]
     return tuple(x)
 
 
 def det(m: Sequence[Sequence]) -> Fraction:
-    n = len(m)
-    rows = [[Fraction(x) for x in row] for row in m]
-    result = Fraction(1)
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return Fraction(0)
-        if pivot_row != c:
-            rows[c], rows[pivot_row] = rows[pivot_row], rows[c]
-            result = -result
-        result *= rows[c][c]
-        inv = 1 / rows[c][c]
-        for i in range(c + 1, n):
-            if rows[i][c] != 0:
-                f = rows[i][c] * inv
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
-    return result
+    scaled = [clear_denominators(row) for row in m]
+    pivots, d = _bareiss([row for row, _ in scaled])
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return Fraction(d, math.prod(s for _, s in scaled))
 
 
 def invert(m: Sequence[Sequence]) -> Mat:
     n = len(m)
-    rows = [[Fraction(x) for x in row] + list(identity(n)[i]) for i, row in enumerate(m)]
-    rows, pivots = _echelon(rows)
+    eye = identity(n)
+    rows, pivots = _echelon([tuple(row) + eye[i] for i, row in enumerate(m)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return tuple(tuple(row[n:]) for row in rows)
 
 
 def independent_subset(vectors: Sequence[Vec]) -> list[Vec]:
-    """Greedy maximal linearly independent subset, preserving order."""
-    chosen: list[Vec] = []
-    for v in vectors:
-        if is_zero_vec(v):
-            continue
-        if rank(chosen + [v]) > len(chosen):
-            chosen.append(v)
-    return chosen
+    """Greedy maximal linearly independent subset, preserving order: the pivot
+    columns of one elimination with the vectors as columns."""
+    pivots, _ = _bareiss(_integer_rows(transpose(tuple(vectors))))
+    return [vectors[j] for j in pivots]
 
 
 def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Optional[Vec]:
@@ -250,10 +241,12 @@ def projection_matrix(target_basis: Sequence[Vec], complement_basis: Sequence[Ve
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
-    """(N, d) with v = N / d, N integral and d > 0 the lcm of the denominators."""
-    fracs = [Fraction(x) for x in v]
-    d = math.lcm(*(x.denominator for x in fracs))
-    return tuple(x.numerator * (d // x.denominator) for x in fracs), d
+    """(N, d) with v = N / d, N integral and d > 0 the lcm of the denominators.
+
+    Entries are ints or Fractions.
+    """
+    d = math.lcm(*(x.denominator for x in v))
+    return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:

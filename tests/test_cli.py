@@ -48,6 +48,8 @@ class TestBadInput:
             ["verify-prasad", "--m", "3", "--max-m", "1"],
             ["h1", "--split", "-1"],
             ["fibers", "--norm-one", "-2", "--h1g", "1"],
+            # c is fitted on k <= 2, so a smaller --kmax would check nothing
+            ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--kmax", "2"],
         ],
     )
     def test_count_flags_bounded_at_parse_time(self, argv):
@@ -204,7 +206,7 @@ class TestOrtho:
     @pytest.mark.parametrize("argv", [["A1", "--special", "1"], ["B2", "--special", "1,1"]])
     def test_ehrhart_default_sweep_point(self, argv):
         # the default draw has fractional coordinates here and is scaled to integers
-        code, text = run(["ortho", "ehrhart", "--system", *argv, "--kmax", "1"])
+        code, text = run(["ortho", "ehrhart", "--system", *argv, "--kmax", "3"])
         assert code == EXIT_PASS, text
 
     def test_check_failure_shows_witness(self, monkeypatch):

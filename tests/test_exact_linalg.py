@@ -1,5 +1,7 @@
 """Tests for Smith normal form, lattices and lattice cohomology."""
 
+import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from galpairs import exact_linalg as el
+from galpairs import linalg
 
 
 def _matmul(a, b):
@@ -114,6 +117,46 @@ class TestQuotientGroup:
         sub = el.IntLattice(2, ((1, 0), (0, 1)))
         with pytest.raises(ValueError):
             el.quotient_group(sup, sub)
+
+
+class TestIntegerCoordinateMatrix:
+    """One elimination of [basis | vectors] against one solve per vector."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_matches_per_vector_coordinates(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            k = rng.randint(1, n)
+            basis = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(k)]
+            if linalg.rank(basis) < k:
+                continue
+            if rng.random() < 0.5:  # rational entries, as lattice images arrive
+                basis = [[Fraction(x, 3) for x in b] for b in basis]
+            coeffs = [[rng.randint(-6, 6) for _ in range(k)] for _ in range(rng.randint(0, 6))]
+            vectors = [linalg.combination(c, basis, n) for c in coeffs]
+            m = el._integer_coordinate_matrix(basis, vectors, "bad")
+            solved = [linalg.coordinates_in_basis(basis, v) for v in vectors]
+            assert m == [[int(col[i]) for col in solved] for i in range(k)]
+            assert m == [[c[i] for c in coeffs] for i in range(k)]
+
+    def test_vector_outside_the_span_is_rejected(self):
+        basis = [(1, 2, 0), (0, 1, 1)]
+        assert el._integer_coordinate_matrix(basis, [(2, 3, -1)], "bad") == [[2], [-1]]
+        with pytest.raises(ValueError, match="bad"):
+            el._integer_coordinate_matrix(basis, [(2, 3, -1), (0, 0, 1)], "bad")
+
+    def test_non_integral_coordinate_is_rejected(self):
+        basis = [(2, 0), (1, 3)]
+        assert el._integer_coordinate_matrix(basis, [(3, 3)], "bad") == [[1], [1]]
+        with pytest.raises(ValueError, match="bad"):
+            el._integer_coordinate_matrix(basis, [(3, 3), (1, 0)], "bad")
+
+    def test_empty_basis(self):
+        assert el._integer_coordinate_matrix([], [], "bad") == []
+        assert el._integer_coordinate_matrix([], [(0, 0)], "bad") == []
+        with pytest.raises(ValueError, match="bad"):
+            el._integer_coordinate_matrix([], [(0, 1)], "bad")
 
 
 def cyclic_table(n):

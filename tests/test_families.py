@@ -7,7 +7,7 @@ from itertools import product
 import pytest
 
 from galpairs import families as fam
-from galpairs import sampling
+from galpairs import linalg, sampling
 from galpairs.families import (
     Hull,
     OrthogonalSet,
@@ -23,6 +23,7 @@ from galpairs.families import (
     volume_polytope,
 )
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
+from hull_oracle import cofactor_normal
 from kernel_oracle import delta, gamma_cone_pair, tau, tau_hat
 
 
@@ -285,6 +286,28 @@ class TestHull:
         pts = [(0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)]
         assert Hull(pts).volume() == Fraction(1, 24)
 
+    def test_five_simplex_volume(self):
+        pts = [tuple(int(i == j) for j in range(5)) for i in range(-1, 5)]
+        assert Hull(pts).volume() == Fraction(1, 120)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_cofactor_normal_matches_minor_oracle(self, n):
+        # random integer (n-1) x n matrices, sparse and dependent ones included
+        rng = random.Random(n)
+        dependent = 0
+        for trial in range(80):
+            zeros = rng.choice((0.0, 0.4, 0.7))
+            rows = [
+                [0 if rng.random() < zeros else rng.randint(-5, 5) for _ in range(n)]
+                for _ in range(n - 1)
+            ]
+            if n > 2 and trial % 4 == 0:
+                rows[-1] = [3 * x - 2 * y for x, y in zip(rows[0], rows[1])]
+            expected = cofactor_normal(rows)
+            dependent += expected is None
+            assert fam._cofactor_normal(rows) == expected, rows
+        assert n < 3 or dependent >= 20
+
     @pytest.mark.parametrize(
         "pts, k, n_facets, inside, outside",
         [
@@ -352,6 +375,19 @@ class TestVolumes:
         for _ in range(3):
             y = sampling.random_positive_set(rng, sys)
             assert volume_polytope(y) == volume_analytic(y)
+
+    @pytest.mark.parametrize("name", BUILTIN_NAMES)
+    def test_chambers_share_coroot_covolume(self, name):
+        # volume_analytic reads every chamber's coroot covolume off the base chamber
+        sys = builtin_system(name)
+        covolumes = {
+            abs(linalg.det([
+                linalg.coordinates_in_basis(sys.lattice.basis, av)
+                for _, av in sys.chamber_simple_pairs(c)
+            ]))
+            for c in sys.chambers
+        }
+        assert covolumes == {2 if name.startswith("BC") else 1}
 
     def test_dilation_scaling(self):
         sys, y = a1_segment()

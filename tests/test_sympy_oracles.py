@@ -69,3 +69,79 @@ def test_det_and_invert(m):
         assert linalg.invert(m) == tuple(
             tuple(_from_sympy(inv[i, j]) for j in range(len(m))) for i in range(len(m))
         )
+
+
+def _rectangular_rational_matrices(seed, count):
+    """Rectangular rational matrices, about half of them rank-deficient."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        zeros = rng.choice((0.0, 0.5))
+        m = [
+            [Fraction(0) if rng.random() < zeros else Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+             for _ in range(cols)]
+            for _ in range(rows)
+        ]
+        if rows > 1 and rng.random() < 0.5:
+            m[-1] = [x / 2 - 3 * y for x, y in zip(m[0], m[1])]  # a dependent row
+        out.append(m)
+    return out
+
+
+def _vec_from_sympy(v):
+    return tuple(_from_sympy(x) for x in v)
+
+
+def _sympy_solution(sm, b):
+    """The solution with every free parameter 0, or None if inconsistent."""
+    try:
+        sol, params = sm.gauss_jordan_solve(_to_sympy([[x] for x in b]))
+    except ValueError:
+        return None
+    return _vec_from_sympy(sol.subs({p: 0 for p in params}))
+
+
+@pytest.mark.parametrize("m", _rectangular_rational_matrices(13, 80))
+def test_rank_nullspace_and_solve(m):
+    sm = _to_sympy(m)
+    assert linalg.rank(m) == sm.rank()
+    ncols = len(m[0])
+    assert linalg.nullspace(m, ncols=ncols) == [_vec_from_sympy(v) for v in sm.nullspace()]
+    rng = random.Random(str(m))
+    inside = linalg.matvec(m, [Fraction(rng.randint(-5, 5)) for _ in range(ncols)])
+    outside = [Fraction(rng.randint(-5, 5)) for _ in m]
+    for b in (inside, outside):
+        assert linalg.solve(m, b) == _sympy_solution(sm, b)
+    assert linalg.solve(m, inside) is not None
+
+
+def test_solve_sees_inconsistent_systems():
+    matrices = _rectangular_rational_matrices(13, 80)
+    rng = random.Random(5)
+    inconsistent = 0
+    for m in matrices:
+        b = [Fraction(rng.randint(-5, 5)) for _ in m]
+        inconsistent += _sympy_solution(_to_sympy(m), b) is None
+        assert (linalg.solve(m, b) is None) == (_sympy_solution(_to_sympy(m), b) is None)
+    assert inconsistent >= 10
+
+
+@pytest.mark.parametrize("m", _rectangular_rational_matrices(17, 80))
+def test_independent_subset_and_coordinates(m):
+    vectors = [tuple(row) for row in m]
+    greedy = []
+    for v in vectors:
+        if _to_sympy(greedy + [v]).rank() > len(greedy):
+            greedy.append(v)
+    assert linalg.independent_subset(vectors) == greedy
+    if not greedy:
+        return
+    basis_cols = _to_sympy(greedy).T
+    rng = random.Random(str(m))
+    coeffs = [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in greedy]
+    targets = [linalg.combination(coeffs, greedy, len(m[0]))]
+    targets.append(tuple(Fraction(rng.randint(-5, 5)) for _ in m[0]))
+    for v in targets:
+        assert linalg.coordinates_in_basis(greedy, v) == _sympy_solution(basis_cols, v)
+    assert linalg.coordinates_in_basis(greedy, targets[0]) == tuple(coeffs)
