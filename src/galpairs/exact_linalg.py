@@ -42,18 +42,16 @@ def _identity(n: int) -> IntMat:
 def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
     """Matrix whose columns are the integer coordinates of the vectors in the basis.
 
-    One ``linalg._bareiss`` of [basis | vectors], taken as columns, serves
-    every vector: row i < len(basis) then holds d times the i-th coordinates.
     Raises ValueError(error) when a vector is not in the lattice the basis
-    spans: a pivot past the basis columns (outside the span) or a coordinate
-    not divisible by d (not integral).
+    spans: outside its span, or with a coordinate that is not an integer.
     """
-    k = len(basis)
-    rows = linalg._integer_rows(linalg.transpose(tuple(basis) + tuple(vectors)))
-    pivots, d = linalg._bareiss(rows)
-    if pivots != list(range(k)) or any(x % d for row in rows[:k] for x in row[k:]):
+    coords = linalg.coordinate_matrix(basis, tuple(vectors))
+    if coords is None:
         raise ValueError(error)
-    return [[x // d for x in row[k:]] for row in rows[:k]]
+    cols, d = coords
+    if any(x % d for row in cols for x in row):
+        raise ValueError(error)
+    return [[x // d for x in row] for row in cols]
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:

@@ -5,7 +5,10 @@ wall-adjacent chambers differ by a rational multiple of the wall's coroot.
 This module implements the alternating-sum kernels of the indicators tau /
 tau-hat / delta, compiled per system to integer sign tests, the resulting
 partition of unity, exact convex-hull volumes (computed two independent ways),
-and lattice-point counting with exponential-polynomial extrapolation.
+and lattice-point counting with exponential-polynomial extrapolation.  A
+positive set's hull is read off the fan as integer rows (``hull_rows``), and
+the count scans the lattice line by line against them, running the kernel
+only on points that make a row tight.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says, which may differ from closed-hull
@@ -19,7 +22,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 from .linalg import Vec
@@ -70,8 +73,10 @@ class OrthogonalSet:
         """Y projected onto the span of the cone (independent of the chamber)."""
         if cone not in self._projections:
             sys = self.system
-            proj = sys.levi_projection(cone)
-            self._projections[cone] = linalg.matvec(proj, self.points[sys.chamber_below(cone)])
+            y = self.points[sys.chamber_below(cone)]
+            if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
+                y = linalg.matvec(sys.levi_projection(cone), y)
+            self._projections[cone] = y
         return self._projections[cone]
 
     def thresholds(self, cone: int, kernel: "KernelTables") -> tuple[list[int], int]:
@@ -176,6 +181,17 @@ class KernelTables:
             self._compiled[q] = (self._tau(q, sys.full_cone().index), table)
         return self._compiled[q]
 
+    @functools.cached_property
+    def facet_ids(self) -> list[tuple[int, list[int]]]:
+        """(chamber P, ids of dual_basis(P, G)) for every chamber.
+
+        For a positive set Y the hull of Y is {H : <c, H> <= <c, Y_P>} over
+        these (Arthur, *The trace formula in invariant form*, 1981).
+        """
+        sys = self.system
+        g = sys.full_cone().index
+        return [(p, [self._id(w) for w in sys.dual_basis(p, g)]) for p in sys.chambers]
+
     def point(self, h: Sequence) -> tuple[list[int], int]:
         """(<c, H> for every covector c so far, D) where h = H / D, H integral, D > 0."""
         hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
@@ -251,12 +267,13 @@ def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
 # -- lattice coordinates ------------------------------------------------------
 
 
-def lattice_coords(sys: RestrictedRootSystem, v: Vec) -> Vec:
-    basis = [linalg.vec(b) for b in sys.lattice.basis]
-    coords = linalg.coordinates_in_basis(basis, v)
+def lattice_coords(sys: RestrictedRootSystem, points: Sequence[Vec]) -> list[Vec]:
+    """Coordinates of each point in the normalization lattice basis, from one elimination."""
+    coords = linalg.coordinate_matrix(sys.lattice.basis, points)
     if coords is None:
         raise ValueError("point is outside the span of the normalization lattice")
-    return coords
+    cols, d = coords
+    return [tuple(Fraction(x, d) for x in col) for col in zip(*cols)]
 
 
 def _sup_norm(v: Vec) -> Fraction:
@@ -329,26 +346,6 @@ class Hull:
     def classify(self, point: Sequence) -> int:
         p = _parse_vec(point, self.dim)
         return _facet_side(self.facets, tuple(x * self.scale for x in p))
-
-    def lattice_classifier(self, basis: Sequence[Vec]) -> Callable[[tuple[int, ...]], int]:
-        """Classifier for points given by integer coordinates in a rational basis.
-
-        All facet tests are reduced to integer comparisons up front.
-        """
-        rows = []
-        for nrm, rhs in self.facets:
-            # condition: sum_i nrm . (scale * basis_i) * m_i <= rhs * scale... the
-            # vertices are already scaled, so the test point must be scaled too.
-            coeffs = [
-                sum(Fraction(nrm[j]) * b[j] for j in range(self.dim)) * self.scale
-                for b in basis
-            ]
-            den = math.lcm(*[c.denominator for c in coeffs] or [1])
-            rows.append((
-                tuple(int(c * den) for c in coeffs),
-                int(Fraction(rhs) * den),
-            ))
-        return functools.partial(_facet_side, rows)
 
     def volume(self) -> Fraction:
         """Euclidean volume in the coordinates the points were given in.
@@ -430,8 +427,7 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys = y.system
-    pts = [lattice_coords(sys, p) for p in y.points.values()]
-    return Hull(pts).volume()
+    return Hull(lattice_coords(sys, list(y.points.values()))).volume()
 
 
 def _generic_directions(sys: RestrictedRootSystem, count: int) -> list[Vec]:
@@ -529,15 +525,11 @@ def support_bound_check(
 ) -> SupportBoundReport:
     """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel."""
     g = sys.full_cone().index
-    sup_y = max((_sup_norm(lattice_coords(sys, p)) for p in y.points.values()), default=Fraction(0))
+    sup_y = max(map(_sup_norm, lattice_coords(sys, list(y.points.values()))), default=Fraction(0))
+    supported = [_parse_vec(h) for h in points if gamma_family(sys, g, h, y) != 0]
     c_emp = Fraction(0)
-    nonzero = 0
     ok = True
-    for h in points:
-        if gamma_family(sys, g, h, y) == 0:
-            continue
-        nonzero += 1
-        hn = _sup_norm(lattice_coords(sys, _parse_vec(h)))
+    for hn in map(_sup_norm, lattice_coords(sys, supported)):
         if sup_y == 0:
             if hn != 0:
                 ok = False
@@ -546,7 +538,7 @@ def support_bound_check(
     c_bound = support_bound_certificate(sys)
     if c_emp > c_bound:
         ok = False
-    return SupportBoundReport(len(points), nonzero, c_emp, c_bound, ok)
+    return SupportBoundReport(len(points), len(supported), c_emp, c_bound, ok)
 
 
 # -- lattice counting and exponential-polynomial extrapolation -----------------
@@ -561,46 +553,116 @@ def v_tilde_lattice(
 ) -> int:
     """Count lattice points H with gamma_family(G, H, Y + Y[k*x0]) == 1.
 
-    The counting lattice is spanned by ``lattice_basis`` (rational vectors).
-    With ``exact`` the kernel is evaluated at every candidate point; otherwise
-    interior/exterior points are classified by the hull facets and only
-    boundary points fall back to the exact kernel.
+    The counting lattice is spanned by ``lattice_basis`` (independent rational
+    vectors).  With ``exact`` the kernel is evaluated at every point of the
+    vertices' bounding box.  Otherwise the box is scanned line by line along
+    the last lattice coordinate: the hull rows read off the fan (``hull_rows``)
+    cut each line to an integer interval, whose strictly interior points count
+    at once, and the kernel runs only on the points that make a row tight.
     """
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     sys = y.system
-    shifted = y.add(OrthogonalSet.special(sys, x0).scale(k))
+    xk = linalg.vscale(k, _parse_vec(x0, sys.ambient_dim))
+    shifted = OrthogonalSet(
+        sys,
+        {c: linalg.vadd(p, linalg.matvec(sys.chamber_weyl(c), xk)) for c, p in y.points.items()},
+    )
     if not shifted.is_positive:
         raise ValueError("lattice counting requires a positive orthogonal set")
     basis = [_parse_vec(b) for b in lattice_basis]
     return _count_kernel_points(shifted, basis, exact=exact)
 
 
+def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """(B, e) with basis[i] = B[i] / e, B integral and e > 0."""
+    n = len(basis[0])
+    flat, e = linalg.clear_denominators([x for b in basis for x in b])
+    return [flat[i : i + n] for i in range(0, len(flat), n)], e
+
+
+def _pairing(covectors: Sequence[tuple[int, ...]], ints: list[tuple[int, ...]]) -> list[list[int]]:
+    """The integer matrix of <c, B_i> over covectors c and integral basis vectors B_i."""
+    return [[sum(a * b for a, b in zip(c, bi)) for bi in ints] for c in covectors]
+
+
+def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
+    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
+
+    Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
+    chamber P and every covector c of ``KernelTables.facet_ids``, keeping the
+    least bound of each covector.
+    """
+    if not y.is_positive:
+        raise ValueError("hull rows from the fan require a positive orthogonal set")
+    kernel = y.system.kernel_tables
+    ints, e = _integer_basis(basis)
+    bound: dict[int, Fraction] = {}
+    for p, ids in kernel.facet_ids:
+        nums, den = y.thresholds(p, kernel)
+        for c in ids:
+            t = Fraction(nums[c], den)
+            if c not in bound or t < bound[c]:
+                bound[c] = t
+    pairing = _pairing([kernel.covectors[c] for c in bound], ints)
+    return [
+        (tuple(x * t.denominator for x in row), t.numerator * e)
+        for row, t in zip(pairing, bound.values())
+    ]
+
+
 def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) -> int:
     sys = shifted.system
     g = sys.full_cone().index
-    verts = list(shifted.points.values())
-    hull = Hull(verts)
-    # bounding box of the vertices in lattice coordinates
-    coords = [linalg.coordinates_in_basis(basis, v) for v in verts]
-    if any(c is None for c in coords):
-        raise ValueError("a vertex lies outside the span of the counting lattice")
-    dim = len(basis)
-    lo = [min(math.floor(c[i]) for c in coords) for i in range(dim)]
-    hi = [max(math.ceil(c[i]) for c in coords) for i in range(dim)]
-    classify = hull.lattice_classifier(basis)
+    coords = linalg.coordinate_matrix(basis, list(shifted.points.values())) if basis else None
+    if coords is None:
+        raise ValueError("the counting basis must be independent and span every vertex")
+    cols, den = coords
+    box = [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
+    if exact:
+        return sum(
+            gamma_family(sys, g, linalg.combination(m, basis, sys.ambient_dim), shifted) == 1
+            for m in product(*box)
+        )
+    last = len(basis) - 1
+    rows = [(a[:last], a[last], b) for a, b in hull_rows(shifted, basis)]
+    kernel = sys.kernel_tables
+    ints, e = _integer_basis(basis)
+    table: Optional[list] = None  # the kernel, compiled at the first point on a row
+    pairing: list[list[int]] = []
     count = 0
-    for m in product(*[range(lo[i], hi[i] + 1) for i in range(dim)]):
-        side = classify(m)
-        if not exact:
-            if side > 0:
-                count += 1
+    for prefix in product(*box[:last]):
+        lo, hi = box[last].start, box[last].stop - 1
+        slacks = []  # (last coefficient t != 0, slack s at the prefix): row tight at t * x == s
+        flat = False
+        for a, t, b in rows:
+            s = b - sum(x * m for x, m in zip(a, prefix))
+            if t > 0:
+                hi = min(hi, s // t)
+            elif t < 0:
+                lo = max(lo, -(s // -t))
+            elif s < 0:
+                hi = lo - 1
+                break
+            else:
+                flat = flat or s == 0
                 continue
-            if side < 0:
-                continue
-        point = linalg.combination(m, basis, sys.ambient_dim)
-        if gamma_family(sys, g, point, shifted) == 1:
-            count += 1
+            slacks.append((t, s))
+        if lo > hi:
+            continue
+        if flat:
+            on_rows = range(lo, hi + 1)
+        else:
+            ends = (lo, hi) if lo < hi else (lo,)
+            on_rows = [x for x in ends if any(t * x == s for t, s in slacks)]
+            count += hi - lo + 1 - len(on_rows)
+        for x in on_rows:
+            if table is None:
+                _, table = kernel.compiled(g)
+                pairing = _pairing(kernel.covectors, ints)
+            m = prefix + (x,)
+            dots = [sum(a * b for a, b in zip(row, m)) for row in pairing]
+            count += _gamma(kernel, table, dots, e, shifted) == 1
     return count
 
 

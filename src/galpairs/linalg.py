@@ -4,9 +4,10 @@ Vectors are tuples of Fraction, matrices are tuples of row tuples; inputs
 may mix ints and Fractions.  Every elimination is the one fraction-free
 integer routine ``_bareiss``: ``rank``, ``nullspace``, ``solve``, ``invert``,
 ``det`` and ``independent_subset`` scale each row to integers once and read
-their answer off its pivots, its rows and its final pivot d.  Integer callers
-(hull normals, lattice coordinates) use ``_bareiss`` directly.  Everything is
-exact; no floating point appears anywhere in this package.
+their answer off its pivots, its rows and its final pivot d, and
+``coordinate_matrix`` reads the coordinates of many vectors in one basis off
+a single elimination.  Integer hull normals use ``_bareiss`` directly.
+Everything is exact; no floating point appears anywhere in this package.
 """
 
 from __future__ import annotations
@@ -188,7 +189,13 @@ def solve(m: Sequence[Sequence], b: Sequence) -> Optional[Vec]:
     return tuple(x)
 
 
+def _require_square(m: Sequence[Sequence]) -> None:
+    if any(len(row) != len(m) for row in m):
+        raise ValueError("matrix is not square")
+
+
 def det(m: Sequence[Sequence]) -> Fraction:
+    _require_square(m)
     scaled = [clear_denominators(row) for row in m]
     pivots, d = _bareiss([row for row, _ in scaled])
     if len(pivots) < len(m):
@@ -197,6 +204,7 @@ def det(m: Sequence[Sequence]) -> Fraction:
 
 
 def invert(m: Sequence[Sequence]) -> Mat:
+    _require_square(m)
     n = len(m)
     eye = identity(n)
     rows, pivots = _echelon([tuple(row) + eye[i] for i, row in enumerate(m)])
@@ -218,6 +226,25 @@ def coordinates_in_basis(basis: Sequence[Vec], v: Vec) -> Optional[Vec]:
         return () if is_zero_vec(v) else None
     cols = transpose(tuple(basis))
     return solve(cols, v)
+
+
+def coordinate_matrix(
+    basis: Sequence[Vec], vectors: Sequence[Vec]
+) -> Optional[tuple[list[list[int]], int]]:
+    """(C, d), d > 0, with C[i][j] / d the i-th coordinate of vectors[j] in the basis.
+
+    One ``_bareiss`` of [basis | vectors], taken as columns, serves every
+    vector: row i < len(basis) then holds d times the i-th coordinates.  None
+    when the basis is dependent or a vector lies outside its span (a pivot
+    past the basis columns).
+    """
+    k = len(basis)
+    rows = _integer_rows(transpose(tuple(basis) + tuple(vectors)))
+    pivots, d = _bareiss(rows)
+    if pivots != list(range(k)):
+        return None
+    sign = 1 if d > 0 else -1
+    return [[sign * x for x in row[k:]] for row in rows[:k]], sign * d
 
 
 def projection_matrix(target_basis: Sequence[Vec], complement_basis: Sequence[Vec]) -> Mat:

@@ -159,6 +159,40 @@ class TestIntegerCoordinateMatrix:
             el._integer_coordinate_matrix([], [(0, 1)], "bad")
 
 
+class TestCoordinateMatrix:
+    """Rational coordinates of many vectors from one elimination."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_vector_solve(self, seed):
+        rng = random.Random(100 + seed)
+        for _ in range(30):
+            n = rng.randint(1, 4)
+            k = rng.randint(1, n)
+            basis = [[Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(k)]
+            if linalg.rank(basis) < k:
+                continue
+            coeffs = [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(k)] for _ in range(rng.randint(0, 5))]
+            vectors = [linalg.combination(c, basis, n) for c in coeffs]
+            cols, d = linalg.coordinate_matrix(basis, vectors)
+            assert d > 0
+            coords = [tuple(Fraction(x, d) for x in col) for col in zip(*cols)]
+            assert coords == [linalg.coordinates_in_basis(basis, v) for v in vectors]
+            assert coords == [tuple(c) for c in coeffs]
+
+    def test_dependent_basis_or_vector_outside_the_span(self):
+        assert linalg.coordinate_matrix([(1, 2), (2, 4)], [(1, 2)]) is None
+        assert linalg.coordinate_matrix([(1, 2, 0)], [(2, 4, 0), (0, 0, 1)]) is None
+        assert linalg.coordinate_matrix([(1, 2, 0)], [(2, 4, 0)]) == ([[2]], 1)
+
+
+@pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [0, 1, 0]], [[1], [2]], [[1, 2], [3]]])
+def test_det_and_invert_reject_a_non_square_matrix(m):
+    with pytest.raises(ValueError, match="not square"):
+        linalg.det(m)
+    with pytest.raises(ValueError, match="not square"):
+        linalg.invert(m)
+
+
 def cyclic_table(n):
     return [[(i + j) % n for j in range(n)] for i in range(n)]
 
