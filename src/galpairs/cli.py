@@ -25,6 +25,8 @@ from . import presets as pr
 from . import root_data as rd
 from . import sampling
 from .exact_linalg import (
+    _as_dict,
+    _as_list,
     lattice_with_action_from_json,
     norm_one_torus,
     split_torus,
@@ -53,11 +55,12 @@ def parse_point(text: str) -> tuple[Fraction, ...]:
 def orthogonal_set_from_dict(data: dict, system: rd.RestrictedRootSystem) -> fam.OrthogonalSet:
     """Fixture schema: either {"special": [x...]} or
     {"points": [[...], ...]} listed in the canonical chamber order."""
+    data = _as_dict(data)
     if "special" in data:
         return fam.OrthogonalSet.special(system, data["special"])
     if "points" in data:
         order = chamber_order(system)
-        pts = data["points"]
+        pts = _as_list(data["points"])
         if len(pts) != len(order):
             raise ValueError(
                 f"expected {len(order)} chamber points, got {len(pts)}"

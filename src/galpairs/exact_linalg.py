@@ -19,20 +19,36 @@ from . import linalg
 IntMat = list[list[int]]
 
 
+def _as_int(x) -> int:
+    """The one reader of integer fields: an int or a whole Fraction, else ValueError
+    (for a bool or a float too)."""
+    if isinstance(x, Fraction) and x.denominator == 1:
+        return x.numerator
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise ValueError(f"non-integer entry {x!r}")
+    return x
+
+
+def _as_list(xs) -> Sequence:
+    """xs itself when it is a list or tuple; ValueError naming it otherwise."""
+    if not isinstance(xs, (list, tuple)):
+        raise ValueError(f"expected a list, got {xs!r}")
+    return xs
+
+
+def _as_dict(data) -> dict:
+    """data itself when it is a dict (a JSON object); ValueError naming it otherwise."""
+    if not isinstance(data, dict):
+        raise ValueError(f"expected a JSON object, got {data!r}")
+    return data
+
+
+def _as_ints(xs) -> tuple[int, ...]:
+    return tuple(_as_int(x) for x in _as_list(xs))
+
+
 def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMat:
-    out = []
-    for row in m:
-        r = []
-        for x in row:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError(f"non-integer entry {x}")
-                x = x.numerator
-            if not isinstance(x, int):
-                raise ValueError(f"non-integer entry {x!r}")
-            r.append(x)
-        out.append(r)
-    return out
+    return [[_as_int(x) for x in _as_list(row)] for row in _as_list(m)]
 
 
 def _identity(n: int) -> IntMat:
@@ -290,6 +306,8 @@ class LatticeWithAction:
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
+        if any(len(a) != n or any(len(row) != n for row in a) for a in self.actions):
+            raise ValueError(f"every action must be a {n} x {n} matrix")
         seen = {a for a in self.actions}
         ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
         if ident not in seen:
@@ -375,17 +393,16 @@ def direct_sum_action(a: LatticeWithAction, b: LatticeWithAction) -> LatticeWith
 def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
     """Fixture schema: {"ambient_rank": n, "basis": [[...]], "actions": [[[...]]]}.
 
-    ``basis`` may be omitted, in which case the standard lattice Z^n is used.
+    Every entry is a JSON integer.  ``basis`` may be omitted, in which case the
+    standard lattice Z^n is used.
     """
-    n = int(data["ambient_rank"])
+    data = _as_dict(data)
+    n = _as_int(data["ambient_rank"])
     if "basis" in data:
-        basis = tuple(tuple(int(x) for x in row) for row in data["basis"])
-        lattice = IntLattice(n, basis)
+        lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["basis"]))))
     else:
         lattice = IntLattice.standard(n)
-    actions = tuple(
-        tuple(tuple(int(x) for x in row) for row in g) for g in data["actions"]
-    )
+    actions = tuple(tuple(map(tuple, _as_int_matrix(g))) for g in _as_list(data["actions"]))
     return LatticeWithAction(lattice, actions, label=str(data.get("label", "")))
 
 

@@ -86,20 +86,6 @@ class OrthogonalSet:
             row = self._thresholds[cone] = kernel.point(self.projected(cone))
         return row
 
-    def verify_projection_coherence(self) -> bool:
-        """Check that every chamber below a cone projects to the same point."""
-        sys = self.system
-        for cone in range(len(sys.cones)):
-            proj = sys.levi_projection(cone)
-            values = {
-                linalg.matvec(proj, self.points[c])
-                for c in sys.chambers
-                if sys.parabolic_leq(c, cone)
-            }
-            if len(values) != 1:
-                return False
-        return True
-
     # -- constructors and arithmetic -----------------------------------------
 
     @classmethod
@@ -126,10 +112,6 @@ class OrthogonalSet:
     def translate(self, v: Sequence) -> "OrthogonalSet":
         vv = _parse_vec(v, self.system.ambient_dim)
         return OrthogonalSet(self.system, {c: linalg.vadd(p, vv) for c, p in self.points.items()})
-
-    def scale(self, t) -> "OrthogonalSet":
-        return OrthogonalSet(self.system, {c: linalg.vscale(t, p) for c, p in self.points.items()})
-
 
 # -- the indicator kernel, compiled to integer sign tests ------------------------
 
@@ -242,26 +224,6 @@ def partition_of_unity_check(
         if v != 1:
             bad.append((_parse_vec(h), v))
     return bad
-
-
-def verify_levi_coherence(sys: RestrictedRootSystem, y: OrthogonalSet) -> bool:
-    """The projected family on each Levi span is again an orthogonal set.
-
-    For every linear span V arising as the span of a cone, the cones with span
-    exactly V are the chambers of the induced fan on V, and ``sys.walls`` lists
-    their wall-adjacent pairs.  Across each wall the restricted coroot must be
-    the simple coroot of the table, and the projected points must differ by a
-    rational multiple of it.
-    """
-    one_cone_per_span = {tuple(s == 0 for s in c.signs): c.index for c in sys.cones}
-    for cone in one_cone_per_span.values():
-        for p, q, a, av in sys.walls(cone):
-            if sys.restricted_coroot(p, a) != av:
-                return False
-            d = linalg.vsub(y.projected(p), y.projected(q))
-            if linalg.proportionality(d, av) is None:
-                return False
-    return True
 
 
 # -- lattice coordinates ------------------------------------------------------

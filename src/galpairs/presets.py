@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
+from .exact_linalg import _as_dict, _as_int, _as_ints
+
 
 def _span_masks(generators: Sequence[int]) -> set[int]:
     span = {0}
@@ -175,15 +177,18 @@ def builtin_preset(family: str, n: int) -> ThetaPreset:
 
 def preset_from_dict(data: dict) -> ThetaPreset:
     """Fixture schema: name, num_simple, iota, delta_minus, s_choice,
-    b_generators (bitmasks over delta_minus positions), metadata."""
+    b_generators (bitmasks over delta_minus positions), metadata.
+
+    Every field but name and metadata takes JSON integers."""
+    data = _as_dict(data)
     return ThetaPreset(
         name=str(data["name"]),
-        num_simple=int(data["num_simple"]),
-        iota=tuple(int(x) for x in data["iota"]),
-        delta_minus=tuple(int(x) for x in data["delta_minus"]),
-        s_choice=tuple(int(x) for x in data.get("s_choice", ())),
-        b_generators=tuple(int(x) for x in data.get("b_generators", ())),
-        metadata=dict(data.get("metadata", {})),
+        num_simple=_as_int(data["num_simple"]),
+        iota=_as_ints(data["iota"]),
+        delta_minus=_as_ints(data["delta_minus"]),
+        s_choice=_as_ints(data.get("s_choice", ())),
+        b_generators=_as_ints(data.get("b_generators", ())),
+        metadata=dict(_as_dict(data.get("metadata", {}))),
     )
 
 

@@ -24,15 +24,17 @@ from itertools import combinations
 from typing import Optional, Sequence
 
 from . import linalg
-from .exact_linalg import IntLattice
+from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_ints, _as_list
 from .linalg import Mat, Vec
 
 _MAX_WEYL = 10000
 
 
 def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
-    """Rational vector from ints, Fractions or "p/q" strings; ValueError on bad
-    entries, or on a length other than ``dim`` when it is given."""
+    """Rational vector from a list or tuple of ints, Fractions or "p/q" strings; ValueError
+    on anything else (floats and bools too), or on a length other than ``dim`` if given."""
+    if not isinstance(xs, (list, tuple)) or not {bool, float}.isdisjoint(map(type, xs)):
+        raise ValueError(f"not a rational vector: {xs!r}")
     try:
         v = linalg.vec(xs)
     except (TypeError, ZeroDivisionError) as exc:
@@ -66,6 +68,8 @@ class RestrictedRootSystem:
     ):
         self.ambient_dim = ambient_dim
         self.name = name
+        if len(roots) != len(coroots):
+            raise ValueError("roots and coroots differ in length")
         order = sorted(range(len(roots)), key=lambda i: tuple(roots[i]))
         self.roots: list[Vec] = [linalg.vec(roots[i]) for i in order]
         self.coroots: list[Vec] = [linalg.vec(coroots[i]) for i in order]
@@ -77,15 +81,13 @@ class RestrictedRootSystem:
             raise ValueError("normalization lattice has wrong ambient dimension")
         self._coroot_of = {self.roots[i]: self.coroots[i] for i in range(len(self.roots))}
         self._root_set = set(self.roots)
-        self._validate()
-        self._build_fan()
+        self._build_fan(self._validate())
         self._cache: dict = {}
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self) -> None:
-        if len(self.roots) != len(self.coroots):
-            raise ValueError("roots and coroots differ in length")
+    def _validate(self) -> list[Vec]:
+        """Check the root datum; return each root's coefficients over the simple roots."""
         if len(set(self.roots)) != len(self.roots):
             raise ValueError("duplicate roots")
         for a, av in zip(self.roots, self.coroots):
@@ -101,12 +103,14 @@ class RestrictedRootSystem:
                     raise ValueError(f"coroot of {double} must be half the coroot of {a}")
         simple = [self.roots[i] for i in self.simple_indices]
         # every root must be a one-signed rational combination of the simples
+        all_coeffs = []
         for a in self.roots:
             coeffs = linalg.coordinates_in_basis(simple, a)
             if coeffs is None:
                 raise ValueError(f"root {a} is outside the span of the simple roots")
             if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 raise ValueError(f"root {a} is not one-signed over the simple roots")
+            all_coeffs.append(coeffs)
         # closure under the simple reflections (acting on covectors)
         for i in self.simple_indices:
             av = self.coroots[i]
@@ -117,6 +121,7 @@ class RestrictedRootSystem:
                     raise ValueError(
                         f"roots are not closed under the reflection in {alpha}: {b} -> {img}"
                     )
+        return all_coeffs
 
     # -- fan construction ----------------------------------------------------
 
@@ -129,17 +134,13 @@ class RestrictedRootSystem:
             tuple((1 if i == j else 0) - av[i] * a[j] for j in range(n)) for i in range(n)
         )
 
-    def _build_fan(self) -> None:
+    def _build_fan(self, simple_coeffs: list[Vec]) -> None:
         n = self.ambient_dim
         simple = [self.roots[i] for i in self.simple_indices]
         simple_coroots = [self.coroots[i] for i in self.simple_indices]
 
         # reduced roots and their hyperplanes, positivity over the simples
-        self.positive_roots: list[Vec] = []
-        for a in self.roots:
-            coeffs = linalg.coordinates_in_basis(simple, a)
-            if all(c >= 0 for c in coeffs):
-                self.positive_roots.append(a)
+        self.positive_roots = [a for a, c in zip(self.roots, simple_coeffs) if all(x >= 0 for x in c)]
         reduced_pos = [
             a for a in self.positive_roots if linalg.vscale(Fraction(1, 2), a) not in self._root_set
         ]
@@ -177,7 +178,7 @@ class RestrictedRootSystem:
         seen: dict[tuple[int, ...], int] = {}
         cones: list[Cone] = []
         chamber_w: dict[int, Mat] = {}
-        self._base_interior = face_points[0][1]
+        base_interior = face_points[0][1]
         for w in self.weyl_elements:
             for zero, p in face_points:
                 img = linalg.matvec(w, p)
@@ -211,7 +212,7 @@ class RestrictedRootSystem:
                 pairs.append((linalg.vecmat(a, w_inv), linalg.matvec(w, av)))
             self._chamber_simples[ci] = pairs
 
-        self.base_chamber: int = seen[linalg.sign_vector(self.hyperplanes, self._base_interior)]
+        self.base_chamber: int = seen[linalg.sign_vector(self.hyperplanes, base_interior)]
 
     # -- basic fan queries -----------------------------------------------------
 
@@ -384,132 +385,6 @@ class RestrictedRootSystem:
             self._cache[key] = table
         return self._cache[key]
 
-    # -- restricted coroots -----------------------------------------------------
-
-    def restricted_coroot(self, cone: int, alpha: Sequence) -> Vec:
-        """Coroot of a restricted root of the Levi attached to the cone.
-
-        ``alpha`` is an ambient covector, read through its restriction to the
-        span of the cone.  The computation lifts alpha to a simple root of a
-        compatible chamber of the corank-one sub-datum where alpha vanishes,
-        projects that root's coroot to the span of the cone, and checks that
-        every valid chamber choice gives the same answer.
-        """
-        a = _parse_vec(alpha)
-        c = self.cones[cone]
-        span = list(c.span_basis)
-        restr = tuple(linalg.dot(a, b) for b in span)
-        if all(x == 0 for x in restr):
-            raise ValueError("alpha vanishes on the cone span")
-
-        def same_restriction(b: Vec, lam: Vec) -> bool:
-            return all(linalg.dot(b, s) == linalg.dot(lam, s) for s in span)
-
-        if not any(same_restriction(b, a) for b in self.roots):
-            raise ValueError("alpha is not a restricted root on this cone span")
-        half = linalg.vscale(Fraction(1, 2), a)
-        if any(same_restriction(b, half) for b in self.roots):
-            # non-reduced restricted root: coroot is half the reduced one
-            return linalg.vscale(Fraction(1, 2), self.restricted_coroot(cone, half))
-
-        proj = self.levi_projection(cone)
-        # sub-datum: all roots vanishing on (cone span) intersect ker(alpha)
-        vprime = _intersect_spans(span, linalg.nullspace([a], ncols=self.ambient_dim))
-        sub_roots = [b for b in self.roots if all(linalg.dot(b, v) == 0 for v in vprime)]
-        sub_set = set(sub_roots)
-        sub_reduced = [b for b in sub_roots if linalg.vscale(Fraction(1, 2), b) not in sub_set]
-        sub_hyps = sorted({max(b, tuple(-x for x in b)) for b in sub_reduced})
-
-        # chamber patterns of the sub-arrangement, read off the big chambers
-        patterns = set()
-        for ch in self.chambers:
-            w = self._chamber_w[ch]
-            interior = linalg.matvec(w, self._base_interior)
-            patterns.add(linalg.sign_vector(sub_hyps, interior))
-
-        # signs of the sub-roots on the half-space {x in cone span : alpha > 0}
-        y = self._generic_halfspace_point(span, a, sub_hyps)
-        target = linalg.sign_vector(sub_hyps, y)
-
-        results = []
-        for pat in sorted(patterns):
-            if any(t != 0 and s != t for s, t in zip(pat, target)):
-                continue
-            positives = {b for b in sub_roots if _pattern_sign(b, sub_hyps, pat) > 0}
-            simple = [
-                b
-                for b in sorted(positives)
-                if b in sub_reduced
-                and not any(
-                    linalg.vsub(b, g) in positives for g in positives if g != b
-                )
-            ]
-            lifts = [b for b in simple if same_restriction(b, a)]
-            if len(lifts) != 1:
-                raise ValueError("restricted root does not lift to a unique simple root")
-            results.append(linalg.matvec(proj, self._coroot_of[lifts[0]]))
-        if not results:
-            raise ValueError("no compatible chamber found for the restricted coroot")
-        first = results[0]
-        for other in results[1:]:
-            if other != first:
-                raise ValueError("restricted coroot depends on the chamber choice")
-        return first
-
-    def _generic_halfspace_point(self, span: list[Vec], a: Vec, hyps: list[Vec]) -> Vec:
-        """A point of the cone span with alpha > 0, off every sub-hyperplane
-        that does not contain the whole span."""
-        base = None
-        for s in span:
-            if linalg.dot(a, s) != 0:
-                base = s if linalg.dot(a, s) > 0 else linalg.vscale(-1, s)
-                break
-        assert base is not None
-        relevant = [h for h in hyps if any(linalg.dot(h, s) != 0 for s in span)]
-        k = 1
-        while True:
-            pert = base
-            t = Fraction(1, 100 * k)
-            for j, s in enumerate(span):
-                pert = linalg.vadd(pert, linalg.vscale(t ** (j + 1), s))
-            if linalg.dot(a, pert) > 0 and all(linalg.dot(h, pert) != 0 for h in relevant):
-                return pert
-            k += 1
-
-    # -- descent support ---------------------------------------------------------
-
-    def descent_support(
-        self, theta_fixed_basis: Sequence[Sequence], levi_basis: Sequence[Sequence]
-    ) -> bool:
-        """True when the ambient space splits as the direct sum of the two spans."""
-        s1 = [_parse_vec(v) for v in theta_fixed_basis]
-        s2 = [_parse_vec(v) for v in levi_basis]
-        r1 = linalg.rank(s1) if s1 else 0
-        r2 = linalg.rank(s2) if s2 else 0
-        combined = linalg.rank(s1 + s2) if (s1 or s2) else 0
-        return r1 + r2 == combined == self.ambient_dim
-
-
-def _pattern_sign(root: Vec, hyps: list[Vec], pattern: tuple[int, ...]) -> int:
-    """Sign of a sub-root on a sub-chamber, given the chamber's hyperplane signs."""
-    for h, s in zip(hyps, pattern):
-        coeff = linalg.proportionality(root, h)
-        if coeff is not None:
-            return s if coeff > 0 else -s
-    raise ValueError("root is not proportional to any sub-hyperplane")
-
-
-def _intersect_spans(span1: list[Vec], span2: list[Vec]) -> list[Vec]:
-    """Basis of the intersection of two spans."""
-    if not span1 or not span2:
-        return []
-    n = len(span1[0])
-    # x in both spans: x = A u = B v; solve [A | -B] (u,v)^T = 0
-    cols = [list(v) for v in span1] + [[-x for x in v] for v in span2]
-    m = [[Fraction(cols[j][i]) for j in range(len(cols))] for i in range(n)]
-    sols = linalg.nullspace(m, ncols=len(cols))
-    return linalg.independent_subset([linalg.combination(u[: len(span1)], span1, n) for u in sols])
-
 
 # -- built-in systems -------------------------------------------------------------
 
@@ -605,15 +480,17 @@ BUILTIN_NAMES = ("A1", "A2", "A3", "B2", "C2", "G2", "BC1", "BC2")
 def system_from_dict(data: dict) -> RestrictedRootSystem:
     """Fixture schema: ambient_dim, roots, coroots, simple_indices, lattice_basis.
 
-    Rational entries may be integers or "p/q" strings.
+    ambient_dim, simple_indices and lattice_basis take JSON integers; root and
+    coroot entries may be integers or "p/q" strings.
     """
-    n = int(data["ambient_dim"])
-    roots = [_parse_vec(r) for r in data["roots"]]
-    coroots = [_parse_vec(r) for r in data["coroots"]]
-    simple = [int(i) for i in data["simple_indices"]]
+    data = _as_dict(data)
+    n = _as_int(data["ambient_dim"])
+    roots = [_parse_vec(r, n) for r in _as_list(data["roots"])]
+    coroots = [_parse_vec(r, n) for r in _as_list(data["coroots"])]
+    simple = _as_ints(data["simple_indices"])
     lattice = None
     if "lattice_basis" in data:
-        lattice = IntLattice(n, tuple(tuple(int(x) for x in row) for row in data["lattice_basis"]))
+        lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["lattice_basis"]))))
     return RestrictedRootSystem(n, roots, coroots, simple, lattice, name=str(data.get("name", "")))
 
 

@@ -9,6 +9,21 @@ from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, frac_str, run
 
+# valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
+A1_SYSTEM = {
+    "ambient_dim": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
+    "simple_indices": [0], "lattice_basis": [[1]], "name": "custom-A1",
+}
+NORM_ONE = {"ambient_rank": 1, "actions": [[[1]], [[-1]]], "label": "norm-one"}
+U2_PRESET = {
+    "name": "u2", "num_simple": 1, "iota": [0], "delta_minus": [0],
+    "s_choice": [], "b_generators": [],
+}
+# the commands that read each kind of fixture; the fixture path is appended last
+VOLUME = ["ortho", "volume", "--special", "1", "--system"]
+H1 = ["h1", "--fixture"]
+LEVIS = ["list-levis", "--preset"]
+
 
 class TestExitCodes:
     def test_pass(self):
@@ -71,7 +86,14 @@ class TestBadInput:
 
     @pytest.mark.parametrize(
         "fixture",
-        [{"special": ["1/0", "1"]}, {"points": [["-1"], ["1/0"]]}, {"special": 5}],
+        [
+            {"special": ["1/0", "1"]},
+            {"points": [["-1"], ["1/0"]]},
+            {"special": 5},
+            # a float is not read as its binary fraction, nor a string digit by digit
+            {"special": [1.1, 2]},
+            {"special": "12"},
+        ],
     )
     def test_bad_fixture_entry_is_a_usage_error(self, tmp_path, fixture):
         path = tmp_path / "set.json"
@@ -80,6 +102,33 @@ class TestBadInput:
         code, text = run(["ortho", "volume", "--system", system, "--fixture", str(path)])
         assert code == EXIT_USAGE
         assert text.startswith("error: not a rational")
+
+    @pytest.mark.parametrize(
+        "argv, fixture, message",
+        [
+            # integer fields are not truncated
+            (H1, {**NORM_ONE, "actions": [[[1.7]], [[-1.2]]]}, "1.7"),
+            (H1, {**NORM_ONE, "ambient_rank": True}, "True"),
+            (VOLUME, {**A1_SYSTEM, "simple_indices": [0.9]}, "0.9"),
+            (VOLUME, {**A1_SYSTEM, "lattice_basis": [[1.5]]}, "1.5"),
+            (LEVIS, {**U2_PRESET, "num_simple": 1.5}, "1.5"),
+            (LEVIS, {**U2_PRESET, "delta_minus": [0.2]}, "0.2"),
+            # malformed shapes
+            (VOLUME, [A1_SYSTEM], "JSON object"),
+            (H1, [NORM_ONE], "JSON object"),
+            (VOLUME, {**A1_SYSTEM, "roots": 5}, "list"),
+            (H1, {**NORM_ONE, "actions": 7}, "list"),
+            (LEVIS, {**U2_PRESET, "iota": 5}, "list"),
+            (H1, {"ambient_rank": 2, "actions": [[[1, 0], [0, 1]], [[1]]]}, "2 x 2"),
+            (VOLUME, {**A1_SYSTEM, "coroots": [[1]]}, "differ in length"),
+        ],
+    )
+    def test_malformed_fixture_is_a_usage_error(self, tmp_path, argv, fixture, message):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps(fixture))
+        code, text = run(argv + [str(path)])
+        assert code == EXIT_USAGE
+        assert text.startswith("error:") and message in text
 
     @pytest.mark.parametrize(
         "argv, points",
