@@ -51,10 +51,6 @@ def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMat:
     return [[_as_int(x) for x in _as_list(row)] for row in _as_list(m)]
 
 
-def _identity(n: int) -> IntMat:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
     """Matrix whose columns are the integer coordinates of the vectors in the basis.
 
@@ -82,8 +78,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
     a = _as_int_matrix(m)
     nrows = len(a)
     ncols = len(a[0]) if nrows else 0
-    u = _identity(nrows)
-    v = _identity(ncols)
+    u = [list(row) for row in linalg.identity(nrows)]
+    v = [list(row) for row in linalg.identity(ncols)]
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
@@ -193,7 +189,9 @@ class FiniteAbelianGroup:
         return not self.invariant_factors
 
     def direct_sum(self, other: "FiniteAbelianGroup") -> "FiniteAbelianGroup":
-        return from_elementary_divisors(self.invariant_factors + other.invariant_factors)
+        fs = self.invariant_factors + other.invariant_factors
+        diagonal = [[f * x for x in row] for f, row in zip(fs, linalg.identity(len(fs)))]
+        return cokernel_structure(diagonal, len(fs))
 
     def __str__(self) -> str:
         if self.is_trivial:
@@ -202,40 +200,6 @@ class FiniteAbelianGroup:
 
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
-
-
-def from_elementary_divisors(divisors: Iterable[int]) -> FiniteAbelianGroup:
-    """Normalize an arbitrary list of cyclic orders into invariant factors."""
-    from math import gcd
-
-    primary: dict[int, list[int]] = {}
-    for d in divisors:
-        if d < 1:
-            raise ValueError(f"cyclic order must be positive, got {d}")
-        n = d
-        p = 2
-        while p * p <= n:
-            if n % p == 0:
-                e = 0
-                while n % p == 0:
-                    n //= p
-                    e += 1
-                primary.setdefault(p, []).append(p**e)
-            p += 1
-        if n > 1:
-            primary.setdefault(n, []).append(n)
-    for p in primary:
-        primary[p].sort(reverse=True)
-    depth = max((len(v) for v in primary.values()), default=0)
-    factors = []
-    for i in range(depth):
-        f = 1
-        for p in primary:
-            if i < len(primary[p]):
-                f *= primary[p][i]
-        factors.append(f)
-    factors.reverse()
-    return FiniteAbelianGroup(tuple(factors))
 
 
 def cokernel_structure(m: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
@@ -277,7 +241,7 @@ class IntLattice:
 
     @staticmethod
     def standard(n: int) -> "IntLattice":
-        return IntLattice(n, tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n)))
+        return IntLattice(n, linalg.identity(n))
 
 
 def quotient_group(sup: IntLattice, sub: IntLattice) -> FiniteAbelianGroup:
@@ -288,6 +252,18 @@ def quotient_group(sup: IntLattice, sub: IntLattice) -> FiniteAbelianGroup:
         raise ValueError("quotient is infinite: ranks differ")
     m = _integer_coordinate_matrix(sup.basis, sub.basis, "sub is not a sublattice of sup")
     return cokernel_structure(m, sup.rank)
+
+
+def _check_actions(actions: Sequence, n: int) -> None:
+    """ValueError unless there are actions and each is an n x n matrix.
+
+    Readers call it before they build anything of size n, so a declared size
+    is bounded by the data.
+    """
+    if not actions:
+        raise ValueError("action set does not contain the identity")
+    if any(len(a) != n or any(len(row) != n for row in a) for a in actions):
+        raise ValueError(f"every action must be a {n} x {n} matrix")
 
 
 @dataclass(frozen=True)
@@ -306,19 +282,13 @@ class LatticeWithAction:
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
-        if any(len(a) != n or any(len(row) != n for row in a) for a in self.actions):
-            raise ValueError(f"every action must be a {n} x {n} matrix")
-        seen = {a for a in self.actions}
-        ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-        if ident not in seen:
+        _check_actions(self.actions, n)
+        seen = set(self.actions)
+        if linalg.identity(n) not in seen:
             raise ValueError("action set does not contain the identity")
         for a in self.actions:
             for b in self.actions:
-                prod = tuple(
-                    tuple(sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n))
-                    for i in range(n)
-                )
-                if prod not in seen:
+                if linalg.matmul(a, b) not in seen:
                     raise ValueError("action set is not closed under multiplication")
         # each matrix must map the lattice to itself (onto, as the group has inverses)
         basis = self.lattice.basis
@@ -365,9 +335,8 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
         return TRIVIAL_GROUP
     # augmentation sublattice: integer span of (g - 1) columns, expressed in
     # the kernel basis (they land in the kernel since the norm kills them)
-    images = (
-        [g[i][j] - (1 if i == j else 0) for i in range(r)] for g in mats for j in range(r)
-    )
+    eye = linalg.identity(r)
+    images = ([g[i][j] - eye[i][j] for i in range(r)] for g in mats for j in range(r))
     error = "augmentation image is not integral in the norm kernel"
     m = _integer_coordinate_matrix(kernel_basis, images, error)
     return cokernel_structure(m, k)
@@ -398,11 +367,12 @@ def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
     """
     data = _as_dict(data)
     n = _as_int(data["ambient_rank"])
+    actions = tuple(tuple(map(tuple, _as_int_matrix(g))) for g in _as_list(data["actions"]))
+    _check_actions(actions, n)
     if "basis" in data:
         lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["basis"]))))
     else:
         lattice = IntLattice.standard(n)
-    actions = tuple(tuple(map(tuple, _as_int_matrix(g))) for g in _as_list(data["actions"]))
     return LatticeWithAction(lattice, actions, label=str(data.get("label", "")))
 
 
@@ -420,19 +390,16 @@ def split_torus(rank: int, group_order: int = 1) -> LatticeWithAction:
     ``group_order`` repeats the identity so the element list can be paired
     with another action of the same group in ``direct_sum_action``.
     """
-    n = rank
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
     return LatticeWithAction(
-        IntLattice.standard(n), tuple(ident for _ in range(group_order)), label=f"split^{rank}"
+        IntLattice.standard(rank), (linalg.identity(rank),) * group_order, label=f"split^{rank}"
     )
 
 
 def norm_one_torus(k: int = 1) -> LatticeWithAction:
     """Product of k norm-one tori of a quadratic extension: Z^k with {1, -1}."""
-    n = k
-    ident = tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-    minus = tuple(tuple(-1 if i == j else 0 for j in range(n)) for i in range(n))
-    return LatticeWithAction(IntLattice.standard(n), (ident, minus), label=f"norm-one^{k}")
+    ident = linalg.identity(k)
+    minus = tuple(tuple(-x for x in row) for row in ident)
+    return LatticeWithAction(IntLattice.standard(k), (ident, minus), label=f"norm-one^{k}")
 
 
 def regular_representation(group_table: Sequence[Sequence[int]]) -> LatticeWithAction:

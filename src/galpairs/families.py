@@ -177,7 +177,7 @@ class KernelTables:
     def point(self, h: Sequence) -> tuple[list[int], int]:
         """(<c, H> for every covector c so far, D) where h = H / D, H integral, D > 0."""
         hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
-        return [sum(a * b for a, b in zip(c, hi)) for c in self.covectors], d
+        return list(linalg.matvec(self.covectors, hi)), d
 
 
 def _gamma(kernel: KernelTables, table: list, dots: list[int], d: int, y: OrthogonalSet) -> int:
@@ -265,19 +265,15 @@ class Hull:
         if not pts:
             raise ValueError("hull of no points")
         self.dim = len(_parse_vec(pts[0]))
-        pts = [_parse_vec(p, self.dim) for p in pts]
-        denoms = [x.denominator for p in pts for x in p]
-        self.scale = math.lcm(*denoms) if denoms else 1
-        self.vertices: list[tuple[int, ...]] = sorted(
-            {tuple(int(x * self.scale) for x in p) for p in pts}
-        )
+        ints, self.scale = _integer_basis([_parse_vec(p, self.dim) for p in pts])
+        self.vertices: list[tuple[int, ...]] = sorted(set(ints))
         base = self.vertices[0]
-        diffs = [[a - b for a, b in zip(p, base)] for p in self.vertices[1:]]
+        diffs = [linalg.vsub(p, base) for p in self.vertices[1:]]
         span = [linalg.scale_to_integers(e) for e in linalg.nullspace(diffs, ncols=self.dim)]
         self.affine_dim = self.dim - len(span)
         self.facets: list[tuple[tuple[int, ...], int]] = []
         for e in span:
-            rhs = sum(a * b for a, b in zip(e, base))
+            rhs = linalg.dot(e, base)
             self.facets += [(e, rhs), (tuple(-x for x in e), -rhs)]
         self.facets += self._find_facets(span)
 
@@ -287,16 +283,16 @@ class Hull:
         facets = []
         for subset in combinations(pts, k) if k else ():
             base = subset[0]
-            normal = _cofactor_normal([[a - b for a, b in zip(p, base)] for p in subset[1:]] + span)
+            normal = _cofactor_normal([linalg.vsub(p, base) for p in subset[1:]] + span)
             if normal is None:
                 continue
-            rhs = sum(a * b for a, b in zip(normal, base))
+            rhs = linalg.dot(normal, base)
             if (normal, rhs) in decided:
                 continue
             decided.add((normal, rhs))
             above = below = False
             for p in pts:
-                v = sum(a * b for a, b in zip(normal, p)) - rhs
+                v = linalg.dot(normal, p) - rhs
                 above = above or v > 0
                 below = below or v < 0
                 if above and below:
@@ -322,7 +318,7 @@ class Hull:
             return Fraction(0)
         pts = self.vertices
         cuts = [
-            frozenset(i for i, p in enumerate(pts) if sum(a * b for a, b in zip(nrm, p)) == rhs)
+            frozenset(i for i, p in enumerate(pts) if linalg.dot(nrm, p) == rhs)
             for nrm, rhs in self.facets
         ]
 
@@ -341,7 +337,7 @@ class Hull:
         total = Fraction(0)
         for simplex in simplices(frozenset(range(len(pts)))):
             base = pts[simplex[0]]
-            edges = [[x - b for x, b in zip(pts[i], base)] for i in simplex[1:]]
+            edges = [linalg.vsub(pts[i], base) for i in simplex[1:]]
             total += abs(linalg.det(edges))
         return total / (math.factorial(self.dim) * self.scale**self.dim)
 
@@ -350,7 +346,7 @@ def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> i
     """+1 strictly inside every facet inequality n . p <= rhs, 0 on one, -1 outside."""
     boundary = False
     for nrm, rhs in facets:
-        v = sum(a * b for a, b in zip(nrm, p))
+        v = linalg.dot(nrm, p)
         if v > rhs:
             return -1
         if v == rhs:
@@ -540,12 +536,7 @@ def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
     """(B, e) with basis[i] = B[i] / e, B integral and e > 0."""
     n = len(basis[0])
     flat, e = linalg.clear_denominators([x for b in basis for x in b])
-    return [flat[i : i + n] for i in range(0, len(flat), n)], e
-
-
-def _pairing(covectors: Sequence[tuple[int, ...]], ints: list[tuple[int, ...]]) -> list[list[int]]:
-    """The integer matrix of <c, B_i> over covectors c and integral basis vectors B_i."""
-    return [[sum(a * b for a, b in zip(c, bi)) for bi in ints] for c in covectors]
+    return [flat[i * n : (i + 1) * n] for i in range(len(basis))], e
 
 
 def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
@@ -566,7 +557,7 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
             t = Fraction(nums[c], den)
             if c not in bound or t < bound[c]:
                 bound[c] = t
-    pairing = _pairing([kernel.covectors[c] for c in bound], ints)
+    pairing = linalg.matmul([kernel.covectors[c] for c in bound], linalg.transpose(ints))
     return [
         (tuple(x * t.denominator for x in row), t.numerator * e)
         for row, t in zip(pairing, bound.values())
@@ -591,14 +582,14 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
     kernel = sys.kernel_tables
     ints, e = _integer_basis(basis)
     table: Optional[list] = None  # the kernel, compiled at the first point on a row
-    pairing: list[list[int]] = []
+    pairing: linalg.Mat = ()
     count = 0
     for prefix in product(*box[:last]):
         lo, hi = box[last].start, box[last].stop - 1
         slacks = []  # (last coefficient t != 0, slack s at the prefix): row tight at t * x == s
         flat = False
         for a, t, b in rows:
-            s = b - sum(x * m for x, m in zip(a, prefix))
+            s = b - linalg.dot(a, prefix)
             if t > 0:
                 hi = min(hi, s // t)
             elif t < 0:
@@ -621,9 +612,9 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
         for x in on_rows:
             if table is None:
                 _, table = kernel.compiled(g)
-                pairing = _pairing(kernel.covectors, ints)
+                pairing = linalg.matmul(kernel.covectors, linalg.transpose(ints))
             m = prefix + (x,)
-            dots = [sum(a * b for a, b in zip(row, m)) for row in pairing]
+            dots = linalg.matvec(pairing, m)
             count += _gamma(kernel, table, dots, e, shifted) == 1
     return count
 

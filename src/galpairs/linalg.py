@@ -1,12 +1,18 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of Fraction, matrices are tuples of row tuples; inputs
-may mix ints and Fractions.  Every elimination is the one fraction-free
-integer routine ``_bareiss``: ``rank``, ``nullspace``, ``solve``, ``invert``,
-``det`` and ``independent_subset`` scale each row to integers once and read
-their answer off its pivots, its rows and its final pivot d, and
-``coordinate_matrix`` reads the coordinates of many vectors in one basis off
-a single elimination.  Integer hull normals use ``_bareiss`` directly.
+Vectors are tuples and matrices are tuples of row tuples, of ints or
+Fractions.  This module is the one home of the dot product, the matrix
+products and the identity.  ``dot``, ``matvec``, ``vecmat`` and ``matmul``
+keep the input's type: int entries give int results, and a Fraction anywhere
+in a product gives a Fraction.  ``identity`` has int entries; ``vec`` makes
+Fraction vectors.
+
+Every elimination is the one fraction-free integer routine ``_bareiss``:
+``rank``, ``nullspace``, ``solve``, ``invert``, ``det`` and
+``independent_subset`` scale each row to integers once and read their answer
+off its pivots, its rows and its final pivot d, and ``coordinate_matrix``
+reads the coordinates of many vectors in one basis off a single elimination.
+Integer hull normals use ``_bareiss`` directly.
 Everything is exact; no floating point appears anywhere in this package.
 """
 
@@ -14,6 +20,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 Vec = tuple
@@ -21,7 +28,7 @@ Mat = tuple
 
 
 def vec(entries: Iterable) -> Vec:
-    return tuple(Fraction(x) for x in entries)
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
 def zero_vec(n: int) -> Vec:
@@ -29,13 +36,11 @@ def zero_vec(n: int) -> Vec:
 
 
 def identity(n: int) -> Mat:
-    return tuple(
-        tuple(Fraction(1) if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
 
-def dot(a: Vec, b: Vec) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
+def dot(a: Vec, b: Vec):
+    return sum(map(mul, a, b))
 
 
 def vadd(a: Vec, b: Vec) -> Vec:
@@ -96,8 +101,7 @@ def matvec(m: Mat, v: Vec) -> Vec:
 
 def vecmat(v: Vec, m: Mat) -> Vec:
     """Row vector times matrix (covector pullback)."""
-    n = len(m[0])
-    return tuple(sum((v[i] * m[i][j] for i in range(len(m))), Fraction(0)) for j in range(n))
+    return tuple(dot(v, col) for col in zip(*m))
 
 
 def matmul(a: Mat, b: Mat) -> Mat:

@@ -43,7 +43,7 @@ class ThetaPreset:
 
     def __post_init__(self):
         n = self.num_simple
-        if sorted(self.iota) != list(range(n)):
+        if len(self.iota) != n or sorted(self.iota) != list(range(n)):
             raise ValueError("iota is not a permutation")
         if any(self.iota[self.iota[i]] != i for i in range(n)):
             raise ValueError("iota is not an involution")

@@ -185,11 +185,7 @@ class RestrictedRootSystem:
                 sv = linalg.sign_vector(self.hyperplanes, img)
                 if sv not in seen:
                     zero_rows = [self.hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
-                    span = (
-                        linalg.nullspace(zero_rows, ncols=n)
-                        if zero_rows
-                        else [tuple(row) for row in linalg.identity(n)]
-                    )
+                    span = linalg.nullspace(zero_rows, ncols=n) if zero_rows else linalg.identity(n)
                     cone = Cone(len(cones), sv, len(span), tuple(span))
                     seen[sv] = cone.index
                     cones.append(cone)

@@ -86,7 +86,8 @@ class TestFiniteAbelianGroup:
             el.FiniteAbelianGroup((1, 2))
 
     def test_normalization(self):
-        g = el.from_elementary_divisors([6, 4])
+        # Z/6 + Z/4 = Z/2 + Z/12: direct_sum normalizes to invariant factors
+        g = el.FiniteAbelianGroup((6,)).direct_sum(el.FiniteAbelianGroup((4,)))
         assert g.invariant_factors == (2, 12)
         assert g.order == 24
 
@@ -185,6 +186,65 @@ class TestCoordinateMatrix:
         assert linalg.coordinate_matrix([(1, 2, 0)], [(2, 4, 0)]) == ([[2]], 1)
 
 
+def _fraction_dot(a, b):
+    """The dot product with every entry made a Fraction."""
+    return sum((Fraction(x) * Fraction(y) for x, y in zip(a, b)), Fraction(0))
+
+
+class TestTypePreservingPrimitives:
+    """dot, matvec, vecmat, matmul and identity keep int input int."""
+
+    def test_int_input_gives_ints(self):
+        m = ((1, 2), (3, 4))
+        assert linalg.dot((1, 2), (3, 4)) == 11
+        assert type(linalg.dot((1, 2), (3, 4))) is int
+        for got, want in [
+            (linalg.matvec(m, (1, -1)), (-1, -1)),
+            (linalg.vecmat((1, -1), m), (-2, -2)),
+        ]:
+            assert got == want
+            assert all(type(x) is int for x in got)
+        for got, want in [
+            (linalg.matmul(m, m), ((7, 10), (15, 22))),
+            (linalg.identity(3), ((1, 0, 0), (0, 1, 0), (0, 0, 1))),
+        ]:
+            assert got == want
+            assert all(type(x) is int for row in got for x in row)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_mixed_input_gives_fractions(self, seed):
+        rng = random.Random(seed)
+
+        def entry():
+            return rng.randint(-5, 5) if rng.random() < 0.6 else Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+        for _ in range(20):
+            n, k = rng.randint(1, 4), rng.randint(1, 4)
+            a = tuple(tuple(entry() for _ in range(n)) for _ in range(k))
+            b = tuple(tuple(entry() for _ in range(k)) for _ in range(n))
+            v = tuple(entry() for _ in range(n))
+            cols = tuple(zip(*a))
+            checks = [(linalg.dot(row, v), row, v) for row in a]
+            checks += [(x, row, v) for x, row in zip(linalg.matvec(a, v), a)]
+            checks += [(x, v, col) for x, col in zip(linalg.vecmat(v, b), tuple(zip(*b)))]
+            checks += [
+                (x, row, col)
+                for got_row, row in zip(linalg.matmul(b, a), b)
+                for x, col in zip(got_row, cols)
+            ]
+            for got, left, right in checks:
+                assert got == _fraction_dot(left, right)
+                mixed = any(type(x) is Fraction for x in left + right)
+                assert type(got) is (Fraction if mixed else int)
+
+    def test_vec_keeps_fractions_and_converts_the_rest(self):
+        f = Fraction(2, 3)
+        v = linalg.vec([f, 1, "-1/2"])
+        assert v[0] is f
+        assert v == (Fraction(2, 3), Fraction(1), Fraction(-1, 2))
+        assert all(type(x) is Fraction for x in v)
+
+
 @pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [0, 1, 0]], [[1], [2]], [[1, 2], [3]]])
 def test_det_and_invert_reject_a_non_square_matrix(m):
     with pytest.raises(ValueError, match="not square"):
@@ -271,6 +331,19 @@ class TestTateCohomology:
         assert x.in_basis_matrices() is x.in_basis_matrices()
         assert x.in_basis_matrices() == [[[1, 0], [0, 1]], [[-1, 0], [0, -1]]]
         assert x == el.norm_one_torus(2) and hash(x) == hash(el.norm_one_torus(2))
+
+    @pytest.mark.parametrize(
+        "actions, message",
+        [([[[1]]], "every action must be a 10+ x 10+ matrix"), ([], "does not contain the identity")],
+    )
+    def test_fixture_rank_is_checked_before_the_lattice_is_built(self, monkeypatch, actions, message):
+        def refuse(n):
+            raise AssertionError(f"built the standard lattice of rank {n}")
+
+        monkeypatch.setattr(el.IntLattice, "standard", staticmethod(refuse))
+        data = {"ambient_rank": 10**18, "actions": actions}
+        with pytest.raises(ValueError, match=message):
+            el.lattice_with_action_from_dict(data)
 
     def test_fixture_round_trip(self):
         data = {

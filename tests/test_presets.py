@@ -12,6 +12,7 @@ from galpairs.presets import (
     builtin_preset,
     enumerate_elliptic_levis,
     inner_form_fiber_count,
+    preset_from_dict,
     preset_from_json,
     resolve_preset,
 )
@@ -112,6 +113,12 @@ class TestFixtures:
         path.write_text(json.dumps(data))
         q = preset_from_json(str(path))
         assert q == p
+
+    def test_num_simple_is_checked_against_iota_first(self):
+        # a declared rank far beyond the data is rejected before range(num_simple) is built
+        data = {"name": "huge", "num_simple": 10**18, "iota": [1, 0], "delta_minus": []}
+        with pytest.raises(ValueError, match="iota is not a permutation"):
+            preset_from_dict(data)
 
     def test_bad_spec(self):
         with pytest.raises(ValueError):

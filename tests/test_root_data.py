@@ -9,6 +9,7 @@ from galpairs import linalg
 from galpairs.root_data import (
     BUILTIN_NAMES,
     RestrictedRootSystem,
+    _parse_vec,
     builtin_system,
     system_from_dict,
     system_from_json,
@@ -229,3 +230,14 @@ class TestFixtures:
     def test_unknown_builtin(self):
         with pytest.raises(ValueError):
             builtin_system("E8")
+
+
+def test_parse_vec_keeps_fractions_and_rejects_the_rest():
+    f = Fraction(1, 3)
+    v = _parse_vec([f, 2, "3/4"], 3)
+    assert v[0] is f and v == (Fraction(1, 3), Fraction(2), Fraction(3, 4))
+    for bad in ([1.5, 1], [True, 1], "1,2", [1, "1/0"]):
+        with pytest.raises(ValueError, match="not a rational vector"):
+            _parse_vec(bad, 2)
+    with pytest.raises(ValueError, match="expected a point with 2 coordinates, got 3"):
+        _parse_vec([f, 1, 2], 2)

@@ -145,3 +145,27 @@ def test_independent_subset_and_coordinates(m):
     for v in targets:
         assert linalg.coordinates_in_basis(greedy, v) == _sympy_solution(basis_cols, v)
     assert linalg.coordinates_in_basis(greedy, targets[0]) == tuple(coeffs)
+
+
+def _invariant_chains(seed, count):
+    """Random divisibility chains d_1 | d_2 | ... with every d_i >= 2 (some empty)."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        chain, d = [], rng.randint(2, 6)
+        for _ in range(rng.randint(0, 3)):
+            chain.append(d)
+            d *= rng.randint(1, 4)
+        out.append(tuple(chain))
+    return out
+
+
+@pytest.mark.parametrize("a, b", zip(_invariant_chains(19, 40), _invariant_chains(23, 40)))
+def test_direct_sum_invariant_factors(a, b):
+    g = el.FiniteAbelianGroup(a).direct_sum(el.FiniteAbelianGroup(b))
+    fs = a + b
+    expected = []
+    if fs:
+        diagonal = sympy.diag(*fs)
+        expected = [int(f) for f in invariant_factors(diagonal, domain=sympy.ZZ) if f != 1]
+    assert list(g.invariant_factors) == expected
