@@ -286,13 +286,19 @@ def cmd_list_levis(args) -> tuple[int, str]:
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _int_at_least(lowest: int):
-    """argparse type: an integer no smaller than ``lowest``."""
+# the character-collapse check of rank m costs 3^m steps
+MAX_M = 16
+
+
+def _int_at_least(lowest: int, highest: Optional[int] = None):
+    """argparse type: an integer no smaller than ``lowest`` (nor larger than ``highest``)."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
+        if highest is not None and value > highest:
+            raise argparse.ArgumentTypeError(f"must be at most {highest}, got {value}")
         return value
 
     return count
@@ -307,8 +313,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-prasad", help="character-collapse and multiplicity checks")
     ranks = p.add_mutually_exclusive_group()
-    ranks.add_argument("--m", type=nonnegative, default=None, help="single ambient rank to check")
-    ranks.add_argument("--max-m", type=nonnegative, default=6, help="check all ranks up to this")
+    rank = _int_at_least(0, MAX_M)
+    ranks.add_argument("--m", type=rank, default=None, help="single ambient rank to check")
+    ranks.add_argument("--max-m", type=rank, default=6, help="check all ranks up to this")
     p.add_argument("--preset", action="append", help="preset spec GL:n / U:n / fixture path")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_prasad)

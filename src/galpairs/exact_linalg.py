@@ -2,7 +2,8 @@
 
 The central computation is ``tate_h_minus1``: given a lattice with an action
 of a finite integer matrix group, return the finite abelian group
-ker(norm map) / (augmentation sublattice), presented by invariant factors.
+ker(norm map) / (augmentation sublattice), presented by invariant factors and
+read as the torsion of the coinvariants.
 For cocharacter lattices of tori this group classifies the first Galois
 cohomology of the torus.
 """
@@ -210,9 +211,7 @@ def cokernel_structure(m: Sequence[Sequence[int]], ambient_rank: int) -> FiniteA
     if ambient_rank == 0:
         return TRIVIAL_GROUP
     if not m or not m[0]:
-        if ambient_rank > 0:
-            raise ValueError("quotient is infinite (zero map onto positive rank)")
-        return TRIVIAL_GROUP
+        raise ValueError("quotient is infinite (zero map onto positive rank)")
     _, d, _ = smith_normal_form(m)
     diag = diagonal_of(d)
     nonzero = [x for x in diag if x != 0]
@@ -313,33 +312,21 @@ class LatticeWithAction:
 
 
 def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
-    """ker(sum of group elements) modulo the span of all (g - 1) images.
+    """Tate cohomology H^-1(G, L) = ker N / I_G L, read as the torsion of the
+    coinvariants L / I_G L, where N is the sum of the group elements and I_G L
+    the span of all (g - 1) images.
 
-    Both are computed inside lattice-basis coordinates; the numerator kernel
-    is taken saturated, so the quotient is finite (it is killed by the group
-    order) and is returned by invariant factors.
+    The two agree on a lattice.  If m x lies in I_G L, then m N(x) = N(m x) = 0,
+    so N(x) = 0 as L is torsion-free.  If N(x) = 0, then |G| x = sum of
+    (x - g x) lies in I_G L.  So one Smith normal form of the (g - 1) columns,
+    in lattice-basis coordinates, gives the group by its invariant factors.
     """
-    mats = x.in_basis_matrices()
     r = x.lattice.rank
-    if r == 0:
-        return TRIVIAL_GROUP
-    norm = [[sum(g[i][j] for g in mats) for j in range(r)] for i in range(r)]
-    _, d, v = smith_normal_form(norm)
-    diag = diagonal_of(d)
-    kernel_basis = []
-    for j in range(r):
-        if j >= len(diag) or diag[j] == 0:
-            kernel_basis.append([v[i][j] for i in range(r)])
-    k = len(kernel_basis)
-    if k == 0:
-        return TRIVIAL_GROUP
-    # augmentation sublattice: integer span of (g - 1) columns, expressed in
-    # the kernel basis (they land in the kernel since the norm kills them)
     eye = linalg.identity(r)
-    images = ([g[i][j] - eye[i][j] for i in range(r)] for g in mats for j in range(r))
-    error = "augmentation image is not integral in the norm kernel"
-    m = _integer_coordinate_matrix(kernel_basis, images, error)
-    return cokernel_structure(m, k)
+    mats = x.in_basis_matrices()
+    augmentation = [[g[i][j] - eye[i][j] for g in mats for j in range(r)] for i in range(r)]
+    _, d, _ = smith_normal_form(augmentation)
+    return FiniteAbelianGroup(tuple(f for f in diagonal_of(d) if f >= 2))
 
 
 def direct_sum_action(a: LatticeWithAction, b: LatticeWithAction) -> LatticeWithAction:

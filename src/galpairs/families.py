@@ -427,11 +427,9 @@ def volume_analytic(y: OrthogonalSet) -> Fraction:
         for c in sys.chambers:
             num = linalg.dot(mu, y.points[c]) ** r
             den = Fraction(rfact)
+            # nonzero: _generic_directions skips every mu vanishing on a chamber coroot
             for _, av in sys.chamber_simple_pairs(c):
-                d = linalg.dot(mu, av)
-                if d == 0:
-                    raise ValueError("direction is not generic")
-                den *= d
+                den *= linalg.dot(mu, av)
             total += meas * num / den
         values.append(total)
     if any(v != values[0] for v in values[1:]):
@@ -641,45 +639,32 @@ class ExpPolyFit:
         times polynomials, the polynomial attached to the trivial exponential
         is the average of the per-class polynomials.
         """
-        total = Fraction(0)
-        for coeffs in self.class_polys:
-            total += coeffs[0] if coeffs else Fraction(0)
-        return total / self.period
+        return sum(coeffs[0] for coeffs in self.class_polys) / self.period
 
 
 def fit_exp_polynomial(
     samples: Sequence, max_period: int = 4, max_degree: int = 3
 ) -> ExpPolyFit:
-    """Fit the minimal-period quasi-polynomial reproducing all samples exactly."""
+    """Fit the minimal-period quasi-polynomial reproducing all samples exactly.
+
+    Each residue class gets the interpolant of degree <= max_degree on its first
+    max_degree + 1 samples, which must reproduce all of its samples.
+    """
     vals = [Fraction(v) for v in samples]
     n = len(vals)
     for period in range(1, max_period + 1):
-        fits: list[Optional[tuple[Fraction, ...]]] = []
-        good = True
+        fits: list[tuple[Fraction, ...]] = []
         for cls in range(period):
-            ks = [k for k in range(n) if k % period == cls]
+            ks = range(cls, n, period)
             if len(ks) < max_degree + 2:
-                good = False
                 break
-            coeffs = None
-            for d in range(0, max_degree + 1):
-                support = ks[: d + 1]
-                rows = [[Fraction(k) ** j for j in range(d + 1)] for k in support]
-                sol = linalg.solve(rows, [vals[k] for k in support])
-                if sol is None:
-                    continue
-                if all(
-                    sum(sol[j] * Fraction(k) ** j for j in range(d + 1)) == vals[k]
-                    for k in ks
-                ):
-                    coeffs = tuple(sol)
-                    break
-            if coeffs is None:
-                good = False
+            rows = [[Fraction(k) ** j for j in range(max_degree + 1)] for k in ks]
+            coeffs = linalg.solve(rows[: max_degree + 1], [vals[k] for k in ks[: max_degree + 1]])
+            if linalg.matvec(rows, coeffs) != tuple(vals[k] for k in ks):
                 break
             fits.append(coeffs)
-        if good:
-            return ExpPolyFit(period, [f for f in fits if f is not None])
+        else:
+            return ExpPolyFit(period, fits)
     raise ValueError(
         f"no quasi-polynomial of period <= {max_period}, degree <= {max_degree} "
         f"fits the {n} samples"

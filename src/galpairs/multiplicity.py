@@ -193,21 +193,17 @@ def steinberg_multiplicity(preset: ThetaPreset, chi_b: int) -> int:
         raise ValueError("chi_b is not a character mask of the ambient two-group")
     b = preset.b_subgroup()
     total = 0
-    for datum in enumerate_elliptic_levis(preset):
-        i_mask = 0
-        for i in datum.subset:
-            i_mask |= 1 << i
-        b_cap_a = [x for x in b if x & i_mask == 0]
-        trivial = all(character_value(chi_b, x) == 1 for x in b_cap_a)
-        if trivial:
+    # the data come in mask order, so datum i belongs to I with mask i
+    for i_mask, datum in enumerate(enumerate_elliptic_levis(preset)):
+        if all(character_value(chi_b, x) == 1 for x in b if x & i_mask == 0):
             total += datum.sign * datum.ker1_size
     return total
 
 
 def steinberg_indicator(preset: ThetaPreset, chi_b: int) -> int:
     """The predicted value: 1 when chi_b agrees with omega on B, else 0."""
-    om = prasad_omega(preset)
-    return 1 if characters_equal_on_subgroup(preset.m, chi_b, om.mask, preset.b_generators) else 0
+    m = preset.m
+    return 1 if characters_equal_on_subgroup(m, chi_b, omega_mask(m), preset.b_generators) else 0
 
 
 # -- small closed-form identities -------------------------------------------------

@@ -1,13 +1,14 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import time
 from fractions import Fraction
 
 import pytest
 
 from galpairs import families as fam
 from galpairs import multiplicity as mu
-from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, frac_str, run
+from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_M, build_parser, frac_str, run
 
 # valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
 A1_SYSTEM = {
@@ -177,6 +178,21 @@ class TestVerifyPrasad:
         payload = json.loads(text)
         assert payload["ok"] is True
         assert all(c["status"] == "pass" for c in payload["checks"])
+
+    @pytest.mark.parametrize("argv", [["--m", "17"], ["--max-m", "1000000000"]])
+    def test_rank_above_the_work_limit_is_refused_before_any_work(self, argv, monkeypatch, capsys):
+        def refuse(m):
+            raise AssertionError(f"checked rank {m}")
+
+        monkeypatch.setattr("galpairs.multiplicity.verify_prasad_identity", refuse)
+        start = time.perf_counter()
+        assert run(["verify-prasad"] + argv) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert f"must be at most {MAX_M}" in capsys.readouterr().err
+
+    def test_work_limit_admits_its_own_value(self):
+        args = build_parser().parse_args(["verify-prasad", "--max-m", str(MAX_M)])
+        assert args.max_m == MAX_M == 16
 
     def test_multiplicity_indicator_mismatch_fails(self, monkeypatch):
         monkeypatch.setattr(

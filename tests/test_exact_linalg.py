@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tate_oracle
 from galpairs import exact_linalg as el
 from galpairs import linalg
 
@@ -282,6 +283,65 @@ ALL_SMALL_GROUPS = [
 ]
 
 
+def permutation_modules(table):
+    """Split, norm-one and regular modules of one group, and direct sums of pairs.
+
+    The norm-one module is the cocharacter lattice of the norm-one torus: the
+    kernel of the augmentation Z[G] -> Z, spanned by e_g - e_1.  All share the
+    element order of the regular representation.
+    """
+    reg = el.regular_representation(table)
+    n = len(table)
+    e = linalg.identity(n)
+    kernel = tuple(tuple(a - b for a, b in zip(e[i], e[0])) for i in range(1, n))
+    modules = {
+        "split": el.split_torus(1, group_order=n),
+        "norm-one": el.LatticeWithAction(el.IntLattice(n, kernel), reg.actions),
+        "regular": reg,
+    }
+    for a, b in (("split", "norm-one"), ("norm-one", "norm-one"), ("norm-one", "regular")):
+        modules[f"{a}+{b}"] = el.direct_sum_action(modules[a], modules[b])
+    return modules
+
+
+def c4_rotation():
+    """Z^2 with the rotation by a quarter turn and its powers."""
+    rot = ((0, -1), (1, 0))
+    powers = [linalg.identity(2)]
+    for _ in range(3):
+        powers.append(linalg.matmul(rot, powers[-1]))
+    return el.LatticeWithAction(el.IntLattice.standard(2), tuple(powers), label="C4-rotation")
+
+
+def in_random_basis(x, rng):
+    """The same module, its lattice written in a seeded random basis."""
+    r = x.lattice.rank
+    u = [list(row) for row in linalg.identity(r)]
+    for _ in range(4 * r):
+        i, j = rng.randrange(r), rng.randrange(r)
+        if i == j:
+            u[i] = [-a for a in u[i]]
+        else:
+            c = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + c * b for a, b in zip(u[i], u[j])]
+    rng.shuffle(u)
+    basis = tuple(map(tuple, linalg.matmul(u, x.lattice.basis))) if r else ()
+    return el.LatticeWithAction(el.IntLattice(x.lattice.ambient_dim, basis), x.actions)
+
+
+def tate_cases(seeds):
+    """Every permutation module of every small group and the C4 rotation, each
+    in one random basis per seed, as pytest params named after the case."""
+    modules = [("C4-rotation", c4_rotation())]
+    for name, table in ALL_SMALL_GROUPS:
+        modules += [(f"{name}/{label}", x) for label, x in permutation_modules(table).items()]
+    return [
+        pytest.param(in_random_basis(x, random.Random(f"{case}/{seed}")), id=f"{case}/{seed}")
+        for case, x in modules
+        for seed in seeds
+    ]
+
+
 class TestTateCohomology:
     def test_norm_one_torus(self):
         assert el.tate_h_minus1(el.norm_one_torus(1)).invariant_factors == (2,)
@@ -314,6 +374,27 @@ class TestTateCohomology:
         expect = el.tate_h_minus1(t).direct_sum(el.tate_h_minus1(s))
         assert el.tate_h_minus1(combined) == expect
         assert el.tate_h_minus1(combined).invariant_factors == (2, 2)
+
+    @pytest.mark.parametrize("x", tate_cases(range(3)))
+    def test_matches_the_literal_quotient(self, x):
+        assert el.tate_h_minus1(x) == tate_oracle.tate_h_minus1(x)
+
+    @pytest.mark.parametrize(
+        "name, table, abelianization",
+        [
+            (name, table, ab)
+            for (name, table), ab in zip(ALL_SMALL_GROUPS, [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (2,)])
+        ],
+        ids=[name for name, _ in ALL_SMALL_GROUPS],
+    )
+    def test_norm_one_module_gives_the_abelianization(self, name, table, abelianization):
+        # H^-1(G, I_G) = H^-2(G, Z) = H_1(G, Z), the abelianization of G
+        x = in_random_basis(permutation_modules(table)["norm-one"], random.Random(name))
+        assert el.tate_h_minus1(x).invariant_factors == abelianization
+
+    def test_c4_rotation(self):
+        # N = 0 and R - 1 has determinant 2
+        assert el.tate_h_minus1(c4_rotation()).invariant_factors == (2,)
 
     def test_action_validation(self):
         ident = ((1, 0), (0, 1))

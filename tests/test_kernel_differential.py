@@ -51,7 +51,7 @@ def points(sys):
 def test_compiled_kernel_matches_oracle(name):
     sys = builtin_system(name)
 
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=25, derandomize=True, deadline=None)
     @given(y=orthogonal_sets(sys), hs=st.lists(points(sys), min_size=1, max_size=3))
     def check(y, hs):
         for h in hs:

@@ -11,6 +11,7 @@ import pytest
 
 from galpairs import exact_linalg as el
 from galpairs import linalg
+from test_exact_linalg import tate_cases
 
 sympy = pytest.importorskip("sympy")
 from sympy.matrices.normalforms import invariant_factors  # noqa: E402
@@ -169,3 +170,21 @@ def test_direct_sum_invariant_factors(a, b):
         diagonal = sympy.diag(*fs)
         expected = [int(f) for f in invariant_factors(diagonal, domain=sympy.ZZ) if f != 1]
     assert list(g.invariant_factors) == expected
+
+
+@pytest.mark.parametrize("x", tate_cases(range(1)))
+def test_tate_h_minus1_is_the_torsion_of_the_coinvariants(x):
+    # sympy writes each action in the lattice basis and takes the invariant
+    # factors of L / I_G L; the torsion is those factors >= 2
+    basis = sympy.Matrix(x.lattice.basis).T
+    r = basis.cols
+    expected = []
+    if r:
+        blocks = []
+        for g in x.actions:
+            coords, params = basis.gauss_jordan_solve(sympy.Matrix(g) * basis)
+            assert not params and all(c.is_integer for c in coords)
+            blocks.append(coords - sympy.eye(r))
+        factors = invariant_factors(sympy.Matrix.hstack(*blocks), domain=sympy.ZZ)
+        expected = [int(f) for f in factors if f >= 2]
+    assert list(el.tate_h_minus1(x).invariant_factors) == expected
