@@ -286,10 +286,6 @@ def cmd_list_levis(args) -> tuple[int, str]:
 # -- argument parsing ---------------------------------------------------------------
 
 
-# the character-collapse check of rank m costs 3^m steps
-MAX_M = 16
-
-
 def _int_at_least(lowest: int, highest: Optional[int] = None):
     """argparse type: an integer no smaller than ``lowest`` (nor larger than ``highest``)."""
 
@@ -309,11 +305,12 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galpairs", description="Exact verification of multiplicity combinatorics"
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    nonnegative, positive = _int_at_least(0), _int_at_least(1)
+    positive = _int_at_least(1)
+    torus_rank = _int_at_least(0, 64)  # the lattice closure check costs about k^3
 
     p = sub.add_parser("verify-prasad", help="character-collapse and multiplicity checks")
     ranks = p.add_mutually_exclusive_group()
-    rank = _int_at_least(0, MAX_M)
+    rank = _int_at_least(0, pr.MAX_M)
     ranks.add_argument("--m", type=rank, default=None, help="single ambient rank to check")
     ranks.add_argument("--max-m", type=rank, default=6, help="check all ranks up to this")
     p.add_argument("--preset", action="append", help="preset spec GL:n / U:n / fixture path")
@@ -337,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, func in (("h1", cmd_h1), ("fibers", cmd_fibers)):
         p = sub.add_parser(name, help="torus cohomology" if name == "h1" else "inner-form fibers")
         p.add_argument("--fixture", help="lattice-with-action fixture path")
-        p.add_argument("--norm-one", type=nonnegative, default=None, help="product of k norm-one tori")
-        p.add_argument("--split", type=nonnegative, default=None, help="split torus of this rank")
+        p.add_argument("--norm-one", type=torus_rank, default=None, help="product of k norm-one tori")
+        p.add_argument("--split", type=torus_rank, default=None, help="split torus of this rank")
         if name == "fibers":
             p.add_argument("--h1g", type=int, required=True, help="order of the ambient H1")
         p.add_argument("--format", choices=("text", "json"), default="text")

@@ -7,12 +7,12 @@ tau-hat / delta, compiled per system to integer sign tests, the resulting
 partition of unity, exact convex-hull volumes (computed two independent ways),
 and lattice-point counting with exponential-polynomial extrapolation.  A
 positive set's hull is read off the fan as integer rows (``hull_rows``), and
-the count scans the lattice line by line against them, running the kernel
-only on points that make a row tight.
+the count scans the lattice line by line against them.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
-whatever the alternating sum says, which may differ from closed-hull
-membership on that measure-zero set.
+whatever the alternating sum says.  For a positive set that is 1 on the whole
+closed hull (proved in ``v_tilde_lattice``); for a non-positive set it may
+differ from closed-hull membership on a measure-zero set.
 """
 
 from __future__ import annotations
@@ -513,8 +513,34 @@ def v_tilde_lattice(
     vectors).  With ``exact`` the kernel is evaluated at every point of the
     vertices' bounding box.  Otherwise the box is scanned line by line along
     the last lattice coordinate: the hull rows read off the fan (``hull_rows``)
-    cut each line to an integer interval, whose strictly interior points count
-    at once, and the kernel runs only on the points that make a row tight.
+    cut each line to an integer interval, and all of it counts, since for a
+    positive Y the kernel Gamma^G(H) is 1 at every H meeting every row.
+
+    Proof, in the conventions of ``KernelTables``: Y_Q = ``projected(Q)``,
+    the roots of tau^G_Q are those of ``cone_simple_pairs(Q)`` (canonical
+    extensions through ``levi_projection(Q)``) and the sign is
+    (-1)^(dim R - dim Q).  Every step is a sign test, so it covers the
+    non-reduced BC systems, whose fan and chamber simple roots are those of
+    their indivisible roots.
+    (i) With delta_r(H) = [H in span r], delta_r tau^G_r is the indicator of
+    the relative interior of the cone r, so sum_r delta_r(H) tau^G_r(H) = 1.
+    (ii) For r <= Q, levi_projection(Q) maps Y_r to Y_Q, so
+    tau^G_Q(H - Y_Q) = tau^G_Q(H - Y_r).  Exchanging the sums of the
+    partition of unity sum_Q Gamma^Q(H) tau^G_Q(H - Y_Q) and applying
+    Langlands' combinatorial lemma, sum over R <= Q <= G of
+    (-1)^(dim R - dim Q) tau_hat^Q_R(X) tau^G_Q(X) = [R = G] at
+    X = H - Y_r, turns it into (i): it is 1 at every H.
+    (iii) Let H meet every row, Q != G and P = ``chamber_below(Q)``.  Each w
+    of ``dual_basis(Q, G)`` is in ``dual_basis(P, G)`` and vanishes on the
+    kernel of ``levi_projection(Q)``, so by its row
+    <w, H - Y_Q> = <w, H - Y_P> <= 0.  The inverse Cartan matrix of P's simple
+    roots is nonnegative (a finite reflection group's Cartan matrix is a
+    nonsingular M-matrix), so w is a nonzero nonnegative combination of the
+    roots of ``cone_simple_pairs(Q)``, which cannot all be positive at
+    H - Y_Q, where w is not: tau^G_Q(H - Y_Q) = 0.  Only Q = G is left in
+    (ii): Gamma^G(H) = 1.
+    That Gamma^G(H) is not 1 where a row fails is Arthur's hull statement
+    (*The trace formula in invariant form*, 1981), as in ``hull_rows``.
     """
     if k < 0:
         raise ValueError("dilation must be nonnegative")
@@ -564,28 +590,22 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
 
 def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) -> int:
     sys = shifted.system
-    g = sys.full_cone().index
     coords = linalg.coordinate_matrix(basis, list(shifted.points.values())) if basis else None
     if coords is None:
         raise ValueError("the counting basis must be independent and span every vertex")
     cols, den = coords
     box = [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
     if exact:
+        g = sys.full_cone().index
         return sum(
             gamma_family(sys, g, linalg.combination(m, basis, sys.ambient_dim), shifted) == 1
             for m in product(*box)
         )
     last = len(basis) - 1
     rows = [(a[:last], a[last], b) for a, b in hull_rows(shifted, basis)]
-    kernel = sys.kernel_tables
-    ints, e = _integer_basis(basis)
-    table: Optional[list] = None  # the kernel, compiled at the first point on a row
-    pairing: linalg.Mat = ()
     count = 0
     for prefix in product(*box[:last]):
         lo, hi = box[last].start, box[last].stop - 1
-        slacks = []  # (last coefficient t != 0, slack s at the prefix): row tight at t * x == s
-        flat = False
         for a, t, b in rows:
             s = b - linalg.dot(a, prefix)
             if t > 0:
@@ -593,27 +613,9 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
             elif t < 0:
                 lo = max(lo, -(s // -t))
             elif s < 0:
-                hi = lo - 1
                 break
-            else:
-                flat = flat or s == 0
-                continue
-            slacks.append((t, s))
-        if lo > hi:
-            continue
-        if flat:
-            on_rows = range(lo, hi + 1)
         else:
-            ends = (lo, hi) if lo < hi else (lo,)
-            on_rows = [x for x in ends if any(t * x == s for t, s in slacks)]
-            count += hi - lo + 1 - len(on_rows)
-        for x in on_rows:
-            if table is None:
-                _, table = kernel.compiled(g)
-                pairing = linalg.matmul(kernel.covectors, linalg.transpose(ints))
-            m = prefix + (x,)
-            dots = linalg.matvec(pairing, m)
-            count += _gamma(kernel, table, dots, e, shifted) == 1
+            count += max(0, hi - lo + 1)
     return count
 
 

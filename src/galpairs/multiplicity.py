@@ -11,9 +11,9 @@ computed blindly and compared to the omega indicator by the caller or tests).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
-from .presets import ThetaPreset, enumerate_elliptic_levis, _span_masks
+from .presets import ThetaPreset, enumerate_elliptic_levis
 
 
 def _popcount_parity(x: int) -> int:
@@ -153,23 +153,6 @@ def characters_equal_on_subgroup(m: int, chi1: int, chi2: int, generators: Seque
     return all(character_value(chi1 ^ chi2, g) == 1 for g in generators)
 
 
-def character_of_b_from_values(
-    preset: ThetaPreset, values: Sequence[int]
-) -> int:
-    """An ambient bitmask restricting to the character of B with the given
-    generator values (each +1 or -1); errors when no such character exists."""
-    gens = preset.b_generators
-    if len(values) != len(gens):
-        raise ValueError("one value per B generator is required")
-    if any(v not in (1, -1) for v in values):
-        raise ValueError("character values must be +1 or -1")
-    m = preset.m
-    for chi in range(1 << m):
-        if all(character_value(chi, g) == v for g, v in zip(gens, values)):
-            return chi
-    raise ValueError("the requested values do not define a character of B")
-
-
 def distinct_b_characters(preset: ThetaPreset) -> list[int]:
     """Ambient-mask representatives of the distinct characters of B."""
     gens = preset.b_generators
@@ -227,14 +210,3 @@ def gln_induction_identity() -> bool:
     rhs = VirtualCharacter.single(m, 1)
     pointwise = all(lhs.evaluate(e) == rhs.evaluate(e) for e in range(2))
     return lhs == rhs and pointwise
-
-
-def frobenius_pairing_check(m: int, subgroup_generators: Sequence[int]) -> bool:
-    """(chi, Ind 1) equals [chi trivial on the subgroup] for every chi."""
-    ind = induced_trivial(m, subgroup_generators)
-    sub = _span_masks(subgroup_generators)
-    for chi in range(1 << m):
-        expected = 1 if restricted_trivial_on(chi, sub) else 0
-        if ind.inner_with_character(chi) != expected:
-            return False
-    return True

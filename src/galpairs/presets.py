@@ -16,10 +16,19 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
 from typing import Optional, Sequence
 
 from .exact_linalg import _as_dict, _as_int, _as_ints
+
+
+# the largest rank m of (Z/2)^m: the character-collapse check costs 3^m steps
+# and a preset's elliptic Levis number 2^m
+MAX_M = 16
+
+
+def _check_rank(m: int) -> None:
+    if m > MAX_M:
+        raise ValueError(f"at most {MAX_M} fixed simple roots, got {m}")
 
 
 def _span_masks(generators: Sequence[int]) -> set[int]:
@@ -42,6 +51,7 @@ class ThetaPreset:
     metadata: dict = field(default_factory=dict, compare=False, hash=False)
 
     def __post_init__(self):
+        _check_rank(len(self.delta_minus))
         n = self.num_simple
         if len(self.iota) != n or sorted(self.iota) != list(range(n)):
             raise ValueError("iota is not a permutation")
@@ -114,25 +124,6 @@ def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
     return out
 
 
-def a_subgroup(m: int, subset_mask: int) -> set[int]:
-    """The subgroup supported on the complement of I inside (Z/2)^m."""
-    comp = ((1 << m) - 1) & ~subset_mask
-    gens = [1 << i for i in range(m) if comp >> i & 1]
-    return _span_masks(gens)
-
-
-def a_subgroup_lattice_check(m: int) -> bool:
-    """A_I + A_J = A_(I intersect J) for all pairs of subsets, by brute force."""
-    for i_mask in range(1 << m):
-        for j_mask in range(1 << m):
-            a_i = a_subgroup(m, i_mask)
-            a_j = a_subgroup(m, j_mask)
-            total = {x ^ y for x in a_i for y in a_j}
-            if total != a_subgroup(m, i_mask & j_mask):
-                return False
-    return True
-
-
 def builtin_preset(family: str, n: int) -> ThetaPreset:
     """Presets "GL:n" (general linear over a quadratic extension) and "U:n"."""
     if n < 1:
@@ -154,6 +145,7 @@ def builtin_preset(family: str, n: int) -> ThetaPreset:
             metadata={"family": "GL", "n": n},
         )
     if family == "U":
+        _check_rank(num)  # every simple root is fixed: reject before building n-tuples
         iota = tuple(range(num))
         fixed = tuple(range(num))
         return ThetaPreset(

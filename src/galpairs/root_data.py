@@ -219,10 +219,6 @@ class RestrictedRootSystem:
     def cone_by_signs(self, signs: tuple[int, ...]) -> Cone:
         return self.cones[self._sign_index[signs]]
 
-    def facet_of(self, point: Sequence) -> Cone:
-        """The unique cone whose relative interior contains the point."""
-        return self.cone_by_signs(linalg.sign_vector(self.hyperplanes, _parse_vec(point)))
-
     def parabolic_leq(self, p: int, q: int) -> bool:
         """True when the cone q is a face of the closure of the cone p.
 

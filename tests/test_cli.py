@@ -8,7 +8,8 @@ import pytest
 
 from galpairs import families as fam
 from galpairs import multiplicity as mu
-from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_M, build_parser, frac_str, run
+from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, build_parser, frac_str, run
+from galpairs.presets import MAX_M
 
 # valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
 A1_SYSTEM = {
@@ -194,6 +195,34 @@ class TestVerifyPrasad:
         args = build_parser().parse_args(["verify-prasad", "--max-m", str(MAX_M)])
         assert args.max_m == MAX_M == 16
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-prasad", "--m", "0", "--preset", "U:18"],
+            ["list-levis", "--preset", "U:40"],
+        ],
+    )
+    def test_preset_rank_above_the_work_limit_is_refused_before_any_work(self, argv, monkeypatch):
+        def refuse(preset):
+            raise AssertionError(f"enumerated {preset.name}")
+
+        monkeypatch.setattr("galpairs.presets.enumerate_elliptic_levis", refuse)
+        monkeypatch.setattr("galpairs.multiplicity.enumerate_elliptic_levis", refuse)
+        start = time.perf_counter()
+        code, text = run(argv)
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert f"at most {MAX_M} fixed simple roots" in text
+
+    def test_fixture_preset_rank_above_the_work_limit_is_refused(self, tmp_path):
+        m = MAX_M + 1
+        fixture = {"name": "u", "num_simple": m, "iota": list(range(m)), "delta_minus": list(range(m))}
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(fixture))
+        code, text = run(LEVIS + [str(path)])
+        assert code == EXIT_USAGE
+        assert f"at most {MAX_M} fixed simple roots, got {m}" in text
+
     def test_multiplicity_indicator_mismatch_fails(self, monkeypatch):
         monkeypatch.setattr(
             "galpairs.multiplicity.steinberg_multiplicity",
@@ -291,6 +320,13 @@ class TestOrtho:
         assert code == EXIT_VIOLATION
         assert "FAIL support-bound [positive]: 18 supported points, c_emp=75/82, c_bound=0" in text
 
+    def test_ehrhart_a3_default_sweep(self):
+        # a count costs one step per scan line, so this A3 run takes seconds
+        argv = ["ortho", "ehrhart", "--system", "A3", "--special", "1,1,1", "--kmax", "3"]
+        code, text = run(argv + ["--max-period", "1"])
+        assert code == EXIT_PASS, text
+        assert "pass refinement-constants" in text
+
     def test_ehrhart_rejects_fractional_sweep(self):
         code, text = run(
             ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1/2"]
@@ -335,6 +371,17 @@ class TestToriAndLevis:
         code, text = run(argv)
         assert code == EXIT_VIOLATION
         assert text.startswith("# ") and "FAIL " in text
+
+    @pytest.mark.parametrize("flag", ["--norm-one", "--split"])
+    @pytest.mark.parametrize("command", [["h1"], ["fibers", "--h1g", "1"]])
+    def test_torus_rank_above_the_work_limit_is_refused(self, command, flag, capsys):
+        start = time.perf_counter()
+        assert run(command + [flag, str(10**9)]) == (EXIT_USAGE, "")
+        assert time.perf_counter() - start < 1
+        assert "must be at most 64" in capsys.readouterr().err
+
+    def test_torus_rank_limit_admits_its_own_value(self):
+        assert build_parser().parse_args(["h1", "--norm-one", "64"]).norm_one == 64
 
     def test_list_levis(self):
         code, text = run(["list-levis", "--preset", "U:4"])

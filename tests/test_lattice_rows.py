@@ -2,8 +2,9 @@
 
 ``hull_rows`` reads the hull of a positive orthogonal set off the fan;
 ``Hull`` finds it by brute force over vertex subsets.  ``v_tilde_lattice``
-scans the box line by line and runs the kernel only where a row is tight;
-with ``exact=True`` it runs the kernel on every point of the box.
+scans the box line by line and counts each line's interval inside the rows,
+since the kernel is 1 on the closed hull; with ``exact=True`` it runs the
+kernel on every point of the box.
 """
 
 import math
@@ -72,37 +73,63 @@ def test_fan_rows_match_brute_force_hull(name):
             assert fam._facet_side(rows, m) == _side(hull, m), (y.points, m)
 
 
-def _split_count(monkeypatch, y, basis):
-    """(count, kernel calls) of the row-by-row count with a kernel that reads 0."""
-    calls = []
-    monkeypatch.setattr(fam, "_gamma", lambda *args: calls.append(args) or 0)
-    count = v_tilde_lattice(y, basis, 0, (0,) * y.system.ambient_dim)
-    monkeypatch.undo()
-    return count, len(calls)
+def _closed_hull_points(hull):
+    """Lattice points of a closed brute-force hull."""
+    return sum(_side(hull, m) >= 0 for m in _box(hull, 0))
 
 
-def _sides(y, basis):
-    hull = _lattice_hull(y, basis)
-    sides = [_side(hull, m) for m in _box(hull, 1)]
-    return sides.count(1), sides.count(0)
+def _kernel(y, basis, m):
+    sys = y.system
+    h = linalg.combination(m, basis, sys.ambient_dim)
+    return fam.gamma_family(sys, sys.full_cone().index, h, y)
+
+
+def _integral_sweep(sys, targets):
+    """``_sweep`` scaled to integer vertices, which lie on every refined lattice."""
+    simple = [sys.roots[i] for i in sys.simple_indices]
+    return OrthogonalSet.special(sys, linalg.clear_denominators(linalg.solve(simple, targets))[0])
+
+
+def _boundary_cases(sys, seed):
+    """Integral sweeps, regular and singular, a random positive set, a translated
+    sweep and a point hull, on lattices refined by k = 1, 2, 3."""
+    rng = random.Random(seed)
+    r = sys.ambient_dim
+    ones = _integral_sweep(sys, (1,) * r)
+    singular = _integral_sweep(sys, (1,) + (0,) * (r - 1))
+    point = OrthogonalSet.zero(sys).translate(sampling.sample_rational_point(rng, r, 4, 2))
+    refined = (1, 2, 3) if r < 3 else (1, 2)  # the kernel takes about 0.5 ms per A3 point
+    cases = [(y, k) for y in (ones, singular) for k in refined] + [(point, 3), (singular, 3)]
+    cases.append((sampling.random_positive_set(rng, sys), 2 if r < 3 else 1))
+    cases.append((ones.translate(sampling.sample_rational_point(rng, r, 6, 3)), 1))
+    return [(y, _basis(sys, k)) for y, k in cases]
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_kernel_runs_exactly_on_boundary_points(name, monkeypatch):
-    """Strictly interior points count without the kernel; every boundary
-    point, and nothing else, reaches it."""
+def test_kernel_runs_exactly_on_boundary_points(name):
+    """The real kernel, run on every lattice point where a hull row is tight,
+    reads 1 there and 0 one step past either end of each scan line; the count
+    equals the closed hull's lattice points."""
     sys = builtin_system(name)
-    rng = random.Random(67)
-    cases = [(_sweep(sys, (1,) * sys.ambient_dim), _basis(sys, k)) for k in (1, 2, 3)]
-    cases.append((sampling.random_positive_set(rng, sys), _basis(sys, 2)))
-    cases.append((OrthogonalSet.zero(sys).translate(sys.lattice.basis[0]), _basis(sys)))
-    for y, basis in cases:
-        assert _split_count(monkeypatch, y, basis) == _sides(y, basis), y.points
+    for y, basis in _boundary_cases(sys, 67):
+        rows, hull = hull_rows(y, basis), _lattice_hull(y, basis)
+        lines: dict[tuple, list[int]] = {}
+        for m in _box(hull, 1):
+            side = fam._facet_side(rows, m)
+            if side == 0:
+                assert _kernel(y, basis, m) == 1, (y.points, m)
+            if side >= 0:
+                lines.setdefault(m[:-1], []).append(m[-1])
+        for prefix, xs in lines.items():
+            for x in (min(xs) - 1, max(xs) + 1):
+                assert _kernel(y, basis, prefix + (x,)) == 0, (y.points, prefix, x)
+        zero = (0,) * sys.ambient_dim
+        assert v_tilde_lattice(y, basis, 0, zero) == _closed_hull_points(hull), y.points
 
 
-def test_lines_in_a_facet_plane(monkeypatch):
+def test_lines_in_a_facet_plane():
     """On A2 the last lattice direction lies in two facet planes, so whole
-    lines of the scan sit on the boundary."""
+    lines of the scan sit on the boundary; the kernel is 1 along them."""
     sys = builtin_system("A2")
     y, basis = _sweep(sys, (2, 2)), _basis(sys)
     rows = hull_rows(y, basis)
@@ -115,7 +142,25 @@ def test_lines_in_a_facet_plane(monkeypatch):
     ]
     # a line of the scan meets a flat row's plane in three points or more
     assert max(Counter(m[:-1] for m in on_flat).values()) >= 3
-    assert _split_count(monkeypatch, y, basis) == _sides(y, basis)
+    assert all(_kernel(y, basis, m) == 1 for m in on_flat)
+    assert v_tilde_lattice(y, basis, 0, (0, 0)) == _closed_hull_points(hull)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_count_runs_no_kernel(name, monkeypatch):
+    """The row-by-row count never reaches the kernel, and still equals the
+    kernel run on every box point."""
+    sys = builtin_system(name)
+    r = sys.ambient_dim
+    y, basis, zero = _sweep(sys, (1,) * r), _basis(sys, 2 if r < 3 else 1), (0,) * r
+    exact = v_tilde_lattice(y, basis, 0, zero, exact=True)
+
+    def refuse(*args):
+        raise AssertionError("the row-by-row count ran the kernel")
+
+    monkeypatch.setattr(fam, "_gamma", refuse)
+    monkeypatch.setattr(fam.KernelTables, "compiled", refuse)
+    assert v_tilde_lattice(y, basis, 0, zero) == exact
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)

@@ -1,14 +1,15 @@
 """Tests for diagram presets and elliptic twisted-Levi enumeration."""
 
 import json
+import tracemalloc
 
 import pytest
 
 from galpairs.presets import (
+    MAX_M,
     EllipticLeviDatum,
     ThetaPreset,
-    a_subgroup,
-    a_subgroup_lattice_check,
+    _span_masks,
     builtin_preset,
     enumerate_elliptic_levis,
     inner_form_fiber_count,
@@ -85,13 +86,38 @@ class TestEllipticLevis:
             assert d.ker1_size == 2 ** len(d.subset)
 
 
+def a_subgroup(m, subset_mask):
+    """The subgroup A_I of (Z/2)^m supported on the complement of I."""
+    comp = ((1 << m) - 1) & ~subset_mask
+    return _span_masks([1 << i for i in range(m) if comp >> i & 1])
+
+
 class TestASubgroups:
     def test_a_subgroup_is_complement(self):
         assert a_subgroup(3, 0b001) == {0b000, 0b010, 0b100, 0b110}
 
     def test_lattice_property(self):
+        """A_I + A_J = A_(I intersect J) for all pairs of subsets, by brute force."""
         for m in range(0, 5):
-            assert a_subgroup_lattice_check(m)
+            for i_mask in range(1 << m):
+                for j_mask in range(1 << m):
+                    total = {x ^ y for x in a_subgroup(m, i_mask) for y in a_subgroup(m, j_mask)}
+                    assert total == a_subgroup(m, i_mask & j_mask), (m, i_mask, j_mask)
+
+
+class TestRankLimit:
+    def test_limit_admits_its_own_value(self):
+        assert builtin_preset("U", MAX_M + 1).m == MAX_M == 16
+
+    def test_unitary_rank_above_the_limit_is_refused_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"at most {MAX_M} fixed simple roots"):
+                builtin_preset("U", 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5  # no n-tuple was built
 
 
 class TestFixtures:

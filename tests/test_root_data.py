@@ -95,7 +95,7 @@ def test_facet_of_partition(name):
         for j in range(-2, 3):
             pts.append((Fraction(i), Fraction(j, 2))[: sys.ambient_dim])
     for p in pts:
-        c = sys.facet_of(p)
+        c = sys.cone_by_signs(linalg.sign_vector(sys.hyperplanes, p))
         for i, h in enumerate(sys.hyperplanes):
             v = linalg.dot(h, p)
             s = 0 if v == 0 else (1 if v > 0 else -1)
