@@ -325,9 +325,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fixture", help="orthogonal set fixture path")
     p.add_argument("--special", help="comma-separated base point for a swept set")
     p.add_argument("--x0", help="comma-separated integer sweep point (ehrhart)")
-    # c is fitted on k <= 2, so the bound is only tested from k = 3 on
-    p.add_argument("--kmax", type=_int_at_least(3), default=4)
-    p.add_argument("--max-period", type=positive, default=2)
+    # c is fitted on k <= 2, so the bound is only tested from k = 3 on; a run makes
+    # kmax * (max_period * (rank + 2) + 2) counts, each costing one step per scan line
+    p.add_argument("--kmax", type=_int_at_least(3, 6), default=4)
+    p.add_argument("--max-period", type=_int_at_least(1, 4), default=2)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ortho)
 

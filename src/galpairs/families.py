@@ -21,7 +21,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import combinations, count, islice, product
 from typing import Optional, Sequence
 
 from . import linalg
@@ -51,6 +51,7 @@ class OrthogonalSet:
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
         self._projections: dict[int, Vec] = {}
         self._thresholds: dict[int, tuple[list[int], int]] = {}
+        self._sweeps: dict[Vec, tuple] = {}  # x0 -> (special(x0), wall pairs), see v_tilde_lattice
         self._validate()
 
     def _validate(self) -> None:
@@ -85,6 +86,17 @@ class OrthogonalSet:
         if row is None or len(row[0]) != len(kernel.covectors):
             row = self._thresholds[cone] = kernel.point(self.projected(cone))
         return row
+
+    @functools.cached_property
+    def _integral(self) -> tuple[list[tuple[int, ...]], int]:
+        """(N, e), e > 0, with Y_P = N[i] / e for the i-th chamber P of the system."""
+        return _integer_basis([self.points[c] for c in self.system.chambers])
+
+    @functools.cached_property
+    def _facet_values(self) -> list[list[int]]:
+        """<c, N[i]> for each hull covector c and chamber position i of ``facet_rows``."""
+        kt, (n, _) = self.system.kernel_tables, self._integral
+        return [[linalg.dot(kt.covectors[c], n[i]) for i in pos] for c, pos in kt.facet_rows]
 
     # -- constructors and arithmetic -----------------------------------------
 
@@ -164,15 +176,42 @@ class KernelTables:
         return self._compiled[q]
 
     @functools.cached_property
-    def facet_ids(self) -> list[tuple[int, list[int]]]:
-        """(chamber P, ids of dual_basis(P, G)) for every chamber.
+    def facet_rows(self) -> list[tuple[int, list[int]]]:
+        """(id of c, positions i in ``system.chambers`` of the P_i with c in
+        dual_basis(P_i, G)) for every such covector c.
 
-        For a positive set Y the hull of Y is {H : <c, H> <= <c, Y_P>} over
+        For a positive set Y the hull of Y is {H : <c, H> <= <c, Y_P_i>} over
         these (Arthur, *The trace formula in invariant form*, 1981).
         """
         sys = self.system
         g = sys.full_cone().index
-        return [(p, [self._id(w) for w in sys.dual_basis(p, g)]) for p in sys.chambers]
+        rows: dict[int, list[int]] = {}
+        for i, p in enumerate(sys.chambers):
+            for w in sys.dual_basis(p, g):
+                rows.setdefault(self._id(w), []).append(i)
+        return list(rows.items())
+
+    @functools.cached_property
+    def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
+        covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P."""
+        sys, r = self.system, self.system.ambient_dim
+        if linalg.rank(sys.roots) != r:
+            raise ValueError("analytic volume requires roots of full rank")
+        # every chamber's coroots are w(simple coroots) with det w = +-1, so all
+        # chambers share the base chamber's coroot covolume
+        base = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
+        meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, v) for v in base]))
+        coroots = [[av for _, av in sys.chamber_simple_pairs(c)] for c in sys.chambers]
+        # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
+        # degree < r, so each coroot rules out fewer than r values of j
+        mus = (tuple(j**i for i in range(r)) for j in count(1))
+        generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
+        out = []
+        for mu in islice(generic, 3):
+            dens = [math.factorial(r) * math.prod(linalg.dot(mu, v) for v in cs) for cs in coroots]
+            out.append((mu, *linalg.clear_denominators([meas / d for d in dens])))
+        return out
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
         """(<c, H> for every covector c so far, D) where h = H / D, H integral, D > 0."""
@@ -388,50 +427,24 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
     return Hull(lattice_coords(sys, list(y.points.values()))).volume()
 
 
-def _generic_directions(sys: RestrictedRootSystem, count: int) -> list[Vec]:
-    """Deterministic covector sequence (1, j, j^2, ...), j = 1, 2, ...,
-    skipping directions vanishing on some chamber coroot."""
-    out: list[Vec] = []
-    j = 1
-    coroots = [av for c in sys.chambers for (_, av) in sys.chamber_simple_pairs(c)]
-    while len(out) < count:
-        mu = linalg.vec([j**i for i in range(sys.ambient_dim)])
-        if all(linalg.dot(mu, av) != 0 for av in coroots):
-            out.append(mu)
-        j += 1
-        if j > 1000:
-            raise ValueError("could not find generic directions")
-    return out
-
-
 def volume_analytic(y: OrthogonalSet) -> Fraction:
-    """Volume as the leading coefficient of the chamber exponential sum.
+    """Volume as the leading coefficient of the chamber exponential sum
+    (Lawrence, *Math. Comp.* 1991).
 
     For each generic covector mu the value is
     sum_P covol(Z[coroots_P]) * <mu, Y_P>^r / (r! * prod <mu, coroot>), which
     is independent of mu; three directions are evaluated and must agree
-    exactly.
+    exactly.  All but <mu, Y_P> is fixed per system: those chamber weights
+    are computed once, as integers over one denominator
+    (``KernelTables.volume_weights``).  With Y = N / e cleared once, each
+    direction is one integer sum and one Fraction.
     """
-    sys = y.system
+    sys, (n, e) = y.system, y._integral
     r = sys.ambient_dim
-    if linalg.rank(sys.roots) != r:
-        raise ValueError("analytic volume requires roots of full rank")
-    # every chamber's coroots are w(simple coroots) with det w = +-1, so all
-    # chambers share the base chamber's coroot covolume
-    coroots = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
-    meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, av) for av in coroots]))
-    values = []
-    rfact = math.factorial(r)
-    for mu in _generic_directions(sys, 3):
-        total = Fraction(0)
-        for c in sys.chambers:
-            num = linalg.dot(mu, y.points[c]) ** r
-            den = Fraction(rfact)
-            # nonzero: _generic_directions skips every mu vanishing on a chamber coroot
-            for _, av in sys.chamber_simple_pairs(c):
-                den *= linalg.dot(mu, av)
-            total += meas * num / den
-        values.append(total)
+    values = [
+        Fraction(sum(w * linalg.dot(mu, p) ** r for w, p in zip(ws, n)), d * e**r)
+        for mu, ws, d in sys.kernel_tables.volume_weights
+    ]
     if any(v != values[0] for v in values[1:]):
         raise ArithmeticError(f"analytic volume differs across directions: {values}")
     return values[0]
@@ -516,6 +529,13 @@ def v_tilde_lattice(
     cut each line to an integer interval, and all of it counts, since for a
     positive Y the kernel Gamma^G(H) is 1 at every H meeting every row.
 
+    Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
+    per Y and parsed x0, and kept on Y.  The wall relation is linear, so
+    Y + k*Y[x0] is orthogonal with wall coefficients r_Y + k*r_X and needs no
+    check.  Its vertices and hull thresholds are affine in k: integers read
+    off rows cached once per set (Y = N / e_Y, Y[x0] = M / e_X).  With
+    ``exact`` Y + Y[k*x0] is built and validated literally.
+
     Proof, in the conventions of ``KernelTables``: Y_Q = ``projected(Q)``,
     the roots of tau^G_Q are those of ``cone_simple_pairs(Q)`` (canonical
     extensions through ``levi_projection(Q)``) and the sign is
@@ -545,64 +565,30 @@ def v_tilde_lattice(
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     sys = y.system
-    xk = linalg.vscale(k, _parse_vec(x0, sys.ambient_dim))
-    shifted = OrthogonalSet(
-        sys,
-        {c: linalg.vadd(p, linalg.matvec(sys.chamber_weyl(c), xk)) for c, p in y.points.items()},
-    )
-    if not shifted.is_positive:
+    xv = _parse_vec(x0, sys.ambient_dim)
+    if exact:
+        shifted = y.add(OrthogonalSet.special(sys, linalg.vscale(k, xv)))
+        if not shifted.is_positive:
+            raise ValueError("lattice counting requires a positive orthogonal set")
+        basis, g = [_parse_vec(b) for b in lattice_basis], sys.full_cone().index
+        box = product(*_box(basis, *shifted._integral))
+        points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
+        return sum(gamma_family(sys, g, h, shifted) == 1 for h in points)
+    if xv not in y._sweeps:
+        sweep = OrthogonalSet.special(sys, xv)
+        pairs = [(r, sweep.wall_coefficients[w]) for w, r in y.wall_coefficients.items()]
+        y._sweeps[xv] = sweep, [(r, rx) for r, rx in pairs if min(r, rx) < 0]
+    sweep, signed = y._sweeps[xv]  # signed: the walls where r_Y + k*r_X >= 0 can fail
+    if any(r + k * rx < 0 for r, rx in signed):
         raise ValueError("lattice counting requires a positive orthogonal set")
     basis = [_parse_vec(b) for b in lattice_basis]
-    return _count_kernel_points(shifted, basis, exact=exact)
-
-
-def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """(B, e) with basis[i] = B[i] / e, B integral and e > 0."""
-    n = len(basis[0])
-    flat, e = linalg.clear_denominators([x for b in basis for x in b])
-    return [flat[i * n : (i + 1) * n] for i in range(len(basis))], e
-
-
-def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
-    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
-
-    Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
-    chamber P and every covector c of ``KernelTables.facet_ids``, keeping the
-    least bound of each covector.
-    """
-    if not y.is_positive:
-        raise ValueError("hull rows from the fan require a positive orthogonal set")
-    kernel = y.system.kernel_tables
-    ints, e = _integer_basis(basis)
-    bound: dict[int, Fraction] = {}
-    for p, ids in kernel.facet_ids:
-        nums, den = y.thresholds(p, kernel)
-        for c in ids:
-            t = Fraction(nums[c], den)
-            if c not in bound or t < bound[c]:
-                bound[c] = t
-    pairing = linalg.matmul([kernel.covectors[c] for c in bound], linalg.transpose(ints))
-    return [
-        (tuple(x * t.denominator for x in row), t.numerator * e)
-        for row, t in zip(pairing, bound.values())
-    ]
-
-
-def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) -> int:
-    sys = shifted.system
-    coords = linalg.coordinate_matrix(basis, list(shifted.points.values())) if basis else None
-    if coords is None:
-        raise ValueError("the counting basis must be independent and span every vertex")
-    cols, den = coords
-    box = [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
-    if exact:
-        g = sys.full_cone().index
-        return sum(
-            gamma_family(sys, g, linalg.combination(m, basis, sys.ambient_dim), shifted) == 1
-            for m in product(*box)
-        )
-    last = len(basis) - 1
-    rows = [(a[:last], a[last], b) for a, b in hull_rows(shifted, basis)]
+    (ny, ey), (nx, ex) = y._integral, sweep._integral
+    vertices = [[a * ex + k * b * ey for a, b in zip(p, q)] for p, q in zip(ny, nx)]
+    values = zip(y._facet_values, sweep._facet_values)
+    bounds = [min(a * ex + k * b * ey for a, b in zip(u, v)) for u, v in values]
+    box = _box(basis, vertices, ey * ex)
+    last = len(box) - 1
+    rows = [(a[:last], a[last], b) for a, b in _rows(sys, bounds, ey * ex, basis)]
     count = 0
     for prefix in product(*box[:last]):
         lo, hi = box[last].start, box[last].stop - 1
@@ -617,6 +603,41 @@ def _count_kernel_points(shifted: OrthogonalSet, basis: list[Vec], exact: bool) 
         else:
             count += max(0, hi - lo + 1)
     return count
+
+
+def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """(B, e) with basis[i] = B[i] / e, B integral and e > 0."""
+    n = len(basis[0])
+    flat, e = linalg.clear_denominators([x for b in basis for x in b])
+    return [flat[i * n : (i + 1) * n] for i in range(len(basis))], e
+
+
+def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
+    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
+
+    Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
+    chamber P and every covector c of ``KernelTables.facet_rows``, keeping the
+    least bound of each covector.
+    """
+    if not y.is_positive:
+        raise ValueError("hull rows from the fan require a positive orthogonal set")
+    return _rows(y.system, [min(v) for v in y._facet_values], y._integral[1], basis)
+
+
+def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequence[Vec]):
+    """The rows of <c, H> <= bounds[i] / den over the covectors c of ``facet_rows``."""
+    kt, (ints, e) = sys.kernel_tables, _integer_basis(basis)
+    pairing = linalg.matmul([kt.covectors[c] for c, _ in kt.facet_rows], linalg.transpose(ints))
+    return [(tuple(x * den for x in row), b * e) for row, b in zip(pairing, bounds)]
+
+
+def _box(basis: list[Vec], points: Sequence[Sequence], scale: int) -> list[range]:
+    """The integer box of lattice coordinates around the points / scale."""
+    coords = linalg.coordinate_matrix(basis, points) if basis else None
+    if coords is None:
+        raise ValueError("the counting basis must be independent and span every vertex")
+    cols, den = coords[0], coords[1] * scale
+    return [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
 
 
 @dataclass

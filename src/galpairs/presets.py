@@ -24,6 +24,8 @@ from .exact_linalg import _as_dict, _as_int, _as_ints
 # the largest rank m of (Z/2)^m: the character-collapse check costs 3^m steps
 # and a preset's elliptic Levis number 2^m
 MAX_M = 16
+# the largest n of "GL:n": it builds n-tuples, though its m is at most 1
+MAX_GL_N = 1000
 
 
 def _check_rank(m: int) -> None:
@@ -130,6 +132,8 @@ def builtin_preset(family: str, n: int) -> ThetaPreset:
         raise ValueError("n must be positive")
     num = n - 1
     if family == "GL":
+        if n > MAX_GL_N:  # reject before building n-tuples
+            raise ValueError(f"GL:n needs n at most {MAX_GL_N}, got {n}")
         iota = tuple(num - 1 - i for i in range(num))
         fixed = tuple(i for i in range(num) if iota[i] == i)
         s = tuple(i for i in range(num) if i < iota[i])

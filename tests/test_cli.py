@@ -9,7 +9,7 @@ import pytest
 from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, build_parser, frac_str, run
-from galpairs.presets import MAX_M
+from galpairs.presets import MAX_GL_N, MAX_M
 
 # valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
 A1_SYSTEM = {
@@ -214,6 +214,13 @@ class TestVerifyPrasad:
         assert code == EXIT_USAGE
         assert f"at most {MAX_M} fixed simple roots" in text
 
+    def test_gl_size_above_the_limit_is_refused_before_any_work(self):
+        start = time.perf_counter()
+        code, text = run(["verify-prasad", "--preset", "GL:1000000000"])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert f"n at most {MAX_GL_N}, got 1000000000" in text
+
     def test_fixture_preset_rank_above_the_work_limit_is_refused(self, tmp_path):
         m = MAX_M + 1
         fixture = {"name": "u", "num_simple": m, "iota": list(range(m)), "delta_minus": list(range(m))}
@@ -382,6 +389,24 @@ class TestToriAndLevis:
 
     def test_torus_rank_limit_admits_its_own_value(self):
         assert build_parser().parse_args(["h1", "--norm-one", "64"]).norm_one == 64
+
+    @pytest.mark.parametrize("flag, limit", [("--kmax", 6), ("--max-period", 4)])
+    def test_ehrhart_counts_above_the_work_limit_are_refused(self, flag, limit, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("counted lattice points")
+
+        monkeypatch.setattr("galpairs.families.refinement_constant_term", refuse)
+        for value in (limit + 1, 10**9):
+            start = time.perf_counter()
+            argv = ["ortho", "ehrhart", "--system", "A3", "--special", "1,1,1", flag, str(value)]
+            assert run(argv) == (EXIT_USAGE, "")
+            assert time.perf_counter() - start < 1
+            assert f"must be at most {limit}, got {value}" in capsys.readouterr().err
+
+    def test_ehrhart_limits_admit_their_own_values(self):
+        argv = ["ortho", "ehrhart", "--system", "A1", "--kmax", "6", "--max-period", "4"]
+        args = build_parser().parse_args(argv)
+        assert (args.kmax, args.max_period) == (6, 4)
 
     def test_list_levis(self):
         code, text = run(["list-levis", "--preset", "U:4"])

@@ -1,11 +1,13 @@
 """Tests for diagram presets and elliptic twisted-Levi enumeration."""
 
 import json
+import time
 import tracemalloc
 
 import pytest
 
 from galpairs.presets import (
+    MAX_GL_N,
     MAX_M,
     EllipticLeviDatum,
     ThetaPreset,
@@ -118,6 +120,23 @@ class TestRankLimit:
         finally:
             tracemalloc.stop()
         assert peak < 10**5  # no n-tuple was built
+
+    def test_gl_limit_admits_its_own_value(self):
+        assert builtin_preset("GL", MAX_GL_N).m == 1
+
+    def test_gl_size_above_the_limit_is_refused_before_building(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"n at most {MAX_GL_N}, got {10**6}"):
+                builtin_preset("GL", 10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**5  # no n-tuple was built
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"n at most {MAX_GL_N}"):
+            resolve_preset("GL:1000000")
+        assert time.perf_counter() - start < 1
 
 
 class TestFixtures:
