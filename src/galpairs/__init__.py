@@ -13,7 +13,6 @@ from .exact_linalg import (
     FiniteAbelianGroup,
     IntLattice,
     LatticeWithAction,
-    quotient_group,
     smith_normal_form,
     tate_h_minus1,
 )
@@ -29,7 +28,6 @@ from .multiplicity import (
     VirtualCharacter,
     composition_identity,
     gln_induction_identity,
-    prasad_omega,
     steinberg_indicator,
     steinberg_multiplicity,
     verify_prasad_identity,
@@ -60,8 +58,6 @@ __all__ = [
     "gln_induction_identity",
     "inner_form_fiber_count",
     "partition_of_unity_value",
-    "prasad_omega",
-    "quotient_group",
     "smith_normal_form",
     "steinberg_indicator",
     "steinberg_multiplicity",

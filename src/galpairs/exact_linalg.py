@@ -243,16 +243,6 @@ class IntLattice:
         return IntLattice(n, linalg.identity(n))
 
 
-def quotient_group(sup: IntLattice, sub: IntLattice) -> FiniteAbelianGroup:
-    """Invariant factors of sup/sub; errors if sub is not finite-index in sup."""
-    if sup.ambient_dim != sub.ambient_dim:
-        raise ValueError("lattices live in different ambient spaces")
-    if sub.rank != sup.rank:
-        raise ValueError("quotient is infinite: ranks differ")
-    m = _integer_coordinate_matrix(sup.basis, sub.basis, "sub is not a sublattice of sup")
-    return cokernel_structure(m, sup.rank)
-
-
 def _check_actions(actions: Sequence, n: int) -> None:
     """ValueError unless there are actions and each is an n x n matrix.
 

@@ -4,10 +4,12 @@ An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.
 This module implements the alternating-sum kernels of the indicators tau /
 tau-hat / delta, compiled per system to integer sign tests, the resulting
-partition of unity, exact convex-hull volumes (computed two independent ways),
-and lattice-point counting with exponential-polynomial extrapolation.  A
-positive set's hull is read off the fan as integer rows (``hull_rows``), and
-the count scans the lattice line by line against them.
+partition of unity, exact hull volumes and lattice-point counting with
+exponential-polynomial extrapolation.  A positive set's hull is read off the
+fan as integer rows (``hull_rows``): the polytope volume triangulates over
+them, and the count scans the lattice line by line against them.  The
+analytic volume reads chamber data as well, so the independent check of
+both is the brute-force ``Hull``, in the tests.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
@@ -297,6 +299,9 @@ class Hull:
     points lie on opposite sides.  ``classify`` returns +1 (interior),
     0 (boundary) or -1 (outside); a hull of less than full dimension has no
     interior, so its points read 0.
+
+    The subset search is the brute-force reference for ``hull_rows``; no
+    volume or count of this module uses it.
     """
 
     def __init__(self, points: Sequence[Sequence]):
@@ -344,42 +349,6 @@ class Hull:
         p = _parse_vec(point, self.dim)
         return _facet_side(self.facets, tuple(x * self.scale for x in p))
 
-    def volume(self) -> Fraction:
-        """Euclidean volume in the coordinates the points were given in.
-
-        Sums |det| / d! over a pulling triangulation: each face is coned from
-        its least point (a vertex, being lexicographically least) over its
-        facets that miss that point, down to single points.  The facets of a
-        face are the inclusion-maximal proper cuts of it by the facet point
-        sets of the hull.
-        """
-        if self.affine_dim < self.dim:
-            return Fraction(0)
-        pts = self.vertices
-        cuts = [
-            frozenset(i for i, p in enumerate(pts) if linalg.dot(nrm, p) == rhs)
-            for nrm, rhs in self.facets
-        ]
-
-        def simplices(face: frozenset) -> list[tuple[int, ...]]:
-            apex = min(face)
-            if len(face) == 1:
-                return [(apex,)]
-            sub = {face & c for c in cuts} - {face, frozenset()}
-            return [
-                (apex,) + rest
-                for f in sub
-                if apex not in f and not any(f < g for g in sub)
-                for rest in simplices(f)
-            ]
-
-        total = Fraction(0)
-        for simplex in simplices(frozenset(range(len(pts)))):
-            base = pts[simplex[0]]
-            edges = [linalg.vsub(pts[i], base) for i in simplex[1:]]
-            total += abs(linalg.det(edges))
-        return total / (math.factorial(self.dim) * self.scale**self.dim)
-
 
 def _facet_side(facets: Sequence[tuple[tuple[int, ...], int]], p: Sequence) -> int:
     """+1 strictly inside every facet inequality n . p <= rhs, 0 on one, -1 outside."""
@@ -419,12 +388,58 @@ def _cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:
 # -- volumes ------------------------------------------------------------------
 
 
+def triangulated_volume(
+    vertices: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[int, ...], int]]
+) -> Fraction:
+    """Euclidean volume of the convex hull of integer points, given integer rows
+    a . x <= b that hold at every point and include a row for every facet.
+
+    Sums |det| / d! over a pulling triangulation: each face is coned from
+    its least point (a vertex, being lexicographically least) over its
+    facets that miss that point, down to single points.  The facets of a
+    face are the inclusion-maximal proper cuts of it by the point sets tight
+    on the rows.  A redundant row cuts out a face, which lies in a facet, so
+    it adds no simplex.  A hull of affine rank below d has volume 0.
+    """
+    pts = sorted(set(vertices))
+    dim = len(pts[0])
+    if linalg.rank([linalg.vsub(p, pts[0]) for p in pts[1:]]) < dim:
+        return Fraction(0)
+    cuts = [frozenset(i for i, p in enumerate(pts) if linalg.dot(a, p) == b) for a, b in rows]
+
+    def simplices(face: frozenset) -> list[tuple[int, ...]]:
+        apex = min(face)
+        if len(face) == 1:
+            return [(apex,)]
+        sub = {face & c for c in cuts} - {face, frozenset()}
+        return [
+            (apex,) + rest
+            for f in sub
+            if apex not in f and not any(f < g for g in sub)
+            for rest in simplices(f)
+        ]
+
+    total = Fraction(0)
+    for simplex in simplices(frozenset(range(len(pts)))):
+        base = pts[simplex[0]]
+        total += abs(linalg.det([linalg.vsub(pts[i], base) for i in simplex[1:]]))
+    return total / math.factorial(dim)
+
+
 def volume_polytope(y: OrthogonalSet) -> Fraction:
-    """Volume of the convex hull of the vertices, in normalization-lattice units."""
+    """Volume of the hull of the chamber points, in normalization-lattice units.
+
+    The chamber points, in lattice coordinates N / e over one denominator,
+    are the vertices, and the hull's rows are read off the fan
+    (``hull_rows``); ``triangulated_volume`` runs over both scaled by e.
+    """
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys = y.system
-    return Hull(lattice_coords(sys, list(y.points.values()))).volume()
+    basis = sys.lattice.basis
+    n, e = _integer_basis(lattice_coords(sys, [y.points[c] for c in sys.chambers]))
+    rows = [(a, b * e) for a, b in hull_rows(y, basis)]
+    return triangulated_volume(n, rows) / e ** len(basis)
 
 
 def volume_analytic(y: OrthogonalSet) -> Fraction:
@@ -527,7 +542,8 @@ def v_tilde_lattice(
     vertices' bounding box.  Otherwise the box is scanned line by line along
     the last lattice coordinate: the hull rows read off the fan (``hull_rows``)
     cut each line to an integer interval, and all of it counts, since for a
-    positive Y the kernel Gamma^G(H) is 1 at every H meeting every row.
+    positive Y the kernel Gamma^G(H) is 1 at every H meeting every row.  A
+    box of more than ``MAX_SCAN_LINES`` scan lines is refused before either scan.
 
     Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
     per Y and parsed x0, and kept on Y.  The wall relation is linear, so
@@ -631,13 +647,23 @@ def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequenc
     return [(tuple(x * den for x in row), b * e) for row, b in zip(pairing, bounds)]
 
 
+# A count costs one step per scan line; the largest count of a README command
+# scans 95,053 lines.
+MAX_SCAN_LINES = 200_000
+
+
 def _box(basis: list[Vec], points: Sequence[Sequence], scale: int) -> list[range]:
-    """The integer box of lattice coordinates around the points / scale."""
+    """The integer box of lattice coordinates around the points / scale, refused
+    before any scan when it has more than ``MAX_SCAN_LINES`` scan lines."""
     coords = linalg.coordinate_matrix(basis, points) if basis else None
     if coords is None:
         raise ValueError("the counting basis must be independent and span every vertex")
     cols, den = coords[0], coords[1] * scale
-    return [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
+    box = [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
+    lines = math.prod(map(len, box[:-1]))
+    if lines > MAX_SCAN_LINES:
+        raise ValueError(f"the count would scan {lines} lines, more than the limit of {MAX_SCAN_LINES}")
+    return box
 
 
 @dataclass

@@ -133,22 +133,6 @@ def verify_prasad_identity(m: int) -> PrasadIdentityCertificate:
 # -- omega and the Steinberg sum -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ReducedOmega:
-    """The product character of (Z/2)^(fixed roots) and its restriction to B."""
-
-    m: int
-    mask: int
-    values_on_b_generators: tuple[int, ...]
-
-
-def prasad_omega(preset: ThetaPreset) -> ReducedOmega:
-    m = preset.m
-    mask = omega_mask(m)
-    values = tuple(character_value(mask, g) for g in preset.b_generators)
-    return ReducedOmega(m, mask, values)
-
-
 def characters_equal_on_subgroup(m: int, chi1: int, chi2: int, generators: Sequence[int]) -> bool:
     return all(character_value(chi1 ^ chi2, g) == 1 for g in generators)
 

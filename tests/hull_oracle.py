@@ -1,15 +1,27 @@
-"""The literal cofactor normal, kept as the oracle of ``families._cofactor_normal``.
+"""Brute-force hull helpers: the literal cofactor normal and a hull's volume.
 
 The library reads a hull facet's normal off one fraction-free elimination
-(``linalg._bareiss``).  This is the formula it replaces: the vector of signed
-maximal minors, each minor by first-row expansion.  It costs O(k!) per
-minor, so only the tests call it.
+(``linalg._bareiss``).  ``cofactor_normal`` is the formula it replaces: the
+vector of signed maximal minors, each minor by first-row expansion.  It costs
+O(k!) per minor, so only the tests call it.
+
+``hull_volume`` runs the library's one triangulation over the facets that
+the brute-force ``families.Hull`` finds, where ``volume_polytope`` runs it
+over the rows read off the fan.
 """
 
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Optional, Sequence
+
+from galpairs.families import Hull, triangulated_volume
+
+
+def hull_volume(hull: Hull) -> Fraction:
+    """Volume of a brute-force hull, in the coordinates its points were given in."""
+    return triangulated_volume(hull.vertices, hull.facets) / hull.scale**hull.dim
 
 
 def cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:

@@ -1,8 +1,12 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -403,6 +407,15 @@ class TestToriAndLevis:
             assert time.perf_counter() - start < 1
             assert f"must be at most {limit}, got {value}" in capsys.readouterr().err
 
+    def test_ehrhart_count_above_the_scan_line_limit_is_refused(self):
+        start = time.perf_counter()
+        code, text = run(["ortho", "ehrhart", "--system", "A2", "--special", "3000000,3000000"])
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (
+            EXIT_USAGE,
+            f"error: the count would scan 6000001 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
+        )
+
     def test_ehrhart_limits_admit_their_own_values(self):
         argv = ["ortho", "ehrhart", "--system", "A1", "--kmax", "6", "--max-period", "4"]
         args = build_parser().parse_args(argv)
@@ -441,3 +454,19 @@ def test_frac_str():
 
     assert frac_str(Fraction(3, 1)) == "3"
     assert frac_str(Fraction(-7, 2)) == "-7/2"
+
+
+def test_module_entry_point_prints_the_golden_report():
+    """``python -m galpairs.cli`` runs ``main``: its exit code and stdout are the golden ones."""
+    argv = ["ortho", "volume", "--system", "B2", "--special", "1,2"]
+    here = Path(__file__).resolve().parent
+    golden = json.loads((here / "golden_cli.json").read_text(encoding="utf-8"))
+    (case,) = [c for c in golden if c["argv"] == argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "galpairs.cli", *argv],
+        env={**os.environ, "PYTHONPATH": str(here.parent / "src")},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (case["exit"], case["report"], "")

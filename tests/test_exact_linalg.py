@@ -98,27 +98,33 @@ class TestFiniteAbelianGroup:
         assert a.direct_sum(b).invariant_factors == (2, 2, 4)
 
 
+def _quotient(sup, sub):
+    """sup / sub, from the integer coordinates of sub's basis in sup's basis."""
+    m = el._integer_coordinate_matrix(sup.basis, sub.basis, "sub is not a sublattice of sup")
+    return el.cokernel_structure(m, sup.rank)
+
+
 class TestQuotientGroup:
     def test_index_two(self):
         sup = el.IntLattice.standard(2)
         sub = el.IntLattice(2, ((2, 0), (0, 1)))
-        assert el.quotient_group(sup, sub).invariant_factors == (2,)
+        assert _quotient(sup, sub).invariant_factors == (2,)
 
     def test_trivial_quotient(self):
         sup = el.IntLattice.standard(2)
-        assert el.quotient_group(sup, sup).is_trivial
+        assert _quotient(sup, sup).is_trivial
 
     def test_infinite_index_rejected(self):
         sup = el.IntLattice.standard(2)
         sub = el.IntLattice(2, ((1, 0),))
-        with pytest.raises(ValueError):
-            el.quotient_group(sup, sub)
+        with pytest.raises(ValueError, match="quotient is infinite"):
+            _quotient(sup, sub)
 
     def test_not_a_sublattice_rejected(self):
         sup = el.IntLattice(2, ((2, 0), (0, 2)))
         sub = el.IntLattice(2, ((1, 0), (0, 1)))
-        with pytest.raises(ValueError):
-            el.quotient_group(sup, sub)
+        with pytest.raises(ValueError, match="not a sublattice"):
+            _quotient(sup, sub)
 
 
 class TestIntegerCoordinateMatrix:

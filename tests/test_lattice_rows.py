@@ -200,3 +200,11 @@ def test_count_rejects_a_basis_that_misses_a_vertex():
     y = _sweep(sys, (1, 1))
     with pytest.raises(ValueError, match="span every vertex"):
         v_tilde_lattice(y, _basis(sys)[:1], 0, (0, 0))
+
+
+def test_box_admits_the_scan_line_limit_and_refuses_one_more():
+    basis = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    n = fam.MAX_SCAN_LINES
+    assert len(fam._box(basis, [(0, 0), (n - 1, 5)], 1)[0]) == n
+    with pytest.raises(ValueError, match=f"scan {n + 1} lines, more than the limit of {n}"):
+        fam._box(basis, [(0, 0), (n, 5)], 1)

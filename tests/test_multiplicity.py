@@ -14,7 +14,6 @@ from galpairs.multiplicity import (
     gln_induction_identity,
     induced_trivial,
     omega_mask,
-    prasad_omega,
     restricted_trivial_on,
     steinberg_indicator,
     steinberg_multiplicity,
@@ -94,12 +93,11 @@ class TestSteinberg:
 
     def test_gl_even_values(self):
         preset = builtin_preset("GL", 4)
-        omega = prasad_omega(preset)
         chars = distinct_b_characters(preset)
         hits = [chi for chi in chars if steinberg_multiplicity(preset, chi) == 1]
         assert len(hits) == 1
         assert characters_equal_on_subgroup(
-            preset.m, hits[0], omega.mask, list(preset.b_generators)
+            preset.m, hits[0], omega_mask(preset.m), list(preset.b_generators)
         )
 
     def test_u_trivial_b_always_one(self):
