@@ -210,10 +210,11 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
     if any(x.denominator != 1 for x in x0):
         raise ValueError("the sweep point must have integer coordinates")
     target = fam.volume_polytope(y)
+    # largest refinement first, so a run over the scan-line limit is refused before any count
     errors = [
         abs(fam.refinement_constant_term(y, x0, k, max_period=args.max_period) - target)
-        for k in range(1, args.kmax + 1)
-    ]
+        for k in range(args.kmax, 0, -1)
+    ][::-1]
     # the constant c is fitted on k <= 2 and must bound k * e_k for every later k
     c_fit = max(k * e for k, e in enumerate(errors[:2], start=1))
     ok = all(k * e <= c_fit for k, e in enumerate(errors[2:], start=3))

@@ -3,13 +3,15 @@
 An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.
 This module implements the alternating-sum kernels of the indicators tau /
-tau-hat / delta, compiled per system to integer sign tests, the resulting
-partition of unity, exact hull volumes and lattice-point counting with
-exponential-polynomial extrapolation.  A positive set's hull is read off the
-fan as integer rows (``hull_rows``): the polytope volume triangulates over
-them, and the count scans the lattice line by line against them.  The
-analytic volume reads chamber data as well, so the independent check of
-both is the brute-force ``Hull``, in the tests.
+tau-hat / delta, compiled in one pass per system to integer sign tests, the
+resulting partition of unity, exact hull volumes and lattice-point counting
+with exponential-polynomial extrapolation.  A positive set's hull is read
+off the fan as integer rows (``hull_rows``): the polytope volume
+triangulates over them, and the count scans the lattice line by line against
+them.  The rows and the analytic volume's weights are tables of the system
+(``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no count or
+volume builds the kernel.  The analytic volume reads chamber data as well,
+so the independent check of both is the brute-force ``Hull``, in the tests.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
@@ -23,7 +25,7 @@ import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice, product
+from itertools import combinations, product
 from typing import Optional, Sequence
 
 from . import linalg
@@ -51,9 +53,7 @@ class OrthogonalSet:
             p: _parse_vec(v, system.ambient_dim) for p, v in points.items()
         }
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
-        self._projections: dict[int, Vec] = {}
-        self._thresholds: dict[int, tuple[list[int], int]] = {}
-        self._sweeps: dict[Vec, tuple] = {}  # x0 -> (special(x0), wall pairs), see v_tilde_lattice
+        self._sweeps: dict[Vec, tuple] = {}  # x0 -> ``sweep(x0)``
         self._validate()
 
     def _validate(self) -> None:
@@ -74,20 +74,17 @@ class OrthogonalSet:
 
     def projected(self, cone: int) -> Vec:
         """Y projected onto the span of the cone (independent of the chamber)."""
-        if cone not in self._projections:
-            sys = self.system
-            y = self.points[sys.chamber_below(cone)]
-            if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
-                y = linalg.matvec(sys.levi_projection(cone), y)
-            self._projections[cone] = y
-        return self._projections[cone]
+        sys = self.system
+        y = self.points[sys.chamber_below(cone)]
+        if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
+            y = linalg.matvec(sys.levi_projection(cone), y)
+        return y
 
-    def thresholds(self, cone: int, kernel: "KernelTables") -> tuple[list[int], int]:
-        """Integers nums, den > 0 with <c, Y_cone> = nums[i] / den for each kernel covector."""
-        row = self._thresholds.get(cone)
-        if row is None or len(row[0]) != len(kernel.covectors):
-            row = self._thresholds[cone] = kernel.point(self.projected(cone))
-        return row
+    @functools.cached_property
+    def thresholds(self) -> list[tuple[list[int], int]]:
+        """Per cone q, integers nums, den > 0 with <c, Y_q> = nums[i] / den over the covectors c."""
+        kernel = self.system.kernel_tables
+        return [kernel.point(self.projected(q)) for q in range(len(self.system.cones))]
 
     @functools.cached_property
     def _integral(self) -> tuple[list[tuple[int, ...]], int]:
@@ -97,8 +94,16 @@ class OrthogonalSet:
     @functools.cached_property
     def _facet_values(self) -> list[list[int]]:
         """<c, N[i]> for each hull covector c and chamber position i of ``facet_rows``."""
-        kt, (n, _) = self.system.kernel_tables, self._integral
-        return [[linalg.dot(kt.covectors[c], n[i]) for i in pos] for c, pos in kt.facet_rows]
+        n, _ = self._integral
+        return [[linalg.dot(c, n[i]) for i in pos] for c, pos in self.system.facet_rows]
+
+    def sweep(self, x0: Vec) -> tuple["OrthogonalSet", list[tuple[Fraction, Fraction]]]:
+        """(special(x0), (r_Y, r_X) at the walls where r_Y + k*r_X can be negative), made once."""
+        if x0 not in self._sweeps:
+            sweep = OrthogonalSet.special(self.system, x0)
+            pairs = [(r, sweep.wall_coefficients[w]) for w, r in self.wall_coefficients.items()]
+            self._sweeps[x0] = sweep, [(r, rx) for r, rx in pairs if min(r, rx) < 0]
+        return self._sweeps[x0]
 
     # -- constructors and arithmetic -----------------------------------------
 
@@ -131,102 +136,52 @@ class OrthogonalSet:
 
 
 class KernelTables:
-    """The alternating kernel of one system as integer sign tests.
+    """The alternating kernel of one system as integer sign tests, compiled in one pass.
 
     ``covectors`` are distinct primitive integer covectors, each a positive
     multiple of the root, dual-basis covector or hyperplane it stands for, so
-    comparisons keep their truth values.  ``compiled(q)`` is (ids of tau^G_q,
+    comparisons keep their truth values.  ``compiled[q]`` is (ids of tau^G_q,
     table): an entry (r, ids of delta^r, terms) per cone r <= q, and a term
     (ids of tau^R_r, ids of tau_hat^q_R, (-1)^(dim R - dim q)) per r <= R <= q.
     """
 
     def __init__(self, sys: RestrictedRootSystem):
         self.system = sys
-        self.covectors: list[tuple[int, ...]] = []
-        self._ids: dict[tuple, int] = {}  # rational covectors and their primitive forms
-        self._compiled: dict[int, tuple[list[int], list]] = {}
+        ids: dict[tuple[int, ...], int] = {}
 
-    def _id(self, covector: Vec) -> int:
-        if covector not in self._ids:
-            c = linalg.scale_to_integers(covector)
-            if c not in self._ids:
-                self._ids[c] = len(self.covectors)
-                self.covectors.append(c)
-            self._ids[covector] = self._ids[c]
-        return self._ids[covector]
+        def cids(covectors) -> list[int]:
+            return [ids.setdefault(linalg.scale_to_integers(c), len(ids)) for c in covectors]
 
-    def _tau(self, p: int, q: int) -> list[int]:
-        pairs = self.system.cone_simple_pairs(p)
-        return [self._id(pairs[i][0]) for i in self.system.vanishing_indices(p, q)]
+        def tau(p: int, q: int) -> list[int]:
+            pairs = sys.cone_simple_pairs(p)
+            return cids(pairs[i][0] for i in sys.vanishing_indices(p, q))
 
-    def compiled(self, q: int) -> tuple[list[int], list]:
-        if q not in self._compiled:
-            sys, below = self.system, self.system.cones_below(q)
-            table = []
+        g, dims = sys.full_cone().index, [c.dim for c in sys.cones]
+        self.compiled: list[tuple[list[int], list]] = []
+        for q in range(len(sys.cones)):
+            below, table = sys.cones_below(q), []
             for r in below:
                 terms = [
-                    (
-                        self._tau(r, rr),
-                        [self._id(w) for w in sys.dual_basis(rr, q)],
-                        (-1) ** ((sys.cones[rr].dim - sys.cones[q].dim) % 2),
-                    )
+                    (tau(r, rr), cids(sys.dual_basis(rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
                     for rr in below
                     if sys.parabolic_leq(r, rr)
                 ]
-                table.append((r, [self._id(a) for a in sys.zero_roots(r)], terms))
-            self._compiled[q] = (self._tau(q, sys.full_cone().index), table)
-        return self._compiled[q]
-
-    @functools.cached_property
-    def facet_rows(self) -> list[tuple[int, list[int]]]:
-        """(id of c, positions i in ``system.chambers`` of the P_i with c in
-        dual_basis(P_i, G)) for every such covector c.
-
-        For a positive set Y the hull of Y is {H : <c, H> <= <c, Y_P_i>} over
-        these (Arthur, *The trace formula in invariant form*, 1981).
-        """
-        sys = self.system
-        g = sys.full_cone().index
-        rows: dict[int, list[int]] = {}
-        for i, p in enumerate(sys.chambers):
-            for w in sys.dual_basis(p, g):
-                rows.setdefault(self._id(w), []).append(i)
-        return list(rows.items())
-
-    @functools.cached_property
-    def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
-        """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
-        covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P."""
-        sys, r = self.system, self.system.ambient_dim
-        if linalg.rank(sys.roots) != r:
-            raise ValueError("analytic volume requires roots of full rank")
-        # every chamber's coroots are w(simple coroots) with det w = +-1, so all
-        # chambers share the base chamber's coroot covolume
-        base = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
-        meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, v) for v in base]))
-        coroots = [[av for _, av in sys.chamber_simple_pairs(c)] for c in sys.chambers]
-        # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
-        # degree < r, so each coroot rules out fewer than r values of j
-        mus = (tuple(j**i for i in range(r)) for j in count(1))
-        generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
-        out = []
-        for mu in islice(generic, 3):
-            dens = [math.factorial(r) * math.prod(linalg.dot(mu, v) for v in cs) for cs in coroots]
-            out.append((mu, *linalg.clear_denominators([meas / d for d in dens])))
-        return out
+                table.append((r, cids(sys.zero_roots(r)), terms))
+            self.compiled.append((tau(q, g), table))
+        self.covectors: list[tuple[int, ...]] = list(ids)
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
-        """(<c, H> for every covector c so far, D) where h = H / D, H integral, D > 0."""
+        """(<c, H> for every covector c, D) where h = H / D, H integral, D > 0."""
         hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
         return list(linalg.matvec(self.covectors, hi)), d
 
 
-def _gamma(kernel: KernelTables, table: list, dots: list[int], d: int, y: OrthogonalSet) -> int:
-    total = 0
+def _gamma(table: list, dots: list[int], d: int, y: OrthogonalSet) -> int:
+    total, thresholds = 0, y.thresholds
     for r, zeros, terms in table:
         if any(dots[z] for z in zeros):
             continue
-        nums, den = y.thresholds(r, kernel)
+        nums, den = thresholds[r]
         for tau_ids, hat_ids, sign in terms:
             if all(dots[c] > 0 for c in tau_ids) and all(
                 dots[c] * den > d * nums[c] for c in hat_ids
@@ -238,20 +193,17 @@ def _gamma(kernel: KernelTables, table: list, dots: list[int], d: int, y: Orthog
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
     kernel = sys.kernel_tables
-    _, table = kernel.compiled(q)
-    return _gamma(kernel, table, *kernel.point(h), y)
+    return _gamma(kernel.compiled[q][1], *kernel.point(h), y)
 
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
     kernel = sys.kernel_tables
-    compiled = [kernel.compiled(q) for q in range(len(sys.cones))]
     dots, d = kernel.point(h)
     total = 0
-    for q, (top, table) in enumerate(compiled):
-        nums, den = y.thresholds(q, kernel)
+    for (top, table), (nums, den) in zip(kernel.compiled, y.thresholds):
         if all(dots[c] * den > d * nums[c] for c in top):
-            total += _gamma(kernel, table, dots, d, y)
+            total += _gamma(table, dots, d, y)
     return total
 
 
@@ -451,14 +403,14 @@ def volume_analytic(y: OrthogonalSet) -> Fraction:
     is independent of mu; three directions are evaluated and must agree
     exactly.  All but <mu, Y_P> is fixed per system: those chamber weights
     are computed once, as integers over one denominator
-    (``KernelTables.volume_weights``).  With Y = N / e cleared once, each
+    (``RestrictedRootSystem.volume_weights``).  With Y = N / e cleared once, each
     direction is one integer sum and one Fraction.
     """
     sys, (n, e) = y.system, y._integral
     r = sys.ambient_dim
     values = [
         Fraction(sum(w * linalg.dot(mu, p) ** r for w, p in zip(ws, n)), d * e**r)
-        for mu, ws, d in sys.kernel_tables.volume_weights
+        for mu, ws, d in sys.volume_weights
     ]
     if any(v != values[0] for v in values[1:]):
         raise ArithmeticError(f"analytic volume differs across directions: {values}")
@@ -546,7 +498,7 @@ def v_tilde_lattice(
     box of more than ``MAX_SCAN_LINES`` scan lines is refused before either scan.
 
     Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
-    per Y and parsed x0, and kept on Y.  The wall relation is linear, so
+    per Y and parsed x0 (``OrthogonalSet.sweep``).  The wall relation is linear, so
     Y + k*Y[x0] is orthogonal with wall coefficients r_Y + k*r_X and needs no
     check.  Its vertices and hull thresholds are affine in k: integers read
     off rows cached once per set (Y = N / e_Y, Y[x0] = M / e_X).  With
@@ -590,11 +542,7 @@ def v_tilde_lattice(
         box = product(*_box(basis, *shifted._integral))
         points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
         return sum(gamma_family(sys, g, h, shifted) == 1 for h in points)
-    if xv not in y._sweeps:
-        sweep = OrthogonalSet.special(sys, xv)
-        pairs = [(r, sweep.wall_coefficients[w]) for w, r in y.wall_coefficients.items()]
-        y._sweeps[xv] = sweep, [(r, rx) for r, rx in pairs if min(r, rx) < 0]
-    sweep, signed = y._sweeps[xv]  # signed: the walls where r_Y + k*r_X >= 0 can fail
+    sweep, signed = y.sweep(xv)
     if any(r + k * rx < 0 for r, rx in signed):
         raise ValueError("lattice counting requires a positive orthogonal set")
     basis = [_parse_vec(b) for b in lattice_basis]
@@ -632,8 +580,8 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
     """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
 
     Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
-    chamber P and every covector c of ``KernelTables.facet_rows``, keeping the
-    least bound of each covector.
+    chamber P and every covector c of ``RestrictedRootSystem.facet_rows``,
+    keeping the least bound of each covector.  The kernel is not built.
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
@@ -642,8 +590,8 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
 
 def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequence[Vec]):
     """The rows of <c, H> <= bounds[i] / den over the covectors c of ``facet_rows``."""
-    kt, (ints, e) = sys.kernel_tables, _integer_basis(basis)
-    pairing = linalg.matmul([kt.covectors[c] for c, _ in kt.facet_rows], linalg.transpose(ints))
+    ints, e = _integer_basis(basis)
+    pairing = linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints))
     return [(tuple(x * den for x in row), b * e) for row, b in zip(pairing, bounds)]
 
 
@@ -735,6 +683,7 @@ def refinement_constant_term(
     sys = y.system
     r = sys.ambient_dim
     basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
-    counts = [v_tilde_lattice(y, basis, j, x0) for j in range(max_period * (r + 2) + 2)]
-    fit = fit_exp_polynomial(counts, max_period=max_period, max_degree=r)
+    # largest dilation first: for a dominant x0 its box is the largest, refused before any scan
+    counts = [v_tilde_lattice(y, basis, j, x0) for j in reversed(range(max_period * (r + 2) + 2))]
+    fit = fit_exp_polynomial(counts[::-1], max_period=max_period, max_degree=r)
     return fit.polynomial_part_constant * Fraction(1, k**r)

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count, islice
 from typing import Optional, Sequence
 
 from . import linalg
@@ -251,10 +252,44 @@ class RestrictedRootSystem:
 
     @functools.cached_property
     def kernel_tables(self):
-        """The indicator kernel as ``families.KernelTables``, made on first use."""
+        """The indicator kernel as ``families.KernelTables``, compiled on first use."""
         from .families import KernelTables  # families builds on this module
 
         return KernelTables(self)
+
+    @functools.cached_property
+    def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
+        """(c, positions i in ``chambers`` of the P_i with c in dual_basis(P_i, G)), c made
+        primitive integral; for a positive set Y, hull(Y) = {H : <c, H> <= <c, Y_P_i>} over
+        these rows (Arthur, *The trace formula in invariant form*, 1981)."""
+        g = self.full_cone().index
+        rows: dict[tuple[int, ...], list[int]] = {}
+        for i, p in enumerate(self.chambers):
+            for w in self.dual_basis(p, g):
+                rows.setdefault(linalg.scale_to_integers(w), []).append(i)
+        return list(rows.items())
+
+    @functools.cached_property
+    def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+        """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
+        covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P."""
+        r = self.ambient_dim
+        if linalg.rank(self.roots) != r:
+            raise ValueError("analytic volume requires roots of full rank")
+        # every chamber's coroots are w(simple coroots) with det w = +-1, so all
+        # chambers share the base chamber's coroot covolume
+        base = [av for _, av in self.chamber_simple_pairs(self.base_chamber)]
+        meas = abs(linalg.det([linalg.coordinates_in_basis(self.lattice.basis, v) for v in base]))
+        coroots = [[av for _, av in self.chamber_simple_pairs(c)] for c in self.chambers]
+        # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
+        # degree < r, so each coroot rules out fewer than r values of j
+        mus = (tuple(j**i for i in range(r)) for j in count(1))
+        generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
+        out = []
+        for mu in islice(generic, 3):
+            dens = [math.factorial(r) * math.prod(linalg.dot(mu, v) for v in cs) for cs in coroots]
+            out.append((mu, *linalg.clear_denominators([meas / d for d in dens])))
+        return out
 
     # -- per-cone structure ----------------------------------------------------
 

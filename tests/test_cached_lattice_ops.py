@@ -1,7 +1,7 @@
 """The lattice ops that cache work per system or per (Y, x0), against their literal forms.
 
 ``volume_analytic`` reads chamber weights computed once per system
-(``KernelTables.volume_weights``); ``tests/volume_oracle.py`` sums the
+(``RestrictedRootSystem.volume_weights``); ``tests/volume_oracle.py`` sums the
 Fractions term by term.  ``v_tilde_lattice`` builds Y + k*Y[x0] from one
 validated sweep kept on Y; the reference builds and validates that set
 explicitly and counts the points of its box that meet its ``hull_rows``.
@@ -62,11 +62,11 @@ def test_volume_matches_literal_sum(name):
 def test_corrupted_weight_breaks_direction_agreement(monkeypatch):
     sys = builtin_system("A2")
     y = sampling.random_positive_set(random.Random(83), sys)
-    weights = list(sys.kernel_tables.volume_weights)
+    weights = list(sys.volume_weights)
     mu, ws, d = weights[1]
     i = next(i for i, c in enumerate(sys.chambers) if linalg.dot(mu, y.points[c]) != 0)
     weights[1] = (mu, ws[:i] + (ws[i] + 1,) + ws[i + 1 :], d)
-    monkeypatch.setattr(sys.kernel_tables, "volume_weights", weights)
+    monkeypatch.setattr(sys, "volume_weights", weights)
     with pytest.raises(ArithmeticError, match="differs across directions"):
         fam.volume_analytic(y)
 

@@ -408,12 +408,25 @@ class TestToriAndLevis:
             assert f"must be at most {limit}, got {value}" in capsys.readouterr().err
 
     def test_ehrhart_count_above_the_scan_line_limit_is_refused(self):
+        # the message names the run's largest count (k = 4, j = 9), which comes first
         start = time.perf_counter()
         code, text = run(["ortho", "ehrhart", "--system", "A2", "--special", "3000000,3000000"])
         assert time.perf_counter() - start < 1
         assert (code, text) == (
             EXIT_USAGE,
-            f"error: the count would scan 6000001 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
+            f"error: the count would scan 24000109 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
+        )
+
+    def test_largest_ehrhart_run_is_refused_before_any_count(self):
+        # the largest count (k = 6, j = 4 * (3 + 2) + 1) comes first, so the run
+        # is refused at once instead of after every smaller count
+        start = time.perf_counter()
+        argv = ["ortho", "ehrhart", "--system", "A3", "--special", "1,1,1", "--kmax", "6", "--max-period", "4"]
+        code, text = run(argv)
+        assert time.perf_counter() - start < 2
+        assert (code, text) == (
+            EXIT_USAGE,
+            f"error: the count would scan 4501141 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
         )
 
     def test_ehrhart_limits_admit_their_own_values(self):

@@ -159,7 +159,7 @@ def test_count_runs_no_kernel(name, monkeypatch):
         raise AssertionError("the row-by-row count ran the kernel")
 
     monkeypatch.setattr(fam, "_gamma", refuse)
-    monkeypatch.setattr(fam.KernelTables, "compiled", refuse)
+    monkeypatch.setattr(fam.KernelTables, "point", refuse)
     assert v_tilde_lattice(y, basis, 0, zero) == exact
 
 

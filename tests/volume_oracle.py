@@ -1,7 +1,7 @@
 """The literal chamber exponential sum, kept as the oracle of ``families.volume_analytic``.
 
 The library computes every chamber weight once per system, as integers over
-one denominator (``KernelTables.volume_weights``), and clears Y's
+one denominator (``RestrictedRootSystem.volume_weights``), and clears Y's
 denominators once per set.  This is the formula it replaces, evaluated term
 by term in Fractions on every call (Lawrence, *Math. Comp.* 1991): for a
 generic covector mu,
