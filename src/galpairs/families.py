@@ -3,7 +3,7 @@
 An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.
 This module implements the alternating-sum kernels of the indicators tau /
-tau-hat / delta, compiled in one pass per system to integer sign tests, the
+tau-hat / delta, compiled once per system to integer sign tests, the
 resulting partition of unity, exact hull volumes and lattice-point counting
 with exponential-polynomial extrapolation.  A positive set's hull is read
 off the fan as integer rows (``hull_rows``): the polytope volume
@@ -72,19 +72,16 @@ class OrthogonalSet:
     def is_positive(self) -> bool:
         return all(r >= 0 for r in self.wall_coefficients.values())
 
-    def projected(self, cone: int) -> Vec:
-        """Y projected onto the span of the cone (independent of the chamber)."""
-        sys = self.system
-        y = self.points[sys.chamber_below(cone)]
-        if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
-            y = linalg.matvec(sys.levi_projection(cone), y)
-        return y
-
     @functools.cached_property
     def thresholds(self) -> list[tuple[list[int], int]]:
-        """Per cone q, integers nums, den > 0 with <c, Y_q> = nums[i] / den over the covectors c."""
-        kernel = self.system.kernel_tables
-        return [kernel.point(self.projected(q)) for q in range(len(self.system.cones))]
+        """Per cone q, integers nums, den > 0 with <c, Y_q> = nums[i] / den for each i-th
+        covector c read against Y_q = levi_projection(q) Y_P, P = ``chamber_below(q)``:
+        tau^G_q and the tau_hat^Q_R of entries q vanish on the projection's kernel (step
+        (ii) of ``v_tilde_lattice``), so nums / den is <c, Y_P>: one row per chamber."""
+        sys, (n, e) = self.system, self._integral
+        covectors = sys.kernel_tables.covectors
+        rows = {p: (list(linalg.matvec(covectors, n[i])), e) for i, p in enumerate(sys.chambers)}
+        return [rows[sys.chamber_below(q)] for q in range(len(sys.cones))]
 
     @functools.cached_property
     def _integral(self) -> tuple[list[tuple[int, ...]], int]:
@@ -136,38 +133,57 @@ class OrthogonalSet:
 
 
 class KernelTables:
-    """The alternating kernel of one system as integer sign tests, compiled in one pass.
+    """The alternating kernel of one system as integer sign tests.
 
     ``covectors`` are distinct primitive integer covectors, each a positive
     multiple of the root, dual-basis covector or hyperplane it stands for, so
     comparisons keep their truth values.  ``compiled[q]`` is (ids of tau^G_q,
     table): an entry (r, ids of delta^r, terms) per cone r <= q, and a term
     (ids of tau^R_r, ids of tau_hat^q_R, (-1)^(dim R - dim q)) per r <= R <= q.
+
+    Terms are computed for the 3^rank pairs of standard faces F_I <= F_J of the
+    base chamber and moved to each pair r <= q, since the kernel is W-equivariant
+    (Arthur, 1981): r and q are faces w_P(F_I), w_P(F_J) of P = ``chamber_below(r)``
+    (``chamber_faces``) with the w_P(F_K), I <= K <= J, between them, and w_P maps
+    cones, simple roots, Levi projections and dual bases to those of the image and
+    keeps dimensions.  So c becomes c o w_P^-1, made primitive once per (c, P), and
+    signs stay.  The pair-by-pair compile is ``kernel_oracle.one_pass_tables``.
     """
 
     def __init__(self, sys: RestrictedRootSystem):
         self.system = sys
         ids: dict[tuple[int, ...], int] = {}
+        std = sys.chamber_faces(sys.base_chamber)  # type I -> the standard face F_I
+        ints = functools.partial(map, linalg.scale_to_integers)
 
-        def cids(covectors) -> list[int]:
-            return [ids.setdefault(linalg.scale_to_integers(c), len(ids)) for c in covectors]
+        def tau(i: frozenset, j: frozenset) -> list[tuple[int, ...]]:
+            pairs = sys.cone_simple_pairs(std[i])
+            return [*ints(pairs[n][0] for n in sys.vanishing_indices(std[i], std[j]))]
 
-        def tau(p: int, q: int) -> list[int]:
-            pairs = sys.cone_simple_pairs(p)
-            return cids(pairs[i][0] for i in sys.vanishing_indices(p, q))
+        standard = {  # (I, J) -> the terms (tau^K_I, tau_hat^J_K, sign) over I <= K <= J
+            (i, j): [  # dim F_K - dim F_J = |J| - |K|: the simple roots are independent
+                (tau(i, k), [*ints(sys.dual_basis(std[k], std[j]))], (-1) ** (len(j) - len(k)))
+                for k in std if i <= k <= j
+            ]
+            for i in std for j in std if i <= j
+        }
+        planes = [ids.setdefault(a, len(ids)) for a in ints(sys.hyperplanes)]
+        zeros = [[planes[n] for n, s in enumerate(c.signs) if s == 0] for c in sys.cones]  # delta^r
+        self.compiled: list[tuple[list[int], list]] = [([], []) for _ in sys.cones]
+        for p in sys.chambers:
+            inv, _ = _integer_basis(linalg.invert(sys.chamber_weyl(p)))  # a multiple of w_P^-1
 
-        g, dims = sys.full_cone().index, [c.dim for c in sys.cones]
-        self.compiled: list[tuple[list[int], list]] = []
-        for q in range(len(sys.cones)):
-            below, table = sys.cones_below(q), []
-            for r in below:
-                terms = [
-                    (tau(r, rr), cids(sys.dual_basis(rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
-                    for rr in below
-                    if sys.parabolic_leq(r, rr)
-                ]
-                table.append((r, cids(sys.zero_roots(r)), terms))
-            self.compiled.append((tau(q, g), table))
+            @functools.cache
+            def move(c: tuple[int, ...]) -> int:  # the id of c o w_P^-1
+                return ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, inv)), len(ids))
+
+            faces = sys.chamber_faces(p)
+            for (i, r), (j, q) in product(faces.items(), repeat=2):
+                if i <= j and sys.chamber_below(r) == p:
+                    terms = [([*map(move, t)], [*map(move, h)], s) for t, h, s in standard[i, j]]
+                    self.compiled[q][1].append((r, zeros[r], terms))
+                    if i == j:  # once per cone r
+                        self.compiled[r][0].extend(map(move, tau(i, frozenset(range(sys.rank)))))
         self.covectors: list[tuple[int, ...]] = list(ids)
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
@@ -504,12 +520,12 @@ def v_tilde_lattice(
     off rows cached once per set (Y = N / e_Y, Y[x0] = M / e_X).  With
     ``exact`` Y + Y[k*x0] is built and validated literally.
 
-    Proof, in the conventions of ``KernelTables``: Y_Q = ``projected(Q)``,
-    the roots of tau^G_Q are those of ``cone_simple_pairs(Q)`` (canonical
-    extensions through ``levi_projection(Q)``) and the sign is
-    (-1)^(dim R - dim Q).  Every step is a sign test, so it covers the
-    non-reduced BC systems, whose fan and chamber simple roots are those of
-    their indivisible roots.
+    Proof, in the conventions of ``KernelTables``: Y_Q = levi_projection(Q) Y_P
+    at P = ``chamber_below(Q)`` (or any chamber P <= Q), the roots of tau^G_Q
+    are those of ``cone_simple_pairs(Q)`` (canonical extensions through
+    ``levi_projection(Q)``) and the sign is (-1)^(dim R - dim Q).  Every step
+    is a sign test, so it covers the non-reduced BC systems, whose fan and
+    chamber simple roots are those of their indivisible roots.
     (i) With delta_r(H) = [H in span r], delta_r tau^G_r is the indicator of
     the relative interior of the cone r, so sum_r delta_r(H) tau^G_r(H) = 1.
     (ii) For r <= Q, levi_projection(Q) maps Y_r to Y_Q, so
@@ -542,15 +558,11 @@ def v_tilde_lattice(
         box = product(*_box(basis, *shifted._integral))
         points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
         return sum(gamma_family(sys, g, h, shifted) == 1 for h in points)
-    sweep, signed = y.sweep(xv)
-    if any(r + k * rx < 0 for r, rx in signed):
-        raise ValueError("lattice counting requires a positive orthogonal set")
     basis = [_parse_vec(b) for b in lattice_basis]
-    (ny, ey), (nx, ex) = y._integral, sweep._integral
-    vertices = [[a * ex + k * b * ey for a, b in zip(p, q)] for p, q in zip(ny, nx)]
+    sweep, box = _dilated_box(y, basis, k, xv)
+    ey, ex = y._integral[1], sweep._integral[1]
     values = zip(y._facet_values, sweep._facet_values)
     bounds = [min(a * ex + k * b * ey for a, b in zip(u, v)) for u, v in values]
-    box = _box(basis, vertices, ey * ex)
     last = len(box) - 1
     rows = [(a[:last], a[last], b) for a, b in _rows(sys, bounds, ey * ex, basis)]
     count = 0
@@ -567,6 +579,16 @@ def v_tilde_lattice(
         else:
             count += max(0, hi - lo + 1)
     return count
+
+
+def _dilated_box(y: OrthogonalSet, basis: list[Vec], k: int, xv: Vec) -> tuple[OrthogonalSet, list]:
+    """(Y[x0], the ``_box`` of Y + k*Y[x0]), refused unless that set is positive."""
+    sweep, signed = y.sweep(xv)
+    if any(r + k * rx < 0 for r, rx in signed):
+        raise ValueError("lattice counting requires a positive orthogonal set")
+    (ny, ey), (nx, ex) = y._integral, sweep._integral
+    vertices = [[a * ex + k * b * ey for a, b in zip(p, q)] for p, q in zip(ny, nx)]
+    return sweep, _box(basis, vertices, ey * ex)
 
 
 def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
@@ -680,10 +702,22 @@ def refinement_constant_term(
     hulls Y + Y[j*x0] for j = 0, 1, ..., fits an exponential polynomial in j,
     and returns its polynomial-part constant scaled by the refined covolume.
     """
-    sys = y.system
-    r = sys.ambient_dim
-    basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
-    # largest dilation first: for a dominant x0 its box is the largest, refused before any scan
-    counts = [v_tilde_lattice(y, basis, j, x0) for j in reversed(range(max_period * (r + 2) + 2))]
-    fit = fit_exp_polynomial(counts[::-1], max_period=max_period, max_degree=r)
+    r = y.system.ambient_dim
+    basis, dilations = refinement_boxes(y, x0, k, max_period)
+    counts = [v_tilde_lattice(y, basis, j, x0) for j in dilations]
+    fit = fit_exp_polynomial(counts, max_period=max_period, max_degree=r)
     return fit.polynomial_part_constant * Fraction(1, k**r)
+
+
+def refinement_boxes(
+    y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4
+) -> tuple[list[Vec], range]:
+    """(basis of (1/k) times the normalization lattice, dilations j) counted by
+    ``refinement_constant_term`` at k, once the box of every count is checked, largest
+    j first: a count that would be refused raises its ValueError before any scan."""
+    sys, xv = y.system, _parse_vec(x0, y.system.ambient_dim)
+    basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
+    dilations = range(max_period * (sys.ambient_dim + 2) + 2)
+    for j in reversed(dilations):
+        _dilated_box(y, basis, j, xv)
+    return basis, dilations

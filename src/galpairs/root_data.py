@@ -179,8 +179,10 @@ class RestrictedRootSystem:
         seen: dict[tuple[int, ...], int] = {}
         cones: list[Cone] = []
         chamber_w: dict[int, Mat] = {}
+        self._chamber_faces: dict[int, dict[frozenset, int]] = {}
         base_interior = face_points[0][1]
         for w in self.weyl_elements:
+            faces = {}  # zero set I -> the cone w(F_I)
             for zero, p in face_points:
                 img = linalg.matvec(w, p)
                 sv = linalg.sign_vector(self.hyperplanes, img)
@@ -190,14 +192,18 @@ class RestrictedRootSystem:
                     cone = Cone(len(cones), sv, len(span), tuple(span))
                     seen[sv] = cone.index
                     cones.append(cone)
-                if not zero and seen[sv] not in chamber_w:
-                    chamber_w[seen[sv]] = w
+                faces[zero] = seen[sv]
+            chamber_w.setdefault(faces[frozenset()], w)
+            self._chamber_faces.setdefault(faces[frozenset()], faces)
         self.cones: list[Cone] = cones
         self._sign_index = seen
         self.chambers: list[int] = sorted(
             c.index for c in cones if all(s != 0 for s in c.signs)
         )
         self._chamber_w = chamber_w
+        # the least chamber whose closure holds the cone: smaller chambers overwrite larger
+        below = ((c, p) for p in self.chambers[::-1] for c in self._chamber_faces[p].values())
+        self._chamber_below = dict(below)
 
         # simple root/coroot pairs per chamber, transported from the base
         self._chamber_simples: dict[int, list[tuple[Vec, Vec]]] = {}
@@ -235,12 +241,13 @@ class RestrictedRootSystem:
                 return False
         return True
 
-    def cones_below(self, q: int) -> list[int]:
-        """All cones R with R <= Q in the parabolic order (q a face of cl R)."""
-        return [c.index for c in self.cones if self.parabolic_leq(c.index, q)]
-
     def chamber_weyl(self, chamber: int) -> Mat:
         return self._chamber_w[chamber]
+
+    def chamber_faces(self, chamber: int) -> dict[frozenset, int]:
+        """The faces w_P(F_I) of the closed chamber P, each keyed by the indices I
+        of P's simple roots that vanish on it."""
+        return self._chamber_faces[chamber]
 
     def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
         """(root covector, coroot vector) pairs of the chamber's simple roots."""
@@ -314,10 +321,7 @@ class RestrictedRootSystem:
 
     def chamber_below(self, cone: int) -> int:
         """The least chamber P with P <= cone: the one chamber used per cone."""
-        key = ("chamber", cone)
-        if key not in self._cache:
-            self._cache[key] = min(ch for ch in self.chambers if self.parabolic_leq(ch, cone))
-        return self._cache[key]
+        return self._chamber_below[cone]
 
     def cone_simple_pairs(self, cone: int) -> list[tuple[Vec, Vec]]:
         """Simple (root, coroot) pairs of the cone, as canonical extensions.

@@ -3,7 +3,10 @@
 ``galpairs.families`` evaluates the alternating kernel from integer tables
 compiled once per system.  These functions are the formulas it replaces,
 written as the paper states them: every indicator re-reads h and takes its
-rational dot products directly.  They are slow and only the tests call them.
+rational dot products directly, and Y_Q is Y projected by the Levi projection
+of Q.  ``one_pass_tables`` is the compile written pair by pair over the face
+poset, the oracle of ``KernelTables``, which compiles pairs of standard faces
+and moves them over the Weyl group.  They are slow and only the tests call them.
 """
 
 from __future__ import annotations
@@ -12,7 +15,48 @@ from typing import Sequence
 
 from galpairs import linalg
 from galpairs.families import OrthogonalSet
+from galpairs.linalg import Vec
 from galpairs.root_data import RestrictedRootSystem, _parse_vec
+
+
+def cones_below(sys: RestrictedRootSystem, q: int) -> list[int]:
+    """All cones R with R <= Q in the parabolic order (q a face of cl R)."""
+    return [c.index for c in sys.cones if sys.parabolic_leq(c.index, q)]
+
+
+def projected(y: OrthogonalSet, cone: int) -> Vec:
+    """Y_Q: Y projected onto the span of the cone (independent of the chamber)."""
+    sys = y.system
+    point = y.points[sys.chamber_below(cone)]
+    if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
+        point = linalg.matvec(sys.levi_projection(cone), point)
+    return point
+
+
+def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], list]:
+    """(covectors, compiled) as in ``KernelTables``, each (r, q) pair computed on its own."""
+    ids: dict[tuple[int, ...], int] = {}
+
+    def cids(covectors) -> list[int]:
+        return [ids.setdefault(linalg.scale_to_integers(c), len(ids)) for c in covectors]
+
+    def tau_ids(p: int, q: int) -> list[int]:
+        pairs = sys.cone_simple_pairs(p)
+        return cids(pairs[i][0] for i in sys.vanishing_indices(p, q))
+
+    g, dims = sys.full_cone().index, [c.dim for c in sys.cones]
+    compiled = []
+    for q in range(len(sys.cones)):
+        below, table = cones_below(sys, q), []
+        for r in below:
+            terms = [
+                (tau_ids(r, rr), cids(sys.dual_basis(rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
+                for rr in below
+                if sys.parabolic_leq(r, rr)
+            ]
+            table.append((r, cids(sys.zero_roots(r)), terms))
+        compiled.append((tau_ids(q, g), table))
+    return list(ids), compiled
 
 
 def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
@@ -55,7 +99,7 @@ def gamma_cone_pair(sys: RestrictedRootSystem, p: int, q: int, h: Sequence, x: S
     hmx = linalg.vsub(hv, _parse_vec(x))
     total = 0
     dim_q = sys.cones[q].dim
-    for r in [c for c in sys.cones_below(q) if sys.parabolic_leq(p, c)]:
+    for r in [c for c in cones_below(sys, q) if sys.parabolic_leq(p, c)]:
         if tau(sys, p, r, hv) == 0:
             continue
         if tau_hat(sys, r, q, hmx) == 0:
@@ -68,10 +112,10 @@ def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSe
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
     hv = _parse_vec(h)
     total = 0
-    for r in sys.cones_below(q):
+    for r in cones_below(sys, q):
         if delta(sys, r, hv) == 0:
             continue
-        total += gamma_cone_pair(sys, r, q, hv, y.projected(r))
+        total += gamma_cone_pair(sys, r, q, hv, projected(y, r))
     return total
 
 
@@ -81,7 +125,7 @@ def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: Orthogon
     g = sys.full_cone().index
     total = 0
     for cone in range(len(sys.cones)):
-        if tau(sys, cone, g, linalg.vsub(hv, y.projected(cone))) == 0:
+        if tau(sys, cone, g, linalg.vsub(hv, projected(y, cone))) == 0:
             continue
         total += gamma_family(sys, cone, hv, y)
     return total

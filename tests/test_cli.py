@@ -429,6 +429,18 @@ class TestToriAndLevis:
             f"error: the count would scan 4501141 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
         )
 
+    def test_ehrhart_run_over_the_limit_is_refused_whatever_the_sweep_point(self):
+        # with a non-dominant x0 the hull shrinks as j grows, so the refused
+        # count (k = 6, j = 0) is the last of its refinement, not the first
+        start = time.perf_counter()
+        argv = ["ortho", "ehrhart", "--system", "A2", "--special", "20000,20000", "--x0=-1000,-1000"]
+        code, text = run(argv + ["--kmax", "6", "--max-period", "4"])
+        assert time.perf_counter() - start < 1
+        assert (code, text) == (
+            EXIT_USAGE,
+            f"error: the count would scan 204001 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
+        )
+
     def test_ehrhart_limits_admit_their_own_values(self):
         argv = ["ortho", "ehrhart", "--system", "A1", "--kmax", "6", "--max-period", "4"]
         args = build_parser().parse_args(argv)

@@ -23,7 +23,7 @@ from galpairs.families import (
 )
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
 from hull_oracle import cofactor_normal, hull_volume
-from kernel_oracle import delta, gamma_cone_pair, tau, tau_hat
+from kernel_oracle import delta, gamma_cone_pair, projected, tau, tau_hat
 import root_oracle
 
 
@@ -183,7 +183,7 @@ class TestGammaKernels:
         g = sys.full_cone().index
         pos, _ = _a1_chambers(sys)
         h = (Fraction(2),)
-        x = y.projected(pos)
+        x = projected(y, pos)
         assert gamma_cone_pair(sys, pos, g, h, x) in (0, 1)
 
     def test_matches_hull_generic_a2(self):
@@ -243,7 +243,7 @@ class TestLeviCoherence:
             for p, q, a, av in sys.walls(cone):
                 if root_oracle.restricted_coroot(sys, p, a) != av:
                     return False
-                d = linalg.vsub(y.projected(p), y.projected(q))
+                d = linalg.vsub(projected(y, p), projected(y, q))
                 if linalg.proportionality(d, av) is None:
                     return False
         return True

@@ -108,7 +108,7 @@ def test_parabolic_order_a1():
     for ch in sys.chambers:
         assert sys.parabolic_leq(ch, full.index)
         assert not sys.parabolic_leq(full.index, ch)
-    assert sys.cones_below(full.index) == [c.index for c in sys.cones]
+    assert all(sys.parabolic_leq(c.index, full.index) for c in sys.cones)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
