@@ -171,7 +171,7 @@ class KernelTables:
         zeros = [[planes[n] for n, s in enumerate(c.signs) if s == 0] for c in sys.cones]  # delta^r
         self.compiled: list[tuple[list[int], list]] = [([], []) for _ in sys.cones]
         for p in sys.chambers:
-            inv, _ = _integer_basis(linalg.invert(sys.chamber_weyl(p)))  # a multiple of w_P^-1
+            inv, _ = _integer_basis(sys.chamber_weyl_inverse(p))  # a multiple of w_P^-1
 
             @functools.cache
             def move(c: tuple[int, ...]) -> int:  # the id of c o w_P^-1

@@ -86,15 +86,6 @@ def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
     return c
 
 
-def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
-    """Signs (-1, 0, +1) of each covector at v."""
-    out = []
-    for h in covectors:
-        x = dot(h, v)
-        out.append(0 if x == 0 else (1 if x > 0 else -1))
-    return tuple(out)
-
-
 def matvec(m: Mat, v: Vec) -> Vec:
     return tuple(dot(row, v) for row in m)
 

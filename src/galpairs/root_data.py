@@ -1,10 +1,10 @@
 """Possibly non-reduced restricted root systems and their cone fans.
 
 A system is given by root covectors on an ambient rational vector space,
-together with a coroot for each root and a choice of simple roots.  The full
-hyperplane-arrangement fan (faces of all dimensions, indexed by sign vectors
-over the root hyperplanes) is computed once at construction; chambers carry
-the Weyl group element mapping the base chamber onto them.
+together with a coroot for each root and a choice of simple roots.  The Weyl
+group is built once, as the permutations of root indices that the simple
+reflections generate; the fan (faces indexed by sign vectors over the root
+hyperplanes) and every chamber's tables are read off those permutations.
 
 Conventions:
   * roots are covectors (pairings ``<alpha, x>`` with ambient vectors x),
@@ -80,27 +80,28 @@ class RestrictedRootSystem:
         self.lattice = lattice if lattice is not None else IntLattice.standard(ambient_dim)
         if self.lattice.ambient_dim != ambient_dim:
             raise ValueError("normalization lattice has wrong ambient dimension")
-        self._coroot_of = {self.roots[i]: self.coroots[i] for i in range(len(self.roots))}
-        self._root_set = set(self.roots)
-        self._build_fan(self._validate())
+        self._root_index = {a: k for k, a in enumerate(self.roots)}
+        self._build_fan(*self._validate())
         self._cache: dict = {}
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self) -> list[Vec]:
-        """Check the root datum; return each root's coefficients over the simple roots."""
-        if len(set(self.roots)) != len(self.roots):
+    def _validate(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
+        """Check the root datum; return each root's coefficients over the simple roots
+        and each simple reflection as the permutation of root indices it induces."""
+        index = self._root_index
+        if len(index) != len(self.roots):
             raise ValueError("duplicate roots")
         for a, av in zip(self.roots, self.coroots):
             if linalg.dot(a, av) != 2:
                 raise ValueError(f"<a, a_coroot> != 2 for root {a}")
             neg = tuple(-x for x in a)
-            if neg not in self._root_set:
+            if neg not in index:
                 raise ValueError(f"root set is not symmetric: missing {neg}")
             double = tuple(2 * x for x in a)
-            if double in self._root_set:
+            if double in index:
                 expected = linalg.vscale(Fraction(1, 2), av)
-                if self._coroot_of[double] != expected:
+                if self.coroots[index[double]] != expected:
                     raise ValueError(f"coroot of {double} must be half the coroot of {a}")
         simple = [self.roots[i] for i in self.simple_indices]
         # every root must be a one-signed rational combination of the simples
@@ -112,80 +113,84 @@ class RestrictedRootSystem:
             if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
                 raise ValueError(f"root {a} is not one-signed over the simple roots")
             all_coeffs.append(coeffs)
-        # closure under the simple reflections (acting on covectors)
+        # closure under the simple reflections: s(b) = b - <b, a_coroot> a on covectors,
+        # and the coroot of s(b) must be s(b_coroot) = b_coroot - <a, b_coroot> a_coroot
+        perms = []
         for i in self.simple_indices:
-            av = self.coroots[i]
-            alpha = self.roots[i]
-            for b in self.roots:
+            alpha, av = self.roots[i], self.coroots[i]
+            perm = []
+            for b, bv in zip(self.roots, self.coroots):
                 img = linalg.vsub(b, linalg.vscale(linalg.dot(b, av), alpha))
-                if img not in self._root_set:
+                if img not in index:
                     raise ValueError(
                         f"roots are not closed under the reflection in {alpha}: {b} -> {img}"
                     )
-        return all_coeffs
+                img_v = linalg.vsub(bv, linalg.vscale(linalg.dot(alpha, bv), av))
+                if self.coroots[index[img]] != img_v:
+                    raise ValueError(
+                        f"the reflection in {alpha} maps {b} to {img} but its coroot to {img_v}"
+                    )
+                perm.append(index[img])
+            perms.append(tuple(perm))
+        if linalg.rank(simple) < len(simple):
+            raise ValueError("simple roots are dependent")
+        return all_coeffs, perms
 
     # -- fan construction ----------------------------------------------------
 
-    def _reflection(self, root_index: int) -> Mat:
-        """Reflection on ambient vectors: x -> x - <a, x> a_coroot."""
-        a = self.roots[root_index]
-        av = self.coroots[root_index]
-        n = self.ambient_dim
-        return tuple(
-            tuple((1 if i == j else 0) - av[i] * a[j] for j in range(n)) for i in range(n)
-        )
-
-    def _build_fan(self, simple_coeffs: list[Vec]) -> None:
-        n = self.ambient_dim
-        simple = [self.roots[i] for i in self.simple_indices]
-        simple_coroots = [self.coroots[i] for i in self.simple_indices]
-
-        # reduced roots and their hyperplanes, positivity over the simples
-        self.positive_roots = [a for a, c in zip(self.roots, simple_coeffs) if all(x >= 0 for x in c)]
-        reduced_pos = [
-            a for a in self.positive_roots if linalg.vscale(Fraction(1, 2), a) not in self._root_set
+    def _build_fan(self, simple_coeffs: list[Vec], gens: list[tuple[int, ...]]) -> None:
+        """W as permutations w of root indices, w(roots[k]) = roots[w[k]], and the faces
+        w(F_I) of the chambers, F_I the face of the base chamber where the simples I vanish."""
+        n, r, simples = self.ambient_dim, self.rank, self.simple_indices
+        # the sign of root k on F_I (I as a bit mask): that of its coefficients outside I
+        face_sign = []
+        for c in simple_coeffs:
+            support = sum(1 << j for j, x in enumerate(c) if x)
+            sign = 1 if any(x > 0 for x in c) else -1
+            face_sign.append([sign if support & ~bits else 0 for bits in range(1 << r)])
+        # reduced positive roots, in root order and so sorted
+        planes = [
+            k
+            for k, c in enumerate(simple_coeffs)
+            if all(x >= 0 for x in c)
+            and linalg.vscale(Fraction(1, 2), self.roots[k]) not in self._root_index
         ]
-        self.hyperplanes: list[Vec] = sorted(reduced_pos)
+        self.hyperplanes: list[Vec] = [self.roots[k] for k in planes]
 
-        # Weyl group: close the simple reflections under multiplication
-        gens = [self._reflection(i) for i in self.simple_indices]
-        ident = linalg.identity(n)
-        elements = {ident}
+        ident = tuple(range(len(self.roots)))
+        elements = {ident: ident}  # w -> w^-1
         frontier = [ident]
         while frontier:
             nxt = []
             for w in frontier:
                 for g in gens:
-                    wg = linalg.matmul(g, w)
-                    if wg not in elements:
-                        elements.add(wg)
-                        nxt.append(wg)
+                    gw = tuple(g[k] for k in w)
+                    if gw not in elements:
+                        elements[gw] = tuple(elements[w][k] for k in g)  # w^-1 g, as g = g^-1
+                        nxt.append(gw)
             frontier = nxt
             if len(elements) > _MAX_WEYL:
                 raise ValueError("reflection group is too large or not finite")
-        self.weyl_elements: list[Mat] = sorted(elements)
 
-        # relative-interior points of the faces of the closed base chamber
-        r = len(simple)
-        face_points: list[tuple[frozenset, Vec]] = []
-        for bits in range(1 << r):
-            zero = frozenset(i for i in range(r) if bits >> i & 1)
-            target = [Fraction(0) if i in zero else Fraction(1) for i in range(r)]
-            point = linalg.solve(simple, target)
-            if point is None:
-                raise ValueError("simple roots are dependent")
-            face_points.append((zero, point))
+        # w on ambient vectors moves the simple coroots to coroots[w[i]] and fixes the
+        # common kernel of the roots, a complement of the coroots' span
+        kernel = linalg.nullspace([self.roots[i] for i in simples], ncols=n)
+        columns = lambda w: tuple(self.coroots[w[i]] for i in simples) + tuple(kernel)
+        base_inv = linalg.invert(linalg.transpose(columns(ident)))
+        matrix = {w: linalg.matmul(linalg.transpose(columns(w)), base_inv) for w in elements}
+        order = sorted(elements, key=matrix.__getitem__)
+        self.weyl_elements: list[Mat] = [matrix[w] for w in order]
 
+        types = [frozenset(i for i in range(r) if bits >> i & 1) for bits in range(1 << r)]
         seen: dict[tuple[int, ...], int] = {}
         cones: list[Cone] = []
-        chamber_w: dict[int, Mat] = {}
+        self._chamber_perms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # w_P, w_P^-1
         self._chamber_faces: dict[int, dict[frozenset, int]] = {}
-        base_interior = face_points[0][1]
-        for w in self.weyl_elements:
-            faces = {}  # zero set I -> the cone w(F_I)
-            for zero, p in face_points:
-                img = linalg.matvec(w, p)
-                sv = linalg.sign_vector(self.hyperplanes, img)
+        for w in order:
+            w_inv = elements[w]
+            faces = {}  # zero set I -> the cone w(F_I), where a root b has the sign of w^-1(b) on F_I
+            for bits, zero in enumerate(types):
+                sv = tuple(face_sign[w_inv[k]][bits] for k in planes)
                 if sv not in seen:
                     zero_rows = [self.hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
                     span = linalg.nullspace(zero_rows, ncols=n) if zero_rows else linalg.identity(n)
@@ -193,29 +198,17 @@ class RestrictedRootSystem:
                     seen[sv] = cone.index
                     cones.append(cone)
                 faces[zero] = seen[sv]
-            chamber_w.setdefault(faces[frozenset()], w)
-            self._chamber_faces.setdefault(faces[frozenset()], faces)
+            p = faces[types[0]]
+            self._chamber_faces[p] = faces
+            self._chamber_perms[p] = w, w_inv
+        self._weyl_matrix = matrix
         self.cones: list[Cone] = cones
         self._sign_index = seen
-        self.chambers: list[int] = sorted(
-            c.index for c in cones if all(s != 0 for s in c.signs)
-        )
-        self._chamber_w = chamber_w
+        self.chambers: list[int] = sorted(self._chamber_faces)
         # the least chamber whose closure holds the cone: smaller chambers overwrite larger
         below = ((c, p) for p in self.chambers[::-1] for c in self._chamber_faces[p].values())
         self._chamber_below = dict(below)
-
-        # simple root/coroot pairs per chamber, transported from the base
-        self._chamber_simples: dict[int, list[tuple[Vec, Vec]]] = {}
-        for ci in self.chambers:
-            w = chamber_w[ci]
-            w_inv = linalg.invert(w)
-            pairs = []
-            for a, av in zip(simple, simple_coroots):
-                pairs.append((linalg.vecmat(a, w_inv), linalg.matvec(w, av)))
-            self._chamber_simples[ci] = pairs
-
-        self.base_chamber: int = seen[linalg.sign_vector(self.hyperplanes, base_interior)]
+        self.base_chamber: int = seen[(1,) * len(planes)]
 
     # -- basic fan queries -----------------------------------------------------
 
@@ -226,23 +219,13 @@ class RestrictedRootSystem:
     def cone_by_signs(self, signs: tuple[int, ...]) -> Cone:
         return self.cones[self._sign_index[signs]]
 
-    def parabolic_leq(self, p: int, q: int) -> bool:
-        """True when the cone q is a face of the closure of the cone p.
-
-        In the parabolic dictionary this is containment P <= Q: smaller cones
-        correspond to larger parabolic subgroups.
-        """
-        sp = self.cones[p].signs
-        sq = self.cones[q].signs
-        for a, b in zip(sp, sq):
-            if a == 0 and b != 0:
-                return False
-            if b != 0 and b != a:
-                return False
-        return True
-
     def chamber_weyl(self, chamber: int) -> Mat:
-        return self._chamber_w[chamber]
+        """w_P, the Weyl element mapping the base chamber onto the chamber P."""
+        return self._weyl_matrix[self._chamber_perms[chamber][0]]
+
+    def chamber_weyl_inverse(self, chamber: int) -> Mat:
+        """w_P^-1, the matrix of the inverse permutation."""
+        return self._weyl_matrix[self._chamber_perms[chamber][1]]
 
     def chamber_faces(self, chamber: int) -> dict[frozenset, int]:
         """The faces w_P(F_I) of the closed chamber P, each keyed by the indices I
@@ -250,8 +233,10 @@ class RestrictedRootSystem:
         return self._chamber_faces[chamber]
 
     def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
-        """(root covector, coroot vector) pairs of the chamber's simple roots."""
-        return self._chamber_simples[chamber]
+        """(root covector, coroot vector) pairs of the chamber's simple roots: the
+        (roots[w[i]], coroots[w[i]]) for w = w_P and i over the simple indices."""
+        w = self._chamber_perms[chamber][0]
+        return [(self.roots[w[i]], self.coroots[w[i]]) for i in self.simple_indices]
 
     def full_cone(self) -> Cone:
         """The minimal cone of the fan (all signs zero)."""
@@ -314,7 +299,7 @@ class RestrictedRootSystem:
                 self._cache[key] = linalg.identity(self.ambient_dim)
             else:
                 complement = linalg.independent_subset(
-                    [self._coroot_of[a] for a in self.zero_roots(cone)]
+                    [self.coroots[self._root_index[a]] for a in self.zero_roots(cone)]
                 )
                 self._cache[key] = linalg.projection_matrix(c.span_basis, complement)
         return self._cache[key]
@@ -333,13 +318,12 @@ class RestrictedRootSystem:
         key = ("simples", cone)
         if key not in self._cache:
             c = self.cones[cone]
-            if c.dim == self.ambient_dim:  # a chamber: the projection is the identity
-                pairs = list(self._chamber_simples[cone])
-            else:
+            pairs = self.chamber_simple_pairs(self.chamber_below(cone))
+            if c.dim < self.ambient_dim:  # a chamber's projection is the identity
                 proj = self.levi_projection(cone)
                 pairs = [
                     (linalg.vecmat(a, proj), linalg.matvec(proj, av))
-                    for a, av in self._chamber_simples[self.chamber_below(cone)]
+                    for a, av in pairs
                     if any(linalg.dot(a, b) != 0 for b in c.span_basis)
                 ]
             self._cache[key] = pairs

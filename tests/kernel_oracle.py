@@ -6,7 +6,9 @@ written as the paper states them: every indicator re-reads h and takes its
 rational dot products directly, and Y_Q is Y projected by the Levi projection
 of Q.  ``one_pass_tables`` is the compile written pair by pair over the face
 poset, the oracle of ``KernelTables``, which compiles pairs of standard faces
-and moves them over the Weyl group.  They are slow and only the tests call them.
+and moves them over the Weyl group.  ``parabolic_leq`` is the face order they
+are written in, read off the cones' sign vectors.  They are slow and only the
+tests call them.
 """
 
 from __future__ import annotations
@@ -19,9 +21,25 @@ from galpairs.linalg import Vec
 from galpairs.root_data import RestrictedRootSystem, _parse_vec
 
 
+def parabolic_leq(sys: RestrictedRootSystem, p: int, q: int) -> bool:
+    """True when the cone q is a face of the closure of the cone p.
+
+    In the parabolic dictionary this is containment P <= Q: smaller cones
+    correspond to larger parabolic subgroups.
+    """
+    sp = sys.cones[p].signs
+    sq = sys.cones[q].signs
+    for a, b in zip(sp, sq):
+        if a == 0 and b != 0:
+            return False
+        if b != 0 and b != a:
+            return False
+    return True
+
+
 def cones_below(sys: RestrictedRootSystem, q: int) -> list[int]:
     """All cones R with R <= Q in the parabolic order (q a face of cl R)."""
-    return [c.index for c in sys.cones if sys.parabolic_leq(c.index, q)]
+    return [c.index for c in sys.cones if parabolic_leq(sys, c.index, q)]
 
 
 def projected(y: OrthogonalSet, cone: int) -> Vec:
@@ -52,7 +70,7 @@ def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], l
             terms = [
                 (tau_ids(r, rr), cids(sys.dual_basis(rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
                 for rr in below
-                if sys.parabolic_leq(r, rr)
+                if parabolic_leq(sys, r, rr)
             ]
             table.append((r, cids(sys.zero_roots(r)), terms))
         compiled.append((tau_ids(q, g), table))
@@ -61,7 +79,7 @@ def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], l
 
 def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     """1 when every simple root of p that lies in the Levi of q is positive at h."""
-    if not sys.parabolic_leq(p, q):
+    if not parabolic_leq(sys, p, q):
         raise ValueError("tau requires p <= q in the parabolic order")
     hv = _parse_vec(h)
     pairs = sys.cone_simple_pairs(p)
@@ -73,7 +91,7 @@ def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
 
 def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     """1 when every dual-basis covector of (p, q) is positive at h."""
-    if not sys.parabolic_leq(p, q):
+    if not parabolic_leq(sys, p, q):
         raise ValueError("tau_hat requires p <= q in the parabolic order")
     hv = _parse_vec(h)
     for w in sys.dual_basis(p, q):
@@ -93,13 +111,13 @@ def delta(sys: RestrictedRootSystem, r: int, h: Sequence) -> int:
 
 def gamma_cone_pair(sys: RestrictedRootSystem, p: int, q: int, h: Sequence, x: Sequence) -> int:
     """Alternating sum over p <= R <= q of tau^R_p(h) * tau_hat^q_R(h - x)."""
-    if not sys.parabolic_leq(p, q):
+    if not parabolic_leq(sys, p, q):
         raise ValueError("gamma requires p <= q in the parabolic order")
     hv = _parse_vec(h)
     hmx = linalg.vsub(hv, _parse_vec(x))
     total = 0
     dim_q = sys.cones[q].dim
-    for r in [c for c in cones_below(sys, q) if sys.parabolic_leq(p, c)]:
+    for r in [c for c in cones_below(sys, q) if parabolic_leq(sys, p, c)]:
         if tau(sys, p, r, hv) == 0:
             continue
         if tau_hat(sys, r, q, hmx) == 0:

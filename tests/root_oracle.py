@@ -1,4 +1,5 @@
-"""The corank-one lift of a restricted root, kept as the oracle of ``walls``.
+"""The corank-one lift of a restricted root, kept as the oracle of ``walls``, and
+the fan built with Fraction matrices, kept as the oracle of the permutation build.
 
 ``RestrictedRootSystem.walls(cone)`` stores, for each wall of the fan induced
 on a cone's span, the coroot of the simple pair of ``cone_simple_pairs`` along
@@ -7,6 +8,11 @@ it: lift the restricted root to a simple root of a compatible chamber of the
 corank-one sub-datum where it vanishes, project that root's coroot to the span
 of the cone, and check that every compatible chamber gives the same answer.
 It reads only public attributes of the system, and only the tests call it.
+
+``fraction_fan`` builds the fan as ``RestrictedRootSystem`` did before it read W
+off the root permutations: it closes the simple reflections as Fraction
+matrices, maps a relative-interior point of each face of the base chamber by
+every element and reads the face's signs there.
 """
 
 from __future__ import annotations
@@ -15,8 +21,94 @@ from fractions import Fraction
 from typing import Sequence
 
 from galpairs import linalg
-from galpairs.linalg import Vec
-from galpairs.root_data import RestrictedRootSystem, _parse_vec
+from galpairs.linalg import Mat, Vec
+from galpairs.root_data import _MAX_WEYL, Cone, RestrictedRootSystem, _parse_vec
+
+
+def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
+    """Signs (-1, 0, +1) of each covector at v."""
+    out = []
+    for h in covectors:
+        x = linalg.dot(h, v)
+        out.append(0 if x == 0 else (1 if x > 0 else -1))
+    return tuple(out)
+
+
+def fraction_fan(sys: RestrictedRootSystem) -> dict:
+    """The fan tables of ``sys``, built anew from its roots, coroots and simple roots:
+    hyperplanes, weyl_elements, cones, chambers, base_chamber, and per chamber
+    chamber_weyl, chamber_faces and chamber_simple_pairs, and per cone chamber_below."""
+    n = sys.ambient_dim
+    simple = [sys.roots[i] for i in sys.simple_indices]
+    simple_coroots = [sys.coroots[i] for i in sys.simple_indices]
+    root_set = set(sys.roots)
+    positive = [a for a in sys.roots if all(x >= 0 for x in linalg.coordinates_in_basis(simple, a))]
+    hyperplanes = sorted(a for a in positive if linalg.vscale(Fraction(1, 2), a) not in root_set)
+
+    def reflection(i: int) -> Mat:  # x -> x - <a, x> a_coroot on ambient vectors
+        a, av = sys.roots[i], sys.coroots[i]
+        return tuple(tuple((1 if k == j else 0) - av[k] * a[j] for j in range(n)) for k in range(n))
+
+    gens = [reflection(i) for i in sys.simple_indices]
+    ident = linalg.identity(n)
+    elements, frontier = {ident}, [ident]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for g in gens:
+                wg = linalg.matmul(g, w)
+                if wg not in elements:
+                    elements.add(wg)
+                    nxt.append(wg)
+        frontier = nxt
+        if len(elements) > _MAX_WEYL:
+            raise ValueError("reflection group is too large or not finite")
+    weyl_elements = sorted(elements)
+
+    r = len(simple)
+    face_points = []  # (I, a relative-interior point of the face F_I of the base chamber)
+    for bits in range(1 << r):
+        zero = frozenset(i for i in range(r) if bits >> i & 1)
+        point = linalg.solve(simple, [Fraction(0) if i in zero else Fraction(1) for i in range(r)])
+        if point is None:
+            raise ValueError("simple roots are dependent")
+        face_points.append((zero, point))
+
+    seen: dict[tuple[int, ...], int] = {}
+    cones: list[Cone] = []
+    chamber_weyl: dict[int, Mat] = {}
+    chamber_faces: dict[int, dict[frozenset, int]] = {}
+    for w in weyl_elements:
+        faces = {}
+        for zero, p in face_points:
+            sv = sign_vector(hyperplanes, linalg.matvec(w, p))
+            if sv not in seen:
+                zero_rows = [hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
+                span = linalg.nullspace(zero_rows, ncols=n) if zero_rows else linalg.identity(n)
+                seen[sv] = len(cones)
+                cones.append(Cone(len(cones), sv, len(span), tuple(span)))
+            faces[zero] = seen[sv]
+        chamber_weyl.setdefault(faces[frozenset()], w)
+        chamber_faces.setdefault(faces[frozenset()], faces)
+    chambers = sorted(c.index for c in cones if all(s != 0 for s in c.signs))
+    chamber_simples = {}
+    for ch in chambers:
+        w = chamber_weyl[ch]
+        w_inv = linalg.invert(w)
+        chamber_simples[ch] = [
+            (linalg.vecmat(a, w_inv), linalg.matvec(w, av)) for a, av in zip(simple, simple_coroots)
+        ]
+    return {
+        "hyperplanes": hyperplanes,
+        "weyl_elements": weyl_elements,
+        "cones": cones,
+        "chambers": chambers,
+        "base_chamber": seen[sign_vector(hyperplanes, face_points[0][1])],
+        "chamber_weyl": chamber_weyl,
+        "chamber_faces": chamber_faces,
+        "chamber_simple_pairs": chamber_simples,
+        "chamber_below": dict((c, p) for p in chambers[::-1] for c in chamber_faces[p].values()),
+    }
 
 
 def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> Vec:
@@ -53,12 +145,12 @@ def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> 
     simple = [sys.roots[i] for i in sys.simple_indices]
     base_interior = linalg.solve(simple, [Fraction(1)] * len(simple))
     patterns = {
-        linalg.sign_vector(sub_hyps, linalg.matvec(sys.chamber_weyl(ch), base_interior))
+        sign_vector(sub_hyps, linalg.matvec(sys.chamber_weyl(ch), base_interior))
         for ch in sys.chambers
     }
 
     # signs of the sub-roots on the half-space {x in cone span : alpha > 0}
-    target = linalg.sign_vector(sub_hyps, _generic_halfspace_point(span, a, sub_hyps))
+    target = sign_vector(sub_hyps, _generic_halfspace_point(span, a, sub_hyps))
 
     results = []
     for pat in sorted(patterns):

@@ -20,6 +20,20 @@ A1_SYSTEM = {
     "ambient_dim": 1, "roots": [[2], [-2]], "coroots": [[1], [-1]],
     "simple_indices": [0], "lattice_basis": [[1]], "name": "custom-A1",
 }
+# A2 whose root (1, 1) has coroot (2, 0): <a, a_coroot> = 2 still holds, but the
+# reflection in (2, -1) maps (-1, 2) to (1, 1) and its coroot (0, 1) to (1, 1)
+A2_BAD_COROOT = {
+    "ambient_dim": 2,
+    "roots": [[2, -1], [-1, 2], [1, 1], [-2, 1], [1, -2], [-1, -1]],
+    "coroots": [[1, 0], [0, 1], [2, 0], [-1, 0], [0, -1], [-2, 0]],
+    "simple_indices": [0, 1],
+}
+# A7 as e_i - e_j in dimension 8: |W| = 8! = 40,320, over the Weyl-size limit
+_A7_ROOTS = [[int(k == i) - int(k == j) for k in range(8)] for i in range(8) for j in range(8) if i != j]
+A7_SYSTEM = {
+    "ambient_dim": 8, "roots": _A7_ROOTS, "coroots": _A7_ROOTS,
+    "simple_indices": [_A7_ROOTS.index([int(k == i) - int(k == i + 1) for k in range(8)]) for i in range(7)],
+}
 NORM_ONE = {"ambient_rank": 1, "actions": [[[1]], [[-1]]], "label": "norm-one"}
 U2_PRESET = {
     "name": "u2", "num_simple": 1, "iota": [0], "delta_minus": [0],
@@ -127,6 +141,11 @@ class TestBadInput:
             (LEVIS, {**U2_PRESET, "iota": 5}, "list"),
             (H1, {"ambient_rank": 2, "actions": [[[1, 0], [0, 1]], [[1]]]}, "2 x 2"),
             (VOLUME, {**A1_SYSTEM, "coroots": [[1]]}, "differ in length"),
+            # unsound root data
+            (VOLUME, A2_BAD_COROOT, "but its coroot to"),
+            # a and -a: one-signed coordinates and closed reflections, but no base chamber
+            (VOLUME, {**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
+            (VOLUME, A7_SYSTEM, "reflection group is too large or not finite"),
         ],
     )
     def test_malformed_fixture_is_a_usage_error(self, tmp_path, argv, fixture, message):

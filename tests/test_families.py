@@ -23,7 +23,7 @@ from galpairs.families import (
 )
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
 from hull_oracle import cofactor_normal, hull_volume
-from kernel_oracle import delta, gamma_cone_pair, projected, tau, tau_hat
+from kernel_oracle import delta, gamma_cone_pair, parabolic_leq, projected, tau, tau_hat
 import root_oracle
 
 
@@ -106,7 +106,7 @@ def _projections_agree(y) -> bool:
     for cone in range(len(sys.cones)):
         proj = sys.levi_projection(cone)
         values = {
-            linalg.matvec(proj, y.points[c]) for c in sys.chambers if sys.parabolic_leq(c, cone)
+            linalg.matvec(proj, y.points[c]) for c in sys.chambers if parabolic_leq(sys, c, cone)
         }
         if len(values) != 1:
             return False

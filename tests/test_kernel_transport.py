@@ -15,7 +15,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle as oracle
-from galpairs import root_data, sampling
+from galpairs import linalg, root_data, sampling
 from galpairs.families import KernelTables
 from galpairs.root_data import BUILTIN_NAMES
 
@@ -84,3 +84,13 @@ def test_thresholds_match_levi_projection(name):
             want, d = kernel.point(oracle.projected(y, q))
             for c in ids:
                 assert Fraction(nums[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
+
+
+def test_compile_inverts_no_chamber_weyl_element(monkeypatch):
+    """w_P^-1 comes from the fan, one per chamber; the compile inverts no w_P."""
+    sys = _build("A3")
+    weyl = {sys.chamber_weyl(p) for p in sys.chambers}
+    inverted, invert = [], linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda m: inverted.append(tuple(map(tuple, m))) or invert(m))
+    KernelTables(sys)
+    assert inverted and weyl.isdisjoint(inverted)
