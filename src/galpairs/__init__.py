@@ -5,7 +5,7 @@ Subpackages:
   * ``root_data``     -- restricted root systems and their cone fans
   * ``families``      -- orthogonal sets, indicator kernels, volumes, counts
   * ``presets``       -- diagram presets and elliptic twisted-Levi data
-  * ``multiplicity``  -- virtual characters and the multiplicity identities
+  * ``multiplicity``  -- character identities and the Steinberg multiplicity
   * ``cli``           -- batch verification commands
 """
 
@@ -25,9 +25,6 @@ from .families import (
     volume_polytope,
 )
 from .multiplicity import (
-    VirtualCharacter,
-    composition_identity,
-    gln_induction_identity,
     steinberg_indicator,
     steinberg_multiplicity,
     verify_prasad_identity,
@@ -49,13 +46,10 @@ __all__ = [
     "RestrictedRootSystem",
     "ThetaPreset",
     "EllipticLeviDatum",
-    "VirtualCharacter",
     "builtin_preset",
     "builtin_system",
-    "composition_identity",
     "enumerate_elliptic_levis",
     "gamma_family",
-    "gln_induction_identity",
     "inner_form_fiber_count",
     "partition_of_unity_value",
     "smith_normal_form",

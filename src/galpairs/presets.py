@@ -21,8 +21,8 @@ from typing import Optional, Sequence
 from .exact_linalg import _as_dict, _as_int, _as_ints
 
 
-# the largest rank m of (Z/2)^m: the character-collapse check costs 3^m steps
-# and a preset's elliptic Levis number 2^m
+# the largest rank m of (Z/2)^m: the character-collapse check costs m * 2^m
+# additions and a preset's elliptic Levis number 2^m
 MAX_M = 16
 # the largest n of "GL:n": it builds n-tuples, though its m is at most 1
 MAX_GL_N = 1000
@@ -33,11 +33,29 @@ def _check_rank(m: int) -> None:
         raise ValueError(f"at most {MAX_M} fixed simple roots, got {m}")
 
 
-def _span_masks(generators: Sequence[int]) -> set[int]:
-    span = {0}
+def restriction_echelon(generators: Sequence[int], mask: int) -> tuple[int, list[int]]:
+    """GF(2) elimination of the generators of B restricted to the bits of mask.
+
+    Returns the rank r of the restrictions, so the projection of B to mask has
+    2^r elements, and the elements of B left over when a restriction reduces
+    to zero: together they generate the elements of B that vanish on mask.
+    Echelon rows are keyed by the leading bit of their restriction.
+    """
+    rows: dict[int, tuple[int, int]] = {}  # leading bit -> (restriction, element of B)
+    vanishing = []
     for g in generators:
-        span |= {x ^ g for x in span}
-    return span
+        r = g & mask
+        while r:
+            top = r.bit_length() - 1
+            if top not in rows:
+                rows[top] = (r, g)
+                break
+            row_r, row_g = rows[top]
+            r ^= row_r
+            g ^= row_g
+        else:
+            vanishing.append(g)
+    return len(rows), vanishing
 
 
 @dataclass(frozen=True)
@@ -78,10 +96,6 @@ class ThetaPreset:
         """Number of fixed simple roots (rank of the ambient two-group)."""
         return len(self.delta_minus)
 
-    def b_subgroup(self) -> set[int]:
-        """All elements of B as bitmasks over the fixed simple roots."""
-        return _span_masks(self.b_generators)
-
 
 @dataclass(frozen=True)
 class EllipticLeviDatum:
@@ -99,27 +113,31 @@ class EllipticLeviDatum:
 
 
 def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
-    """One datum per subset I of the fixed simple roots, in mask order."""
+    """One datum per subset I of the fixed simple roots, in mask order.
+
+    The index is 2^r for the GF(2) rank r of B's generators restricted to I
+    (``restriction_echelon``); the projection of every element of B, as
+    written, is ``tests/prasad_oracle.py::elliptic_levis``.
+    """
     m = preset.m
-    b = preset.b_subgroup()
+    subsets: list[tuple[int, ...]] = [()]
+    for i in range(m):  # the subsets of bits 0..i in mask order: bit i is the top
+        subsets += [s + (i,) for s in subsets]
+    labels = [None] * len(subsets)
+    if preset.metadata.get("family") == "U":
+        n = preset.metadata["n"]
+        labels = [(n,)]  # the composition of n cut at i + 1 for each i in I
+        for i in range(m):  # a cut at i + 1, past the earlier cuts, splits the last part
+            labels += [lab[:-1] + (lab[-1] - (n - i - 1), n - i - 1) for lab in labels]
     out = []
-    for mask in range(1 << m):
-        subset = tuple(i for i in range(m) if mask >> i & 1)
-        # the projection of B is a subgroup of (Z/2)^|I|, so its size divides 2^|I|
-        mab = len({x & mask for x in b})
-        ker1 = (1 << len(subset)) // mab
-        label = None
-        if preset.metadata.get("family") == "U":
-            n = preset.metadata["n"]
-            cuts = [i + 1 for i in subset]
-            bounds = [0] + cuts + [n]
-            label = tuple(b2 - b1 for b1, b2 in zip(bounds, bounds[1:]))
+    for mask, (subset, label) in enumerate(zip(subsets, labels)):
+        rank = restriction_echelon(preset.b_generators, mask)[0]
         out.append(
             EllipticLeviDatum(
                 subset=subset,
                 sign=(-1) ** (m - len(subset)),
-                ker1_size=ker1,
-                mab_index=mab,
+                ker1_size=1 << (len(subset) - rank),
+                mab_index=1 << rank,
                 label=label,
             )
         )

@@ -75,6 +75,9 @@ class RestrictedRootSystem:
         self.roots: list[Vec] = [linalg.vec(roots[i]) for i in order]
         self.coroots: list[Vec] = [linalg.vec(coroots[i]) for i in order]
         old_to_new = {order[k]: k for k in range(len(order))}
+        for i in simple_indices:
+            if i not in old_to_new:
+                raise ValueError(f"simple index {i} names no root: there are {len(roots)} roots")
         simple_new = sorted(old_to_new[i] for i in simple_indices)
         self.simple_indices = simple_new
         self.lattice = lattice if lattice is not None else IntLattice.standard(ambient_dim)

@@ -146,6 +146,9 @@ class TestBadInput:
             # a and -a: one-signed coordinates and closed reflections, but no base chamber
             (VOLUME, {**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
             (VOLUME, A7_SYSTEM, "reflection group is too large or not finite"),
+            # a simple index that names no root
+            (VOLUME, {**A1_SYSTEM, "simple_indices": [5]}, "simple index 5 names no root: there are 2 roots"),
+            (VOLUME, {**A1_SYSTEM, "simple_indices": [-1]}, "simple index -1 names no root: there are 2 roots"),
         ],
     )
     def test_malformed_fixture_is_a_usage_error(self, tmp_path, argv, fixture, message):

@@ -6,20 +6,23 @@ from hypothesis import strategies as st
 
 from galpairs.multiplicity import (
     PrasadIdentityCertificate,
-    VirtualCharacter,
     character_value,
     characters_equal_on_subgroup,
-    composition_identity,
     distinct_b_characters,
-    gln_induction_identity,
-    induced_trivial,
     omega_mask,
-    restricted_trivial_on,
     steinberg_indicator,
     steinberg_multiplicity,
     verify_prasad_identity,
 )
-from galpairs.presets import _span_masks, builtin_preset
+from galpairs.presets import builtin_preset
+from prasad_oracle import (
+    VirtualCharacter,
+    composition_identity,
+    gln_induction_identity,
+    induced_trivial,
+    restricted_trivial_on,
+    span_masks,
+)
 
 
 class TestCharacterArithmetic:
@@ -63,7 +66,7 @@ class TestInducedTrivial:
         for m in range(0, 5):
             generators = [omega_mask(m) & 0b11]
             ind = induced_trivial(m, generators)
-            sub = _span_masks(generators)
+            sub = span_masks(generators)
             for chi in range(1 << m):
                 assert ind.inner_with_character(chi) == int(restricted_trivial_on(chi, sub)), (m, chi)
 
