@@ -40,9 +40,10 @@ class OrthogonalSet:
     """A chamber-indexed family of points with coroot-directed wall jumps.
 
     ``points`` maps chamber index -> ambient point.  Validation checks every
-    wall-adjacent pair (P, P'): Y_P - Y_P' must be r * (wall coroot oriented
-    into P), and records the rational wall coefficients r.  The set is
-    *positive* when all coefficients are nonnegative.
+    wall-adjacent pair (P, P') of the chamber wall table
+    ``RestrictedRootSystem.walls``: Y_P - Y_P' must be r * (the coroot of P's
+    simple root along the wall), and records the rational wall coefficients r.
+    The set is *positive* when all coefficients are nonnegative.
     """
 
     def __init__(self, system: RestrictedRootSystem, points: dict[int, Sequence]):
@@ -57,7 +58,7 @@ class OrthogonalSet:
         self._validate()
 
     def _validate(self) -> None:
-        for p, q, _, coroot in self.system.walls(self.system.base_chamber):
+        for p, q, _, coroot in self.system.walls:
             diff = linalg.vsub(self.points[p], self.points[q])
             r = linalg.proportionality(diff, coroot)
             if r is None:
@@ -449,25 +450,16 @@ def support_bound_certificate(sys: RestrictedRootSystem) -> Fraction:
     """A Y-independent constant bounding support points of the hull kernel.
 
     Derived from the dual bases: any supported point decomposes over some
-    chamber's coroots with coefficients read off by the dual covectors.
+    chamber's coroots with coefficients read off by the dual covectors
+    (``RestrictedRootSystem.chamber_duals``).
     """
-    g = sys.full_cone().index
-    best = Fraction(0)
     basis = [linalg.vec(b) for b in sys.lattice.basis]
+    best = Fraction(0)
     for c in sys.chambers:
-        pairs = sys.cone_simple_pairs(c)
-        duals = sys.dual_basis(c, g)
-        total = Fraction(0)
-        for (a, av), w in zip(
-            [pairs[i] for i in sys.vanishing_indices(c, g)], duals
-        ):
-            av_c = linalg.coordinates_in_basis(basis, av)
-            w_norm = sum(abs(x) for x in w)
-            total += _sup_norm(av_c) * w_norm * max(
-                _sup_norm(linalg.vec(b)) for b in sys.lattice.basis
-            )
+        coroots = [linalg.coordinates_in_basis(basis, av) for _, av in sys.chamber_simple_pairs(c)]
+        total = sum(_sup_norm(av) * sum(map(abs, w)) for av, w in zip(coroots, sys.chamber_duals[c]))
         best = max(best, total)
-    return best * sys.ambient_dim
+    return best * max(map(_sup_norm, basis)) * sys.ambient_dim
 
 
 def support_bound_check(
@@ -535,8 +527,8 @@ def v_tilde_lattice(
     (-1)^(dim R - dim Q) tau_hat^Q_R(X) tau^G_Q(X) = [R = G] at
     X = H - Y_r, turns it into (i): it is 1 at every H.
     (iii) Let H meet every row, Q != G and P = ``chamber_below(Q)``.  Each w
-    of ``dual_basis(Q, G)`` is in ``dual_basis(P, G)`` and vanishes on the
-    kernel of ``levi_projection(Q)``, so by its row
+    of ``dual_basis(Q, G)`` is in ``dual_basis(P, G)`` = ``chamber_duals[P]``
+    and vanishes on the kernel of ``levi_projection(Q)``, so by its row
     <w, H - Y_Q> = <w, H - Y_P> <= 0.  The inverse Cartan matrix of P's simple
     roots is nonnegative (a finite reflection group's Cartan matrix is a
     nonsingular M-matrix), so w is a nonzero nonnegative combination of the

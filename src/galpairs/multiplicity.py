@@ -83,7 +83,7 @@ def verify_prasad_identity(m: int) -> PrasadIdentityCertificate:
 # -- omega and the Steinberg sum -------------------------------------------------
 
 
-def characters_equal_on_subgroup(m: int, chi1: int, chi2: int, generators: Sequence[int]) -> bool:
+def characters_equal_on_subgroup(chi1: int, chi2: int, generators: Sequence[int]) -> bool:
     return all(character_value(chi1 ^ chi2, g) == 1 for g in generators)
 
 
@@ -121,4 +121,4 @@ def steinberg_multiplicity(preset: ThetaPreset, chi_b: int) -> int:
 def steinberg_indicator(preset: ThetaPreset, chi_b: int) -> int:
     """The predicted value: 1 when chi_b agrees with omega on B, else 0."""
     m = preset.m
-    return 1 if characters_equal_on_subgroup(m, chi_b, omega_mask(m), preset.b_generators) else 0
+    return 1 if characters_equal_on_subgroup(chi_b, omega_mask(m), preset.b_generators) else 0

@@ -191,8 +191,14 @@ def preset_from_dict(data: dict) -> ThetaPreset:
     """Fixture schema: name, num_simple, iota, delta_minus, s_choice,
     b_generators (bitmasks over delta_minus positions), metadata.
 
-    Every field but name and metadata takes JSON integers."""
+    Every field but name and metadata takes JSON integers, and so does metadata's
+    n when its family is "U"."""
     data = _as_dict(data)
+    metadata = dict(_as_dict(data.get("metadata", {})))
+    if metadata.get("family") == "U":  # the unitary labels are compositions of n
+        if "n" not in metadata:
+            raise ValueError("metadata: a unitary preset (family \"U\") needs an integer n")
+        metadata["n"] = _as_int(metadata["n"])
     return ThetaPreset(
         name=str(data["name"]),
         num_simple=_as_int(data["num_simple"]),
@@ -200,7 +206,7 @@ def preset_from_dict(data: dict) -> ThetaPreset:
         delta_minus=_as_ints(data["delta_minus"]),
         s_choice=_as_ints(data.get("s_choice", ())),
         b_generators=_as_ints(data.get("b_generators", ())),
-        metadata=dict(_as_dict(data.get("metadata", {}))),
+        metadata=metadata,
     )
 
 

@@ -21,7 +21,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, count, islice
+from itertools import count, islice
 from typing import Optional, Sequence
 
 from . import linalg
@@ -29,6 +29,9 @@ from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_int
 from .linalg import Mat, Vec
 
 _MAX_WEYL = 10000
+# a fixture's ambient dimension n: the lattice and the fan eliminate n x n matrices,
+# about 0.1 s at n = 16 and 34 s at n = 200
+MAX_AMBIENT_DIM = 16
 
 
 def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
@@ -159,6 +162,7 @@ class RestrictedRootSystem:
             and linalg.vscale(Fraction(1, 2), self.roots[k]) not in self._root_index
         ]
         self.hyperplanes: list[Vec] = [self.roots[k] for k in planes]
+        self._reflections = gens  # s_i, in the order of simple_indices
 
         ident = tuple(range(len(self.roots)))
         elements = {ident: ident}  # w -> w^-1
@@ -253,15 +257,48 @@ class RestrictedRootSystem:
         return KernelTables(self)
 
     @functools.cached_property
+    def walls(self) -> list[tuple[int, int, Vec, Vec]]:
+        """The chamber wall table: (p, q, root, coroot) for each pair of chambers p < q
+        that share a wall, in (p, q) order.  With w = w_P, P's neighbour across the wall
+        of its simple root roots[w[i]] is the chamber of the permutation w s_i, and the
+        row's pair is (roots[w[i]], coroots[w[i]]).  The scan of the fan induced on a
+        cone's span is ``tests/root_oracle.py::induced_walls``."""
+        chamber_of = {w: p for p, (w, _) in self._chamber_perms.items()}
+        table = []
+        for p in self.chambers:
+            w = self._chamber_perms[p][0]
+            across = sorted(
+                (chamber_of[tuple(w[k] for k in s)], w[i])
+                for i, s in zip(self.simple_indices, self._reflections)
+            )
+            table += [(p, q, self.roots[k], self.coroots[k]) for q, k in across if p < q]
+        return table
+
+    @functools.cached_property
+    def chamber_duals(self) -> dict[int, list[Vec]]:
+        """Per chamber P, the covectors dual to P's simple coroots that vanish on the
+        common kernel of the roots, ``dual_basis(P, G)``: row i is sum_j inv[i][j]
+        roots[w_P[j]] over the simple indices j, inv the inverse Cartan matrix, which
+        every chamber shares since W keeps the pairing."""
+        simples = self.simple_indices
+        cartan = [[linalg.dot(self.roots[i], self.coroots[j]) for j in simples] for i in simples]
+        inverse = linalg.invert(cartan)
+        duals = {}
+        for p in self.chambers:
+            w = self._chamber_perms[p][0]
+            roots = [self.roots[w[i]] for i in simples]
+            duals[p] = [linalg.combination(row, roots, self.ambient_dim) for row in inverse]
+        return duals
+
+    @functools.cached_property
     def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
-        """(c, positions i in ``chambers`` of the P_i with c in dual_basis(P_i, G)), c made
+        """(c, positions i in ``chambers`` of the P_i with c in chamber_duals[P_i]), c made
         primitive integral; for a positive set Y, hull(Y) = {H : <c, H> <= <c, Y_P_i>} over
         these rows (Arthur, *The trace formula in invariant form*, 1981)."""
-        g = self.full_cone().index
         rows: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self.chambers):
-            for w in self.dual_basis(p, g):
-                rows.setdefault(linalg.scale_to_integers(w), []).append(i)
+            for c in self.chamber_duals[p]:
+                rows.setdefault(linalg.scale_to_integers(c), []).append(i)
         return list(rows.items())
 
     @functools.cached_property
@@ -360,49 +397,6 @@ class RestrictedRootSystem:
             self._cache[key] = [linalg.combination(row, roots, self.ambient_dim) for row in inverse]
         return self._cache[key]
 
-    def walls(self, cone: int) -> list[tuple[int, int, Vec, Vec]]:
-        """Wall table of the fan induced on the span of the cone.
-
-        The cones with that span are the chambers of the induced fan (for a
-        chamber, the chambers of the system).  Two of them are adjacent when
-        their signs differ on exactly one class of hyperplanes whose
-        restrictions to the span are proportional.  Each adjacent pair
-        (p, q), p < q, is listed as (p, q, root, coroot) with the simple pair
-        of ``cone_simple_pairs(p)`` along the shared wall.
-        """
-        zero = tuple(s == 0 for s in self.cones[cone].signs)
-        key = ("walls", zero)
-        if key not in self._cache:
-            span = self.cones[cone].span_basis
-            restricted = [tuple(linalg.dot(h, b) for b in span) for h in self.hyperplanes]
-            classes: list[list[int]] = []
-            for i in range(len(self.hyperplanes)):
-                if zero[i]:
-                    continue
-                for cls in classes:
-                    if linalg.proportionality(restricted[i], restricted[cls[0]]) is not None:
-                        cls.append(i)
-                        break
-                else:
-                    classes.append([i])
-            same_span = [c for c in self.cones if tuple(s == 0 for s in c.signs) == zero]
-            table = []
-            for cp, cq in combinations(same_span, 2):
-                differing = [
-                    cls for cls in classes if any(cp.signs[i] != cq.signs[i] for i in cls)
-                ]
-                if len(differing) != 1:
-                    continue
-                wall = restricted[differing[0][0]]
-                for a, av in self.cone_simple_pairs(cp.index):
-                    if linalg.proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
-                        table.append((cp.index, cq.index, a, av))
-                        break
-                else:
-                    raise ValueError("no simple root along the shared wall")
-            self._cache[key] = table
-        return self._cache[key]
-
 
 # -- built-in systems -------------------------------------------------------------
 
@@ -499,10 +493,16 @@ def system_from_dict(data: dict) -> RestrictedRootSystem:
     """Fixture schema: ambient_dim, roots, coroots, simple_indices, lattice_basis.
 
     ambient_dim, simple_indices and lattice_basis take JSON integers; root and
-    coroot entries may be integers or "p/q" strings.
+    coroot entries may be integers or "p/q" strings.  ambient_dim is at most
+    ``MAX_AMBIENT_DIM`` and there is at least one root, checked before anything
+    of that size is built.
     """
     data = _as_dict(data)
     n = _as_int(data["ambient_dim"])
+    if not 1 <= n <= MAX_AMBIENT_DIM:
+        raise ValueError(f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got {n}")
+    if not _as_list(data["roots"]):
+        raise ValueError("roots: a system needs at least one root")
     roots = [_parse_vec(r, n) for r in _as_list(data["roots"])]
     coroots = [_parse_vec(r, n) for r in _as_list(data["coroots"])]
     simple = _as_ints(data["simple_indices"])

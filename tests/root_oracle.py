@@ -1,13 +1,17 @@
-"""The corank-one lift of a restricted root, kept as the oracle of ``walls``, and
-the fan built with Fraction matrices, kept as the oracle of the permutation build.
+"""Test oracles of the fan: the induced-fan wall scan, the corank-one lift of a
+restricted root, and the fan built with Fraction matrices.
 
-``RestrictedRootSystem.walls(cone)`` stores, for each wall of the fan induced
-on a cone's span, the coroot of the simple pair of ``cone_simple_pairs`` along
-that wall.  This computes the same coroot independently, as the paper defines
-it: lift the restricted root to a simple root of a compatible chamber of the
-corank-one sub-datum where it vanishes, project that root's coroot to the span
-of the cone, and check that every compatible chamber gives the same answer.
-It reads only public attributes of the system, and only the tests call it.
+``induced_walls(sys, cone)`` lists the walls of the fan induced on a cone's
+span by comparing the signs of every pair of cones with that span, as
+``RestrictedRootSystem.walls`` did before it became the chamber wall table
+read off the Weyl permutations; on a chamber it must give that table.
+
+``restricted_coroot`` computes the coroot of such a wall independently, as
+the paper defines it: lift the restricted root to a simple root of a
+compatible chamber of the corank-one sub-datum where it vanishes, project
+that root's coroot to the span of the cone, and check that every compatible
+chamber gives the same answer.  Both read only public attributes of the
+system, and only the tests call them.
 
 ``fraction_fan`` builds the fan as ``RestrictedRootSystem`` did before it read W
 off the root permutations: it closes the simple reflections as Fraction
@@ -18,11 +22,51 @@ every element and reads the face's signs there.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from galpairs import linalg
 from galpairs.linalg import Mat, Vec
 from galpairs.root_data import _MAX_WEYL, Cone, RestrictedRootSystem, _parse_vec
+
+
+def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, Vec, Vec]]:
+    """Wall table of the fan induced on the span of the cone.
+
+    The cones with that span are the chambers of the induced fan (for a
+    chamber, the chambers of the system).  Two of them are adjacent when
+    their signs differ on exactly one class of hyperplanes whose
+    restrictions to the span are proportional.  Each adjacent pair
+    (p, q), p < q, is listed as (p, q, root, coroot) with the simple pair
+    of ``cone_simple_pairs(p)`` along the shared wall.
+    """
+    zero = tuple(s == 0 for s in sys.cones[cone].signs)
+    span = sys.cones[cone].span_basis
+    restricted = [tuple(linalg.dot(h, b) for b in span) for h in sys.hyperplanes]
+    classes: list[list[int]] = []
+    for i in range(len(sys.hyperplanes)):
+        if zero[i]:
+            continue
+        for cls in classes:
+            if linalg.proportionality(restricted[i], restricted[cls[0]]) is not None:
+                cls.append(i)
+                break
+        else:
+            classes.append([i])
+    same_span = [c for c in sys.cones if tuple(s == 0 for s in c.signs) == zero]
+    table = []
+    for cp, cq in combinations(same_span, 2):
+        differing = [cls for cls in classes if any(cp.signs[i] != cq.signs[i] for i in cls)]
+        if len(differing) != 1:
+            continue
+        wall = restricted[differing[0][0]]
+        for a, av in sys.cone_simple_pairs(cp.index):
+            if linalg.proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
+                table.append((cp.index, cq.index, a, av))
+                break
+        else:
+            raise ValueError("no simple root along the shared wall")
+    return table
 
 
 def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:

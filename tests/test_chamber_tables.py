@@ -1,0 +1,117 @@
+"""The chamber tables read off the Weyl group's permutations of the roots,
+against the per-cone formulas they replaced.
+
+``RestrictedRootSystem.walls`` (the neighbour of P = w(C) across its i-th wall
+is the chamber of w s_i) is compared with the scan of the induced fan,
+``root_oracle.induced_walls``, and with a flip of one hyperplane's sign.
+``chamber_duals``, ``facet_rows`` and ``families.support_bound_certificate``
+(one inverse Cartan matrix moved by w_P) are compared with what
+``dual_basis(P, G)`` gives chamber by chamber.
+"""
+
+import functools
+from fractions import Fraction
+
+import pytest
+
+from galpairs import linalg, root_data
+from galpairs.families import _sup_norm, support_bound_certificate
+from galpairs.root_data import BUILTIN_NAMES
+from root_oracle import induced_walls
+
+# entries <a_i, a_j^vee>, as in tests/test_fan_permutations.py
+_CARTAN = {
+    **root_data._CARTAN,
+    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
+    "A4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -1], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+}
+# rank one in dimension two: a system with a center
+_CENTERED = {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
+NAMES = BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4")
+# the induced-fan scan compares every pair of chambers: 1.2 s on B4 (0.3 s on D4),
+# so B4's wall table is checked against the sign flips only
+SLOW_SCAN = ("B4",)
+
+
+@functools.cache
+def _build(name):
+    if name == "centered":
+        return root_data.system_from_dict(_CENTERED)
+    if name.startswith("BC"):
+        return root_data._bc_system(int(name[2:]), name)
+    return root_data._from_cartan(_CARTAN[name], name)
+
+
+def flip_walls(sys):
+    """(p, q, root, coroot) for chambers p < q whose signs differ on one hyperplane,
+    with the simple pair of p proportional to it: one sign flip per (P, hyperplane)."""
+    index = {c.signs: c.index for c in sys.cones}
+    table = []
+    for p in sys.chambers:
+        signs = sys.cones[p].signs
+        for h, a in enumerate(sys.hyperplanes):
+            q = index.get(signs[:h] + (-signs[h],) + signs[h + 1 :], -1)
+            if p < q:
+                pairs = sys.chamber_simple_pairs(p)
+                along = [pair for pair in pairs if linalg.proportionality(pair[0], a) is not None]
+                assert len(along) == 1
+                table.append((p, q, *along[0]))
+    return sorted(table, key=lambda row: row[:2])
+
+
+def dual_basis_rows(sys):
+    """``facet_rows`` as built before: each chamber's ``dual_basis(P, G)``."""
+    g = sys.full_cone().index
+    rows = {}
+    for i, p in enumerate(sys.chambers):
+        for w in sys.dual_basis(p, g):
+            rows.setdefault(linalg.scale_to_integers(w), []).append(i)
+    return list(rows.items())
+
+
+def dual_basis_certificate(sys):
+    """``support_bound_certificate`` as written before, per chamber through
+    ``cone_simple_pairs``, ``vanishing_indices`` and ``dual_basis``."""
+    g = sys.full_cone().index
+    best = Fraction(0)
+    basis = [linalg.vec(b) for b in sys.lattice.basis]
+    for c in sys.chambers:
+        pairs = sys.cone_simple_pairs(c)
+        total = Fraction(0)
+        for (a, av), w in zip([pairs[i] for i in sys.vanishing_indices(c, g)], sys.dual_basis(c, g)):
+            av_c = linalg.coordinates_in_basis(basis, av)
+            total += _sup_norm(av_c) * sum(abs(x) for x in w) * max(_sup_norm(b) for b in basis)
+        best = max(best, total)
+    return best * sys.ambient_dim
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_walls_match_sign_flips(name):
+    sys = _build(name)
+    assert sys.walls == flip_walls(sys)
+    assert len(sys.walls) == len(sys.chambers) * sys.rank // 2
+
+
+@pytest.mark.parametrize("name", [n for n in NAMES if n not in SLOW_SCAN])
+def test_walls_match_induced_fan(name):
+    sys = _build(name)
+    assert sys.walls == induced_walls(sys, sys.base_chamber)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_chamber_duals_match_dual_basis(name):
+    sys = _build(name)
+    g = sys.full_cone().index
+    assert list(sys.chamber_duals) == sys.chambers
+    for p in sys.chambers:
+        assert sys.chamber_duals[p] == sys.dual_basis(p, g)
+    assert sys.facet_rows == dual_basis_rows(sys)
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_support_bound_matches_dual_basis(name):
+    sys = _build(name)
+    assert support_bound_certificate(sys) == dual_basis_certificate(sys) > 0

@@ -14,6 +14,7 @@ from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, build_parser, frac_str, run
 from galpairs.presets import MAX_GL_N, MAX_M
+from galpairs.root_data import MAX_AMBIENT_DIM
 
 # valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
 A1_SYSTEM = {
@@ -149,6 +150,14 @@ class TestBadInput:
             # a simple index that names no root
             (VOLUME, {**A1_SYSTEM, "simple_indices": [5]}, "simple index 5 names no root: there are 2 roots"),
             (VOLUME, {**A1_SYSTEM, "simple_indices": [-1]}, "simple index -1 names no root: there are 2 roots"),
+            # unitary metadata: n labels the Levis, so it is an integer field
+            (LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": "x"}}, "non-integer entry 'x'"),
+            (LEVIS, {**U2_PRESET, "metadata": {"family": "U"}}, "needs an integer n"),
+            (LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": 1.5}}, "non-integer entry 1.5"),
+            # sizes out of range, refused before anything of that size is built
+            (VOLUME, {**A1_SYSTEM, "ambient_dim": 0}, f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got 0"),
+            (VOLUME, {**A1_SYSTEM, "ambient_dim": -1}, f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got -1"),
+            (VOLUME, {**A1_SYSTEM, "roots": [], "coroots": [], "simple_indices": []}, "at least one root"),
         ],
     )
     def test_malformed_fixture_is_a_usage_error(self, tmp_path, argv, fixture, message):
@@ -157,6 +166,27 @@ class TestBadInput:
         code, text = run(argv + [str(path)])
         assert code == EXIT_USAGE
         assert text.startswith("error:") and message in text
+
+    @pytest.mark.parametrize("dim", [MAX_AMBIENT_DIM + 1, 200, 400])
+    def test_system_dimension_above_the_limit_is_refused_before_any_work(self, tmp_path, dim):
+        # the lattice and the fan eliminate n x n matrices: 34 s at n = 200 unchecked
+        fixture = {"ambient_dim": dim, "roots": [], "coroots": [], "simple_indices": []}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(fixture))
+        start = time.perf_counter()
+        code, text = run(VOLUME + [str(path)])
+        assert time.perf_counter() - start < 1
+        assert code == EXIT_USAGE
+        assert f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got {dim}" in text
+
+    def test_system_dimension_limit_admits_its_own_value(self, tmp_path):
+        # rank one in the largest admitted dimension, with a center
+        e = lambda s: [s] + [0] * (MAX_AMBIENT_DIM - 1)
+        fixture = {"ambient_dim": MAX_AMBIENT_DIM, "roots": [e(1), e(-1)], "coroots": [e(2), e(-2)], "simple_indices": [0]}
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps(fixture))
+        code, text = run(["ortho", "check", "--samples", "2", "--system", str(path)])
+        assert code == EXIT_PASS, text
 
     @pytest.mark.parametrize(
         "argv, points",

@@ -230,17 +230,17 @@ class TestLeviCoherence:
     """The projected family on each Levi span is again an orthogonal set.
 
     For every linear span V arising as the span of a cone, the cones with span
-    exactly V are the chambers of the induced fan on V, and ``sys.walls`` lists
-    their wall-adjacent pairs.  Across each wall the coroot of the table must
-    be the restricted coroot of the oracle, and the projected points must
-    differ by a rational multiple of it.
+    exactly V are the chambers of the induced fan on V, and
+    ``root_oracle.induced_walls`` lists their wall-adjacent pairs.  Across
+    each wall the coroot of the table must be the restricted coroot of the
+    oracle, and the projected points must differ by a rational multiple of it.
     """
 
     @staticmethod
     def coherent(sys, y) -> bool:
         one_cone_per_span = {tuple(s == 0 for s in c.signs): c.index for c in sys.cones}
         for cone in one_cone_per_span.values():
-            for p, q, a, av in sys.walls(cone):
+            for p, q, a, av in root_oracle.induced_walls(sys, cone):
                 if root_oracle.restricted_coroot(sys, p, a) != av:
                     return False
                 d = linalg.vsub(projected(y, p), projected(y, q))

@@ -99,9 +99,7 @@ class TestSteinberg:
         chars = distinct_b_characters(preset)
         hits = [chi for chi in chars if steinberg_multiplicity(preset, chi) == 1]
         assert len(hits) == 1
-        assert characters_equal_on_subgroup(
-            preset.m, hits[0], omega_mask(preset.m), list(preset.b_generators)
-        )
+        assert characters_equal_on_subgroup(hits[0], omega_mask(preset.m), list(preset.b_generators))
 
     def test_u_trivial_b_always_one(self):
         # B trivial: the indicator is 1 for the unique class

@@ -15,7 +15,7 @@ from galpairs.root_data import (
     system_from_json,
 )
 from kernel_oracle import parabolic_leq
-from root_oracle import restricted_coroot, sign_vector
+from root_oracle import induced_walls, restricted_coroot, sign_vector
 from test_cli import A1_SYSTEM, A2_BAD_COROOT, A7_SYSTEM
 
 # number of cones in the full fan and number of chambers, per built-in system
@@ -52,7 +52,7 @@ def test_cone_dimensions(name):
 def test_chamber_walls(name):
     """Each chamber has rank walls, each shared by two chambers."""
     sys = builtin_system(name)
-    walls = sys.walls(sys.base_chamber)
+    walls = sys.walls
     assert len(walls) == len(sys.weyl_elements) * sys.rank // 2
     for p, q, a, av in walls:
         assert p < q and p in sys.chambers and q in sys.chambers
@@ -65,7 +65,7 @@ def test_line_walls(name):
     sys = builtin_system(name)
     for cone in sys.cones:
         if cone.dim == 1:
-            assert len(sys.walls(cone.index)) == 1
+            assert len(induced_walls(sys, cone.index)) == 1
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
