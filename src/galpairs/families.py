@@ -87,7 +87,7 @@ class OrthogonalSet:
     @functools.cached_property
     def _integral(self) -> tuple[list[tuple[int, ...]], int]:
         """(N, e), e > 0, with Y_P = N[i] / e for the i-th chamber P of the system."""
-        return _integer_basis([self.points[c] for c in self.system.chambers])
+        return linalg.integer_basis([self.points[c] for c in self.system.chambers])
 
     @functools.cached_property
     def _facet_values(self) -> list[list[int]]:
@@ -172,7 +172,7 @@ class KernelTables:
         zeros = [[planes[n] for n, s in enumerate(c.signs) if s == 0] for c in sys.cones]  # delta^r
         self.compiled: list[tuple[list[int], list]] = [([], []) for _ in sys.cones]
         for p in sys.chambers:
-            inv, _ = _integer_basis(sys.chamber_weyl_inverse(p))  # a multiple of w_P^-1
+            inv, _ = linalg.integer_basis(sys.chamber_weyl_inverse(p))  # a multiple of w_P^-1
 
             @functools.cache
             def move(c: tuple[int, ...]) -> int:  # the id of c o w_P^-1
@@ -278,7 +278,7 @@ class Hull:
         if not pts:
             raise ValueError("hull of no points")
         self.dim = len(_parse_vec(pts[0]))
-        ints, self.scale = _integer_basis([_parse_vec(p, self.dim) for p in pts])
+        ints, self.scale = linalg.integer_basis([_parse_vec(p, self.dim) for p in pts])
         self.vertices: list[tuple[int, ...]] = sorted(set(ints))
         base = self.vertices[0]
         diffs = [linalg.vsub(p, base) for p in self.vertices[1:]]
@@ -406,7 +406,7 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys = y.system
     basis = sys.lattice.basis
-    n, e = _integer_basis(lattice_coords(sys, [y.points[c] for c in sys.chambers]))
+    n, e = linalg.integer_basis(lattice_coords(sys, [y.points[c] for c in sys.chambers]))
     rows = [(a, b * e) for a, b in hull_rows(y, basis)]
     return triangulated_volume(n, rows) / e ** len(basis)
 
@@ -583,13 +583,6 @@ def _dilated_box(y: OrthogonalSet, basis: list[Vec], k: int, xv: Vec) -> tuple[O
     return sweep, _box(basis, vertices, ey * ex)
 
 
-def _integer_basis(basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """(B, e) with basis[i] = B[i] / e, B integral and e > 0."""
-    n = len(basis[0])
-    flat, e = linalg.clear_denominators([x for b in basis for x in b])
-    return [flat[i * n : (i + 1) * n] for i in range(len(basis))], e
-
-
 def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
     """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
 
@@ -604,7 +597,7 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
 
 def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequence[Vec]):
     """The rows of <c, H> <= bounds[i] / den over the covectors c of ``facet_rows``."""
-    ints, e = _integer_basis(basis)
+    ints, e = linalg.integer_basis(basis)
     pairing = linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints))
     return [(tuple(x * den for x in row), b * e) for row, b in zip(pairing, bounds)]
 

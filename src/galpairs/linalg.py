@@ -271,6 +271,13 @@ def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:
     return tuple(x.numerator * (d // x.denominator) for x in v), d
 
 
+def integer_basis(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]:
+    """(B, e) with rows[i] = B[i] / e, B integral and e > 0: rows over one common denominator."""
+    n = len(rows[0]) if rows else 0
+    flat, e = clear_denominators([x for row in rows for x in row])
+    return [flat[i * n : (i + 1) * n] for i in range(len(rows))], e
+
+
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:
     """Smallest positive multiple of v with integer coprime entries."""
     ints, _ = clear_denominators(v)

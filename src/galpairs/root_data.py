@@ -4,7 +4,8 @@ A system is given by root covectors on an ambient rational vector space,
 together with a coroot for each root and a choice of simple roots.  The Weyl
 group is built once, as the permutations of root indices that the simple
 reflections generate; the fan (faces indexed by sign vectors over the root
-hyperplanes) and every chamber's tables are read off those permutations.
+hyperplanes) and every chamber's tables are read off those permutations; the
+Weyl matrices, dual bases and Levi projections off one Cartan-block dual.
 
 Conventions:
   * roots are covectors (pairings ``<alpha, x>`` with ambient vectors x),
@@ -29,6 +30,8 @@ from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_int
 from .linalg import Mat, Vec
 
 _MAX_WEYL = 10000
+# the fan visits |W| * 2^rank faces: B4 visits 6,144 and A1^8 65,536 (about 0.5 s)
+MAX_FACE_VISITS = 100_000
 # a fixture's ambient dimension n: the lattice and the fan eliminate n x n matrices,
 # about 0.1 s at n = 16 and 34 s at n = 200
 MAX_AMBIENT_DIM = 16
@@ -50,12 +53,11 @@ def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
 
 @dataclass(frozen=True)
 class Cone:
-    """One face of the root hyperplane arrangement."""
+    """One face of the root hyperplane arrangement; a face w(F_I) has dim ambient_dim - |I|."""
 
     index: int
     signs: tuple[int, ...]  # entry per hyperplane, values -1/0/+1
     dim: int
-    span_basis: tuple[Vec, ...]
 
 
 class RestrictedRootSystem:
@@ -110,6 +112,8 @@ class RestrictedRootSystem:
                 if self.coroots[index[double]] != expected:
                     raise ValueError(f"coroot of {double} must be half the coroot of {a}")
         simple = [self.roots[i] for i in self.simple_indices]
+        if linalg.rank(simple) < len(simple):
+            raise ValueError("simple roots are dependent")
         # every root must be a one-signed rational combination of the simples
         all_coeffs = []
         for a in self.roots:
@@ -138,8 +142,6 @@ class RestrictedRootSystem:
                     )
                 perm.append(index[img])
             perms.append(tuple(perm))
-        if linalg.rank(simple) < len(simple):
-            raise ValueError("simple roots are dependent")
         return all_coeffs, perms
 
     # -- fan construction ----------------------------------------------------
@@ -163,6 +165,11 @@ class RestrictedRootSystem:
         ]
         self.hyperplanes: list[Vec] = [self.roots[k] for k in planes]
         self._reflections = gens  # s_i, in the order of simple_indices
+        # each root's hyperplane, by the primitive vector of its line: a root vanishes on a
+        # cone exactly where the cone's sign there is 0
+        line = lambda a: max(p := linalg.scale_to_integers(a), tuple(-x for x in p))
+        position = {line(h): m for m, h in enumerate(self.hyperplanes)}
+        self._plane = [position[line(a)] for a in self.roots]
 
         ident = tuple(range(len(self.roots)))
         elements = {ident: ident}  # w -> w^-1
@@ -178,13 +185,15 @@ class RestrictedRootSystem:
             frontier = nxt
             if len(elements) > _MAX_WEYL:
                 raise ValueError("reflection group is too large or not finite")
+        if (visits := len(elements) << r) > MAX_FACE_VISITS:
+            size = f"{visits} faces ({len(elements)} Weyl elements times 2^{r})"
+            raise ValueError(f"the fan would visit {size}, more than the limit of {MAX_FACE_VISITS}")
 
-        # w on ambient vectors moves the simple coroots to coroots[w[i]] and fixes the
-        # common kernel of the roots, a complement of the coroots' span
-        kernel = linalg.nullspace([self.roots[i] for i in simples], ncols=n)
-        columns = lambda w: tuple(self.coroots[w[i]] for i in simples) + tuple(kernel)
-        base_inv = linalg.invert(linalg.transpose(columns(ident)))
-        matrix = {w: linalg.matmul(linalg.transpose(columns(w)), base_inv) for w in elements}
+        # w moves the simple coroots to coroots[w[i]] and fixes the common kernel of the
+        # roots: w(x) = x + sum_i <duals[i], x> (coroots[w[i]] - coroots[i])
+        duals = _dual_basis([(self.roots[i], self.coroots[i]) for i in simples])
+        moved = lambda w: [linalg.vsub(self.coroots[w[i]], self.coroots[i]) for i in simples]
+        matrix = {w: _identity_plus(moved(w), duals) for w in elements}
         order = sorted(elements, key=matrix.__getitem__)
         self.weyl_elements: list[Mat] = [matrix[w] for w in order]
 
@@ -198,12 +207,9 @@ class RestrictedRootSystem:
             faces = {}  # zero set I -> the cone w(F_I), where a root b has the sign of w^-1(b) on F_I
             for bits, zero in enumerate(types):
                 sv = tuple(face_sign[w_inv[k]][bits] for k in planes)
-                if sv not in seen:
-                    zero_rows = [self.hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
-                    span = linalg.nullspace(zero_rows, ncols=n) if zero_rows else linalg.identity(n)
-                    cone = Cone(len(cones), sv, len(span), tuple(span))
-                    seen[sv] = cone.index
-                    cones.append(cone)
+                if sv not in seen:  # span(w(F_I)) is cut out by the |I| independent roots w(a_i)
+                    seen[sv] = len(cones)
+                    cones.append(Cone(len(cones), sv, n - len(zero)))
                 faces[zero] = seen[sv]
             p = faces[types[0]]
             self._chamber_faces[p] = faces
@@ -283,12 +289,7 @@ class RestrictedRootSystem:
         simples = self.simple_indices
         cartan = [[linalg.dot(self.roots[i], self.coroots[j]) for j in simples] for i in simples]
         inverse = linalg.invert(cartan)
-        duals = {}
-        for p in self.chambers:
-            w = self._chamber_perms[p][0]
-            roots = [self.roots[w[i]] for i in simples]
-            duals[p] = [linalg.combination(row, roots, self.ambient_dim) for row in inverse]
-        return duals
+        return {p: _dual_basis(self.chamber_simple_pairs(p), inverse) for p in self.chambers}
 
     @functools.cached_property
     def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -330,18 +331,23 @@ class RestrictedRootSystem:
         c = self.cones[cone]
         return [self.hyperplanes[i] for i in range(len(c.signs)) if c.signs[i] == 0]
 
+    def _simple_roots(self, cone: int) -> list[int]:
+        """Root indices of the simple roots of ``chamber_below(cone)`` that do not vanish on it."""
+        w, signs = self._chamber_perms[self.chamber_below(cone)][0], self.cones[cone].signs
+        return [w[i] for i in self.simple_indices if signs[self._plane[w[i]]]]
+
     def levi_projection(self, cone: int) -> Mat:
-        """Projection onto the span of the cone along the vanishing coroots."""
+        """Projection onto the span of the cone along the vanishing coroots: the identity minus
+        coroot (x) dual over the simple pairs of P = ``chamber_below(cone)`` vanishing on it."""
         key = ("proj", cone)
         if key not in self._cache:
-            c = self.cones[cone]
-            if c.dim == self.ambient_dim:
+            p = self.chamber_below(cone)
+            pairs = self.cone_simple_pairs(p)
+            coroots = [linalg.vscale(-1, pairs[i][1]) for i in self.vanishing_indices(p, cone)]
+            if coroots:
+                self._cache[key] = _identity_plus(coroots, self.dual_basis(p, cone))
+            else:  # a chamber
                 self._cache[key] = linalg.identity(self.ambient_dim)
-            else:
-                complement = linalg.independent_subset(
-                    [self.coroots[self._root_index[a]] for a in self.zero_roots(cone)]
-                )
-                self._cache[key] = linalg.projection_matrix(c.span_basis, complement)
         return self._cache[key]
 
     def chamber_below(self, cone: int) -> int:
@@ -357,28 +363,20 @@ class RestrictedRootSystem:
         """
         key = ("simples", cone)
         if key not in self._cache:
-            c = self.cones[cone]
-            pairs = self.chamber_simple_pairs(self.chamber_below(cone))
-            if c.dim < self.ambient_dim:  # a chamber's projection is the identity
+            pairs = [(self.roots[k], self.coroots[k]) for k in self._simple_roots(cone)]
+            if len(pairs) < self.rank:  # a chamber's projection is the identity
                 proj = self.levi_projection(cone)
-                pairs = [
-                    (linalg.vecmat(a, proj), linalg.matvec(proj, av))
-                    for a, av in pairs
-                    if any(linalg.dot(a, b) != 0 for b in c.span_basis)
-                ]
+                pairs = [(linalg.vecmat(a, proj), linalg.matvec(proj, av)) for a, av in pairs]
             self._cache[key] = pairs
         return self._cache[key]
 
     def vanishing_indices(self, p: int, q: int) -> list[int]:
-        """Indices into the simple pairs of cone p of roots vanishing on span(q)."""
+        """Indices into the simple pairs of cone p of roots vanishing on span(q), for q
+        a face of the closure of p, where the Levi projection of p changes no pairing."""
         key = ("vanish", p, q)
         if key not in self._cache:
-            span = self.cones[q].span_basis
-            self._cache[key] = [
-                i
-                for i, (a, _) in enumerate(self.cone_simple_pairs(p))
-                if all(linalg.dot(a, b) == 0 for b in span)
-            ]
+            signs = self.cones[q].signs
+            self._cache[key] = [i for i, k in enumerate(self._simple_roots(p)) if not signs[self._plane[k]]]
         return self._cache[key]
 
     def dual_basis(self, p: int, q: int) -> list[Vec]:
@@ -390,15 +388,55 @@ class RestrictedRootSystem:
         key = ("dual", p, q)
         if key not in self._cache:
             pairs = self.cone_simple_pairs(p)
-            roots = [pairs[i][0] for i in self.vanishing_indices(p, q)]
-            coroots = [pairs[i][1] for i in self.vanishing_indices(p, q)]
-            # those simple roots already vanish on both; invert their Cartan block
-            inverse = linalg.invert([[linalg.dot(a, av) for av in coroots] for a in roots])
-            self._cache[key] = [linalg.combination(row, roots, self.ambient_dim) for row in inverse]
+            self._cache[key] = _dual_basis([pairs[i] for i in self.vanishing_indices(p, q)])
         return self._cache[key]
 
 
+def _dual_basis(pairs: Sequence[tuple[Vec, Vec]], inverse: Optional[Mat] = None) -> list[Vec]:
+    """The covectors w_i = sum_j inverse[i][j] a_j over the pairs (a_j, a_j^vee): those in the
+    span of the pairs' roots with <w_i, a_k^vee> = delta_ik, computed in integers over one
+    denominator.  ``inverse`` is that of the Cartan block <a_i, a_j^vee>, found if not given."""
+    if inverse is None:
+        inverse = linalg.invert([[linalg.dot(a, av) for _, av in pairs] for a, _ in pairs])
+    (inv, d), (roots, e) = linalg.integer_basis(inverse), linalg.integer_basis([a for a, _ in pairs])
+    return [tuple(Fraction(x, d * e) for x in linalg.vecmat(row, roots)) for row in inv]
+
+
+def _identity_plus(cols: Sequence[Vec], rows: Sequence[Vec]) -> Mat:
+    """I + sum_i cols[i] (x) rows[i], of vectors and covectors, in integers over one denominator."""
+    (c, e), (r, d) = linalg.integer_basis(cols), linalg.integer_basis(rows)
+    return tuple(
+        tuple(Fraction(d * e * (k == j) + x, d * e) for j, x in enumerate(linalg.vecmat(col, r)))
+        for k, col in enumerate(zip(*c))
+    )
+
+
 # -- built-in systems -------------------------------------------------------------
+
+
+def _unit(n: int, i: int, c: int = 1) -> Vec:
+    return linalg.vec([c * int(j == i) for j in range(n)])
+
+
+def _closed_system(n: int, simple: list, extra: list, name: str) -> RestrictedRootSystem:
+    """The system of the (root, coroot) pairs that the simple reflections make of the simple
+    and the extra pairs: s_i(b) = b - <b, a_i^vee> a_i and s_i(b^vee) = b^vee - <a_i, b^vee> a_i^vee."""
+    roots: dict[Vec, Vec] = {}
+    todo = simple + extra
+    while todo:
+        b, bv = todo.pop()
+        if b not in roots:
+            roots[b] = bv
+            todo += [
+                (
+                    linalg.vsub(b, linalg.vscale(linalg.dot(b, av), a)),
+                    linalg.vsub(bv, linalg.vscale(linalg.dot(a, bv), av)),
+                )
+                for a, av in simple
+            ]
+    ordered = sorted(roots)
+    simple_idx = [ordered.index(a) for a, _ in simple]
+    return RestrictedRootSystem(n, ordered, [roots[a] for a in ordered], simple_idx, name=name)
 
 
 def _from_cartan(cartan: list[list[int]], name: str) -> RestrictedRootSystem:
@@ -409,55 +447,15 @@ def _from_cartan(cartan: list[list[int]], name: str) -> RestrictedRootSystem:
     Cartan entry.  Roots are generated by closing under simple reflections.
     """
     n = len(cartan)
-    simple_roots = [linalg.vec(row) for row in cartan]
-    simple_coroots = [linalg.vec([1 if j == i else 0 for j in range(n)]) for i in range(n)]
-    roots: dict[Vec, Vec] = {}
-    frontier = list(zip(simple_roots, simple_coroots))
-    for a, av in frontier:
-        roots[a] = av
-        roots[tuple(-x for x in a)] = tuple(-x for x in av)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n):
-            alpha, alpha_v = simple_roots[i], simple_coroots[i]
-            for b, bv in list(roots.items()):
-                img = linalg.vsub(b, linalg.vscale(linalg.dot(b, alpha_v), alpha))
-                img_v = linalg.vsub(bv, linalg.vscale(linalg.dot(alpha, bv), alpha_v))
-                if img not in roots:
-                    roots[img] = img_v
-                    changed = True
-    ordered = sorted(roots)
-    simple_idx = [ordered.index(a) for a in simple_roots]
-    return RestrictedRootSystem(
-        n, ordered, [roots[a] for a in ordered], simple_idx, name=name
-    )
+    return _closed_system(n, [(linalg.vec(row), _unit(n, i)) for i, row in enumerate(cartan)], [], name)
 
 
 def _bc_system(n: int, name: str) -> RestrictedRootSystem:
-    """Non-reduced system of rank n: short, long and doubled-short roots."""
-    e = lambda i: tuple(Fraction(1 if j == i else 0) for j in range(n))
-    roots: dict[Vec, Vec] = {}
-
-    def put(a: Vec, av: Vec):
-        roots[a] = av
-        roots[tuple(-x for x in a)] = tuple(-x for x in av)
-
-    for i in range(n):
-        ei = e(i)
-        put(ei, linalg.vscale(2, ei))  # short root e_i, coroot 2e_i
-        put(linalg.vscale(2, ei), ei)  # doubled root 2e_i, coroot e_i
-        for j in range(i + 1, n):
-            ej = e(j)
-            put(linalg.vadd(ei, ej), linalg.vadd(ei, ej))
-            put(linalg.vsub(ei, ej), linalg.vsub(ei, ej))
-    ordered = sorted(roots)
-    if n == 1:
-        simple = [e(0)]
-    else:
-        simple = [linalg.vsub(e(i), e(i + 1)) for i in range(n - 1)] + [e(n - 1)]
-    simple_idx = [ordered.index(a) for a in simple]
-    return RestrictedRootSystem(n, ordered, [roots[a] for a in ordered], simple_idx, name=name)
+    """Non-reduced system of rank n: short roots e_i (coroot 2e_i), long roots +-e_i +- e_j and
+    doubled short roots 2e_i (coroot e_i), closed from the simples e_i - e_(i+1), e_n and 2e_n."""
+    simple = [(linalg.vsub(_unit(n, i), _unit(n, i + 1)),) * 2 for i in range(n - 1)]
+    last = (_unit(n, n - 1), _unit(n, n - 1, 2))
+    return _closed_system(n, simple + [last], [last[::-1]], name)
 
 
 _CARTAN = {

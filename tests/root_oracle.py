@@ -1,5 +1,5 @@
 """Test oracles of the fan: the induced-fan wall scan, the corank-one lift of a
-restricted root, and the fan built with Fraction matrices.
+restricted root, the per-cone Levi data, and the fan built with Fraction matrices.
 
 ``induced_walls(sys, cone)`` lists the walls of the fan induced on a cone's
 span by comparing the signs of every pair of cones with that span, as
@@ -12,6 +12,12 @@ compatible chamber of the corank-one sub-datum where it vanishes, project
 that root's coroot to the span of the cone, and check that every compatible
 chamber gives the same answer.  Both read only public attributes of the
 system, and only the tests call them.
+
+``span_basis`` and ``levi_projection`` build a cone's span and Levi projection
+as ``RestrictedRootSystem`` did before it read vanishing roots off each cone's
+signs and projections off one Cartan-block dual: a nullspace basis of the span,
+and the projection matrix along a maximal independent subset of the vanishing
+coroots.
 
 ``fraction_fan`` builds the fan as ``RestrictedRootSystem`` did before it read W
 off the root permutations: it closes the simple reflections as Fraction
@@ -41,7 +47,7 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
     of ``cone_simple_pairs(p)`` along the shared wall.
     """
     zero = tuple(s == 0 for s in sys.cones[cone].signs)
-    span = sys.cones[cone].span_basis
+    span = span_basis(sys, cone)
     restricted = [tuple(linalg.dot(h, b) for b in span) for h in sys.hyperplanes]
     classes: list[list[int]] = []
     for i in range(len(sys.hyperplanes)):
@@ -67,6 +73,26 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
         else:
             raise ValueError("no simple root along the shared wall")
     return table
+
+
+def span_basis(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
+    """A basis of the span of the cone: the kernel of ``zero_roots(cone)``, as each
+    cone carried it before its dimension was read off its face type."""
+    zero_rows = sys.zero_roots(cone)
+    n = sys.ambient_dim
+    return linalg.nullspace(zero_rows, ncols=n) if zero_rows else list(linalg.identity(n))
+
+
+def levi_projection(sys: RestrictedRootSystem, cone: int) -> Mat:
+    """The projection onto the span of the cone along the coroots of the roots that
+    vanish on it, built literally: a maximal independent subset of those coroots,
+    and the projection matrix of the span basis against it."""
+    zero = sys.zero_roots(cone)
+    if not zero:
+        return linalg.identity(sys.ambient_dim)
+    coroot_of = dict(zip(sys.roots, sys.coroots))
+    complement = linalg.independent_subset([coroot_of[a] for a in zero])
+    return linalg.projection_matrix(span_basis(sys, cone), complement)
 
 
 def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
@@ -128,9 +154,9 @@ def fraction_fan(sys: RestrictedRootSystem) -> dict:
             sv = sign_vector(hyperplanes, linalg.matvec(w, p))
             if sv not in seen:
                 zero_rows = [hyperplanes[i] for i in range(len(sv)) if sv[i] == 0]
-                span = linalg.nullspace(zero_rows, ncols=n) if zero_rows else linalg.identity(n)
                 seen[sv] = len(cones)
-                cones.append(Cone(len(cones), sv, len(span), tuple(span)))
+                dim = len(linalg.nullspace(zero_rows, ncols=n)) if zero_rows else n
+                cones.append(Cone(len(cones), sv, dim))
             faces[zero] = seen[sv]
         chamber_weyl.setdefault(faces[frozenset()], w)
         chamber_faces.setdefault(faces[frozenset()], faces)
@@ -162,7 +188,7 @@ def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> 
     span of the cone.
     """
     a = _parse_vec(alpha)
-    span = list(sys.cones[cone].span_basis)
+    span = span_basis(sys, cone)
     if all(linalg.dot(a, b) == 0 for b in span):
         raise ValueError("alpha vanishes on the cone span")
 

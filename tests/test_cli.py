@@ -12,7 +12,7 @@ import pytest
 
 from galpairs import families as fam
 from galpairs import multiplicity as mu
-from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, build_parser, frac_str, run
+from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_SAMPLES, build_parser, frac_str, run
 from galpairs.presets import MAX_GL_N, MAX_M
 from galpairs.root_data import MAX_AMBIENT_DIM
 
@@ -28,6 +28,14 @@ A2_BAD_COROOT = {
     "roots": [[2, -1], [-1, 2], [1, 1], [-2, 1], [1, -2], [-1, -1]],
     "coroots": [[1, 0], [0, 1], [2, 0], [-1, 0], [0, -1], [-2, 0]],
     "simple_indices": [0, 1],
+}
+# A2 whose simple indices name the root (-1, 2) and its negative: dependent, so
+# the other roots are outside their span, but the rank is checked first
+A2_DEPENDENT = {
+    "ambient_dim": 2,
+    "roots": [[-2, 1], [-1, -1], [-1, 2], [1, -2], [1, 1], [2, -1]],
+    "coroots": [[-1, 0], [-1, -1], [0, 1], [0, -1], [1, 1], [1, 0]],
+    "simple_indices": [2, 3],
 }
 # A7 as e_i - e_j in dimension 8: |W| = 8! = 40,320, over the Weyl-size limit
 _A7_ROOTS = [[int(k == i) - int(k == j) for k in range(8)] for i in range(8) for j in range(8) if i != j]
@@ -146,6 +154,7 @@ class TestBadInput:
             (VOLUME, A2_BAD_COROOT, "but its coroot to"),
             # a and -a: one-signed coordinates and closed reflections, but no base chamber
             (VOLUME, {**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
+            (VOLUME, A2_DEPENDENT, "simple roots are dependent"),
             (VOLUME, A7_SYSTEM, "reflection group is too large or not finite"),
             # a simple index that names no root
             (VOLUME, {**A1_SYSTEM, "simple_indices": [5]}, "simple index 5 names no root: there are 2 roots"),
@@ -492,6 +501,21 @@ class TestToriAndLevis:
             EXIT_USAGE,
             f"error: the count would scan 204001 lines, more than the limit of {fam.MAX_SCAN_LINES}\n",
         )
+
+    def test_samples_above_the_work_limit_are_refused(self, monkeypatch, capsys):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled points")
+
+        monkeypatch.setattr("galpairs.sampling.sample_points", refuse)
+        for value in (MAX_SAMPLES + 1, 10**9):
+            start = time.perf_counter()
+            assert run(["ortho", "check", "--system", "A3", "--samples", str(value)]) == (EXIT_USAGE, "")
+            assert time.perf_counter() - start < 1
+            assert f"must be at most {MAX_SAMPLES}, got {value}" in capsys.readouterr().err
+
+    def test_samples_limit_admits_its_own_value(self):
+        args = build_parser().parse_args(["ortho", "check", "--system", "A3", "--samples", str(MAX_SAMPLES)])
+        assert args.samples == MAX_SAMPLES
 
     def test_ehrhart_limits_admit_their_own_values(self):
         argv = ["ortho", "ehrhart", "--system", "A1", "--kmax", "6", "--max-period", "4"]

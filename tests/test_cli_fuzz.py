@@ -3,9 +3,10 @@
 Arguments are built from the real subcommands and flags, with small integers,
 short text and presets from a fixed list.  Fixtures are arbitrary JSON of
 depth at most 3, or a valid fixture with one field replaced: the README's A1
-system and norm-one torus, and the built-in GL:3 preset.  Every integer is
-small: the inputs have no work limits yet, so a large count or rank would
-only make an example slow.
+system and norm-one torus, and the built-in GL:3 preset.  Integers are small,
+except that ``--samples``, ``--kmax`` and ``--max-period`` also draw values past
+their work limits: those exit 1 as they are parsed, before any work, which is
+asserted.  A large count admitted by its limit would only make an example slow.
 """
 
 import json
@@ -13,7 +14,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from galpairs.cli import run
+from galpairs.cli import EXIT_USAGE, MAX_SAMPLES, run
 from test_cli import A1_SYSTEM, NORM_ONE
 
 FUZZ = settings(derandomize=True, deadline=None, max_examples=150)
@@ -25,6 +26,8 @@ POINT = st.lists(
     st.integers(-6, 6).map(str) | st.sampled_from(["1/2", "1/0", "x", ""]), max_size=3
 ).map(",".join)
 PRESETS = ["GL:3", "U:4", "GL:0", "U:x", "SO:3", "missing.json"]
+# the count flags with a work limit, and that limit
+LIMITS = {"--samples": MAX_SAMPLES, "--kmax": 6, "--max-period": 4}
 FORMAT = st.sampled_from(["text", "json", "xml"])
 # ehrhart counts lattice points of ever larger sweeps, so it gets rank one only
 CHEAP_SYSTEMS = ["A1", "BC1", "missing.json"]
@@ -40,16 +43,18 @@ def _argv(command: list[str], flags: dict) -> st.SearchStrategy:
     return pairs.map(lambda ps: command + [x for p in ps for x in p])
 
 
+def _past(limit: int) -> st.SearchStrategy:
+    return st.sampled_from([limit + 1, 10**9]).map(str)
+
+
 def _ortho(action: str) -> st.SearchStrategy:
     systems = CHEAP_SYSTEMS if action == "ehrhart" else SYSTEMS
     flags = {
         "--system": st.sampled_from(systems),
-        "--samples": VALUE,
+        **{flag: VALUE | _past(limit) for flag, limit in LIMITS.items()},
         "--seed": VALUE,
         "--special": POINT,
         "--x0": POINT,
-        "--kmax": VALUE,
-        "--max-period": VALUE,
         "--format": FORMAT,
     }
     return st.sampled_from(systems).flatmap(
@@ -72,9 +77,18 @@ ARGV = st.one_of(
 )
 
 
+def _past_a_limit(argv) -> bool:
+    return any(
+        flag in LIMITS and value.isascii() and value.isdigit() and int(value) > LIMITS[flag]
+        for flag, value in zip(argv, argv[1:])
+    )
+
+
 def _assert_exit_code(argv) -> None:
     code, text = run(argv)
     assert code in (0, 1, 2), (argv, code, text)
+    if _past_a_limit(argv):
+        assert (code, text) == (EXIT_USAGE, ""), argv
 
 
 @FUZZ

@@ -154,7 +154,7 @@ class TestIndicators:
         # chambers span everything, so delta is identically 1 there
         assert delta(sys, ch, (Fraction(5), Fraction(-3))) == 1
         wall = [c for c in sys.cones if c.dim == 1][0]
-        on_span = wall.span_basis[0]
+        on_span = root_oracle.span_basis(sys, wall.index)[0]
         assert delta(sys, wall.index, on_span) == 1
         off = (on_span[0] + 1, on_span[1] + 1)
         if all(fam.linalg.dot(a, off) == 0 for a in sys.zero_roots(wall.index)):

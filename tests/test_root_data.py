@@ -15,8 +15,8 @@ from galpairs.root_data import (
     system_from_json,
 )
 from kernel_oracle import parabolic_leq
-from root_oracle import induced_walls, restricted_coroot, sign_vector
-from test_cli import A1_SYSTEM, A2_BAD_COROOT, A7_SYSTEM
+from root_oracle import induced_walls, restricted_coroot, sign_vector, span_basis
+from test_cli import A1_SYSTEM, A2_BAD_COROOT, A2_DEPENDENT, A7_SYSTEM
 
 # number of cones in the full fan and number of chambers, per built-in system
 EXPECTED_FAN = {
@@ -85,7 +85,7 @@ def test_dual_basis(name):
             assert len(duals) == len(coroots)
             for i, w in enumerate(duals):
                 assert [linalg.dot(w, av) for av in coroots] == [int(i == j) for j in range(len(coroots))]
-                assert all(linalg.dot(w, v) == 0 for v in list(q.span_basis) + zero_coroots)
+                assert all(linalg.dot(w, v) == 0 for v in span_basis(sys, q.index) + zero_coroots)
 
 
 @pytest.mark.parametrize("name", ["A1", "A2", "B2", "G2", "BC2"])
@@ -202,6 +202,7 @@ class TestValidation:
             # A2 with the coroot (2, 0) for (1, 1): chamber_simple_pairs would give (1, 1)
             (A2_BAD_COROOT, r"maps .* to .* but its coroot to"),
             ({**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
+            (A2_DEPENDENT, "^simple roots are dependent$"),
             (A7_SYSTEM, "reflection group is too large or not finite"),
         ],
     )
