@@ -38,6 +38,10 @@ EXIT_USAGE = 1
 EXIT_VIOLATION = 2
 # each --samples point costs about 1.8 ms on A3: 1,000 points take 1.8 s
 MAX_SAMPLES = 1000
+# a point is tested against every cone, so points times cones bounds a system's work:
+# A3's 1,000 points over 75 cones take 2.1 s, B4's 44 over 1,697 cones 3.3 s, and
+# A1^6's 102 over 729 cones in dimension 16 8 s with its 2 s kernel compile
+MAX_SAMPLE_CONES = 75_000
 
 
 def frac_str(x) -> str:
@@ -158,6 +162,9 @@ def _load_set(args, system: rd.RestrictedRootSystem) -> Optional[fam.OrthogonalS
 
 
 def _ortho_check(args, system) -> tuple[int, str]:
+    if (work := args.samples * len(system.cones)) > MAX_SAMPLE_CONES:
+        size = f"{work} point-cone tests ({args.samples} points times {len(system.cones)} cones)"
+        raise ValueError(f"the check would make {size}, more than the limit of {MAX_SAMPLE_CONES}")
     report = Report(f"ortho check {system.name or args.system}", seed=args.seed)
     rng = random.Random(args.seed)
     fixed = _load_set(args, system)

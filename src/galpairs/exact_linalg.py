@@ -5,15 +5,18 @@ of a finite integer matrix group, return the finite abelian group
 ker(norm map) / (augmentation sublattice), presented by invariant factors and
 read as the torsion of the coinvariants.
 For cocharacter lattices of tori this group classifies the first Galois
-cohomology of the torus.
+cohomology of the torus.  The group's closure, its preservation of the lattice
+and the augmentation columns are all read through a generating set T of the
+group, which has at most log2 |G| elements.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from . import linalg
 
@@ -23,6 +26,8 @@ IntMat = list[list[int]]
 def _as_int(x) -> int:
     """The one reader of integer fields: an int or a whole Fraction, else ValueError
     (for a bool or a float too)."""
+    if type(x) is int:
+        return x
     if isinstance(x, Fraction) and x.denominator == 1:
         return x.numerator
     if isinstance(x, bool) or not isinstance(x, int):
@@ -180,10 +185,7 @@ class FiniteAbelianGroup:
 
     @property
     def order(self) -> int:
-        n = 1
-        for f in self.invariant_factors:
-            n *= f
-        return n
+        return math.prod(self.invariant_factors)
 
     @property
     def is_trivial(self) -> bool:
@@ -260,44 +262,57 @@ class LatticeWithAction:
     """A lattice together with a finite group of integer matrices acting on it.
 
     ``actions`` must be closed under multiplication and contain the identity;
-    this is verified eagerly, as is preservation of the lattice.  Matrices act
-    on ambient column vectors.
+    this is verified eagerly, as is preservation of the lattice, both through a
+    generating set T: each action not yet reached is a generator, and reached
+    elements are multiplied on the right by T, |G| * |T| products that must all
+    be actions.  The reached set, the monoid generated by T, is then closed and
+    holds every action.  If every generator maps the lattice into itself, so
+    does every word in them.  Matrices act on ambient column vectors.
     """
 
     lattice: IntLattice
     actions: tuple[tuple[tuple[int, ...], ...], ...]
     label: str = ""
-    _in_basis: list[IntMat] = field(init=False, repr=False, compare=False)
+    # the generators in lattice-basis coordinates, side by side: r x r|T|
+    _generator_columns: IntMat = field(init=False, repr=False, compare=False)
+    _in_basis: Optional[list[IntMat]] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
         _check_actions(self.actions, n)
-        seen = set(self.actions)
-        if linalg.identity(n) not in seen:
+        seen, reached, gens = set(self.actions), {linalg.identity(n)}, []
+        if not reached <= seen:
             raise ValueError("action set does not contain the identity")
         for a in self.actions:
-            for b in self.actions:
-                if linalg.matmul(a, b) not in seen:
-                    raise ValueError("action set is not closed under multiplication")
-        # each matrix must map the lattice to itself (onto, as the group has inverses)
+            if a not in reached:
+                gens.append(a)
+                todo = [(x, a) for x in reached]  # x * a, then each new y times every generator
+                while todo:
+                    y = linalg.matmul(*todo.pop())
+                    if y not in seen:
+                        raise ValueError("action set is not closed under multiplication")
+                    if y not in reached:
+                        reached.add(y)
+                        todo += [(y, g) for g in gens]
+        object.__setattr__(self, "_generator_columns", self._in_coordinates(gens))
+
+    def _in_coordinates(self, matrices: Sequence) -> IntMat:
+        """The matrices in lattice-basis coordinates, side by side, from one elimination."""
         basis = self.lattice.basis
+        images = (linalg.matvec(a, b) for a in matrices for b in basis)
         error = "a group element does not preserve the lattice"
-        mats = [
-            _integer_coordinate_matrix(basis, (linalg.matvec(a, b) for b in basis), error)
-            for a in self.actions
-        ]
-        object.__setattr__(self, "_in_basis", mats)
+        return _integer_coordinate_matrix(basis, images, error)
 
     @property
     def order(self) -> int:
         return len(self.actions)
 
     def in_basis_matrices(self) -> list[IntMat]:
-        """The action matrices rewritten in lattice-basis coordinates.
-
-        They are solved once, when the constructor checks that every element
-        preserves the lattice.
-        """
+        """The action matrices rewritten in lattice-basis coordinates, solved on the first call."""
+        if self._in_basis is None:
+            r, cols = self.lattice.rank, self._in_coordinates(self.actions)
+            mats = [[row[k * r : (k + 1) * r] for row in cols] for k in range(self.order)]
+            object.__setattr__(self, "_in_basis", mats)
         return self._in_basis
 
 
@@ -308,13 +323,13 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
 
     The two agree on a lattice.  If m x lies in I_G L, then m N(x) = N(m x) = 0,
     so N(x) = 0 as L is torsion-free.  If N(x) = 0, then |G| x = sum of
-    (x - g x) lies in I_G L.  So one Smith normal form of the (g - 1) columns,
-    in lattice-basis coordinates, gives the group by its invariant factors.
+    (x - g x) lies in I_G L.  And the (s - 1) images of the generators s in T
+    span I_G L, as (gh - 1) x = (g - 1)(h x) + (h - 1) x.  So one Smith normal
+    form of the r x r|T| matrix of (s - 1) columns, in lattice-basis
+    coordinates, gives the group by its invariant factors.
     """
-    r = x.lattice.rank
-    eye = linalg.identity(r)
-    mats = x.in_basis_matrices()
-    augmentation = [[g[i][j] - eye[i][j] for g in mats for j in range(r)] for i in range(r)]
+    r, cols = x.lattice.rank, x._generator_columns  # column k: generator k // r on b_(k % r)
+    augmentation = [[v - (k % r == i) for k, v in enumerate(row)] for i, row in enumerate(cols)]
     _, d, _ = smith_normal_form(augmentation)
     return FiniteAbelianGroup(tuple(f for f in diagonal_of(d) if f >= 2))
 

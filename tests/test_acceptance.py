@@ -193,7 +193,7 @@ def test_criterion_8_tate_cohomology():
     for k in range(1, 7):
         if el.tate_h_minus1(el.norm_one_torus(k)).invariant_factors != (2,) * k:
             ok = False
-    # induced modules vanish for every group of order <= 6
+    # induced modules vanish for every group of order <= 6 and four of order 8
     for name, table in ALL_SMALL_GROUPS:
         reg = el.regular_representation(table)
         if not el.tate_h_minus1(reg).is_trivial:
@@ -208,7 +208,7 @@ def test_criterion_8_tate_cohomology():
     _report(
         "criterion-8 tate-cohomology",
         ok,
-        "split/norm-one/induced table and direct-sum additivity, |group| <= 6",
+        "split/norm-one/induced table and direct-sum additivity, |group| <= 6 and four of order 8",
     )
 
 

@@ -277,6 +277,48 @@ def symmetric3_table():
     ]
 
 
+def table_of(elements, mul):
+    """Multiplication table of a group listed identity first, elements hashable."""
+    index = {g: i for i, g in enumerate(elements)}
+    return [[index[mul(a, b)] for b in elements] for a in elements]
+
+
+def product_table(orders):
+    """The direct product of cyclic groups of the given orders."""
+    elements = [()]
+    for n in orders:
+        elements = [g + (k,) for g in elements for k in range(n)]
+    return table_of(elements, lambda a, b: tuple((x + y) % n for x, y, n in zip(a, b, orders)))
+
+
+def dihedral8_table():
+    """The symmetries of a square as 2 x 2 signed permutation matrices."""
+    rot, flip = ((0, -1), (1, 0)), ((1, 0), (0, -1))
+    elements = [linalg.identity(2)]
+    for g in (rot, rot, rot):
+        elements.append(linalg.matmul(g, elements[-1]))
+    elements += [linalg.matmul(g, flip) for g in elements]
+    return table_of(elements, linalg.matmul)
+
+
+def quaternion8_table():
+    """The units +-1, +-i, +-j, +-k of the Hamilton quaternions."""
+
+    def mul(p, q):
+        a1, b1, c1, d1 = p
+        a2, b2, c2, d2 = q
+        return (
+            a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2,
+        )
+
+    units = [tuple(s * int(i == j) for j in range(4)) for i in range(4) for s in (1, -1)]
+    return table_of(units, mul)
+
+
+# the groups of order 8 past the first five need two or three generators
 ALL_SMALL_GROUPS = [
     ("C1", cyclic_table(1)),
     ("C2", cyclic_table(2)),
@@ -286,6 +328,10 @@ ALL_SMALL_GROUPS = [
     ("C6", cyclic_table(6)),
     ("V4", klein_table()),
     ("S3", symmetric3_table()),
+    ("C2^3", product_table((2, 2, 2))),
+    ("C2xC4", product_table((2, 4))),
+    ("D4", dihedral8_table()),
+    ("Q8", quaternion8_table()),
 ]
 
 
@@ -363,7 +409,7 @@ class TestTateCohomology:
 
     @pytest.mark.parametrize("name,table", ALL_SMALL_GROUPS)
     def test_regular_representation_vanishes(self, name, table):
-        # induced modules have trivial cohomology, for every group of order <= 6
+        # induced modules have trivial cohomology, for every small group
         assert el.tate_h_minus1(el.regular_representation(table)).is_trivial
 
     @pytest.mark.parametrize("name,table", ALL_SMALL_GROUPS[1:4])
@@ -389,7 +435,10 @@ class TestTateCohomology:
         "name, table, abelianization",
         [
             (name, table, ab)
-            for (name, table), ab in zip(ALL_SMALL_GROUPS, [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (2,)])
+            for (name, table), ab in zip(
+                ALL_SMALL_GROUPS,
+                [(), (2,), (3,), (4,), (5,), (6,), (2, 2), (2,), (2, 2, 2), (2, 4), (2, 2), (2, 2)],
+            )
         ],
         ids=[name for name, _ in ALL_SMALL_GROUPS],
     )
@@ -412,6 +461,52 @@ class TestTateCohomology:
             # not closed: order-4 rotation without its powers
             rot = ((0, -1), (1, 0))
             el.LatticeWithAction(el.IntLattice.standard(2), (ident, rot))
+
+    @pytest.mark.parametrize("name,table", ALL_SMALL_GROUPS)
+    def test_element_order_and_repeats_do_not_matter(self, name, table):
+        rng = random.Random(name)
+        for label, x in permutation_modules(table).items():
+            acts = list(x.actions) + rng.choices(x.actions, k=3)
+            rng.shuffle(acts)
+            y = el.LatticeWithAction(x.lattice, tuple(acts))
+            assert el.tate_h_minus1(y) == el.tate_h_minus1(x), label
+            # at most log2 |G| generators, each one r x r block of the Smith normal form input
+            r = x.lattice.rank
+            assert r == 0 or len(y._generator_columns[0]) <= r * (len(table).bit_length() - 1)
+
+    def test_identity_and_repeats_add_no_columns(self):
+        assert el.split_torus(3, group_order=4)._generator_columns == [[], [], []]
+        assert el.tate_h_minus1(el.split_torus(3, group_order=4)).is_trivial
+
+    @pytest.mark.parametrize("name,table", ALL_SMALL_GROUPS[2:])
+    def test_group_without_one_element_is_not_closed(self, name, table):
+        # some pair of the other elements multiplies to the one left out, once |G| >= 3
+        # (removing C2's non-identity element leaves the trivial group, which is closed)
+        acts = el.regular_representation(table).actions
+        for i in range(1, len(acts)):
+            with pytest.raises(ValueError, match="not closed under multiplication"):
+                el.LatticeWithAction(el.IntLattice.standard(len(table)), acts[:i] + acts[i + 1 :])
+
+    @pytest.mark.parametrize("name,table", ALL_SMALL_GROUPS[1:])
+    def test_group_with_a_foreign_element_is_not_closed(self, name, table):
+        # -1 times a permutation g != 1 is -g, which is not in the set
+        # (with C1, -1 would make the group {1, -1})
+        n = len(table)
+        minus = tuple(tuple(-x for x in row) for row in linalg.identity(n))
+        acts = el.regular_representation(table).actions
+        for i in range(n + 1):
+            with pytest.raises(ValueError, match="not closed under multiplication"):
+                el.LatticeWithAction(el.IntLattice.standard(n), acts[:i] + (minus,) + acts[i:])
+
+    def test_lattice_not_preserved_by_one_generator(self):
+        # the signed permutations of Z^2, listed so the generators are the two sign
+        # changes, which keep Z(2, 0) + Z(0, 1), and then the swap, which does not
+        d4 = [((1, 0), (0, 1)), ((1, 0), (0, -1)), ((-1, 0), (0, 1)), ((-1, 0), (0, -1))]
+        d4 += [linalg.matmul(((0, 1), (1, 0)), g) for g in d4]
+        lattice = el.IntLattice(2, ((2, 0), (0, 1)))
+        el.LatticeWithAction(lattice, tuple(d4[:4]))
+        with pytest.raises(ValueError, match="a group element does not preserve the lattice"):
+            el.LatticeWithAction(lattice, tuple(d4))
 
     def test_basis_matrices_solved_once(self):
         x = el.norm_one_torus(2)

@@ -17,8 +17,8 @@ import time
 import pytest
 
 import root_oracle
-from galpairs import linalg, root_data
-from galpairs.cli import EXIT_USAGE, run
+from galpairs import families, linalg, root_data, sampling
+from galpairs.cli import EXIT_USAGE, MAX_SAMPLE_CONES, MAX_SAMPLES, run
 from galpairs.root_data import BUILTIN_NAMES
 from kernel_oracle import parabolic_leq
 from root_oracle import fraction_fan
@@ -125,3 +125,52 @@ def test_fan_over_the_face_limit_is_refused_before_any_face(tmp_path):
     start = time.perf_counter()
     assert run(["ortho", "check", "--system", str(path)]) == (EXIT_USAGE, f"error: {message}\n")
     assert time.perf_counter() - start < 1
+
+
+def test_kernel_limit_admits_every_system_above_and_a1_to_the_6():
+    # B4 moves 384 * 3^4 = 31,104 face pairs (about 0.5 s), A1^6 46,656 (about 2 s)
+    for name in BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4"):
+        sys = _build(name)
+        assert len(sys.weyl_elements) * 3**sys.rank <= families.MAX_KERNEL_MOVES
+    sys = root_data.system_from_dict(_a1_power(6))
+    assert len(sys.weyl_elements) * 3**sys.rank <= families.MAX_KERNEL_MOVES
+
+
+def test_kernel_over_the_limit_is_refused_before_any_term(tmp_path, monkeypatch):
+    # A1^7: 128 * 3^7 = 279,936 face pairs, about 10 s to compile without the limit
+    def refuse(*args):
+        raise AssertionError("compiled a kernel term")
+
+    monkeypatch.setattr(root_data.RestrictedRootSystem, "chamber_faces", refuse)
+    path = tmp_path / "a1_7.json"
+    path.write_text(json.dumps(_a1_power(7)))
+    message = (
+        "the kernel compile would move 279936 face pairs (128 Weyl elements times 3^7), "
+        f"more than the limit of {families.MAX_KERNEL_MOVES}"
+    )
+    assert run(["ortho", "check", "--system", str(path), "--samples", "1"]) == (EXIT_USAGE, f"error: {message}\n")
+
+
+class _Sampled(Exception):
+    pass
+
+
+def test_sample_limit_per_system(tmp_path, monkeypatch):
+    # A3 keeps its 1,000 points (75 cones); A1^4 (81 cones) is refused past 925 points,
+    # before any set or point is drawn
+    def sampled(*args, **kwargs):
+        raise _Sampled
+
+    monkeypatch.setattr(sampling, "random_positive_set", sampled)
+    assert MAX_SAMPLES * len(root_data.builtin_system("A3").cones) == MAX_SAMPLE_CONES
+    with pytest.raises(_Sampled):
+        run(["ortho", "check", "--system", "A3", "--samples", str(MAX_SAMPLES)])
+    path = tmp_path / "a1_4.json"
+    path.write_text(json.dumps(_a1_power(4, dim=4)))
+    with pytest.raises(_Sampled):
+        run(["ortho", "check", "--system", str(path), "--samples", "925"])
+    message = (
+        "the check would make 75006 point-cone tests (926 points times 81 cones), "
+        f"more than the limit of {MAX_SAMPLE_CONES}"
+    )
+    assert run(["ortho", "check", "--system", str(path), "--samples", "926"]) == (EXIT_USAGE, f"error: {message}\n")
