@@ -282,15 +282,16 @@ def cmd_list_levis(args) -> tuple[int, str]:
     report = Report("list-levis")
     preset = pr.resolve_preset(args.preset)
     data = pr.enumerate_elliptic_levis(preset)
-    ok = all(d.product_invariant == 2 ** len(d.subset) for d in data)
-    for d in data:
-        label = f" label={d.label}" if d.label is not None else ""
-        report.add(
-            f"levi I={d.subset}",
-            d.product_invariant == 2 ** len(d.subset),
-            f"sign={d.sign:+d} ker1={d.ker1_size} mab_index={d.mab_index}{label}",
-        )
-    report.add("invariant ker1*index=2^|I|", ok, f"{len(data)} subsets")
+    # |B|_I| * |{b in B : b & I = 0}| = |B|: zero_on[I] counts the b <= ~I, B's indicator summed at complements
+    group = {0}
+    for g in preset.b_generators:
+        group |= {b ^ g for b in group}
+    zero_on = mu.superset_sums([int(b in group) for b in range(len(data))][::-1])
+    oks = [d.mab_index * zero_on[mask] == len(group) for mask, d in enumerate(data)]
+    for d, ok in zip(data, oks):
+        detail = f"sign={d.sign:+d} ker1={d.ker1_size} mab_index={d.mab_index}"
+        report.add(f"levi I={d.subset}", ok, detail + (f" label={d.label}" if d.label is not None else ""))
+    report.add("invariant ker1*index=2^|I|", all(oks), f"{len(data)} subsets")
     return report.result(args.format)
 
 

@@ -1,16 +1,16 @@
 """Weighted orthogonal sets over a restricted root fan and their calculus.
 
 An orthogonal set assigns a point Y_P to every chamber P so that points of
-wall-adjacent chambers differ by a rational multiple of the wall's coroot.
-This module implements the alternating-sum kernels of the indicators tau /
-tau-hat / delta, compiled once per system to integer sign tests, the
-resulting partition of unity, exact hull volumes and lattice-point counting
-with exponential-polynomial extrapolation.  A positive set's hull is read
-off the fan as integer rows (``hull_rows``): the polytope volume
-triangulates over them, and the count scans the lattice line by line against
-them.  The rows and the analytic volume's weights are tables of the system
-(``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no count or
-volume builds the kernel.  The analytic volume reads chamber data as well,
+wall-adjacent chambers differ by a rational multiple of the wall's coroot.  This module
+implements the alternating-sum kernels of the indicators tau / tau-hat / delta,
+compiled once per system to integer sign tests, the resulting partition of unity,
+exact hull volumes and lattice-point counting with exponential-polynomial
+extrapolation.  A positive set's hull is read off the fan as integer rows
+(``hull_rows``): the polytope volume triangulates over them, and a count scans the
+lattice line by line against them from a ``CountPlan`` kept per (set, sweep point,
+basis).  The rows and the analytic volume's weights are system tables read off W's
+root permutations (``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no
+count or volume builds the kernel.  The analytic volume reads chamber data as well,
 so the independent check of both is the brute-force ``Hull``, in the tests.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
@@ -55,6 +56,7 @@ class OrthogonalSet:
         }
         self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
         self._sweeps: dict[Vec, tuple] = {}  # x0 -> ``sweep(x0)``
+        self._plans: dict[tuple, CountPlan] = {}  # (x0, basis) -> ``count_plan(x0, basis)``
         self._validate()
 
     def _validate(self) -> None:
@@ -102,6 +104,12 @@ class OrthogonalSet:
             pairs = [(r, sweep.wall_coefficients[w]) for w, r in self.wall_coefficients.items()]
             self._sweeps[x0] = sweep, [(r, rx) for r, rx in pairs if min(r, rx) < 0]
         return self._sweeps[x0]
+
+    def count_plan(self, x0: Vec, basis: Sequence[Vec]) -> "CountPlan":
+        """The ``CountPlan`` of the counts of Y + k*Y[x0] in the basis, made once."""
+        if (key := (x0, tuple(basis))) not in self._plans:
+            self._plans[key] = CountPlan(self, x0, basis)
+        return self._plans[key]
 
     # -- constructors and arithmetic -----------------------------------------
 
@@ -497,11 +505,7 @@ def support_bound_check(
 
 
 def v_tilde_lattice(
-    y: OrthogonalSet,
-    lattice_basis: Sequence[Sequence],
-    k: int,
-    x0: Sequence,
-    exact: bool = False,
+    y: OrthogonalSet, lattice_basis: Sequence[Sequence], k: int, x0: Sequence, exact: bool = False
 ) -> int:
     """Count lattice points H with gamma_family(G, H, Y + Y[k*x0]) == 1.
 
@@ -516,9 +520,9 @@ def v_tilde_lattice(
     Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
     per Y and parsed x0 (``OrthogonalSet.sweep``).  The wall relation is linear, so
     Y + k*Y[x0] is orthogonal with wall coefficients r_Y + k*r_X and needs no
-    check.  Its vertices and hull thresholds are affine in k: integers read
-    off rows cached once per set (Y = N / e_Y, Y[x0] = M / e_X).  With
-    ``exact`` Y + Y[k*x0] is built and validated literally.
+    check.  Its box and its rows are affine in k, read off integers kept once per
+    (Y, x0, basis) (``OrthogonalSet.count_plan``).  With ``exact`` Y + Y[k*x0] is
+    built and validated literally.
 
     Proof, in the conventions of ``KernelTables``: Y_Q = levi_projection(Q) Y_P
     at P = ``chamber_below(Q)`` (or any chamber P <= Q), the roots of tau^G_Q
@@ -555,40 +559,61 @@ def v_tilde_lattice(
         if not shifted.is_positive:
             raise ValueError("lattice counting requires a positive orthogonal set")
         basis, g = [_parse_vec(b) for b in lattice_basis], sys.full_cone().index
-        box = product(*_box(basis, *shifted._integral))
+        cols, d = _coordinates(basis, shifted._integral[0])
+        box = product(*_box(cols, d * shifted._integral[1]))
         points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
         return sum(gamma_family(sys, g, h, shifted) == 1 for h in points)
-    basis = [_parse_vec(b) for b in lattice_basis]
-    sweep, box = _dilated_box(y, basis, k, xv)
-    ey, ex = y._integral[1], sweep._integral[1]
-    values = zip(y._facet_values, sweep._facet_values)
-    bounds = [min(a * ex + k * b * ey for a, b in zip(u, v)) for u, v in values]
-    last = len(box) - 1
-    rows = [(a[:last], a[last], b) for a, b in _rows(sys, bounds, ey * ex, basis)]
-    count = 0
-    for prefix in product(*box[:last]):
-        lo, hi = box[last].start, box[last].stop - 1
-        for a, t, b in rows:
-            s = b - linalg.dot(a, prefix)
-            if t > 0:
-                hi = min(hi, s // t)
-            elif t < 0:
-                lo = max(lo, -(s // -t))
-            elif s < 0:
-                break
-        else:
-            count += max(0, hi - lo + 1)
-    return count
+    return y.count_plan(xv, [_parse_vec(b) for b in lattice_basis]).count(k)
 
 
-def _dilated_box(y: OrthogonalSet, basis: list[Vec], k: int, xv: Vec) -> tuple[OrthogonalSet, list]:
-    """(Y[x0], the ``_box`` of Y + k*Y[x0]), refused unless that set is positive."""
-    sweep, signed = y.sweep(xv)
-    if any(r + k * rx < 0 for r, rx in signed):
-        raise ValueError("lattice counting requires a positive orthogonal set")
-    (ny, ey), (nx, ex) = y._integral, sweep._integral
-    vertices = [[a * ex + k * b * ey for a, b in zip(p, q)] for p, q in zip(ny, nx)]
-    return sweep, _box(basis, vertices, ey * ex)
+class CountPlan:
+    """The integers of every count of Y + k*Y[x0] in one basis.  With Y = N / e_Y and Y[x0] = M / e_X,
+    the vertices are (N e_X + k M e_Y) / (e_Y e_X): their coordinates (one ``coordinate_matrix`` of
+    N and M) and each ``facet_rows`` bound (the least <c, N> e_X + k <c, M> e_Y) are u + k*v for
+    kept u, v.  The rows' covectors <c, basis_i>, split by the sign of the last entry, do not depend on k."""
+
+    def __init__(self, y: OrthogonalSet, x0: Vec, basis: Sequence[Vec]):
+        sweep, self.signed = y.sweep(x0)
+        (ny, ey), (nx, ex) = y._integral, sweep._integral
+        cols, d = _coordinates(basis, ny + nx)
+        w, self.den = len(ny), d * ey * ex
+        self.coords = [[(u * ex, v * ey) for u, v in zip(col[:w], col[w:])] for col in cols]
+        pairing, e = _pairing(y.system, basis)
+        values = zip(y._facet_values, sweep._facet_values)
+        self.bounds = [[(u * ex * e, v * ey * e) for u, v in zip(fy, fx)] for fy, fx in values]
+        last, unit = len(basis) - 1, (0,) * (len(basis) - 1) + (1,)  # then the box's two rows
+        rows = [tuple(x * ey * ex for x in row) for row in pairing] + [unit, tuple(-x for x in unit)]
+        sides = (operator.gt, operator.lt, operator.eq)  # rising, falling, flat along the last coordinate
+        self.groups = [[i for i, a in enumerate(rows) if side(a[last], 0)] for side in sides]
+        self.slopes = [[abs(rows[i][last]) for i in g] for g in self.groups[:2]]
+        self.steps = [[[rows[i][j] for i in g] for g in self.groups] for j in range(last)]
+
+    def box(self, k: int) -> list[range]:
+        """The box of Y + k*Y[x0], refused unless that set is positive."""
+        if any(r + k * rx < 0 for r, rx in self.signed):
+            raise ValueError("lattice counting requires a positive orthogonal set")
+        return _box([[u + k * v for u, v in col] for col in self.coords], self.den)
+
+    def count(self, k: int) -> int:
+        """The points m of ``box(k)`` with a . m <= b on every row of Y + k*Y[x0].  A line along
+        the last coordinate is one interval: rows rising along it (and the box) bound it above,
+        falling ones below, and a flat one keeps or drops it; slacks b - a . m step along m."""
+        box, last = self.box(k), len(self.steps)
+        bounds = [min(u + k * v for u, v in b) for b in self.bounds] + [box[-1].stop - 1, -box[-1].start]
+
+        def scan(j: int, slack: list[list[int]]) -> int:  # slack: rising, falling, flat
+            if j == last:  # the line is [-min(falling // slope), min(rising // slope)]
+                if min(slack[2], default=0) < 0:
+                    return 0
+                return max(0, sum(min(map(operator.floordiv, s, t)) for s, t in zip(slack, self.slopes)) + 1)
+            steps, total = self.steps[j], 0
+            slack = [[x - a * box[j].start for x, a in zip(s, step)] for s, step in zip(slack, steps)]
+            for _ in box[j]:
+                total += scan(j + 1, slack)
+                slack = [list(map(operator.sub, s, step)) for s, step in zip(slack, steps)]
+            return total
+
+        return scan(0, [[bounds[i] for i in g] for g in self.groups])
 
 
 def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
@@ -600,14 +625,14 @@ def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, .
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
-    return _rows(y.system, [min(v) for v in y._facet_values], y._integral[1], basis)
+    (pairing, e), den = _pairing(y.system, basis), y._integral[1]
+    return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
-def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequence[Vec]):
-    """The rows of <c, H> <= bounds[i] / den over the covectors c of ``facet_rows``."""
+def _pairing(sys: RestrictedRootSystem, basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
+    """(A, e) with <c, basis_i> = A[m][i] / e for the m-th covector c of ``facet_rows``."""
     ints, e = linalg.integer_basis(basis)
-    pairing = linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints))
-    return [(tuple(x * den for x in row), b * e) for row, b in zip(pairing, bounds)]
+    return linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints)), e
 
 
 # A count costs one step per scan line; the largest count of a README command
@@ -615,13 +640,17 @@ def _rows(sys: RestrictedRootSystem, bounds: list[int], den: int, basis: Sequenc
 MAX_SCAN_LINES = 200_000
 
 
-def _box(basis: list[Vec], points: Sequence[Sequence], scale: int) -> list[range]:
-    """The integer box of lattice coordinates around the points / scale, refused
-    before any scan when it has more than ``MAX_SCAN_LINES`` scan lines."""
+def _coordinates(basis: Sequence[Vec], points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """``linalg.coordinate_matrix`` of the points, refused unless the basis is independent and spans them."""
     coords = linalg.coordinate_matrix(basis, points) if basis else None
     if coords is None:
         raise ValueError("the counting basis must be independent and span every vertex")
-    cols, den = coords[0], coords[1] * scale
+    return coords
+
+
+def _box(cols: Sequence[Sequence[int]], den: int) -> list[range]:
+    """The integer box around the coordinate rows / den, refused before any scan
+    when it has more than ``MAX_SCAN_LINES`` scan lines."""
     box = [range(min(row) // den, -(-max(row) // den) + 1) for row in cols]
     lines = math.prod(map(len, box[:-1]))
     if lines > MAX_SCAN_LINES:
@@ -702,9 +731,7 @@ def refinement_constant_term(
     return fit.polynomial_part_constant * Fraction(1, k**r)
 
 
-def refinement_boxes(
-    y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4
-) -> tuple[list[Vec], range]:
+def refinement_boxes(y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4) -> tuple[list[Vec], range]:
     """(basis of (1/k) times the normalization lattice, dilations j) counted by
     ``refinement_constant_term`` at k, once the box of every count is checked, largest
     j first: a count that would be refused raises its ValueError before any scan."""
@@ -712,5 +739,5 @@ def refinement_boxes(
     basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
     dilations = range(max_period * (sys.ambient_dim + 2) + 2)
     for j in reversed(dilations):
-        _dilated_box(y, basis, j, xv)
+        y.count_plan(xv, basis).box(j)
     return basis, dilations

@@ -281,55 +281,57 @@ class RestrictedRootSystem:
         return table
 
     @functools.cached_property
+    def _inverse_cartan(self) -> Mat:
+        """The inverse of <a_i, a_j^vee>, i, j simple, which every chamber shares (W keeps the pairing)."""
+        s = self.simple_indices
+        return linalg.invert([[linalg.dot(self.roots[i], self.coroots[j]) for j in s] for i in s])
+
+    @functools.cached_property
     def chamber_duals(self) -> dict[int, list[Vec]]:
         """Per chamber P, the covectors dual to P's simple coroots that vanish on the
         common kernel of the roots, ``dual_basis(P, G)``: row i is sum_j inv[i][j]
-        roots[w_P[j]] over the simple indices j, inv the inverse Cartan matrix, which
-        every chamber shares since W keeps the pairing."""
-        simples = self.simple_indices
-        cartan = [[linalg.dot(self.roots[i], self.coroots[j]) for j in simples] for i in simples]
-        inverse = linalg.invert(cartan)
-        return {p: _dual_basis(self.chamber_simple_pairs(p), inverse) for p in self.chambers}
+        roots[w_P[j]] over the simple indices j, inv the inverse Cartan matrix."""
+        return {p: _dual_basis(self.chamber_simple_pairs(p), self._inverse_cartan) for p in self.chambers}
 
     @functools.cached_property
     def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
         """(c, positions i in ``chambers`` of the P_i with c in chamber_duals[P_i]), c made
         primitive integral; for a positive set Y, hull(Y) = {H : <c, H> <= <c, Y_P_i>} over
-        these rows (Arthur, *The trace formula in invariant form*, 1981)."""
+        these rows (Arthur, *The trace formula in invariant form*, 1981).  Each c is read off
+        w_P in integers, sum_j inv[i][j] roots[w_P[j]] over integer rows, made primitive."""
+        (inv, _), (roots, _) = linalg.integer_basis(self._inverse_cartan), linalg.integer_basis(self.roots)
         rows: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self.chambers):
-            for c in self.chamber_duals[p]:
-                rows.setdefault(linalg.scale_to_integers(c), []).append(i)
+            simple = [roots[self._chamber_perms[p][0][j]] for j in self.simple_indices]
+            for row in inv:
+                rows.setdefault(linalg.scale_to_integers(linalg.vecmat(row, simple)), []).append(i)
         return list(rows.items())
 
     @functools.cached_property
     def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
-        covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P."""
-        r = self.ambient_dim
-        if linalg.rank(self.roots) != r:
+        covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P.  P's
+        coroots are coroots[w_P[i]], i simple: with the coroots cleared once to C / c, each
+        mu pairs once with each C_k, and P's product is read at the w_P[i]."""
+        if (r := self.ambient_dim) != self.rank:  # the simple roots span the roots
             raise ValueError("analytic volume requires roots of full rank")
         # every chamber's coroots are w(simple coroots) with det w = +-1, so all
         # chambers share the base chamber's coroot covolume
         base = [av for _, av in self.chamber_simple_pairs(self.base_chamber)]
         meas = abs(linalg.det([linalg.coordinates_in_basis(self.lattice.basis, v) for v in base]))
-        coroots = [[av for _, av in self.chamber_simple_pairs(c)] for c in self.chambers]
+        coroots, c = linalg.integer_basis(self.coroots)
+        perms = [[self._chamber_perms[p][0][i] for i in self.simple_indices] for p in self.chambers]
+        orbit = {k for ks in perms for k in ks}
         # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
         # degree < r, so each coroot rules out fewer than r values of j
         mus = (tuple(j**i for i in range(r)) for j in count(1))
-        generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
-        out = []
-        for mu in islice(generic, 3):
-            dens = [math.factorial(r) * math.prod(linalg.dot(mu, v) for v in cs) for cs in coroots]
-            out.append((mu, *linalg.clear_denominators([meas / d for d in dens])))
-        return out
+        pairings = ((mu, [linalg.dot(mu, v) for v in coroots]) for mu in mus)
+        generic = ((mu, dots) for mu, dots in pairings if all(dots[k] for k in orbit))
+        scale = meas * c**r / math.factorial(r)
+        weights = lambda d: linalg.clear_denominators([scale / math.prod(d[k] for k in ks) for ks in perms])
+        return [(mu, *weights(dots)) for mu, dots in islice(generic, 3)]
 
     # -- per-cone structure ----------------------------------------------------
-
-    def zero_roots(self, cone: int) -> list[Vec]:
-        """Reduced positive roots vanishing on the span of the cone."""
-        c = self.cones[cone]
-        return [self.hyperplanes[i] for i in range(len(c.signs)) if c.signs[i] == 0]
 
     def _simple_roots(self, cone: int) -> list[int]:
         """Root indices of the simple roots of ``chamber_below(cone)`` that do not vanish on it."""

@@ -19,6 +19,7 @@ from galpairs import linalg
 from galpairs.families import OrthogonalSet
 from galpairs.linalg import Vec
 from galpairs.root_data import RestrictedRootSystem, _parse_vec
+from root_oracle import zero_roots
 
 
 def parabolic_leq(sys: RestrictedRootSystem, p: int, q: int) -> bool:
@@ -72,7 +73,7 @@ def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], l
                 for rr in below
                 if parabolic_leq(sys, r, rr)
             ]
-            table.append((r, cids(sys.zero_roots(r)), terms))
+            table.append((r, cids(zero_roots(sys, r)), terms))
         compiled.append((tau_ids(q, g), table))
     return list(ids), compiled
 
@@ -103,7 +104,7 @@ def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
 def delta(sys: RestrictedRootSystem, r: int, h: Sequence) -> int:
     """1 exactly when h lies in the linear span of the cone r."""
     hv = _parse_vec(h)
-    for a in sys.zero_roots(r):
+    for a in zero_roots(sys, r):
         if linalg.dot(a, hv) != 0:
             return 0
     return 1

@@ -13,6 +13,10 @@ that root's coroot to the span of the cone, and check that every compatible
 chamber gives the same answer.  Both read only public attributes of the
 system, and only the tests call them.
 
+``zero_roots`` lists the reduced positive roots that vanish on a cone's span,
+read off the cone's signs; ``RestrictedRootSystem`` kept it as a method that
+only the tests called.
+
 ``span_basis`` and ``levi_projection`` build a cone's span and Levi projection
 as ``RestrictedRootSystem`` did before it read vanishing roots off each cone's
 signs and projections off one Cartan-block dual: a nullspace basis of the span,
@@ -75,10 +79,15 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
     return table
 
 
+def zero_roots(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
+    """Reduced positive roots vanishing on the span of the cone: those whose sign is 0 there."""
+    return [a for a, s in zip(sys.hyperplanes, sys.cones[cone].signs) if s == 0]
+
+
 def span_basis(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
-    """A basis of the span of the cone: the kernel of ``zero_roots(cone)``, as each
+    """A basis of the span of the cone: the kernel of ``zero_roots(sys, cone)``, as each
     cone carried it before its dimension was read off its face type."""
-    zero_rows = sys.zero_roots(cone)
+    zero_rows = zero_roots(sys, cone)
     n = sys.ambient_dim
     return linalg.nullspace(zero_rows, ncols=n) if zero_rows else list(linalg.identity(n))
 
@@ -87,7 +96,7 @@ def levi_projection(sys: RestrictedRootSystem, cone: int) -> Mat:
     """The projection onto the span of the cone along the coroots of the roots that
     vanish on it, built literally: a maximal independent subset of those coroots,
     and the projection matrix of the span basis against it."""
-    zero = sys.zero_roots(cone)
+    zero = zero_roots(sys, cone)
     if not zero:
         return linalg.identity(sys.ambient_dim)
     coroot_of = dict(zip(sys.roots, sys.coroots))

@@ -3,12 +3,19 @@
 ``volume_analytic`` reads chamber weights computed once per system
 (``RestrictedRootSystem.volume_weights``); ``tests/volume_oracle.py`` sums the
 Fractions term by term.  ``v_tilde_lattice`` builds Y + k*Y[x0] from one
-validated sweep kept on Y; the reference builds and validates that set
-explicitly and counts the points of its box that meet its ``hull_rows``.
+validated sweep kept on Y, and reads its box and rows off a ``CountPlan`` kept
+on Y per (x0, basis); the reference builds and validates that set explicitly
+and counts the points of its box that meet its ``hull_rows``.  The plan's
+counts are also compared with those of a freshly built set (and, in
+``tests/test_lattice_rows.py``, with the literal kernel, ``exact=True``), and a
+set and its system must not outlive their last reference: no cache may be kept
+at module level.
 """
 
+import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -162,3 +169,62 @@ def test_sweep_point_spellings_share_one_memo_entry():
     counts = {v_tilde_lattice(y, basis, 2, x0) for x0 in spellings}
     assert counts == {_explicit_count(y, basis, 2, (2, 1))}
     assert len(y._sweeps) == 1
+
+
+# -- the count plan: one per (Y, x0, basis) -------------------------------------------
+
+
+def _plan_case(sys):
+    """A positive set with a rational translation, so lattice points miss its facets,
+    and a dominant sweep point."""
+    r = sys.ambient_dim
+    y = _sweep(sys, (1,) * r).translate(sampling.sample_rational_point(random.Random(101), r, 6, 3))
+    return y, _point(sys, (1,) * r)
+
+
+@pytest.mark.parametrize("name", BUILTIN_NAMES)
+def test_planned_counts_match_a_fresh_set(name):
+    sys = builtin_system(name)
+    y, x0 = _plan_case(sys)
+    for refine in (1, 2, 3):
+        basis = _basis(sys, refine)
+        for j in range(5):
+            fresh = OrthogonalSet(sys, y.points)
+            assert v_tilde_lattice(y, basis, j, x0) == v_tilde_lattice(fresh, basis, j, x0), (refine, j)
+            assert len(fresh._plans) == 1
+    assert len(y._plans) == 3 and len(y._sweeps) == 1
+
+
+def test_basis_spellings_share_one_plan():
+    sys = builtin_system("A2")
+    y = _sweep(sys, (1, 2))
+    spellings = [
+        [(1, 0), (0, 1)],
+        [[1, 0], [0, 1]],
+        [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))],
+        [("1", "0"), ("0/3", "2/2")],
+    ]
+    counts = {v_tilde_lattice(y, basis, 2, (2, 1)) for basis in spellings}
+    assert counts == {_explicit_count(y, _basis(sys, 1), 2, (2, 1))}
+    assert len(y._plans) == 1
+
+
+def test_caches_do_not_outlive_the_set_and_its_system():
+    # a fixture system, since built-ins are kept for the life of the process
+    sys = system_from_dict(
+        {
+            "ambient_dim": 2,
+            "roots": [[2, -1], [-1, 2], [1, 1], [-2, 1], [1, -2], [-1, -1]],
+            "coroots": [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]],
+            "simple_indices": [0, 1],
+        }
+    )
+    y, x0 = _plan_case(sys)
+    assert fam.volume_polytope(y) == fam.volume_analytic(y) > 0
+    assert fam.refinement_constant_term(y, x0, 2, max_period=1) is not None
+    assert fam.partition_of_unity_value(sys, (Fraction(1, 3), Fraction(1, 5)), y) == 1
+    assert y._plans and sys.__dict__.get("volume_weights") and sys.__dict__.get("kernel_tables")
+    refs = [weakref.ref(y), weakref.ref(sys)]
+    del y, sys
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]

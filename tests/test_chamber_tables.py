@@ -6,7 +6,9 @@ is the chamber of w s_i) is compared with the scan of the induced fan,
 ``root_oracle.induced_walls``, and with a flip of one hyperplane's sign.
 ``chamber_duals``, ``facet_rows`` and ``families.support_bound_certificate``
 (one inverse Cartan matrix moved by w_P) are compared with what
-``dual_basis(P, G)`` gives chamber by chamber.
+``dual_basis(P, G)`` gives chamber by chamber, and ``volume_weights`` (each
+chamber's coroot product read at w_P's root indices) with the per-chamber
+Fraction table of ``volume_oracle.volume_weights``.
 """
 
 import functools
@@ -17,6 +19,7 @@ import pytest
 from galpairs import linalg, root_data
 from galpairs.families import _sup_norm, support_bound_certificate
 from galpairs.root_data import BUILTIN_NAMES
+import volume_oracle
 from root_oracle import induced_walls
 
 # entries <a_i, a_j^vee>, as in tests/test_fan_permutations.py
@@ -115,3 +118,14 @@ def test_chamber_duals_match_dual_basis(name):
 def test_support_bound_matches_dual_basis(name):
     sys = _build(name)
     assert support_bound_certificate(sys) == dual_basis_certificate(sys) > 0
+
+
+@pytest.mark.parametrize("name", NAMES)
+def test_volume_weights_match_per_chamber_coroots(name):
+    sys = _build(name)
+    if sys.rank < sys.ambient_dim:  # "centered": the roots span one dimension of two
+        for table in (lambda: sys.volume_weights, lambda: volume_oracle.volume_weights(sys)):
+            with pytest.raises(ValueError, match="full rank"):
+                table()
+        return
+    assert sys.volume_weights == volume_oracle.volume_weights(sys)

@@ -529,6 +529,35 @@ class TestToriAndLevis:
         code_gl, text_gl = run(["list-levis", "--preset", "GL:6"])
         assert code_gl == EXIT_PASS
 
+    def test_list_levis_on_a_proper_subgroup(self, tmp_path):
+        # B = <{0, 1}, {1, 2}> inside (Z/2)^3: |B| = 4, and for I = {1} the projection
+        # has 2 elements and the kernel {0, {0, 2}} 2
+        preset = {"name": "b4", "num_simple": 3, "iota": [0, 1, 2], "delta_minus": [0, 1, 2], "b_generators": [3, 6]}
+        path = tmp_path / "preset.json"
+        path.write_text(json.dumps(preset), encoding="utf-8")
+        code, text = run(["list-levis", "--preset", str(path)])
+        assert code == EXIT_PASS, text
+        assert "pass levi I=(1,): sign=+1 ker1=1 mab_index=2" in text
+
+    @pytest.mark.parametrize("preset", ["U:4", "GL:6"])
+    def test_list_levis_fails_on_a_perturbed_rank(self, preset, monkeypatch):
+        # flip the echelon rank of I = {0} (0 <-> 1): ker1 * index stays 2^|I| by
+        # construction, but |B|_I| * |{b in B : b & I = 0}| no longer equals |B|
+        from galpairs import presets
+
+        echelon = presets.restriction_echelon
+
+        def perturbed(generators, mask):
+            rank, vanishing = echelon(generators, mask)
+            return (1 - rank if mask == 1 else rank), vanishing
+
+        monkeypatch.setattr(presets, "restriction_echelon", perturbed)
+        code, text = run(["list-levis", "--preset", preset])
+        assert code == EXIT_VIOLATION
+        fails = [line for line in text.splitlines() if line.startswith("FAIL ")]
+        assert fails[0].startswith("FAIL levi I=(0,):") and len(fails) == 2
+        assert fails[1].startswith("FAIL invariant ker1*index=2^|I|") and text.endswith("FAILED\n")
+
 
 class TestDeterminism:
     @pytest.mark.parametrize(

@@ -157,7 +157,7 @@ class TestIndicators:
         on_span = root_oracle.span_basis(sys, wall.index)[0]
         assert delta(sys, wall.index, on_span) == 1
         off = (on_span[0] + 1, on_span[1] + 1)
-        if all(fam.linalg.dot(a, off) == 0 for a in sys.zero_roots(wall.index)):
+        if all(fam.linalg.dot(a, off) == 0 for a in root_oracle.zero_roots(sys, wall.index)):
             off = (on_span[0] + 1, on_span[1] - 1)
         assert delta(sys, wall.index, off) == 0
 

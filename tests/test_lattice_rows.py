@@ -177,9 +177,11 @@ def test_row_by_row_count_matches_exact(name):
         cases.append((sampling.random_positive_set(rng, sys), 1))
     for y, k in cases:
         basis = _basis(sys, k)
+        plans = len(y._plans)
         for j in (0, 1):
             fast = v_tilde_lattice(y, basis, j, x0)
             assert fast == v_tilde_lattice(y, basis, j, x0, exact=True), (y.points, k, j)
+        assert len(y._plans) == plans + 1  # one count plan per (Y, x0, basis), whatever j
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -203,8 +205,8 @@ def test_count_rejects_a_basis_that_misses_a_vertex():
 
 
 def test_box_admits_the_scan_line_limit_and_refuses_one_more():
-    basis = [(Fraction(1), Fraction(0)), (Fraction(0), Fraction(1))]
+    # coordinate rows of the points (0, 0) and (n - 1, 5), then (n, 5), over denominator 1
     n = fam.MAX_SCAN_LINES
-    assert len(fam._box(basis, [(0, 0), (n - 1, 5)], 1)[0]) == n
+    assert len(fam._box([[0, n - 1], [0, 5]], 1)[0]) == n
     with pytest.raises(ValueError, match=f"scan {n + 1} lines, more than the limit of {n}"):
-        fam._box(basis, [(0, 0), (n, 5)], 1)
+        fam._box([[0, n], [0, 5]], 1)

@@ -15,7 +15,7 @@ from galpairs.root_data import (
     system_from_json,
 )
 from kernel_oracle import parabolic_leq
-from root_oracle import induced_walls, restricted_coroot, sign_vector, span_basis
+from root_oracle import induced_walls, restricted_coroot, sign_vector, span_basis, zero_roots
 from test_cli import A1_SYSTEM, A2_BAD_COROOT, A2_DEPENDENT, A7_SYSTEM
 
 # number of cones in the full fan and number of chambers, per built-in system
@@ -71,11 +71,11 @@ def test_line_walls(name):
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_dual_basis(name):
     """For p <= q the covectors pair to delta with the coroots of p's simple roots
-    vanishing on span(q), and vanish on span(q) and on the coroots of zero_roots(p)."""
+    vanishing on span(q), and vanish on span(q) and on the coroots of zero_roots(sys, p)."""
     sys = builtin_system(name)
     coroot_of = dict(zip(sys.roots, sys.coroots))
     for p in range(len(sys.cones)):
-        zero_coroots = [coroot_of[a] for a in sys.zero_roots(p)]
+        zero_coroots = [coroot_of[a] for a in zero_roots(sys, p)]
         for q in sys.cones:
             if not parabolic_leq(sys, p, q.index):
                 continue
@@ -182,7 +182,7 @@ class TestRestrictedCoroot:
         sys = builtin_system("A2")
         full = sys.full_cone()
         small = [c for c in sys.cones if c.dim == 1][0]
-        zero = sys.zero_roots(small.index)[0]
+        zero = zero_roots(sys, small.index)[0]
         with pytest.raises(ValueError):
             restricted_coroot(sys, small.index, zero)
 

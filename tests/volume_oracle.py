@@ -9,14 +9,38 @@ generic covector mu,
     vol = sum_P covol(Z[coroots_P]) * <mu, Y_P>^r / (r! * prod <mu, coroot of P>),
 
 with each chamber's own coroot covolume.  Three directions must agree.
+
+``volume_weights`` is the system table as it was computed before it read each
+chamber's coroot product off the Weyl permutations: per chamber, the Fraction
+coroots of its simple roots and their Fraction pairings with every direction.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import count, islice
 
 from galpairs import linalg
+
+
+def volume_weights(sys) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
+    """(mu, W, D) with W[i] / D = covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the
+    i-th chamber P, for the first three mu = (1, j, ..., j^(r-1)) that vanish on no chamber
+    coroot: |W| * rank Fraction dot products per mu."""
+    r = sys.ambient_dim
+    if linalg.rank(sys.roots) != r:
+        raise ValueError("analytic volume requires roots of full rank")
+    base = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
+    meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, v) for v in base]))
+    coroots = [[av for _, av in sys.chamber_simple_pairs(c)] for c in sys.chambers]
+    mus = (tuple(j**i for i in range(r)) for j in count(1))
+    generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
+    out = []
+    for mu in islice(generic, 3):
+        dens = [math.factorial(r) * math.prod(linalg.dot(mu, v) for v in cs) for cs in coroots]
+        out.append((mu, *linalg.clear_denominators([meas / d for d in dens])))
+    return out
 
 
 def generic_directions(sys, count: int) -> list[tuple[Fraction, ...]]:
