@@ -5,13 +5,18 @@ wall-adjacent chambers differ by a rational multiple of the wall's coroot.  This
 implements the alternating-sum kernels of the indicators tau / tau-hat / delta,
 compiled once per system to integer sign tests, the resulting partition of unity,
 exact hull volumes and lattice-point counting with exponential-polynomial
-extrapolation.  A positive set's hull is read off the fan as integer rows
+extrapolation.  A set is stored as integer rows over one denominator, and is
+built, added, translated and validated in integers against system tables
+(``RestrictedRootSystem.chamber_weyl_rows``, ``wall_coroot_rows``); its Fraction
+``points`` are a view.  A positive set's hull is read off the fan as integer rows
 (``hull_rows``): the polytope volume triangulates over them, and a count scans the
 lattice line by line against them from a ``CountPlan`` kept per (set, sweep point,
 basis).  The rows and the analytic volume's weights are system tables read off W's
 root permutations (``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no
 count or volume builds the kernel.  The analytic volume reads chamber data as well,
-so the independent check of both is the brute-force ``Hull``, in the tests.
+so the independent check of both is the brute-force ``Hull``, in the tests.  The
+fit of the counts solves its Vandermonde systems in integers too; Fractions are made
+only for results that are rational numbers: volumes, coefficients and constants.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
@@ -40,40 +45,63 @@ from .root_data import RestrictedRootSystem, _parse_vec
 class OrthogonalSet:
     """A chamber-indexed family of points with coroot-directed wall jumps.
 
-    ``points`` maps chamber index -> ambient point.  Validation checks every
-    wall-adjacent pair (P, P') of the chamber wall table
-    ``RestrictedRootSystem.walls``: Y_P - Y_P' must be r * (the coroot of P's
-    simple root along the wall), and records the rational wall coefficients r.
-    The set is *positive* when all coefficients are nonnegative.
+    The stored form is ``_integral`` = (N, e): integer rows N in ``system.chambers``
+    order over the least common denominator e > 0, so Y_P = N[i] / e at the i-th
+    chamber P.  ``points`` maps chamber index -> Y_P as a Fraction tuple, a view made
+    from (N, e) on first use.  Validation checks every wall-adjacent pair (P, P') of
+    the chamber wall table ``RestrictedRootSystem.walls``: Y_P - Y_P' must be r * (the
+    coroot of P's simple root along the wall), tested by integer cross-multiplication
+    against ``wall_coroot_rows``, and the rational r are the ``wall_coefficients``.
+    The set is *positive* when all of them are nonnegative.
     """
 
-    def __init__(self, system: RestrictedRootSystem, points: dict[int, Sequence]):
+    def __init__(self, system: RestrictedRootSystem, points: Optional[dict[int, Sequence]] = None,
+                 *, integral: Optional[tuple[Sequence[tuple[int, ...]], int]] = None):
+        """From ``points`` (chamber -> rational point) or, as stored, from ``integral`` = (N, e)."""
         self.system = system
-        if sorted(points) != sorted(system.chambers):
-            raise ValueError("points must be indexed by exactly the chambers")
-        self.points: dict[int, Vec] = {
-            p: _parse_vec(v, system.ambient_dim) for p, v in points.items()
-        }
-        self.wall_coefficients: dict[tuple[int, int], Fraction] = {}
+        if integral is None:
+            if sorted(points) != sorted(system.chambers):
+                raise ValueError("points must be indexed by exactly the chambers")
+            parsed = {p: _parse_vec(v, system.ambient_dim) for p, v in points.items()}
+            self.points = {c: parsed[c] for c in system.chambers}
+            integral = linalg.integer_basis(list(self.points.values()))
+        elif (g := math.gcd(integral[1], *(x for row in integral[0] for x in row))) > 1:
+            integral = [tuple(x // g for x in row) for row in integral[0]], integral[1] // g
+        self._integral: tuple[Sequence[tuple[int, ...]], int] = integral
         self._sweeps: dict[Vec, tuple] = {}  # x0 -> ``sweep(x0)``
         self._plans: dict[tuple, CountPlan] = {}  # (x0, basis) -> ``count_plan(x0, basis)``
         self._validate()
 
     def _validate(self) -> None:
-        for p, q, _, coroot in self.system.walls:
-            diff = linalg.vsub(self.points[p], self.points[q])
-            r = linalg.proportionality(diff, coroot)
-            if r is None:
+        """Per wall, D = N[i] - N[j] must be a multiple of K, the integer coroot row: D[x] K[m]
+        == D[m] K[x] for every x.  Then r = D[m] c / (e K[m]) has the sign of t = D[m] K[m]."""
+        sys, (n, e) = self.system, self._integral
+        self._wall_values: list[int] = []  # t per row of ``walls``
+        for (p, q, _, coroot), (i, j, k, m) in zip(sys.walls, sys.wall_coroot_rows[0]):
+            diff = [a - b for a, b in zip(n[i], n[j])]
+            if any(x * k[m] != diff[m] * y for x, y in zip(diff, k)):
+                diff = tuple(Fraction(x, e) for x in diff)
                 raise ValueError(
                     f"chambers {p}, {q}: point difference {diff} is not a multiple "
                     f"of the wall coroot {coroot}"
                 )
-            self.wall_coefficients[(p, q)] = r
-            self.wall_coefficients[(q, p)] = r
+            self._wall_values.append(diff[m] * k[m])
+        self.is_positive = all(t >= 0 for t in self._wall_values)
 
-    @property
-    def is_positive(self) -> bool:
-        return all(r >= 0 for r in self.wall_coefficients.values())
+    @functools.cached_property
+    def points(self) -> dict[int, Vec]:
+        """Chamber -> Y_P = N[i] / e as a Fraction tuple."""
+        n, e = self._integral
+        return {c: tuple(Fraction(x, e) for x in row) for c, row in zip(self.system.chambers, n)}
+
+    @functools.cached_property
+    def wall_coefficients(self) -> dict[tuple[int, int], Fraction]:
+        """(P, P') -> r with Y_P - Y_P' = r * coroot, both ways round: t c / (e K[m]^2)."""
+        sys, e = self.system, self._integral[1]
+        (rows, c), out = sys.wall_coroot_rows, {}
+        for (p, q, _, _), (_, _, k, m), t in zip(sys.walls, rows, self._wall_values):
+            out[(p, q)] = out[(q, p)] = Fraction(t * c, e * k[m] ** 2)
+        return out
 
     @functools.cached_property
     def thresholds(self) -> list[tuple[list[int], int]]:
@@ -87,22 +115,19 @@ class OrthogonalSet:
         return [rows[sys.chamber_below(q)] for q in range(len(sys.cones))]
 
     @functools.cached_property
-    def _integral(self) -> tuple[list[tuple[int, ...]], int]:
-        """(N, e), e > 0, with Y_P = N[i] / e for the i-th chamber P of the system."""
-        return linalg.integer_basis([self.points[c] for c in self.system.chambers])
-
-    @functools.cached_property
     def _facet_values(self) -> list[list[int]]:
         """<c, N[i]> for each hull covector c and chamber position i of ``facet_rows``."""
         n, _ = self._integral
         return [[linalg.dot(c, n[i]) for i in pos] for c, pos in self.system.facet_rows]
 
-    def sweep(self, x0: Vec) -> tuple["OrthogonalSet", list[tuple[Fraction, Fraction]]]:
-        """(special(x0), (r_Y, r_X) at the walls where r_Y + k*r_X can be negative), made once."""
+    def sweep(self, x0: Vec) -> tuple["OrthogonalSet", list[tuple[int, int]]]:
+        """(special(x0), (a, b) at the walls where a + k*b can be negative), made once: with t_Y
+        and t_X of ``_validate``, a = t_Y e_X and b = t_X e_Y are one positive multiple of r_Y and r_X."""
         if x0 not in self._sweeps:
             sweep = OrthogonalSet.special(self.system, x0)
-            pairs = [(r, sweep.wall_coefficients[w]) for w, r in self.wall_coefficients.items()]
-            self._sweeps[x0] = sweep, [(r, rx) for r, rx in pairs if min(r, rx) < 0]
+            (_, ey), (_, ex) = self._integral, sweep._integral
+            pairs = [(t * ex, tx * ey) for t, tx in zip(self._wall_values, sweep._wall_values)]
+            self._sweeps[x0] = sweep, [(a, b) for a, b in pairs if min(a, b) < 0]
         return self._sweeps[x0]
 
     def count_plan(self, x0: Vec, basis: Sequence[Vec]) -> "CountPlan":
@@ -115,28 +140,29 @@ class OrthogonalSet:
 
     @classmethod
     def special(cls, system: RestrictedRootSystem, x: Sequence) -> "OrthogonalSet":
-        """The set Y_P = w_P(x) obtained by sweeping one point around the fan."""
-        xv = _parse_vec(x, system.ambient_dim)
-        pts = {
-            c: linalg.matvec(system.chamber_weyl(c), xv) for c in system.chambers
-        }
-        return cls(system, pts)
+        """The set Y_P = w_P(x) obtained by sweeping one point around the fan: with x = X / d
+        and w_P = M_P / D (``chamber_weyl_rows``), N[i] = M_P X over e = D d."""
+        n = system.ambient_dim
+        xi, d = linalg.clear_denominators(_parse_vec(x, n))
+        rows, den = system.chamber_weyl_rows
+        flat = linalg.matvec(rows, xi)
+        return cls(system, integral=([flat[i : i + n] for i in range(0, len(flat), n)], den * d))
 
     @classmethod
     def zero(cls, system: RestrictedRootSystem) -> "OrthogonalSet":
-        return cls(system, {c: linalg.zero_vec(system.ambient_dim) for c in system.chambers})
+        return cls(system, integral=([(0,) * system.ambient_dim] * len(system.chambers), 1))
 
     def add(self, other: "OrthogonalSet") -> "OrthogonalSet":
         if other.system is not self.system:
             raise ValueError("orthogonal sets live on different systems")
-        return OrthogonalSet(
-            self.system,
-            {c: linalg.vadd(self.points[c], other.points[c]) for c in self.points},
-        )
+        (n, e), (m, f) = self._integral, other._integral
+        rows = [tuple(a * f + b * e for a, b in zip(u, v)) for u, v in zip(n, m)]
+        return OrthogonalSet(self.system, integral=(rows, e * f))
 
     def translate(self, v: Sequence) -> "OrthogonalSet":
-        vv = _parse_vec(v, self.system.ambient_dim)
-        return OrthogonalSet(self.system, {c: linalg.vadd(p, vv) for c, p in self.points.items()})
+        (n, e), (t, d) = self._integral, linalg.clear_denominators(_parse_vec(v, self.system.ambient_dim))
+        rows = [tuple(a * d + x * e for a, x in zip(row, t)) for row in n]
+        return OrthogonalSet(self.system, integral=(rows, e * d))
 
 # -- the indicator kernel, compiled to integer sign tests ------------------------
 
@@ -164,7 +190,7 @@ class KernelTables:
     """
 
     def __init__(self, sys: RestrictedRootSystem):
-        weyl = len(sys.weyl_elements)
+        weyl = len(sys.chambers)  # one chamber per Weyl element
         if (moves := weyl * 3**sys.rank) > MAX_KERNEL_MOVES:
             size = f"{moves} face pairs ({weyl} Weyl elements times 3^{sys.rank})"
             raise ValueError(f"the kernel compile would move {size}, more than the limit of {MAX_KERNEL_MOVES}")
@@ -188,7 +214,7 @@ class KernelTables:
         zeros = [[planes[n] for n, s in enumerate(c.signs) if s == 0] for c in sys.cones]  # delta^r
         self.compiled: list[tuple[list[int], list]] = [([], []) for _ in sys.cones]
         for p in sys.chambers:
-            inv, _ = linalg.integer_basis(sys.chamber_weyl_inverse(p))  # a multiple of w_P^-1
+            inv = sys.weyl_rows(p, inverse=True)  # a multiple of w_P^-1
 
             @functools.cache
             def move(c: tuple[int, ...]) -> int:  # the id of c o w_P^-1
@@ -257,11 +283,15 @@ def partition_of_unity_check(
 
 def lattice_coords(sys: RestrictedRootSystem, points: Sequence[Vec]) -> list[Vec]:
     """Coordinates of each point in the normalization lattice basis, from one elimination."""
-    coords = linalg.coordinate_matrix(sys.lattice.basis, points)
-    if coords is None:
-        raise ValueError("point is outside the span of the normalization lattice")
-    cols, d = coords
+    cols, d = _lattice_matrix(sys, points)
     return [tuple(Fraction(x, d) for x in col) for col in zip(*cols)]
+
+
+def _lattice_matrix(sys: RestrictedRootSystem, points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
+    """``linalg.coordinate_matrix`` of the points in the normalization lattice basis."""
+    if (coords := linalg.coordinate_matrix(sys.lattice.basis, points)) is None:
+        raise ValueError("point is outside the span of the normalization lattice")
+    return coords
 
 
 def _sup_norm(v: Vec) -> Fraction:
@@ -414,17 +444,16 @@ def triangulated_volume(
 def volume_polytope(y: OrthogonalSet) -> Fraction:
     """Volume of the hull of the chamber points, in normalization-lattice units.
 
-    The chamber points, in lattice coordinates N / e over one denominator,
-    are the vertices, and the hull's rows are read off the fan
-    (``hull_rows``); ``triangulated_volume`` runs over both scaled by e.
+    With Y = N / e, one elimination gives the lattice coordinates of N as C / d, so
+    the vertices are C / (d e), and the hull's rows are read off the fan
+    (``hull_rows``); ``triangulated_volume`` runs over both scaled by d e.
     """
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
-    sys = y.system
-    basis = sys.lattice.basis
-    n, e = linalg.integer_basis(lattice_coords(sys, [y.points[c] for c in sys.chambers]))
-    rows = [(a, b * e) for a, b in hull_rows(y, basis)]
-    return triangulated_volume(n, rows) / e ** len(basis)
+    sys, (n, e) = y.system, y._integral
+    cols, d = _lattice_matrix(sys, n)
+    rows = [(a, b * d * e) for a, b in hull_rows(y, sys.lattice.basis)]
+    return triangulated_volume(list(zip(*cols)), rows) / (d * e) ** len(cols)
 
 
 def volume_analytic(y: OrthogonalSet) -> Fraction:
@@ -689,21 +718,25 @@ def fit_exp_polynomial(
     """Fit the minimal-period quasi-polynomial reproducing all samples exactly.
 
     Each residue class gets the interpolant of degree <= max_degree on its first
-    max_degree + 1 samples, which must reproduce all of its samples.
+    max_degree + 1 samples, which must reproduce all of its samples.  With the
+    samples cleared to S / s, one ``_bareiss`` of the integer Vandermonde rows
+    [1, k, ..., k^max_degree | S_k] leaves d times the coefficients times s in the
+    last column, and the check of every sample is p(k) == d S_k in integers.
     """
-    vals = [Fraction(v) for v in samples]
-    n = len(vals)
+    vals, s = linalg.clear_denominators(samples)
+    n, m = len(vals), max_degree + 1
     for period in range(1, max_period + 1):
         fits: list[tuple[Fraction, ...]] = []
         for cls in range(period):
             ks = range(cls, n, period)
-            if len(ks) < max_degree + 2:
+            if len(ks) < m + 1:
                 break
-            rows = [[Fraction(k) ** j for j in range(max_degree + 1)] for k in ks]
-            coeffs = linalg.solve(rows[: max_degree + 1], [vals[k] for k in ks[: max_degree + 1]])
-            if linalg.matvec(rows, coeffs) != tuple(vals[k] for k in ks):
+            rows = [[k**j for j in range(m)] + [vals[k]] for k in ks[:m]]
+            _, d = linalg._bareiss(rows)
+            coeffs = [row[m] for row in rows]
+            if any(functools.reduce(lambda a, c: a * k + c, reversed(coeffs), 0) != d * vals[k] for k in ks):
                 break
-            fits.append(coeffs)
+            fits.append(tuple(Fraction(c, d * s) for c in coeffs))
         else:
             return ExpPolyFit(period, fits)
     raise ValueError(

@@ -31,10 +31,6 @@ def vec(entries: Iterable) -> Vec:
     return tuple(x if type(x) is Fraction else Fraction(x) for x in entries)
 
 
-def zero_vec(n: int) -> Vec:
-    return (Fraction(0),) * n
-
-
 def identity(n: int) -> Mat:
     return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
 
@@ -61,29 +57,8 @@ def is_zero_vec(a: Vec) -> bool:
 
 
 def combination(coeffs: Sequence, vectors: Sequence[Vec], n: int) -> Vec:
-    """sum(c_i * vectors_i) in dimension n."""
-    out = zero_vec(n)
-    for c, v in zip(coeffs, vectors):
-        out = vadd(out, vscale(c, v))
-    return out
-
-
-def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
-    """c with a = c * b (None if not proportional).  a = 0 gives c = 0."""
-    if is_zero_vec(a):
-        return Fraction(0)
-    c = None
-    for x, y in zip(a, b):
-        if y == 0:
-            if x != 0:
-                return None
-        else:
-            ratio = Fraction(x) / y
-            if c is None:
-                c = ratio
-            elif ratio != c:
-                return None
-    return c
+    """sum(c_i * vectors_i) in dimension n, as Fractions."""
+    return vec(sum(c * v[j] for c, v in zip(coeffs, vectors)) for j in range(n))
 
 
 def matvec(m: Mat, v: Vec) -> Vec:

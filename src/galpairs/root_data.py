@@ -190,12 +190,14 @@ class RestrictedRootSystem:
             raise ValueError(f"the fan would visit {size}, more than the limit of {MAX_FACE_VISITS}")
 
         # w moves the simple coroots to coroots[w[i]] and fixes the common kernel of the
-        # roots: w(x) = x + sum_i <duals[i], x> (coroots[w[i]] - coroots[i])
-        duals = _dual_basis([(self.roots[i], self.coroots[i]) for i in simples])
-        moved = lambda w: [linalg.vsub(self.coroots[w[i]], self.coroots[i]) for i in simples]
-        matrix = {w: _identity_plus(moved(w), duals) for w in elements}
-        order = sorted(elements, key=matrix.__getitem__)
-        self.weyl_elements: list[Mat] = [matrix[w] for w in order]
+        # roots: w(x) = x + sum_i <duals[i], x> (coroots[w[i]] - coroots[i]), in integers
+        # over one denominator D = c d, with the coroots cleared to C / c and the duals to R / d
+        duals, d = linalg.integer_basis(_dual_basis([(self.roots[i], self.coroots[i]) for i in simples]))
+        coroots, c = linalg.integer_basis(self.coroots)
+        moved = lambda w: [linalg.vsub(coroots[w[i]], coroots[i]) for i in simples]
+        self._weyl_rows = {w: _identity_plus(moved(w), duals, c * d) for w in elements}
+        self._weyl_den = c * d
+        order = sorted(elements, key=self._weyl_rows.__getitem__)
 
         types = [frozenset(i for i in range(r) if bits >> i & 1) for bits in range(1 << r)]
         seen: dict[tuple[int, ...], int] = {}
@@ -214,7 +216,6 @@ class RestrictedRootSystem:
             p = faces[types[0]]
             self._chamber_faces[p] = faces
             self._chamber_perms[p] = w, w_inv
-        self._weyl_matrix = matrix
         self.cones: list[Cone] = cones
         self._sign_index = seen
         self.chambers: list[int] = sorted(self._chamber_faces)
@@ -234,11 +235,27 @@ class RestrictedRootSystem:
 
     def chamber_weyl(self, chamber: int) -> Mat:
         """w_P, the Weyl element mapping the base chamber onto the chamber P."""
-        return self._weyl_matrix[self._chamber_perms[chamber][0]]
+        return _over(self.weyl_rows(chamber), self._weyl_den)
 
     def chamber_weyl_inverse(self, chamber: int) -> Mat:
         """w_P^-1, the matrix of the inverse permutation."""
-        return self._weyl_matrix[self._chamber_perms[chamber][1]]
+        return _over(self.weyl_rows(chamber, inverse=True), self._weyl_den)
+
+    def weyl_rows(self, chamber: int, inverse: bool = False) -> Mat:
+        """D w_P (D w_P^-1 with ``inverse``) as integer rows, D > 0 the one denominator of all
+        the Weyl matrices."""
+        return self._weyl_rows[self._chamber_perms[chamber][inverse]]
+
+    @functools.cached_property
+    def weyl_elements(self) -> list[Mat]:
+        """The Weyl matrices, sorted; the i-th maps the base chamber onto the i-th chamber."""
+        return [self.chamber_weyl(p) for p in self.chambers]
+
+    @functools.cached_property
+    def chamber_weyl_rows(self) -> tuple[list[tuple[int, ...]], int]:
+        """(M, D), D > 0: w_P = M[i n : (i + 1) n] / D at the i-th chamber P, n = ``ambient_dim``,
+        every chamber's Weyl matrix as integer rows over one denominator, stacked in chamber order."""
+        return [row for p in self.chambers for row in self.weyl_rows(p)], self._weyl_den
 
     def chamber_faces(self, chamber: int) -> dict[frozenset, int]:
         """The faces w_P(F_I) of the closed chamber P, each keyed by the indices I
@@ -279,6 +296,16 @@ class RestrictedRootSystem:
             )
             table += [(p, q, self.roots[k], self.coroots[k]) for q, k in across if p < q]
         return table
+
+    @functools.cached_property
+    def wall_coroot_rows(self) -> tuple[list[tuple[int, int, tuple[int, ...], int]], int]:
+        """(rows, c), c > 0: per row (p, q, root, coroot) of ``walls``, (i, j, K, m) with i, j the
+        positions of p and q in ``chambers``, K = c * coroot in integers (c the one denominator
+        of the coroots) and m the first index with K[m] != 0."""
+        coroots, c = linalg.integer_basis(self.coroots)
+        position = {p: i for i, p in enumerate(self.chambers)}
+        rows = [(position[p], position[q], coroots[self._root_index[a]]) for p, q, a, _ in self.walls]
+        return [(i, j, k, next(m for m, x in enumerate(k) if x)) for i, j, k in rows], c
 
     @functools.cached_property
     def _inverse_cartan(self) -> Mat:
@@ -347,7 +374,8 @@ class RestrictedRootSystem:
             pairs = self.cone_simple_pairs(p)
             coroots = [linalg.vscale(-1, pairs[i][1]) for i in self.vanishing_indices(p, cone)]
             if coroots:
-                self._cache[key] = _identity_plus(coroots, self.dual_basis(p, cone))
+                (c, e), (r, d) = linalg.integer_basis(coroots), linalg.integer_basis(self.dual_basis(p, cone))
+                self._cache[key] = _over(_identity_plus(c, r, d * e), d * e)
             else:  # a chamber
                 self._cache[key] = linalg.identity(self.ambient_dim)
         return self._cache[key]
@@ -404,13 +432,18 @@ def _dual_basis(pairs: Sequence[tuple[Vec, Vec]], inverse: Optional[Mat] = None)
     return [tuple(Fraction(x, d * e) for x in linalg.vecmat(row, roots)) for row in inv]
 
 
-def _identity_plus(cols: Sequence[Vec], rows: Sequence[Vec]) -> Mat:
-    """I + sum_i cols[i] (x) rows[i], of vectors and covectors, in integers over one denominator."""
-    (c, e), (r, d) = linalg.integer_basis(cols), linalg.integer_basis(rows)
+def _identity_plus(cols: Sequence[Vec], rows: Sequence[Vec], den: int) -> Mat:
+    """den * I + sum_i cols[i] (x) rows[i], of integer vectors and covectors: den times
+    I + sum_i cols[i] (x) rows[i] / den."""
     return tuple(
-        tuple(Fraction(d * e * (k == j) + x, d * e) for j, x in enumerate(linalg.vecmat(col, r)))
-        for k, col in enumerate(zip(*c))
+        tuple(den * (k == j) + x for j, x in enumerate(linalg.vecmat(col, rows)))
+        for k, col in enumerate(zip(*cols))
     )
+
+
+def _over(m: Mat, den: int) -> Mat:
+    """The integer matrix m over den, as Fractions."""
+    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
 
 # -- built-in systems -------------------------------------------------------------

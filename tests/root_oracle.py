@@ -27,17 +27,38 @@ coroots.
 off the root permutations: it closes the simple reflections as Fraction
 matrices, maps a relative-interior point of each face of the base chamber by
 every element and reads the face's signs there.
+
+``proportionality`` is the Fraction ratio test that ``OrthogonalSet`` validated
+its walls with before it cross-multiplied integer rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 from galpairs import linalg
 from galpairs.linalg import Mat, Vec
 from galpairs.root_data import _MAX_WEYL, Cone, RestrictedRootSystem, _parse_vec
+
+
+def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
+    """c with a = c * b (None if not proportional).  a = 0 gives c = 0."""
+    if linalg.is_zero_vec(a):
+        return Fraction(0)
+    c = None
+    for x, y in zip(a, b):
+        if y == 0:
+            if x != 0:
+                return None
+        else:
+            ratio = Fraction(x) / y
+            if c is None:
+                c = ratio
+            elif ratio != c:
+                return None
+    return c
 
 
 def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, Vec, Vec]]:
@@ -58,7 +79,7 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
         if zero[i]:
             continue
         for cls in classes:
-            if linalg.proportionality(restricted[i], restricted[cls[0]]) is not None:
+            if proportionality(restricted[i], restricted[cls[0]]) is not None:
                 cls.append(i)
                 break
         else:
@@ -71,7 +92,7 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
             continue
         wall = restricted[differing[0][0]]
         for a, av in sys.cone_simple_pairs(cp.index):
-            if linalg.proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
+            if proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
                 table.append((cp.index, cq.index, a, av))
                 break
         else:
@@ -277,7 +298,7 @@ def _generic_halfspace_point(span: list[Vec], a: Vec, hyps: list[Vec]) -> Vec:
 def _pattern_sign(root: Vec, hyps: list[Vec], pattern: tuple[int, ...]) -> int:
     """Sign of a sub-root on a sub-chamber, given the chamber's hyperplane signs."""
     for h, s in zip(hyps, pattern):
-        coeff = linalg.proportionality(root, h)
+        coeff = proportionality(root, h)
         if coeff is not None:
             return s if coeff > 0 else -s
     raise ValueError("root is not proportional to any sub-hyperplane")

@@ -1,0 +1,73 @@
+"""The Fraction orthogonal-set layer, kept as the oracle of ``families.OrthogonalSet``.
+
+``OrthogonalSet`` stores a set as integer rows in chamber order over one
+denominator and builds, adds, translates and validates it in integers.  These
+are the formulas it replaced, on dicts chamber -> Fraction point:
+
+* ``special``: Y_P = w_P(x), one Fraction ``matvec`` of ``chamber_weyl(P)`` per chamber;
+* ``add`` and ``translate``: chamber by chamber ``vadd``;
+* ``validate``: each wall's Fraction difference against its coroot by
+  ``root_oracle.proportionality``, with the error text of the library;
+* ``integral``: the points cleared to integers over their least denominator;
+* ``volume_polytope``: the chamber points in Fraction lattice coordinates
+  (``lattice_coords``), cleared once, under hull rows paired with the basis in
+  Fractions.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+from typing import Sequence
+
+from galpairs import families, linalg
+from galpairs.root_data import _parse_vec
+from root_oracle import proportionality
+
+Points = dict[int, tuple[Fraction, ...]]
+
+
+def special(sys, x: Sequence) -> Points:
+    xv = _parse_vec(x, sys.ambient_dim)
+    return {c: linalg.matvec(sys.chamber_weyl(c), xv) for c in sys.chambers}
+
+
+def add(a: Points, b: Points) -> Points:
+    return {c: linalg.vadd(a[c], b[c]) for c in a}
+
+
+def translate(points: Points, v: Sequence) -> Points:
+    vv = _parse_vec(v)
+    return {c: linalg.vadd(p, vv) for c, p in points.items()}
+
+
+def validate(sys, points: Points) -> dict[tuple[int, int], Fraction]:
+    """The wall coefficients, both ways round; ValueError at the first wall that fails."""
+    out = {}
+    for p, q, _, coroot in sys.walls:
+        diff = linalg.vsub(points[p], points[q])
+        r = proportionality(diff, coroot)
+        if r is None:
+            raise ValueError(
+                f"chambers {p}, {q}: point difference {diff} is not a multiple "
+                f"of the wall coroot {coroot}"
+            )
+        out[(p, q)] = out[(q, p)] = r
+    return out
+
+
+def integral(sys, points: Points) -> tuple[list[tuple[int, ...]], int]:
+    return linalg.integer_basis([points[c] for c in sys.chambers])
+
+
+def volume_polytope(sys, points: Points) -> Fraction:
+    """The pulling triangulation over the lattice coordinates N / e of the chamber points and
+    the rows <c, basis> . m <= min over the row's chambers of <c, Y_P>, all in Fractions."""
+    if any(r < 0 for r in validate(sys, points).values()):
+        raise ValueError("polytope volume requires a positive orthogonal set")
+    basis = sys.lattice.basis
+    n, e = linalg.integer_basis(families.lattice_coords(sys, [points[c] for c in sys.chambers]))
+    rows = [
+        (tuple(linalg.dot(c, b) for b in basis), min(linalg.dot(c, points[sys.chambers[i]]) for i in pos) * e)
+        for c, pos in sys.facet_rows
+    ]
+    return families.triangulated_volume(n, rows) / e ** len(basis)

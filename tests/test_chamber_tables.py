@@ -20,6 +20,7 @@ from galpairs import linalg, root_data
 from galpairs.families import _sup_norm, support_bound_certificate
 from galpairs.root_data import BUILTIN_NAMES
 import volume_oracle
+import root_oracle
 from root_oracle import induced_walls
 
 # entries <a_i, a_j^vee>, as in tests/test_fan_permutations.py
@@ -59,7 +60,7 @@ def flip_walls(sys):
             q = index.get(signs[:h] + (-signs[h],) + signs[h + 1 :], -1)
             if p < q:
                 pairs = sys.chamber_simple_pairs(p)
-                along = [pair for pair in pairs if linalg.proportionality(pair[0], a) is not None]
+                along = [pair for pair in pairs if root_oracle.proportionality(pair[0], a) is not None]
                 assert len(along) == 1
                 table.append((p, q, *along[0]))
     return sorted(table, key=lambda row: row[:2])

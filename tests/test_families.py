@@ -244,7 +244,7 @@ class TestLeviCoherence:
                 if root_oracle.restricted_coroot(sys, p, a) != av:
                     return False
                 d = linalg.vsub(projected(y, p), projected(y, q))
-                if linalg.proportionality(d, av) is None:
+                if root_oracle.proportionality(d, av) is None:
                     return False
         return True
 
