@@ -36,11 +36,11 @@ from .exact_linalg import (
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-# each --samples point costs about 1.8 ms on A3: 1,000 points take 1.8 s
+# each --samples point costs about 0.6 ms on A3: 1,000 points take 0.7 s
 MAX_SAMPLES = 1000
 # a point is tested against every cone, so points times cones bounds a system's work:
-# A3's 1,000 points over 75 cones take 2.1 s, B4's 44 over 1,697 cones 3.3 s, and
-# A1^6's 102 over 729 cones in dimension 16 8 s with its 2 s kernel compile
+# A3's 1,000 points over 75 cones take 0.7 s, B4's 44 over 1,697 cones 1.5 s, and
+# A1^6's 102 over 729 cones in dimension 16 2 s with its 1.3 s kernel compile
 MAX_SAMPLE_CONES = 75_000
 
 

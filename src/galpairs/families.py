@@ -3,10 +3,11 @@
 An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.  This module
 implements the alternating-sum kernels of the indicators tau / tau-hat / delta,
-compiled once per system to integer sign tests, the resulting partition of unity,
-exact hull volumes and lattice-point counting with exponential-polynomial
-extrapolation.  A set is stored as integer rows over one denominator, and is
-built, added, translated and validated in integers against system tables
+compiled once per system, over W's orbits of face pairs, to integer bitmasks with two bits
+per covector id c (2c: <c, h> > 0, 2c + 1: <c, h> > <c, Y_P>), one AND per term, the
+resulting partition of unity, exact hull volumes and lattice-point counting with
+exponential-polynomial extrapolation.  A set is stored as integer rows over one
+denominator, and is built, added, translated and validated in integers against system tables
 (``RestrictedRootSystem.chamber_weyl_rows``, ``wall_coroot_rows``); its Fraction
 ``points`` are a view.  A positive set's hull is read off the fan as integer rows
 (``hull_rows``): the polytope volume triangulates over them, and a count scans the
@@ -104,15 +105,14 @@ class OrthogonalSet:
         return out
 
     @functools.cached_property
-    def thresholds(self) -> list[tuple[list[int], int]]:
-        """Per cone q, integers nums, den > 0 with <c, Y_q> = nums[i] / den for each i-th
-        covector c read against Y_q = levi_projection(q) Y_P, P = ``chamber_below(q)``:
-        tau^G_q and the tau_hat^Q_R of entries q vanish on the projection's kernel (step
-        (ii) of ``v_tilde_lattice``), so nums / den is <c, Y_P>: one row per chamber."""
-        sys, (n, e) = self.system, self._integral
-        covectors = sys.kernel_tables.covectors
-        rows = {p: (list(linalg.matvec(covectors, n[i])), e) for i, p in enumerate(sys.chambers)}
-        return [rows[sys.chamber_below(q)] for q in range(len(sys.cones))]
+    def thresholds(self) -> dict[int, list[int]]:
+        """Per chamber P at position i, <c, N[i]> for each id c of the kernel's ``read[P]``: over
+        e, the values <c, Y_P> its threshold bits compare with.  The covectors of tau^G_q and of
+        the tau_hat^Q_R of entries q vanish on the kernel of levi_projection(q) (step (ii) of
+        ``v_tilde_lattice``), so at P = ``chamber_below(q)`` they read <c, Y_q> = <c, Y_P>."""
+        sys, (n, _) = self.system, self._integral
+        covectors, read = sys.kernel_tables.covectors, sys.kernel_tables.read
+        return {p: [linalg.dot(covectors[c], n[i]) for c in read[p]] for i, p in enumerate(sys.chambers)}
 
     @functools.cached_property
     def _facet_values(self) -> list[list[int]]:
@@ -164,7 +164,7 @@ class OrthogonalSet:
         rows = [tuple(a * d + x * e for a, x in zip(row, t)) for row in n]
         return OrthogonalSet(self.system, integral=(rows, e * d))
 
-# -- the indicator kernel, compiled to integer sign tests ------------------------
+# -- the indicator kernel, compiled to integer bitmasks ---------------------------
 
 # The compile moves the 3^rank standard face pairs to each of |W| chambers: B4 moves
 # 31,104 in about 0.5 s, A1^6 in dimension 16 moves 46,656 in 2 s and A1^7 279,936 in 10 s.
@@ -172,13 +172,21 @@ MAX_KERNEL_MOVES = 50_000
 
 
 class KernelTables:
-    """The alternating kernel of one system as integer sign tests.
+    """The alternating kernel of one system as integer bitmasks over covector ids.
 
     ``covectors`` are distinct primitive integer covectors, each a positive
     multiple of the root, dual-basis covector or hyperplane it stands for, so
-    comparisons keep their truth values.  ``compiled[q]`` is (ids of tau^G_q,
-    table): an entry (r, ids of delta^r, terms) per cone r <= q, and a term
-    (ids of tau^R_r, ids of tau_hat^q_R, (-1)^(dim R - dim q)) per r <= R <= q.
+    comparisons keep their truth values.  Id c owns two bits of every mask: the
+    sign bit 2c, set at a point h with <c, h> > 0, and the threshold bit 2c + 1,
+    set where <c, h> > <c, Y_P> for the chamber P a test is read against.
+    ``compiled[q]`` is (P, top, table) with P = ``chamber_below(q)``: top has the
+    threshold bits of tau^G_q, and the table has an entry (r, chamber_below(r),
+    zeros, terms) per cone r <= q, zeros the sign bits of the hyperplanes of
+    delta^r, and a term (mask, (-1)^(dim R - dim q)) per r <= R <= q, mask the sign
+    bits of tau^R_r and the threshold bits of tau_hat^q_R.  ``read[P]`` are the
+    sorted ids tested against Y_P: the top ids of the cones and the tau_hat ids of
+    the entries whose ``chamber_below`` is P.  A test holds at h when its mask lies
+    in h's bits, which ``_Point`` builds once per point.
 
     Terms are computed for the 3^rank pairs of standard faces F_I <= F_J of the
     base chamber and moved to each pair r <= q, since the kernel is W-equivariant
@@ -197,7 +205,7 @@ class KernelTables:
         self.system = sys
         ids: dict[tuple[int, ...], int] = {}
         std = sys.chamber_faces(sys.base_chamber)  # type I -> the standard face F_I
-        ints = functools.partial(map, linalg.scale_to_integers)
+        ints, full = functools.partial(map, linalg.scale_to_integers), frozenset(range(sys.rank))
 
         def tau(i: frozenset, j: frozenset) -> list[tuple[int, ...]]:
             pairs = sys.cone_simple_pairs(std[i])
@@ -210,23 +218,30 @@ class KernelTables:
             ]
             for i in std for j in std if i <= j
         }
-        planes = [ids.setdefault(a, len(ids)) for a in ints(sys.hyperplanes)]
-        zeros = [[planes[n] for n, s in enumerate(c.signs) if s == 0] for c in sys.cones]  # delta^r
-        self.compiled: list[tuple[list[int], list]] = [([], []) for _ in sys.cones]
+        planes = [1 << 2 * ids.setdefault(a, len(ids)) for a in ints(sys.hyperplanes)]
+        zeros = [sum(b for b, s in zip(planes, c.signs) if not s) for c in sys.cones]  # delta^r
+        below = [sys.chamber_below(q) for q in range(len(sys.cones))]
+        tops, tables = [0] * len(sys.cones), [[] for _ in sys.cones]
+        self.read: dict[int, list[int]] = {}
         for p in sys.chambers:
             inv = sys.weyl_rows(p, inverse=True)  # a multiple of w_P^-1
 
             @functools.cache
-            def move(c: tuple[int, ...]) -> int:  # the id of c o w_P^-1
-                return ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, inv)), len(ids))
+            def move(c: tuple[int, ...]) -> int:  # the sign bit of c o w_P^-1
+                return 1 << 2 * ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, inv)), len(ids))
 
-            faces = sys.chamber_faces(p)
-            for (i, r), (j, q) in product(faces.items(), repeat=2):
-                if i <= j and sys.chamber_below(r) == p:
-                    terms = [([*map(move, t)], [*map(move, h)], s) for t, h, s in standard[i, j]]
-                    self.compiled[q][1].append((r, zeros[r], terms))
+            read = 0  # the bits of every mask read against P
+            for (i, r), (j, q) in product(sys.chamber_faces(p).items(), repeat=2):
+                if i <= j and below[r] == p:
+                    terms = [(sum(map(move, t)) | sum(map(move, h)) << 1, s) for t, h, s in standard[i, j]]
+                    tables[q].append((r, p, zeros[r], terms))
+                    read = functools.reduce(operator.or_, (m for m, _ in terms), read)
                     if i == j:  # once per cone r
-                        self.compiled[r][0].extend(map(move, tau(i, frozenset(range(sys.rank)))))
+                        tops[r] = sum(map(move, tau(i, full))) << 1
+                        read |= tops[r]
+            # digit 2c of the reversed binary digits of read >> 1 is id c's threshold bit
+            self.read[p] = [c for c, b in enumerate(bin(read >> 1)[:1:-1][::2]) if b == "1"]
+        self.compiled: list[tuple[int, int, list]] = list(zip(below, tops, tables))
         self.covectors: list[tuple[int, ...]] = list(ids)
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
@@ -235,35 +250,49 @@ class KernelTables:
         return list(linalg.matvec(self.covectors, hi)), d
 
 
-def _gamma(table: list, dots: list[int], d: int, y: OrthogonalSet) -> int:
-    total, thresholds = 0, y.thresholds
-    for r, zeros, terms in table:
-        if any(dots[z] for z in zeros):
-            continue
-        nums, den = thresholds[r]
-        for tau_ids, hat_ids, sign in terms:
-            if all(dots[c] > 0 for c in tau_ids) and all(
-                dots[c] * den > d * nums[c] for c in hat_ids
-            ):
-                total += sign
+class _Point(dict):
+    """One point h against one set Y, as masks.  ``nonzero`` has the sign bits of the covectors c
+    with <c, h> != 0, and self[P], made when first read, is the complement of the sign bits of
+    the c with <c, h> > 0 and the threshold bits of the c of ``read[P]`` with <c, h> > <c, Y_P>:
+    a test holds at h iff its mask & self[P] == 0."""
+
+    def __init__(self, kernel: KernelTables, h: Sequence, y: OrthogonalSet):
+        self.dots, self.d = kernel.point(h)
+        self.positive = sum(1 << 2 * c for c, x in enumerate(self.dots) if x > 0)
+        self.nonzero = self.positive | sum(1 << 2 * c for c, x in enumerate(self.dots) if x < 0)
+        self.read, self.y = kernel.read, y
+
+    def __missing__(self, p: int) -> int:
+        dots, d, den, good = self.dots, self.d, self.y._integral[1], self.positive
+        for c, num in zip(self.read[p], self.y.thresholds[p]):
+            if dots[c] * den > d * num:
+                good |= 2 << 2 * c
+        self[p] = ~good
+        return ~good
+
+
+def _gamma(table: list, point: _Point) -> int:
+    total, nonzero = 0, point.nonzero
+    for _, p, zeros, terms in table:
+        if not zeros & nonzero:
+            bad = point[p]
+            for mask, sign in terms:
+                if not mask & bad:
+                    total += sign
     return total
 
 
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
     kernel = sys.kernel_tables
-    return _gamma(kernel.compiled[q][1], *kernel.point(h), y)
+    return _gamma(kernel.compiled[q][2], _Point(kernel, h, y))
 
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
     kernel = sys.kernel_tables
-    dots, d = kernel.point(h)
-    total = 0
-    for (top, table), (nums, den) in zip(kernel.compiled, y.thresholds):
-        if all(dots[c] * den > d * nums[c] for c in top):
-            total += _gamma(table, dots, d, y)
-    return total
+    point = _Point(kernel, h, y)
+    return sum(_gamma(table, point) for p, top, table in kernel.compiled if not top & point[p])
 
 
 def partition_of_unity_check(
@@ -409,7 +438,8 @@ def triangulated_volume(
     """Euclidean volume of the convex hull of integer points, given integer rows
     a . x <= b that hold at every point and include a row for every facet.
 
-    Sums |det| / d! over a pulling triangulation: each face is coned from
+    Sums |det| over a pulling triangulation in integers, each from one
+    ``linalg._bareiss`` of a simplex's edges, and divides by d! once: each face is coned from
     its least point (a vertex, being lexicographically least) over its
     facets that miss that point, down to single points.  The facets of a
     face are the inclusion-maximal proper cuts of it by the point sets tight
@@ -418,7 +448,7 @@ def triangulated_volume(
     """
     pts = sorted(set(vertices))
     dim = len(pts[0])
-    if linalg.rank([linalg.vsub(p, pts[0]) for p in pts[1:]]) < dim:
+    if len(linalg._bareiss([linalg.vsub(p, pts[0]) for p in pts[1:]])[0]) < dim:  # the rank
         return Fraction(0)
     cuts = [frozenset(i for i, p in enumerate(pts) if linalg.dot(a, p) == b) for a, b in rows]
 
@@ -434,11 +464,12 @@ def triangulated_volume(
             for rest in simplices(f)
         ]
 
-    total = Fraction(0)
+    total = 0
     for simplex in simplices(frozenset(range(len(pts)))):
-        base = pts[simplex[0]]
-        total += abs(linalg.det([linalg.vsub(pts[i], base) for i in simplex[1:]]))
-    return total / math.factorial(dim)
+        pivots, d = linalg._bareiss([linalg.vsub(pts[i], pts[simplex[0]]) for i in simplex[1:]])
+        # d is the determinant of the edges when they are independent
+        total += abs(d) if len(pivots) == dim else 0
+    return Fraction(total, math.factorial(dim))
 
 
 def volume_polytope(y: OrthogonalSet) -> Fraction:

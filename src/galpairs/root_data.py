@@ -233,23 +233,10 @@ class RestrictedRootSystem:
     def cone_by_signs(self, signs: tuple[int, ...]) -> Cone:
         return self.cones[self._sign_index[signs]]
 
-    def chamber_weyl(self, chamber: int) -> Mat:
-        """w_P, the Weyl element mapping the base chamber onto the chamber P."""
-        return _over(self.weyl_rows(chamber), self._weyl_den)
-
-    def chamber_weyl_inverse(self, chamber: int) -> Mat:
-        """w_P^-1, the matrix of the inverse permutation."""
-        return _over(self.weyl_rows(chamber, inverse=True), self._weyl_den)
-
     def weyl_rows(self, chamber: int, inverse: bool = False) -> Mat:
         """D w_P (D w_P^-1 with ``inverse``) as integer rows, D > 0 the one denominator of all
         the Weyl matrices."""
         return self._weyl_rows[self._chamber_perms[chamber][inverse]]
-
-    @functools.cached_property
-    def weyl_elements(self) -> list[Mat]:
-        """The Weyl matrices, sorted; the i-th maps the base chamber onto the i-th chamber."""
-        return [self.chamber_weyl(p) for p in self.chambers]
 
     @functools.cached_property
     def chamber_weyl_rows(self) -> tuple[list[tuple[int, ...]], int]:

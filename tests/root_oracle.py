@@ -28,6 +28,10 @@ off the root permutations: it closes the simple reflections as Fraction
 matrices, maps a relative-interior point of each face of the base chamber by
 every element and reads the face's signs there.
 
+``chamber_weyl``, ``chamber_weyl_inverse`` and ``weyl_elements`` read the Weyl
+matrices as Fractions off ``weyl_rows``, as ``RestrictedRootSystem`` kept them
+before the sets and the kernel compile came to read the integer rows only.
+
 ``proportionality`` is the Fraction ratio test that ``OrthogonalSet`` validated
 its walls with before it cross-multiplied integer rows.
 """
@@ -132,6 +136,23 @@ def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
         x = linalg.dot(h, v)
         out.append(0 if x == 0 else (1 if x > 0 else -1))
     return tuple(out)
+
+
+def chamber_weyl(sys: RestrictedRootSystem, chamber: int) -> Mat:
+    """w_P, the Weyl element mapping the base chamber onto the chamber P."""
+    den = sys.chamber_weyl_rows[1]
+    return tuple(tuple(Fraction(x, den) for x in row) for row in sys.weyl_rows(chamber))
+
+
+def chamber_weyl_inverse(sys: RestrictedRootSystem, chamber: int) -> Mat:
+    """w_P^-1, the matrix of the inverse permutation."""
+    den = sys.chamber_weyl_rows[1]
+    return tuple(tuple(Fraction(x, den) for x in row) for row in sys.weyl_rows(chamber, inverse=True))
+
+
+def weyl_elements(sys: RestrictedRootSystem) -> list[Mat]:
+    """The Weyl matrices, sorted; the i-th maps the base chamber onto the i-th chamber."""
+    return [chamber_weyl(sys, p) for p in sys.chambers]
 
 
 def fraction_fan(sys: RestrictedRootSystem) -> dict:
@@ -245,7 +266,7 @@ def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> 
     simple = [sys.roots[i] for i in sys.simple_indices]
     base_interior = linalg.solve(simple, [Fraction(1)] * len(simple))
     patterns = {
-        sign_vector(sub_hyps, linalg.matvec(sys.chamber_weyl(ch), base_interior))
+        sign_vector(sub_hyps, linalg.matvec(chamber_weyl(sys, ch), base_interior))
         for ch in sys.chambers
     }
 

@@ -21,14 +21,14 @@ from typing import Sequence
 
 from galpairs import families, linalg
 from galpairs.root_data import _parse_vec
-from root_oracle import proportionality
+from root_oracle import chamber_weyl, proportionality
 
 Points = dict[int, tuple[Fraction, ...]]
 
 
 def special(sys, x: Sequence) -> Points:
     xv = _parse_vec(x, sys.ambient_dim)
-    return {c: linalg.matvec(sys.chamber_weyl(c), xv) for c in sys.chambers}
+    return {c: linalg.matvec(chamber_weyl(sys, c), xv) for c in sys.chambers}
 
 
 def add(a: Points, b: Points) -> Points:

@@ -26,6 +26,7 @@ from galpairs import families as fam
 from galpairs import linalg, sampling
 from galpairs.families import OrthogonalSet, hull_rows, v_tilde_lattice
 from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
+from root_oracle import chamber_weyl
 
 
 def _point(sys, targets):
@@ -98,7 +99,7 @@ def _explicit_count(y, basis, k, x0):
     sys = y.system
     xk = linalg.vscale(k, linalg.vec(x0))
     shifted = OrthogonalSet(
-        sys, {c: linalg.vadd(p, linalg.matvec(sys.chamber_weyl(c), xk)) for c, p in y.points.items()}
+        sys, {c: linalg.vadd(p, linalg.matvec(chamber_weyl(sys, c), xk)) for c, p in y.points.items()}
     )
     rows = hull_rows(shifted, basis)  # ValueError unless positive
     coords = [linalg.coordinates_in_basis(basis, p) for p in shifted.points.values()]

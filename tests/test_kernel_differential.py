@@ -5,21 +5,27 @@ Every drawn case compares ``gamma_family`` for every cone q, and
 sets are positive, non-positive, or swept from a small integral point, and
 points are generic rationals, small integer points or integer points of a
 cone's span, so that h and h - Y_r often land on walls, where the kernel's
-boundary values are decided.
+boundary values are decided.  Beside the built-ins, B3, C3 and BC3 are drawn
+from fewer examples, and B4 and D4, whose masks are up to about 480 bits wide,
+are compared at a handful of points, since the oracle takes seconds per point
+there.  A kernel with one bit of one term mask flipped must fail the comparison.
 """
 
 import random
+from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import kernel_oracle as oracle
-from root_oracle import span_basis
+from root_oracle import sign_vector, span_basis
 from galpairs import families as fam
 from galpairs import linalg, sampling
 from galpairs.families import OrthogonalSet
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
+from test_fan_permutations import _build
 
 
 def orthogonal_sets(sys):
@@ -63,3 +69,63 @@ def test_compiled_kernel_matches_oracle(name):
             ), h
 
     check()
+
+
+def _agree(sys, y, h, cones):
+    """gamma_family at each of the cones and the partition of unity, compiled and by the oracle."""
+    for q in cones:
+        assert fam.gamma_family(sys, q, h, y) == oracle.gamma_family(sys, q, h, y), (q, h)
+    assert fam.partition_of_unity_value(sys, h, y) == oracle.partition_of_unity_value(sys, h, y), h
+
+
+@pytest.mark.parametrize("name", ["B3", "C3", "BC3"])
+def test_compiled_kernel_matches_oracle_in_rank_three(name):
+    sys = _build(name)
+
+    @settings(max_examples=5, derandomize=True, deadline=None)
+    @given(y=orthogonal_sets(sys), hs=st.lists(points(sys), min_size=1, max_size=2))
+    def check(y, hs):
+        for h in hs:
+            _agree(sys, y, h, range(len(sys.cones)))
+
+    check()
+
+
+def _span_point(sys, dim, coeffs):
+    """An integer point of the span of the first cone of the given dimension."""
+    cone = next(c for c in sys.cones if c.dim == dim)
+    basis = [linalg.scale_to_integers(b) for b in span_basis(sys, cone.index)]
+    return linalg.combination(coeffs, basis, sys.ambient_dim)
+
+
+@pytest.mark.parametrize("name", ["B4", "D4"])
+def test_compiled_kernel_matches_oracle_in_rank_four(name):
+    """At one point against the oracle, on B4 a point of a plane spanned by a cone: gamma_family at
+    the cone of h, and the partition of unity, whose sum holds gamma_family at G.  The compiled
+    partition of unity alone is 1 at twenty more points, half of them on the spans of cones."""
+    sys, rng = _build(name), random.Random(109)
+    y = sampling.random_positive_set(rng, sys) if name == "B4" else sampling.random_nonpositive_set(rng, sys)
+    n = sys.ambient_dim
+    h = _span_point(sys, 2, (1, -2)) if name == "B4" else sampling.sample_points(rng, n, 1)[0]
+    _agree(sys, y, h, [sys.cone_by_signs(sign_vector(sys.hyperplanes, h)).index])
+    assert max(m.bit_length() for _, _, table in sys.kernel_tables.compiled for e in table for m, _ in e[3]) > 300
+    spans = [_span_point(sys, rng.randint(1, 3), [rng.randint(-3, 3) for _ in range(3)]) for _ in range(10)]
+    for h in spans + sampling.sample_points(rng, n, 10):
+        assert fam.partition_of_unity_value(sys, h, y) == 1, h
+
+
+def test_a_flipped_term_bit_fails_the_differential(monkeypatch):
+    """Clearing the lowest set bit of the first term of G's table drops one of that term's tests,
+    and gamma_family at G then differs from the oracle on some point of a half-integer grid."""
+    sys = builtin_system("A2")
+    kernel, g = sys.kernel_tables, sys.full_cone().index
+    sets = [sampling.random_positive_set(random.Random(5), sys), sampling.random_nonpositive_set(random.Random(6), sys)]
+    cases = [(y, h) for y in sets for h in product([Fraction(k, 2) for k in range(-8, 9)], repeat=sys.ambient_dim)]
+    want = [oracle.gamma_family(sys, g, h, y) for y, h in cases]
+    assert [fam.gamma_family(sys, g, h, y) for y, h in cases] == want
+    p, top, table = kernel.compiled[g]
+    r, pr, zeros, terms = table[0]
+    (mask, sign), *rest = terms
+    flipped = [(r, pr, zeros, [(mask ^ mask & -mask, sign), *rest]), *table[1:]]
+    monkeypatch.setattr(kernel, "compiled", [*kernel.compiled[:g], (p, top, flipped), *kernel.compiled[g + 1 :]])
+    assert [fam.gamma_family(sys, g, h, y) for y, h in cases] != want

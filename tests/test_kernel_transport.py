@@ -2,10 +2,11 @@
 against the compile written pair by pair (``kernel_oracle.one_pass_tables``).
 
 The two compiles number their covectors differently, so tables are compared in
-canonical form: every id is replaced by its covector, and the entries of a
-table and the terms of an entry are compared as multisets.  The thresholds an
-orthogonal set reads off its chamber points are compared, covector by covector
-where the kernel reads them, with Y projected by the Levi projection.
+canonical form: the compiled masks are read back as id lists (``as_ids``), every
+id is replaced by its covector, and the entries of a table and the terms of an
+entry are compared as multisets.  The thresholds an orthogonal set reads off its
+chamber points are compared, covector by covector where the kernel reads them,
+with Y projected by the Levi projection.
 """
 
 import random
@@ -15,6 +16,7 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle as oracle
+import root_oracle
 from galpairs import linalg, root_data, sampling
 from galpairs.families import KernelTables
 from galpairs.root_data import BUILTIN_NAMES
@@ -50,23 +52,44 @@ def canonical(covectors, compiled):
     return [(cv(top), Counter(entry(*e) for e in table)) for top, table in compiled]
 
 
+def ids(mask, parity):
+    """The ids c whose bit 2c + parity is set: their sign bits (0) or threshold bits (1)."""
+    return [c for c in range(mask.bit_length()) if mask >> 2 * c + parity & 1]
+
+
+def as_ids(sys, kernel):
+    """``kernel.compiled`` read back into the oracle's form, (top ids, [(r, zero ids, [(tau ids,
+    tau_hat ids, sign)])]), once each mask is seen to hold only the bits of its kind and each
+    chamber to be ``chamber_below`` of its cone."""
+    out = []
+    for q, (p, top, table) in enumerate(kernel.compiled):
+        assert p == sys.chamber_below(q) and not ids(top, 0)
+        entries = []
+        for r, pr, zeros, terms in table:
+            assert pr == sys.chamber_below(r) and not ids(zeros, 1)
+            entries.append((r, ids(zeros, 0), [(ids(m, 0), ids(m, 1), s) for m, s in terms]))
+        out.append((ids(top, 1), entries))
+    return out
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("B3", "C3", "BC3", "centered"))
 def test_orbit_compile_matches_one_pass(name):
-    kernel = KernelTables(_build(name))
+    sys = _build(name)
+    kernel = KernelTables(sys)
     assert kernel.covectors and len(set(kernel.covectors)) == len(kernel.covectors)
     covectors, compiled = oracle.one_pass_tables(_build(name))
     assert sorted(kernel.covectors) == sorted(covectors)
-    assert canonical(kernel.covectors, kernel.compiled) == canonical(covectors, compiled)
+    assert canonical(kernel.covectors, as_ids(sys, kernel)) == canonical(covectors, compiled)
 
 
 def _read_against(kernel, q):
-    """Ids the kernel compares with thresholds[q]: tau^G_q, and the tau_hat of every entry r = q."""
-    ids = set(kernel.compiled[q][0])
-    for _, table in kernel.compiled:
-        for r, _, terms in table:
+    """Ids the kernel compares with Y_q: the threshold bits of tau^G_q and of the terms of every entry r = q."""
+    read = set(ids(kernel.compiled[q][1], 1))
+    for _, _, table in kernel.compiled:
+        for r, _, _, terms in table:
             if r == q:
-                ids.update(c for _, hat, _ in terms for c in hat)
-    return ids
+                read.update(c for m, _ in terms for c in ids(m, 1))
+    return read
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("centered",))
@@ -78,18 +101,21 @@ def test_thresholds_match_levi_projection(name):
     sets += [sampling.random_nonpositive_set(rng, sys) for _ in range(2)]
     read = [_read_against(kernel, q) for q in range(len(sys.cones))]
     assert any(read)
+    for p in sys.chambers:  # a chamber's ids are those read against its cones' Y_q
+        assert kernel.read[p] == sorted(set().union(*(c for q, c in enumerate(read) if sys.chamber_below(q) == p)))
     for y in sets:
-        for q, ids in enumerate(read):
-            nums, den = y.thresholds[q]
+        for q, want_ids in enumerate(read):
+            p, den = sys.chamber_below(q), y._integral[1]
+            row = dict(zip(kernel.read[p], y.thresholds[p]))
             want, d = kernel.point(oracle.projected(y, q))
-            for c in ids:
-                assert Fraction(nums[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
+            for c in want_ids:
+                assert Fraction(row[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
 
 
 def test_compile_inverts_no_chamber_weyl_element(monkeypatch):
     """w_P^-1 comes from the fan, one per chamber; the compile inverts no w_P."""
     sys = _build("A3")
-    weyl = {sys.chamber_weyl(p) for p in sys.chambers}
+    weyl = {root_oracle.chamber_weyl(sys, p) for p in sys.chambers}
     inverted, invert = [], linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda m: inverted.append(tuple(map(tuple, m))) or invert(m))
     KernelTables(sys)

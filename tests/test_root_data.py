@@ -53,7 +53,7 @@ def test_chamber_walls(name):
     """Each chamber has rank walls, each shared by two chambers."""
     sys = builtin_system(name)
     walls = sys.walls
-    assert len(walls) == len(sys.weyl_elements) * sys.rank // 2
+    assert len(walls) == len(sys.chambers) * sys.rank // 2
     for p, q, a, av in walls:
         assert p < q and p in sys.chambers and q in sys.chambers
         assert (a, av) in sys.chamber_simple_pairs(p)
