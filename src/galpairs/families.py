@@ -108,8 +108,10 @@ class OrthogonalSet:
     def thresholds(self) -> dict[int, list[int]]:
         """Per chamber P at position i, <c, N[i]> for each id c of the kernel's ``read[P]``: over
         e, the values <c, Y_P> its threshold bits compare with.  The covectors of tau^G_q and of
-        the tau_hat^Q_R of entries q vanish on the kernel of levi_projection(q) (step (ii) of
-        ``v_tilde_lattice``), so at P = ``chamber_below(q)`` they read <c, Y_q> = <c, Y_P>."""
+        the tau_hat^Q_R of entries q, the a_j o proj_I and varpi^J_j of ``_standard_covectors``
+        moved by w_P to q = w_P(F_I), vanish on the coroots of I, the kernel of q's Levi
+        projection (step (ii) of ``v_tilde_lattice``), so at P = ``chamber_below(q)`` they read
+        <c, Y_q> = <c, Y_P>."""
         sys, (n, _) = self.system, self._integral
         covectors, read = sys.kernel_tables.covectors, sys.kernel_tables.read
         return {p: [linalg.dot(covectors[c], n[i]) for c in read[p]] for i, p in enumerate(sys.chambers)}
@@ -166,9 +168,37 @@ class OrthogonalSet:
 
 # -- the indicator kernel, compiled to integer bitmasks ---------------------------
 
-# The compile moves the 3^rank standard face pairs to each of |W| chambers: B4 moves
-# 31,104 in about 0.5 s, A1^6 in dimension 16 moves 46,656 in 2 s and A1^7 279,936 in 10 s.
+# The compile moves the 3^rank standard face pairs to each of |W| chambers, in rank x rank
+# integers: B4 moves 31,104 in 0.15-0.2 s, A1^6 in dimension 16 moves 46,656 in 0.3-0.5 s
+# and A1^7 279,936 in about 3 s (113 MB).
 MAX_KERNEL_MOVES = 50_000
+
+
+def _standard_covectors(sys: RestrictedRootSystem):
+    """(tau, tau_hat) at the standard faces F_I <= F_K <= F_J, as primitive integer rows in simple-root
+    coordinates, read off the Cartan matrix A = <a_i, a_j^vee>, with varpi^I_i the rows of A_II^-1 (the
+    duals of the coroots of I in the span of their roots): tau(I, J) are the roots of tau^J_I, the
+    canonical extensions a_j o proj_I = e_j - sum_(i in I) A[j][i] varpi^I_i, j in J - I, through the
+    Levi projection proj_I = 1 - sum_(i in I) a_i^vee (x) varpi^I_i, and tau_hat(K, J) the dual basis
+    of tau_hat^J_K, the varpi^J_j, j in J - K.  The literal per-cone forms are in ``tests/root_oracle.py``."""
+    simples, r = sys.simple_indices, sys.rank
+    cartan = [[linalg.dot(sys.roots[i], sys.coroots[j]) for j in simples] for i in simples]
+
+    @functools.cache
+    def duals(i: frozenset) -> dict[int, list]:  # I -> {i: varpi^I_i}, in simple coordinates
+        block = sorted(i)
+        inverse = linalg.invert([[cartan[a][b] for b in block] for a in block])
+        return {a: [dict(zip(block, row)).get(m, 0) for m in range(r)] for a, row in zip(block, inverse)}
+
+    def tau(i: frozenset, j: frozenset) -> tuple[tuple[int, ...], ...]:
+        varpi = duals(i)
+        rows = ([int(m == k) - sum(cartan[k][a] * varpi[a][m] for a in i) for m in range(r)] for k in j - i)
+        return tuple(map(linalg.scale_to_integers, rows))
+
+    def tau_hat(k: frozenset, j: frozenset) -> tuple[tuple[int, ...], ...]:
+        return tuple(linalg.scale_to_integers(duals(j)[a]) for a in j - k)
+
+    return tau, tau_hat
 
 
 class KernelTables:
@@ -188,13 +218,19 @@ class KernelTables:
     the entries whose ``chamber_below`` is P.  A test holds at h when its mask lies
     in h's bits, which ``_Point`` builds once per point.
 
-    Terms are computed for the 3^rank pairs of standard faces F_I <= F_J of the
-    base chamber and moved to each pair r <= q, since the kernel is W-equivariant
-    (Arthur, 1981): r and q are faces w_P(F_I), w_P(F_J) of P = ``chamber_below(r)``
-    (``chamber_faces``) with the w_P(F_K), I <= K <= J, between them, and w_P maps
-    cones, simple roots, Levi projections and dual bases to those of the image and
-    keeps dimensions.  So c becomes c o w_P^-1, made primitive once per (c, P), and
-    signs stay.  The pair-by-pair compile is ``kernel_oracle.one_pass_tables``.
+    Every covector the kernel tests is a combination of the simple roots, so the
+    compile works in simple-root coordinates, vectors of length rank.  Terms are
+    read off Cartan blocks for the 3^rank pairs of standard faces F_I <= F_J of the
+    base chamber (``_standard_covectors``) and moved to each pair r <= q, since the
+    kernel is W-equivariant (Arthur, 1981): r and q are faces w_P(F_I), w_P(F_J) of
+    P = ``chamber_below(r)`` (``chamber_faces``) with the w_P(F_K), I <= K <= J,
+    between them, and w_P maps cones, simple roots, Levi projections and dual bases
+    to those of the image and keeps dimensions.  So c becomes c o w_P^-1 = sum_j c_j
+    w_P(a_j), and w_P(a_j) is P's j-th simple root: c times the rank x rank integer
+    rows of those roots' ``simple_coordinates``, made primitive once per (c, P), and
+    each standard indicator's mask is made once per P; signs stay.  ``covectors``
+    are the ids' primitive ambient forms, c times the simple roots.  The pair-by-pair
+    compile of the literal per-cone data is ``kernel_oracle.one_pass_tables``.
     """
 
     def __init__(self, sys: RestrictedRootSystem):
@@ -203,46 +239,52 @@ class KernelTables:
             size = f"{moves} face pairs ({weyl} Weyl elements times 3^{sys.rank})"
             raise ValueError(f"the kernel compile would move {size}, more than the limit of {MAX_KERNEL_MOVES}")
         self.system = sys
-        ids: dict[tuple[int, ...], int] = {}
+        ids: dict[tuple[int, ...], int] = {}  # primitive simple coordinates -> id
+        coords = sys.simple_coordinates[0]
         std = sys.chamber_faces(sys.base_chamber)  # type I -> the standard face F_I
-        ints, full = functools.partial(map, linalg.scale_to_integers), frozenset(range(sys.rank))
-
-        def tau(i: frozenset, j: frozenset) -> list[tuple[int, ...]]:
-            pairs = sys.cone_simple_pairs(std[i])
-            return [*ints(pairs[n][0] for n in sys.vanishing_indices(std[i], std[j]))]
-
-        standard = {  # (I, J) -> the terms (tau^K_I, tau_hat^J_K, sign) over I <= K <= J
-            (i, j): [  # dim F_K - dim F_J = |J| - |K|: the simple roots are independent
-                (tau(i, k), [*ints(sys.dual_basis(std[k], std[j]))], (-1) ** (len(j) - len(k)))
+        tau, tau_hat = _standard_covectors(sys)
+        indicators: dict[tuple, int] = {}  # the covectors of one standard indicator -> its number
+        number = lambda covectors: indicators.setdefault(covectors, len(indicators))
+        standard = {  # (I, J) -> the terms (tau^K_I, tau_hat^J_K, sign) over I <= K <= J, by number
+            (i, j): [  # dim F_K - dim F_J = |J| - |K|
+                (number(tau(i, k)), number(tau_hat(k, j)), (-1) ** (len(j) - len(k)))
                 for k in std if i <= k <= j
             ]
             for i in std for j in std if i <= j
         }
-        planes = [1 << 2 * ids.setdefault(a, len(ids)) for a in ints(sys.hyperplanes)]
+        top = {i: number(tau(i, frozenset(range(sys.rank)))) for i in std}  # tau^G_I
+        above = {i: [j for j in std if i <= j] for i in std}
+        planes = [1 << 2 * ids.setdefault(linalg.scale_to_integers(coords[a]), len(ids)) for a in sys.hyperplanes]
         zeros = [sum(b for b, s in zip(planes, c.signs) if not s) for c in sys.cones]  # delta^r
         below = [sys.chamber_below(q) for q in range(len(sys.cones))]
         tops, tables = [0] * len(sys.cones), [[] for _ in sys.cones]
+        numbered = list(indicators)
         self.read: dict[int, list[int]] = {}
         for p in sys.chambers:
-            inv = sys.weyl_rows(p, inverse=True)  # a multiple of w_P^-1
+            simple = [coords[a] for a, _ in sys.chamber_simple_pairs(p)]  # a multiple of w_P(a_j), per j
 
             @functools.cache
             def move(c: tuple[int, ...]) -> int:  # the sign bit of c o w_P^-1
-                return 1 << 2 * ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, inv)), len(ids))
+                return 1 << 2 * ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, simple)), len(ids))
 
-            read = 0  # the bits of every mask read against P
-            for (i, r), (j, q) in product(sys.chamber_faces(p).items(), repeat=2):
-                if i <= j and below[r] == p:
-                    terms = [(sum(map(move, t)) | sum(map(move, h)) << 1, s) for t, h, s in standard[i, j]]
-                    tables[q].append((r, p, zeros[r], terms))
-                    read = functools.reduce(operator.or_, (m for m, _ in terms), read)
-                    if i == j:  # once per cone r
-                        tops[r] = sum(map(move, tau(i, full))) << 1
-                        read |= tops[r]
+            @functools.cache
+            def mask(n: int) -> int:  # the sign bits of the n-th standard indicator's covectors moved
+                return sum(map(move, numbered[n]))
+
+            read, faces = 0, sys.chamber_faces(p)  # read: the bits of every mask read against P
+            for i, r in faces.items():
+                if below[r] == p:  # once per cone r
+                    for j in above[i]:
+                        terms = [(mask(t) | mask(h) << 1, s) for t, h, s in standard[i, j]]
+                        tables[faces[j]].append((r, p, zeros[r], terms))
+                        read = functools.reduce(operator.or_, (m for m, _ in terms), read)
+                    tops[r] = mask(top[i]) << 1
+                    read |= tops[r]
             # digit 2c of the reversed binary digits of read >> 1 is id c's threshold bit
             self.read[p] = [c for c, b in enumerate(bin(read >> 1)[:1:-1][::2]) if b == "1"]
         self.compiled: list[tuple[int, int, list]] = list(zip(below, tops, tables))
-        self.covectors: list[tuple[int, ...]] = list(ids)
+        roots = linalg.integer_basis([sys.roots[i] for i in sys.simple_indices])[0]
+        self.covectors: list[tuple[int, ...]] = [linalg.scale_to_integers(linalg.vecmat(c, roots)) for c in ids]
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
         """(<c, H> for every covector c, D) where h = H / D, H integral, D > 0."""
@@ -584,29 +626,32 @@ def v_tilde_lattice(
     (Y, x0, basis) (``OrthogonalSet.count_plan``).  With ``exact`` Y + Y[k*x0] is
     built and validated literally.
 
-    Proof, in the conventions of ``KernelTables``: Y_Q = levi_projection(Q) Y_P
-    at P = ``chamber_below(Q)`` (or any chamber P <= Q), the roots of tau^G_Q
-    are those of ``cone_simple_pairs(Q)`` (canonical extensions through
-    ``levi_projection(Q)``) and the sign is (-1)^(dim R - dim Q).  Every step
-    is a sign test, so it covers the non-reduced BC systems, whose fan and
-    chamber simple roots are those of their indivisible roots.
+    Proof, in the conventions of ``KernelTables`` and ``_standard_covectors``
+    moved by w_P to Q = w_P(F_I), P = ``chamber_below(Q)``, so the a_i are P's
+    simple roots, A their Cartan matrix and the varpi^I_i the rows of A_II^-1:
+    Q's Levi projection is proj_Q = 1 - sum_(i in I) a_i^vee (x) varpi^I_i,
+    Y_Q = proj_Q Y_P (at any chamber P <= Q), the roots of tau^G_Q are the
+    canonical extensions a_j o proj_Q = a_j - sum_(i in I) A[j][i] varpi^I_i,
+    j not in I, and the sign is (-1)^(dim R - dim Q).  Every step is a sign
+    test, so it covers the non-reduced BC systems, whose fan and chamber
+    simple roots are those of their indivisible roots.
     (i) With delta_r(H) = [H in span r], delta_r tau^G_r is the indicator of
     the relative interior of the cone r, so sum_r delta_r(H) tau^G_r(H) = 1.
-    (ii) For r <= Q, levi_projection(Q) maps Y_r to Y_Q, so
+    (ii) For r <= Q, proj_Q maps Y_r to Y_Q, so
     tau^G_Q(H - Y_Q) = tau^G_Q(H - Y_r).  Exchanging the sums of the
     partition of unity sum_Q Gamma^Q(H) tau^G_Q(H - Y_Q) and applying
     Langlands' combinatorial lemma, sum over R <= Q <= G of
     (-1)^(dim R - dim Q) tau_hat^Q_R(X) tau^G_Q(X) = [R = G] at
     X = H - Y_r, turns it into (i): it is 1 at every H.
     (iii) Let H meet every row, Q != G and P = ``chamber_below(Q)``.  Each w
-    of ``dual_basis(Q, G)`` is in ``dual_basis(P, G)`` = ``chamber_duals[P]``
-    and vanishes on the kernel of ``levi_projection(Q)``, so by its row
-    <w, H - Y_Q> = <w, H - Y_P> <= 0.  The inverse Cartan matrix of P's simple
-    roots is nonnegative (a finite reflection group's Cartan matrix is a
-    nonsingular M-matrix), so w is a nonzero nonnegative combination of the
-    roots of ``cone_simple_pairs(Q)``, which cannot all be positive at
-    H - Y_Q, where w is not: tau^G_Q(H - Y_Q) = 0.  Only Q = G is left in
-    (ii): Gamma^G(H) = 1.
+    of the dual basis of (Q, G), a row varpi_j, j not in I, of A^-1, is in
+    ``chamber_duals[P]`` and vanishes on the coroots of I, the kernel of
+    proj_Q, so by its row <w, H - Y_Q> = <w, H - Y_P> <= 0.  A^-1 is
+    nonnegative (a finite reflection group's Cartan matrix is a nonsingular
+    M-matrix), so w is a nonzero nonnegative combination of P's simple roots,
+    and as w = w o proj_Q, of the a_j o proj_Q, j not in I, which cannot all
+    be positive at H - Y_Q, where w is not: tau^G_Q(H - Y_Q) = 0.  Only Q = G
+    is left in (ii): Gamma^G(H) = 1.
     That Gamma^G(H) is not 1 where a row fails is Arthur's hull statement
     (*The trace formula in invariant form*, 1981), as in ``hull_rows``.
     """

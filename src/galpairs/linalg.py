@@ -220,21 +220,19 @@ def coordinate_matrix(
 def projection_matrix(target_basis: Sequence[Vec], complement_basis: Sequence[Vec]) -> Mat:
     """Matrix of the projection onto span(target) along span(complement).
 
-    The two spans must be complementary in the ambient space.
+    The two spans must be complementary in the ambient space.  With the basis vectors scaled
+    to integers as the columns of B, it is B S B^-1, S keeping the k target coordinates: the
+    first k columns of B times the first k rows of B^-1 = C / d, the ``coordinate_matrix`` of
+    the unit vectors, summed in integers.
     """
     n = len(target_basis[0]) if target_basis else len(complement_basis[0])
-    cols = list(target_basis) + list(complement_basis)
-    if len(cols) != n:
+    cols = _integer_rows(list(target_basis) + list(complement_basis))
+    if len(cols) != n or (coords := coordinate_matrix(cols, identity(n))) is None:
         raise ValueError("bases are not complementary")
-    b = transpose(tuple(cols))
-    b_inv = invert(b)
-    k = len(target_basis)
-    # keep target coordinates, zero out complement coordinates
-    selector = tuple(
-        tuple(Fraction(1) if (i == j and i < k) else Fraction(0) for j in range(n))
-        for i in range(n)
+    (c, d), k = coords, len(target_basis)
+    return tuple(
+        tuple(Fraction(sum(cols[i][r] * c[i][j] for i in range(k)), d) for j in range(n)) for r in range(n)
     )
-    return matmul(b, matmul(selector, b_inv))
 
 
 def clear_denominators(v: Sequence) -> tuple[tuple[int, ...], int]:

@@ -107,10 +107,6 @@ class EllipticLeviDatum:
     mab_index: int  # |projection of B to the I coordinates|
     label: Optional[tuple[int, ...]] = None  # composition label for unitary presets
 
-    @property
-    def product_invariant(self) -> int:
-        return self.ker1_size * self.mab_index
-
 
 def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
     """One datum per subset I of the fixed simple roots, in mask order.

@@ -5,7 +5,7 @@ together with a coroot for each root and a choice of simple roots.  The Weyl
 group is built once, as the permutations of root indices that the simple
 reflections generate; the fan (faces indexed by sign vectors over the root
 hyperplanes) and every chamber's tables are read off those permutations; the
-Weyl matrices, dual bases and Levi projections off one Cartan-block dual.
+Weyl matrices and the chamber duals off one Cartan-block dual.
 
 Conventions:
   * roots are covectors (pairings ``<alpha, x>`` with ambient vectors x),
@@ -89,8 +89,8 @@ class RestrictedRootSystem:
         if self.lattice.ambient_dim != ambient_dim:
             raise ValueError("normalization lattice has wrong ambient dimension")
         self._root_index = {a: k for k, a in enumerate(self.roots)}
-        self._build_fan(*self._validate())
-        self._cache: dict = {}
+        self._coefficients, reflections = self._validate()
+        self._build_fan(self._coefficients, reflections)
 
     # -- validation ----------------------------------------------------------
 
@@ -165,11 +165,6 @@ class RestrictedRootSystem:
         ]
         self.hyperplanes: list[Vec] = [self.roots[k] for k in planes]
         self._reflections = gens  # s_i, in the order of simple_indices
-        # each root's hyperplane, by the primitive vector of its line: a root vanishes on a
-        # cone exactly where the cone's sign there is 0
-        line = lambda a: max(p := linalg.scale_to_integers(a), tuple(-x for x in p))
-        position = {line(h): m for m, h in enumerate(self.hyperplanes)}
-        self._plane = [position[line(a)] for a in self.roots]
 
         ident = tuple(range(len(self.roots)))
         elements = {ident: ident}  # w -> w^-1
@@ -192,7 +187,7 @@ class RestrictedRootSystem:
         # w moves the simple coroots to coroots[w[i]] and fixes the common kernel of the
         # roots: w(x) = x + sum_i <duals[i], x> (coroots[w[i]] - coroots[i]), in integers
         # over one denominator D = c d, with the coroots cleared to C / c and the duals to R / d
-        duals, d = linalg.integer_basis(_dual_basis([(self.roots[i], self.coroots[i]) for i in simples]))
+        duals, d = linalg.integer_basis(_coroot_duals([(self.roots[i], self.coroots[i]) for i in simples]))
         coroots, c = linalg.integer_basis(self.coroots)
         moved = lambda w: [linalg.vsub(coroots[w[i]], coroots[i]) for i in simples]
         self._weyl_rows = {w: _identity_plus(moved(w), duals, c * d) for w in elements}
@@ -202,7 +197,7 @@ class RestrictedRootSystem:
         types = [frozenset(i for i in range(r) if bits >> i & 1) for bits in range(1 << r)]
         seen: dict[tuple[int, ...], int] = {}
         cones: list[Cone] = []
-        self._chamber_perms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}  # w_P, w_P^-1
+        self._chamber_perms: dict[int, tuple[int, ...]] = {}  # w_P
         self._chamber_faces: dict[int, dict[frozenset, int]] = {}
         for w in order:
             w_inv = elements[w]
@@ -215,7 +210,7 @@ class RestrictedRootSystem:
                 faces[zero] = seen[sv]
             p = faces[types[0]]
             self._chamber_faces[p] = faces
-            self._chamber_perms[p] = w, w_inv
+            self._chamber_perms[p] = w
         self.cones: list[Cone] = cones
         self._sign_index = seen
         self.chambers: list[int] = sorted(self._chamber_faces)
@@ -233,10 +228,9 @@ class RestrictedRootSystem:
     def cone_by_signs(self, signs: tuple[int, ...]) -> Cone:
         return self.cones[self._sign_index[signs]]
 
-    def weyl_rows(self, chamber: int, inverse: bool = False) -> Mat:
-        """D w_P (D w_P^-1 with ``inverse``) as integer rows, D > 0 the one denominator of all
-        the Weyl matrices."""
-        return self._weyl_rows[self._chamber_perms[chamber][inverse]]
+    def weyl_rows(self, chamber: int) -> Mat:
+        """D w_P as integer rows, D > 0 the one denominator of all the Weyl matrices."""
+        return self._weyl_rows[self._chamber_perms[chamber]]
 
     @functools.cached_property
     def chamber_weyl_rows(self) -> tuple[list[tuple[int, ...]], int]:
@@ -252,8 +246,19 @@ class RestrictedRootSystem:
     def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
         """(root covector, coroot vector) pairs of the chamber's simple roots: the
         (roots[w[i]], coroots[w[i]]) for w = w_P and i over the simple indices."""
-        w = self._chamber_perms[chamber][0]
+        w = self._chamber_perms[chamber]
         return [(self.roots[w[i]], self.coroots[w[i]]) for i in self.simple_indices]
+
+    def chamber_below(self, cone: int) -> int:
+        """The least chamber P with P <= cone: the one chamber used per cone."""
+        return self._chamber_below[cone]
+
+    @functools.cached_property
+    def simple_coordinates(self) -> tuple[dict[Vec, tuple[int, ...]], int]:
+        """(C, d), d > 0: each root a is sum_j C[a][j] / d * roots[simple_indices[j]], the
+        coefficients ``_validate`` finds, cleared to integers over one denominator."""
+        rows, d = linalg.integer_basis(self._coefficients)
+        return dict(zip(self.roots, rows)), d
 
     def full_cone(self) -> Cone:
         """The minimal cone of the fan (all signs zero)."""
@@ -273,10 +278,10 @@ class RestrictedRootSystem:
         of its simple root roots[w[i]] is the chamber of the permutation w s_i, and the
         row's pair is (roots[w[i]], coroots[w[i]]).  The scan of the fan induced on a
         cone's span is ``tests/root_oracle.py::induced_walls``."""
-        chamber_of = {w: p for p, (w, _) in self._chamber_perms.items()}
+        chamber_of = {w: p for p, w in self._chamber_perms.items()}
         table = []
         for p in self.chambers:
-            w = self._chamber_perms[p][0]
+            w = self._chamber_perms[p]
             across = sorted(
                 (chamber_of[tuple(w[k] for k in s)], w[i])
                 for i, s in zip(self.simple_indices, self._reflections)
@@ -303,9 +308,9 @@ class RestrictedRootSystem:
     @functools.cached_property
     def chamber_duals(self) -> dict[int, list[Vec]]:
         """Per chamber P, the covectors dual to P's simple coroots that vanish on the
-        common kernel of the roots, ``dual_basis(P, G)``: row i is sum_j inv[i][j]
+        common kernel of the roots, the dual basis of (P, G): row i is sum_j inv[i][j]
         roots[w_P[j]] over the simple indices j, inv the inverse Cartan matrix."""
-        return {p: _dual_basis(self.chamber_simple_pairs(p), self._inverse_cartan) for p in self.chambers}
+        return {p: _coroot_duals(self.chamber_simple_pairs(p), self._inverse_cartan) for p in self.chambers}
 
     @functools.cached_property
     def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
@@ -316,7 +321,7 @@ class RestrictedRootSystem:
         (inv, _), (roots, _) = linalg.integer_basis(self._inverse_cartan), linalg.integer_basis(self.roots)
         rows: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self.chambers):
-            simple = [roots[self._chamber_perms[p][0][j]] for j in self.simple_indices]
+            simple = [roots[self._chamber_perms[p][j]] for j in self.simple_indices]
             for row in inv:
                 rows.setdefault(linalg.scale_to_integers(linalg.vecmat(row, simple)), []).append(i)
         return list(rows.items())
@@ -334,7 +339,7 @@ class RestrictedRootSystem:
         base = [av for _, av in self.chamber_simple_pairs(self.base_chamber)]
         meas = abs(linalg.det([linalg.coordinates_in_basis(self.lattice.basis, v) for v in base]))
         coroots, c = linalg.integer_basis(self.coroots)
-        perms = [[self._chamber_perms[p][0][i] for i in self.simple_indices] for p in self.chambers]
+        perms = [[self._chamber_perms[p][i] for i in self.simple_indices] for p in self.chambers]
         orbit = {k for ks in perms for k in ks}
         # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
         # degree < r, so each coroot rules out fewer than r values of j
@@ -345,71 +350,8 @@ class RestrictedRootSystem:
         weights = lambda d: linalg.clear_denominators([scale / math.prod(d[k] for k in ks) for ks in perms])
         return [(mu, *weights(dots)) for mu, dots in islice(generic, 3)]
 
-    # -- per-cone structure ----------------------------------------------------
 
-    def _simple_roots(self, cone: int) -> list[int]:
-        """Root indices of the simple roots of ``chamber_below(cone)`` that do not vanish on it."""
-        w, signs = self._chamber_perms[self.chamber_below(cone)][0], self.cones[cone].signs
-        return [w[i] for i in self.simple_indices if signs[self._plane[w[i]]]]
-
-    def levi_projection(self, cone: int) -> Mat:
-        """Projection onto the span of the cone along the vanishing coroots: the identity minus
-        coroot (x) dual over the simple pairs of P = ``chamber_below(cone)`` vanishing on it."""
-        key = ("proj", cone)
-        if key not in self._cache:
-            p = self.chamber_below(cone)
-            pairs = self.cone_simple_pairs(p)
-            coroots = [linalg.vscale(-1, pairs[i][1]) for i in self.vanishing_indices(p, cone)]
-            if coroots:
-                (c, e), (r, d) = linalg.integer_basis(coroots), linalg.integer_basis(self.dual_basis(p, cone))
-                self._cache[key] = _over(_identity_plus(c, r, d * e), d * e)
-            else:  # a chamber
-                self._cache[key] = linalg.identity(self.ambient_dim)
-        return self._cache[key]
-
-    def chamber_below(self, cone: int) -> int:
-        """The least chamber P with P <= cone: the one chamber used per cone."""
-        return self._chamber_below[cone]
-
-    def cone_simple_pairs(self, cone: int) -> list[tuple[Vec, Vec]]:
-        """Simple (root, coroot) pairs of the cone, as canonical extensions.
-
-        Covectors are precomposed with the Levi projection and coroots are
-        projected to the span of the cone; the result does not depend on the
-        chamber used to compute it.
-        """
-        key = ("simples", cone)
-        if key not in self._cache:
-            pairs = [(self.roots[k], self.coroots[k]) for k in self._simple_roots(cone)]
-            if len(pairs) < self.rank:  # a chamber's projection is the identity
-                proj = self.levi_projection(cone)
-                pairs = [(linalg.vecmat(a, proj), linalg.matvec(proj, av)) for a, av in pairs]
-            self._cache[key] = pairs
-        return self._cache[key]
-
-    def vanishing_indices(self, p: int, q: int) -> list[int]:
-        """Indices into the simple pairs of cone p of roots vanishing on span(q), for q
-        a face of the closure of p, where the Levi projection of p changes no pairing."""
-        key = ("vanish", p, q)
-        if key not in self._cache:
-            signs = self.cones[q].signs
-            self._cache[key] = [i for i, k in enumerate(self._simple_roots(p)) if not signs[self._plane[k]]]
-        return self._cache[key]
-
-    def dual_basis(self, p: int, q: int) -> list[Vec]:
-        """Covectors dual to the coroots of the simple roots of p inside q.
-
-        Each covector pairs to delta with those coroots and vanishes both on the
-        span of q and on the coroots of roots vanishing on the span of p.
-        """
-        key = ("dual", p, q)
-        if key not in self._cache:
-            pairs = self.cone_simple_pairs(p)
-            self._cache[key] = _dual_basis([pairs[i] for i in self.vanishing_indices(p, q)])
-        return self._cache[key]
-
-
-def _dual_basis(pairs: Sequence[tuple[Vec, Vec]], inverse: Optional[Mat] = None) -> list[Vec]:
+def _coroot_duals(pairs: Sequence[tuple[Vec, Vec]], inverse: Optional[Mat] = None) -> list[Vec]:
     """The covectors w_i = sum_j inverse[i][j] a_j over the pairs (a_j, a_j^vee): those in the
     span of the pairs' roots with <w_i, a_k^vee> = delta_ik, computed in integers over one
     denominator.  ``inverse`` is that of the Cartan block <a_i, a_j^vee>, found if not given."""
@@ -426,11 +368,6 @@ def _identity_plus(cols: Sequence[Vec], rows: Sequence[Vec], den: int) -> Mat:
         tuple(den * (k == j) + x for j, x in enumerate(linalg.vecmat(col, rows)))
         for k, col in enumerate(zip(*cols))
     )
-
-
-def _over(m: Mat, den: int) -> Mat:
-    """The integer matrix m over den, as Fractions."""
-    return tuple(tuple(Fraction(x, den) for x in row) for row in m)
 
 
 # -- built-in systems -------------------------------------------------------------

@@ -4,7 +4,8 @@
 compiled once per system.  These functions are the formulas it replaces,
 written as the paper states them: every indicator re-reads h and takes its
 rational dot products directly, and Y_Q is Y projected by the Levi projection
-of Q.  ``one_pass_tables`` is the compile written pair by pair over the face
+of Q.  The per-cone data they read is the literal one of ``root_oracle``, which
+shares no code with the compile.  ``one_pass_tables`` is the compile written pair by pair over the face
 poset, the oracle of ``KernelTables``, which compiles pairs of standard faces
 and moves them over the Weyl group.  ``parabolic_leq`` is the face order they
 are written in, read off the cones' sign vectors.  They are slow and only the
@@ -19,7 +20,14 @@ from galpairs import linalg
 from galpairs.families import OrthogonalSet
 from galpairs.linalg import Vec
 from galpairs.root_data import RestrictedRootSystem, _parse_vec
-from root_oracle import zero_roots
+from root_oracle import (
+    chamber_below,
+    cone_simple_pairs,
+    dual_basis,
+    levi_projection,
+    vanishing_indices,
+    zero_roots,
+)
 
 
 def parabolic_leq(sys: RestrictedRootSystem, p: int, q: int) -> bool:
@@ -46,9 +54,9 @@ def cones_below(sys: RestrictedRootSystem, q: int) -> list[int]:
 def projected(y: OrthogonalSet, cone: int) -> Vec:
     """Y_Q: Y projected onto the span of the cone (independent of the chamber)."""
     sys = y.system
-    point = y.points[sys.chamber_below(cone)]
+    point = y.points[chamber_below(sys, cone)]
     if sys.cones[cone].dim < sys.ambient_dim:  # a chamber's projection is the identity
-        point = linalg.matvec(sys.levi_projection(cone), point)
+        point = linalg.matvec(levi_projection(sys, cone), point)
     return point
 
 
@@ -60,8 +68,8 @@ def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], l
         return [ids.setdefault(linalg.scale_to_integers(c), len(ids)) for c in covectors]
 
     def tau_ids(p: int, q: int) -> list[int]:
-        pairs = sys.cone_simple_pairs(p)
-        return cids(pairs[i][0] for i in sys.vanishing_indices(p, q))
+        pairs = cone_simple_pairs(sys, p)
+        return cids(pairs[i][0] for i in vanishing_indices(sys, p, q))
 
     g, dims = sys.full_cone().index, [c.dim for c in sys.cones]
     compiled = []
@@ -69,7 +77,7 @@ def one_pass_tables(sys: RestrictedRootSystem) -> tuple[list[tuple[int, ...]], l
         below, table = cones_below(sys, q), []
         for r in below:
             terms = [
-                (tau_ids(r, rr), cids(sys.dual_basis(rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
+                (tau_ids(r, rr), cids(dual_basis(sys, rr, q)), (-1) ** ((dims[rr] - dims[q]) % 2))
                 for rr in below
                 if parabolic_leq(sys, r, rr)
             ]
@@ -83,8 +91,8 @@ def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     if not parabolic_leq(sys, p, q):
         raise ValueError("tau requires p <= q in the parabolic order")
     hv = _parse_vec(h)
-    pairs = sys.cone_simple_pairs(p)
-    for i in sys.vanishing_indices(p, q):
+    pairs = cone_simple_pairs(sys, p)
+    for i in vanishing_indices(sys, p, q):
         if linalg.dot(pairs[i][0], hv) <= 0:
             return 0
     return 1
@@ -95,7 +103,7 @@ def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     if not parabolic_leq(sys, p, q):
         raise ValueError("tau_hat requires p <= q in the parabolic order")
     hv = _parse_vec(h)
-    for w in sys.dual_basis(p, q):
+    for w in dual_basis(sys, p, q):
         if linalg.dot(w, hv) <= 0:
             return 0
     return 1

@@ -18,10 +18,18 @@ read off the cone's signs; ``RestrictedRootSystem`` kept it as a method that
 only the tests called.
 
 ``span_basis`` and ``levi_projection`` build a cone's span and Levi projection
-as ``RestrictedRootSystem`` did before it read vanishing roots off each cone's
-signs and projections off one Cartan-block dual: a nullspace basis of the span,
-and the projection matrix along a maximal independent subset of the vanishing
-coroots.
+literally: a nullspace basis of the span, and the projection matrix along a
+maximal independent subset of the vanishing coroots.  On them rest the other
+per-cone data, as the paper defines them and as ``RestrictedRootSystem`` kept
+them before the kernel compile read its terms off Cartan blocks in simple-root
+coordinates (``galpairs.families._standard_covectors``): ``chamber_below``, the
+least chamber whose closure holds a cone, read off the signs;
+``chamber_simple_pairs``, a chamber's simple pairs moved by its Fraction Weyl
+matrices; ``cone_simple_pairs``, the canonical extensions of the simple pairs
+of ``chamber_below(cone)`` that do not vanish on the cone through its Levi
+projection; ``vanishing_indices``, those of them vanishing on the span of a face
+of the cone's closure; and ``dual_basis``, their inverse Cartan block times their
+roots.  Each is memoized per system for the life of the system.
 
 ``fraction_fan`` builds the fan as ``RestrictedRootSystem`` did before it read W
 off the root permutations: it closes the simple reflections as Fraction
@@ -30,7 +38,8 @@ every element and reads the face's signs there.
 
 ``chamber_weyl``, ``chamber_weyl_inverse`` and ``weyl_elements`` read the Weyl
 matrices as Fractions off ``weyl_rows``, as ``RestrictedRootSystem`` kept them
-before the sets and the kernel compile came to read the integer rows only.
+before the sets came to read the integer rows only; w_P^-1 is the matrix of the
+chamber whose permutation is the inverse of w_P's.
 
 ``proportionality`` is the Fraction ratio test that ``OrthogonalSet`` validated
 its walls with before it cross-multiplied integer rows.
@@ -38,6 +47,8 @@ its walls with before it cross-multiplied integer rows.
 
 from __future__ import annotations
 
+import functools
+import weakref
 from fractions import Fraction
 from itertools import combinations
 from typing import Optional, Sequence
@@ -45,6 +56,20 @@ from typing import Optional, Sequence
 from galpairs import linalg
 from galpairs.linalg import Mat, Vec
 from galpairs.root_data import _MAX_WEYL, Cone, RestrictedRootSystem, _parse_vec
+
+
+def _per_system(fn):
+    """Memoize fn(sys, *args) per system, for as long as the system lives."""
+    tables: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+    @functools.wraps(fn)
+    def memoized(sys: RestrictedRootSystem, *args):
+        table = tables.setdefault(sys, {})
+        if args not in table:
+            table[args] = fn(sys, *args)
+        return table[args]
+
+    return memoized
 
 
 def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
@@ -95,7 +120,7 @@ def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, 
         if len(differing) != 1:
             continue
         wall = restricted[differing[0][0]]
-        for a, av in sys.cone_simple_pairs(cp.index):
+        for a, av in cone_simple_pairs(sys, cp.index):
             if proportionality(tuple(linalg.dot(a, b) for b in span), wall) is not None:
                 table.append((cp.index, cq.index, a, av))
                 break
@@ -109,6 +134,7 @@ def zero_roots(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
     return [a for a, s in zip(sys.hyperplanes, sys.cones[cone].signs) if s == 0]
 
 
+@_per_system
 def span_basis(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
     """A basis of the span of the cone: the kernel of ``zero_roots(sys, cone)``, as each
     cone carried it before its dimension was read off its face type."""
@@ -117,6 +143,7 @@ def span_basis(sys: RestrictedRootSystem, cone: int) -> list[Vec]:
     return linalg.nullspace(zero_rows, ncols=n) if zero_rows else list(linalg.identity(n))
 
 
+@_per_system
 def levi_projection(sys: RestrictedRootSystem, cone: int) -> Mat:
     """The projection onto the span of the cone along the coroots of the roots that
     vanish on it, built literally: a maximal independent subset of those coroots,
@@ -129,6 +156,66 @@ def levi_projection(sys: RestrictedRootSystem, cone: int) -> Mat:
     return linalg.projection_matrix(span_basis(sys, cone), complement)
 
 
+@_per_system
+def _integer_span(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, ...]]:
+    """``span_basis``, each vector scaled to integers: a covector vanishes on the span
+    where its integer multiple pairs to 0 with each of them."""
+    return [linalg.scale_to_integers(b) for b in span_basis(sys, cone)]
+
+
+def _vanishes(a: Vec, span: list[tuple[int, ...]]) -> bool:
+    a = linalg.scale_to_integers(a)
+    return not any(linalg.dot(a, b) for b in span)
+
+
+@_per_system
+def chamber_below(sys: RestrictedRootSystem, cone: int) -> int:
+    """The least chamber whose signs agree with every nonzero sign of the cone."""
+    signs = sys.cones[cone].signs
+    if 0 not in signs:
+        return cone
+    return next(p for p in sys.chambers if all(s in (0, t) for s, t in zip(signs, sys.cones[p].signs)))
+
+
+@_per_system
+def chamber_simple_pairs(sys: RestrictedRootSystem, chamber: int) -> list[tuple[Vec, Vec]]:
+    """(a o w_P^-1, w_P a^vee) over the simple pairs (a, a^vee), with the Fraction w_P."""
+    w, w_inv = chamber_weyl(sys, chamber), chamber_weyl_inverse(sys, chamber)
+    return [(linalg.vecmat(sys.roots[i], w_inv), linalg.matvec(w, sys.coroots[i])) for i in sys.simple_indices]
+
+
+@_per_system
+def cone_simple_pairs(sys: RestrictedRootSystem, cone: int) -> list[tuple[Vec, Vec]]:
+    """The simple pairs of ``chamber_below(cone)`` whose root pairs nonzero with the cone's span,
+    as canonical extensions: the root precomposed with, the coroot moved by ``levi_projection``."""
+    if sys.cones[cone].dim == sys.ambient_dim:  # a chamber, whose projection is the identity
+        return chamber_simple_pairs(sys, cone)
+    span, proj = _integer_span(sys, cone), levi_projection(sys, cone)
+    return [
+        (linalg.vecmat(a, proj), linalg.matvec(proj, av))
+        for a, av in chamber_simple_pairs(sys, chamber_below(sys, cone))
+        if not _vanishes(a, span)
+    ]
+
+
+@_per_system
+def vanishing_indices(sys: RestrictedRootSystem, p: int, q: int) -> list[int]:
+    """Indices into ``cone_simple_pairs(p)`` of the roots vanishing on the span of q."""
+    span = _integer_span(sys, q)
+    return [i for i, (a, _) in enumerate(cone_simple_pairs(sys, p)) if _vanishes(a, span)]
+
+
+@_per_system
+def dual_basis(sys: RestrictedRootSystem, p: int, q: int) -> list[Vec]:
+    """The covectors in the span of the roots of ``vanishing_indices(p, q)`` dual to their
+    coroots: their inverse Cartan block times their roots."""
+    pairs = [cone_simple_pairs(sys, p)[i] for i in vanishing_indices(sys, p, q)]
+    roots, e = linalg.integer_basis([a for a, _ in pairs])
+    coroots, f = linalg.integer_basis([av for _, av in pairs])
+    inverse = linalg.invert([[linalg.dot(a, av) for av in coroots] for a in roots])  # of e f times the block
+    return [tuple(f * x for x in linalg.vecmat(row, roots)) for row in inverse]
+
+
 def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
     """Signs (-1, 0, +1) of each covector at v."""
     out = []
@@ -138,6 +225,7 @@ def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
     return tuple(out)
 
 
+@_per_system
 def chamber_weyl(sys: RestrictedRootSystem, chamber: int) -> Mat:
     """w_P, the Weyl element mapping the base chamber onto the chamber P."""
     den = sys.chamber_weyl_rows[1]
@@ -145,9 +233,10 @@ def chamber_weyl(sys: RestrictedRootSystem, chamber: int) -> Mat:
 
 
 def chamber_weyl_inverse(sys: RestrictedRootSystem, chamber: int) -> Mat:
-    """w_P^-1, the matrix of the inverse permutation."""
-    den = sys.chamber_weyl_rows[1]
-    return tuple(tuple(Fraction(x, den) for x in row) for row in sys.weyl_rows(chamber, inverse=True))
+    """w_P^-1, the Weyl matrix of the chamber whose permutation of the roots is w_P's inverse."""
+    w = sys._chamber_perms[chamber]
+    chamber_of = {v: p for p, v in sys._chamber_perms.items()}
+    return chamber_weyl(sys, chamber_of[tuple(sorted(range(len(w)), key=w.__getitem__))])
 
 
 def weyl_elements(sys: RestrictedRootSystem) -> list[Mat]:
@@ -254,7 +343,7 @@ def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> 
         return linalg.vscale(Fraction(1, 2), restricted_coroot(sys, cone, half))
 
     coroot_of = dict(zip(sys.roots, sys.coroots))
-    proj = sys.levi_projection(cone)
+    proj = levi_projection(sys, cone)
     # sub-datum: all roots vanishing on (cone span) intersect ker(alpha)
     vprime = _intersect_spans(span, linalg.nullspace([a], ncols=sys.ambient_dim))
     sub_roots = [b for b in sys.roots if all(linalg.dot(b, v) == 0 for v in vprime)]

@@ -5,8 +5,8 @@ against the per-cone formulas they replaced.
 is the chamber of w s_i) is compared with the scan of the induced fan,
 ``root_oracle.induced_walls``, and with a flip of one hyperplane's sign.
 ``chamber_duals``, ``facet_rows`` and ``families.support_bound_certificate``
-(one inverse Cartan matrix moved by w_P) are compared with what
-``dual_basis(P, G)`` gives chamber by chamber, and ``volume_weights`` (each
+(one inverse Cartan matrix moved by w_P) are compared with what the literal
+``root_oracle.dual_basis(P, G)`` gives chamber by chamber, and ``volume_weights`` (each
 chamber's coroot product read at w_P's root indices) with the per-chamber
 Fraction table of ``volume_oracle.volume_weights``.
 """
@@ -71,21 +71,22 @@ def dual_basis_rows(sys):
     g = sys.full_cone().index
     rows = {}
     for i, p in enumerate(sys.chambers):
-        for w in sys.dual_basis(p, g):
+        for w in root_oracle.dual_basis(sys, p, g):
             rows.setdefault(linalg.scale_to_integers(w), []).append(i)
     return list(rows.items())
 
 
 def dual_basis_certificate(sys):
     """``support_bound_certificate`` as written before, per chamber through
-    ``cone_simple_pairs``, ``vanishing_indices`` and ``dual_basis``."""
+    the literal ``cone_simple_pairs``, ``vanishing_indices`` and ``dual_basis``."""
     g = sys.full_cone().index
     best = Fraction(0)
     basis = [linalg.vec(b) for b in sys.lattice.basis]
     for c in sys.chambers:
-        pairs = sys.cone_simple_pairs(c)
+        pairs = root_oracle.cone_simple_pairs(sys, c)
         total = Fraction(0)
-        for (a, av), w in zip([pairs[i] for i in sys.vanishing_indices(c, g)], sys.dual_basis(c, g)):
+        vanishing = [pairs[i] for i in root_oracle.vanishing_indices(sys, c, g)]
+        for (a, av), w in zip(vanishing, root_oracle.dual_basis(sys, c, g)):
             av_c = linalg.coordinates_in_basis(basis, av)
             total += _sup_norm(av_c) * sum(abs(x) for x in w) * max(_sup_norm(b) for b in basis)
         best = max(best, total)
@@ -111,7 +112,7 @@ def test_chamber_duals_match_dual_basis(name):
     g = sys.full_cone().index
     assert list(sys.chamber_duals) == sys.chambers
     for p in sys.chambers:
-        assert sys.chamber_duals[p] == sys.dual_basis(p, g)
+        assert sys.chamber_duals[p] == root_oracle.dual_basis(sys, p, g)
     assert sys.facet_rows == dual_basis_rows(sys)
 
 

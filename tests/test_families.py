@@ -104,7 +104,7 @@ def _projections_agree(y) -> bool:
     """Every chamber below a cone projects to the same point of the cone's span."""
     sys = y.system
     for cone in range(len(sys.cones)):
-        proj = sys.levi_projection(cone)
+        proj = root_oracle.levi_projection(sys, cone)
         values = {
             linalg.matvec(proj, y.points[c]) for c in sys.chambers if parabolic_leq(sys, c, cone)
         }

@@ -5,14 +5,15 @@ Every table must be equal, numbering included: the cones (index, signs,
 dimension), the chambers and the base chamber, the Weyl elements in their
 order, and per chamber its Weyl element and that element's inverse, its faces
 by type, its simple (root, coroot) pairs, and per cone the least chamber below
-it.  The per-cone Levi data, read off each cone's signs and one Cartan-block
-dual, must equal the literal nullspace and projection-matrix build of
-``root_oracle`` on every cone and every pair of a cone and a face of its
-closure.
+it.  The kernel's standard terms, read off Cartan blocks in simple-root
+coordinates, must equal the literal nullspace and projection-matrix Levi data
+of ``root_oracle`` at every pair of standard faces.
 """
 
 import json
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,11 +35,23 @@ _CARTAN = {
 }
 # rank one in dimension two: a system with a center
 _CENTERED = {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
+# B2 with its short roots halved: e_1 / 2 = a_1 / 2 + a_2, so simple coordinates are not integral
+_B2_HALF = {
+    "ambient_dim": 2,
+    "roots": [[1, -1], [-1, 1], [1, 1], [-1, -1], ["1/2", 0], ["-1/2", 0], [0, "1/2"], [0, "-1/2"]],
+    "coroots": [[1, -1], [-1, 1], [1, 1], [-1, -1], [4, 0], [-4, 0], [0, 4], [0, -4]],
+    "simple_indices": [0, 6],
+}
 
 
 def _build(name):
+    """The system built anew, so no test sees another's caches."""
     if name == "centered":
         return root_data.system_from_dict(_CENTERED)
+    if name == "B2-half":
+        return root_data.system_from_dict(_B2_HALF)
+    if name == "A1^4":  # in dimension 16
+        return root_data.system_from_dict(_a1_power(4))
     if name.startswith("BC"):
         return root_data._bc_system(int(name[2:]), name)
     return root_data._from_cartan(_CARTAN[name], name)
@@ -61,31 +74,39 @@ def test_permutation_fan_matches_fraction_fan(name):
     assert {c: sys.chamber_below(c) for c in range(len(sys.cones))} == want["chamber_below"]
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("BC3", "centered", "B3", "C3"))
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "B2-half", "A1^4"))
 def test_levi_data_matches_literal_projection(name):
-    """Per cone p: the simple pairs of ``chamber_below(p)`` that pair nonzero with p's
-    span basis, moved by the literal projection; per face q of the closure of p: those
-    of them that vanish on q's span basis, and their inverse Cartan block times their
-    roots."""
+    """At each pair of standard faces F_I <= F_J, the Cartan-block covectors of tau^J_I and
+    tau_hat^J_I, taken to the ambient space through the simple roots, against the literal
+    Levi data: the simple pairs of the least chamber below F_I that pair nonzero with its
+    span, moved by the projection-matrix Levi projection, those of them vanishing on the
+    span of F_J, and their inverse Cartan block times their roots."""
     sys = _build(name)
-    spans = [root_oracle.span_basis(sys, c) for c in range(len(sys.cones))]
-    for p, span in enumerate(spans):
-        proj = root_oracle.levi_projection(sys, p)
-        assert sys.levi_projection(p) == proj
-        pairs = [
-            (linalg.vecmat(a, proj), linalg.matvec(proj, av))
-            for a, av in sys.chamber_simple_pairs(sys.chamber_below(p))
-            if any(linalg.dot(a, b) != 0 for b in span)
-        ]
-        assert sys.cone_simple_pairs(p) == pairs
-        for q in range(len(sys.cones)):
-            if not parabolic_leq(sys, p, q):
-                continue
-            zero = [i for i, (a, _) in enumerate(pairs) if all(linalg.dot(a, b) == 0 for b in spans[q])]
-            assert sys.vanishing_indices(p, q) == zero
-            roots, coroots = [pairs[i][0] for i in zero], [pairs[i][1] for i in zero]
-            inverse = linalg.invert([[linalg.dot(a, av) for av in coroots] for a in roots])
-            assert sys.dual_basis(p, q) == [linalg.combination(row, roots, sys.ambient_dim) for row in inverse]
+    tau, tau_hat = families._standard_covectors(sys)
+    simple = [sys.roots[i] for i in sys.simple_indices]
+    ambient = lambda rows: sorted(linalg.scale_to_integers(linalg.vecmat(x, simple)) for x in rows)
+    literal = lambda covectors: sorted(map(linalg.scale_to_integers, covectors))
+    std = sys.chamber_faces(sys.base_chamber)
+    pairs = 0
+    for i, p in std.items():
+        for j, q in std.items():
+            if i <= j:
+                assert parabolic_leq(sys, p, q)
+                roots = [a for a, _ in root_oracle.cone_simple_pairs(sys, p)]
+                assert ambient(tau(i, j)) == literal(roots[k] for k in root_oracle.vanishing_indices(sys, p, q))
+                assert ambient(tau_hat(i, j)) == literal(root_oracle.dual_basis(sys, p, q))
+                pairs += 1
+    assert pairs == 3**sys.rank
+
+
+@pytest.mark.parametrize("name", ["B2-half", "A1^4", "BC2", "G2"])
+def test_simple_coordinates_give_the_roots(name):
+    sys = _build(name)
+    coords, d = sys.simple_coordinates
+    simple = [sys.roots[i] for i in sys.simple_indices]
+    for a in sys.roots:
+        assert linalg.combination([Fraction(x, d) for x in coords[a]], simple, sys.ambient_dim) == a
+    assert (d > 1) == (name == "B2-half")
 
 
 def _a1_power(k: int, dim: int = root_data.MAX_AMBIENT_DIM) -> dict:
@@ -98,6 +119,15 @@ def _a1_power(k: int, dim: int = root_data.MAX_AMBIENT_DIM) -> dict:
         "coroots": [e(i, 2 * s) for i, s in signs],
         "simple_indices": list(range(0, 2 * k, 2)),
     }
+
+
+def test_a1_4_fixture_checks_in_dimension_16():
+    """The committed fixture that CI checks end to end is A1^4 at the dimension limit."""
+    path = Path(__file__).parent / "fixtures" / "a1_4_dim16.json"
+    fixture = json.loads(path.read_text())
+    assert fixture.pop("name") == "A1^4 in dimension 16" and fixture == _a1_power(4)
+    code, report = run(["ortho", "check", "--system", str(path), "--samples", "20", "--seed", "1"])
+    assert code == 0 and report.endswith("\nOK\n") and "violations" in report
 
 
 def test_fan_limit_admits_every_system_above_and_a1_to_the_8():
@@ -128,7 +158,7 @@ def test_fan_over_the_face_limit_is_refused_before_any_face(tmp_path):
 
 
 def test_kernel_limit_admits_every_system_above_and_a1_to_the_6():
-    # B4 moves 384 * 3^4 = 31,104 face pairs (about 0.5 s), A1^6 46,656 (about 2 s)
+    # B4 moves 384 * 3^4 = 31,104 face pairs (0.15-0.2 s), A1^6 46,656 (0.3-0.5 s)
     for name in BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4"):
         sys = _build(name)
         assert len(sys.chambers) * 3**sys.rank <= families.MAX_KERNEL_MOVES
@@ -137,7 +167,7 @@ def test_kernel_limit_admits_every_system_above_and_a1_to_the_6():
 
 
 def test_kernel_over_the_limit_is_refused_before_any_term(tmp_path, monkeypatch):
-    # A1^7: 128 * 3^7 = 279,936 face pairs, about 10 s to compile without the limit
+    # A1^7: 128 * 3^7 = 279,936 face pairs, about 3 s to compile without the limit
     def refuse(*args):
         raise AssertionError("compiled a kernel term")
 

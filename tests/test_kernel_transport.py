@@ -1,5 +1,6 @@
 """The kernel compiled on pairs of standard faces and moved over the Weyl group,
-against the compile written pair by pair (``kernel_oracle.one_pass_tables``).
+in simple-root coordinates, against the compile written pair by pair from the
+literal per-cone Levi data (``kernel_oracle.one_pass_tables``).
 
 The two compiles number their covectors differently, so tables are compared in
 canonical form: the compiled masks are read back as id lists (``as_ids``), every
@@ -16,28 +17,10 @@ from fractions import Fraction
 import pytest
 
 import kernel_oracle as oracle
-import root_oracle
-from galpairs import linalg, root_data, sampling
+from galpairs import linalg, sampling
 from galpairs.families import KernelTables
-from galpairs.root_data import BUILTIN_NAMES
-
-# entries <a_i, a_j^vee>, as in tests/test_volume_rows.py
-_CARTAN = {
-    **root_data._CARTAN,
-    "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
-    "C3": [[2, -1, 0], [-1, 2, -1], [0, -2, 2]],
-}
-# rank one in dimension two: a system with a center
-_CENTERED = {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
-
-
-def _build(name):
-    """The system built anew, so neither compile sees the other's caches."""
-    if name == "centered":
-        return root_data.system_from_dict(_CENTERED)
-    if name.startswith("BC"):
-        return root_data._bc_system(int(name[2:]), name)
-    return root_data._from_cartan(_CARTAN[name], name)
+from galpairs.root_data import BUILTIN_NAMES, RestrictedRootSystem
+from test_fan_permutations import _build
 
 
 def canonical(covectors, compiled):
@@ -72,7 +55,8 @@ def as_ids(sys, kernel):
     return out
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("B3", "C3", "BC3", "centered"))
+# A1^4 is in dimension 16; B2-half has simple coordinates that are not integral
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("B3", "C3", "BC3", "centered", "A1^4", "B2-half"))
 def test_orbit_compile_matches_one_pass(name):
     sys = _build(name)
     kernel = KernelTables(sys)
@@ -112,11 +96,20 @@ def test_thresholds_match_levi_projection(name):
                 assert Fraction(row[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
 
 
-def test_compile_inverts_no_chamber_weyl_element(monkeypatch):
-    """w_P^-1 comes from the fan, one per chamber; the compile inverts no w_P."""
-    sys = _build("A3")
-    weyl = {root_oracle.chamber_weyl(sys, p) for p in sys.chambers}
-    inverted, invert = [], linalg.invert
-    monkeypatch.setattr(linalg, "invert", lambda m: inverted.append(tuple(map(tuple, m))) or invert(m))
-    KernelTables(sys)
-    assert inverted and weyl.isdisjoint(inverted)
+@pytest.mark.parametrize("name", ["A3", "B3", "A1^4"])
+def test_compile_reads_no_ambient_matrix(name, monkeypatch):
+    """The compile works in simple-root coordinates: it reads no Weyl matrix, so it inverts
+    no w_P, and it inverts nothing larger than rank x rank (A1^4 is in dimension 16)."""
+    sys = _build(name)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("read a Weyl matrix")
+
+    monkeypatch.setattr(RestrictedRootSystem, "weyl_rows", refuse)
+    sizes, invert = [], linalg.invert
+    monkeypatch.setattr(linalg, "invert", lambda m: sizes.append(len(m)) or invert(m))
+    kernel = KernelTables(sys)
+    assert sizes and max(sizes) <= sys.rank
+    monkeypatch.undo()
+    fresh = KernelTables(_build(name))
+    assert canonical(kernel.covectors, as_ids(sys, kernel)) == canonical(fresh.covectors, as_ids(sys, fresh))

@@ -79,7 +79,7 @@ class TestEllipticLevis:
             p = builtin_preset(family, n)
             for d in enumerate_elliptic_levis(p):
                 k = len(d.subset)
-                assert d.product_invariant == 2**k
+                assert d.ker1_size * d.mab_index == 2**k
 
     def test_u_kernel_sizes(self):
         # with trivial B every subset of size k contributes kernel size 2^k
