@@ -10,9 +10,9 @@ exponential-polynomial extrapolation.  A set is stored as integer rows over one
 denominator, and is built, added, translated and validated in integers against system tables
 (``RestrictedRootSystem.chamber_weyl_rows``, ``wall_coroot_rows``); its Fraction
 ``points`` are a view.  A positive set's hull is read off the fan as integer rows
-(``hull_rows``): the polytope volume triangulates over them, and a count scans the
-lattice line by line against them from a ``CountPlan`` kept per (set, sweep point,
-basis).  The rows and the analytic volume's weights are system tables read off W's
+(``hull_rows``): the polytope volume triangulates over them, and a count sweeps the lattice
+against them a plane of its last two coordinates at a time, from a ``CountPlan`` kept per
+(set, sweep point, basis).  The rows and the analytic volume's weights are system tables read off W's
 root permutations (``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no
 count or volume builds the kernel.  The analytic volume reads chamber data as well,
 so the independent check of both is the brute-force ``Hull``, in the tests.  The
@@ -27,13 +27,14 @@ differ from closed-hull membership on a measure-zero set.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, product
-from typing import Optional, Sequence
+from itertools import chain, combinations, product, repeat
+from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .linalg import Vec
@@ -70,7 +71,7 @@ class OrthogonalSet:
             integral = [tuple(x // g for x in row) for row in integral[0]], integral[1] // g
         self._integral: tuple[Sequence[tuple[int, ...]], int] = integral
         self._sweeps: dict[Vec, tuple] = {}  # x0 -> ``sweep(x0)``
-        self._plans: dict[tuple, CountPlan] = {}  # (x0, basis) -> ``count_plan(x0, basis)``
+        self._plans: dict[tuple, CountPlan] = {}  # _value_key(x0, *basis) -> ``count_plan(x0, basis)``
         self._validate()
 
     def _validate(self) -> None:
@@ -132,11 +133,15 @@ class OrthogonalSet:
             self._sweeps[x0] = sweep, [(a, b) for a, b in pairs if min(a, b) < 0]
         return self._sweeps[x0]
 
-    def count_plan(self, x0: Vec, basis: Sequence[Vec]) -> "CountPlan":
-        """The ``CountPlan`` of the counts of Y + k*Y[x0] in the basis, made once."""
-        if (key := (x0, tuple(basis))) not in self._plans:
-            self._plans[key] = CountPlan(self, x0, basis)
-        return self._plans[key]
+    def count_plan(self, x0: Sequence, basis: Sequence[Sequence]) -> "CountPlan":
+        """The ``CountPlan`` of the counts of Y + k*Y[x0] in the basis, made once per value of the two:
+        kept under their ``_value_key``, so they are parsed (and "p/q" strings read) only on a miss."""
+        vectors = (x0, *basis)  # the basis read once, as the parse reads it again
+        if (plan := self._plans.get(_value_key(*vectors))) is None:
+            xv, parsed = _parse_vec(x0, self.system.ambient_dim), [_parse_vec(b) for b in vectors[1:]]
+            if (plan := self._plans.get(key := _value_key(xv, *parsed))) is None:
+                plan = self._plans[key] = CountPlan.of(self, xv, parsed)
+        return plan
 
     # -- constructors and arithmetic -----------------------------------------
 
@@ -519,13 +524,14 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
 
     With Y = N / e, one elimination gives the lattice coordinates of N as C / d, so
     the vertices are C / (d e), and the hull's rows are read off the fan
-    (``hull_rows``); ``triangulated_volume`` runs over both scaled by d e.
+    (``hull_rows``, from the system's ``lattice_pairing``); ``triangulated_volume``
+    runs over both scaled by d e.
     """
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys, (n, e) = y.system, y._integral
     cols, d = _lattice_matrix(sys, n)
-    rows = [(a, b * d * e) for a, b in hull_rows(y, sys.lattice.basis)]
+    rows = [(a, b * d * e) for a, b in hull_rows(y)]
     return triangulated_volume(list(zip(*cols)), rows) / (d * e) ** len(cols)
 
 
@@ -585,13 +591,16 @@ def support_bound_check(
     y: OrthogonalSet,
     points: Sequence[Sequence],
 ) -> SupportBoundReport:
-    """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel."""
-    g = sys.full_cone().index
-    sup_y = max(map(_sup_norm, lattice_coords(sys, list(y.points.values()))), default=Fraction(0))
+    """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel, by their parts
+    sum_i <varpi_i, .> a_i^vee in the coroots' span: the kernel does not see the roots' common kernel."""
+    g, base = sys.full_cone().index, sys.base_chamber
+    coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], sys.chamber_duals[base]
+    part = lambda h: linalg.combination([linalg.dot(w, h) for w in duals], coroots, sys.ambient_dim)
+    sup_y = max(map(_sup_norm, lattice_coords(sys, [part(p) for p in y.points.values()])), default=Fraction(0))
     supported = [_parse_vec(h) for h in points if gamma_family(sys, g, h, y) != 0]
     c_emp = Fraction(0)
     ok = True
-    for hn in map(_sup_norm, lattice_coords(sys, supported)):
+    for hn in map(_sup_norm, lattice_coords(sys, list(map(part, supported)))):
         if sup_y == 0:
             if hn != 0:
                 ok = False
@@ -613,14 +622,15 @@ def v_tilde_lattice(
 
     The counting lattice is spanned by ``lattice_basis`` (independent rational
     vectors).  With ``exact`` the kernel is evaluated at every point of the
-    vertices' bounding box.  Otherwise the box is scanned line by line along
-    the last lattice coordinate: the hull rows read off the fan (``hull_rows``)
-    cut each line to an integer interval, and all of it counts, since for a
-    positive Y the kernel Gamma^G(H) is 1 at every H meeting every row.  A
-    box of more than ``MAX_SCAN_LINES`` scan lines is refused before either scan.
+    vertices' bounding box.  Otherwise the hull rows read off the fan
+    (``hull_rows``) cut each scan line along the last lattice coordinate to an
+    integer interval, and all of it counts, since for a positive Y the kernel
+    Gamma^G(H) is 1 at every H meeting every row; the lines are counted a plane
+    of the last two coordinates at a time (``CountPlan.count``).  A box of more
+    than ``MAX_SCAN_LINES`` scan lines is refused before either count.
 
     Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
-    per Y and parsed x0 (``OrthogonalSet.sweep``).  The wall relation is linear, so
+    per Y and value of x0 (``OrthogonalSet.sweep``).  The wall relation is linear, so
     Y + k*Y[x0] is orthogonal with wall coefficients r_Y + k*r_X and needs no
     check.  Its box and its rows are affine in k, read off integers kept once per
     (Y, x0, basis) (``OrthogonalSet.count_plan``).  With ``exact`` Y + Y[k*x0] is
@@ -658,8 +668,8 @@ def v_tilde_lattice(
     if k < 0:
         raise ValueError("dilation must be nonnegative")
     sys = y.system
-    xv = _parse_vec(x0, sys.ambient_dim)
     if exact:
+        xv = _parse_vec(x0, sys.ambient_dim)
         shifted = y.add(OrthogonalSet.special(sys, linalg.vscale(k, xv)))
         if not shifted.is_positive:
             raise ValueError("lattice counting requires a positive orthogonal set")
@@ -668,30 +678,45 @@ def v_tilde_lattice(
         box = product(*_box(cols, d * shifted._integral[1]))
         points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
         return sum(gamma_family(sys, g, h, shifted) == 1 for h in points)
-    return y.count_plan(xv, [_parse_vec(b) for b in lattice_basis]).count(k)
+    return y.count_plan(x0, lattice_basis).count(k)
+
+
+def _value_key(*vectors: Sequence) -> Optional[tuple]:
+    """Each entry's (numerator, denominator), per vector, equal exactly when the values are; None unless
+    each vector is a list or tuple of ints and Fractions (no bool), as ``_parse_vec`` takes them."""
+    if all(isinstance(v, (list, tuple)) for v in vectors) and bool not in map(type, chain(*vectors)):
+        with contextlib.suppress(AttributeError):  # "p/q" strings, floats
+            return tuple(tuple(map(operator.attrgetter("numerator", "denominator"), v)) for v in vectors)
+    return None
 
 
 class CountPlan:
-    """The integers of every count of Y + k*Y[x0] in one basis.  With Y = N / e_Y and Y[x0] = M / e_X,
-    the vertices are (N e_X + k M e_Y) / (e_Y e_X): their coordinates (one ``coordinate_matrix`` of
-    N and M) and each ``facet_rows`` bound (the least <c, N> e_X + k <c, M> e_Y) are u + k*v for
-    kept u, v.  The rows' covectors <c, basis_i>, split by the sign of the last entry, do not depend on k."""
+    """The integers of every count of Y + k*Y[x0] in one basis: rows a with bounds b = min(u + k*v over
+    ``bounds``), the box around coordinates u + k*v over ``den`` (``coords``, per coordinate), and the
+    walls' (r, r_X) of ``OrthogonalSet.sweep``.  The rows and the box's two along the last coordinate
+    m_l split by the sign of a_l: rising rows bound m_l above, falling ones below, flat ones the rest."""
 
-    def __init__(self, y: OrthogonalSet, x0: Vec, basis: Sequence[Vec]):
-        sweep, self.signed = y.sweep(x0)
-        (ny, ey), (nx, ex) = y._integral, sweep._integral
-        cols, d = _coordinates(basis, ny + nx)
-        w, self.den = len(ny), d * ey * ex
-        self.coords = [[(u * ex, v * ey) for u, v in zip(col[:w], col[w:])] for col in cols]
-        pairing, e = _pairing(y.system, basis)
-        values = zip(y._facet_values, sweep._facet_values)
-        self.bounds = [[(u * ex * e, v * ey * e) for u, v in zip(fy, fx)] for fy, fx in values]
-        last, unit = len(basis) - 1, (0,) * (len(basis) - 1) + (1,)  # then the box's two rows
-        rows = [tuple(x * ey * ex for x in row) for row in pairing] + [unit, tuple(-x for x in unit)]
-        sides = (operator.gt, operator.lt, operator.eq)  # rising, falling, flat along the last coordinate
+    def __init__(self, rows: list, bounds: list, coords: list, den: int, signed: Sequence = ()):
+        self.rows, self.bounds, self.coords, self.den, self.signed = rows, bounds, coords, den, signed
+        last, unit = len(coords) - 1, (0,) * (len(coords) - 1) + (1,)
+        rows = [*rows, unit, tuple(-x for x in unit)]
+        sides = (operator.gt, operator.lt, operator.eq)  # rising, falling, flat along m_l
         self.groups = [[i for i, a in enumerate(rows) if side(a[last], 0)] for side in sides]
         self.slopes = [[abs(rows[i][last]) for i in g] for g in self.groups[:2]]
         self.steps = [[[rows[i][j] for i in g] for g in self.groups] for j in range(last)]
+
+    @classmethod
+    def of(cls, y: OrthogonalSet, x0: Vec, basis: Sequence[Vec]) -> "CountPlan":
+        """With Y = N / e_Y and Y[x0] = M / e_X, the vertices' coordinates (one ``coordinate_matrix``) and
+        the bounds (the least <c, N> e_X + k <c, M> e_Y) of Y + k*Y[x0] are u + k*v over e_Y e_X."""
+        sweep, signed = y.sweep(x0)
+        (ny, ey), (nx, ex) = y._integral, sweep._integral
+        cols, d = _coordinates(basis, ny + nx)
+        coords = [[(u * ex, v * ey) for u, v in zip(col[: len(ny)], col[len(ny) :])] for col in cols]
+        pairing, e = _pairing(y.system, basis)
+        values = zip(y._facet_values, sweep._facet_values)
+        bounds = [[(u * ex * e, v * ey * e) for u, v in zip(fy, fx)] for fy, fx in values]
+        return cls([tuple(x * ey * ex for x in row) for row in pairing], bounds, coords, d * ey * ex, signed)
 
     def box(self, k: int) -> list[range]:
         """The box of Y + k*Y[x0], refused unless that set is positive."""
@@ -700,17 +725,22 @@ class CountPlan:
         return _box([[u + k * v for u, v in col] for col in self.coords], self.den)
 
     def count(self, k: int) -> int:
-        """The points m of ``box(k)`` with a . m <= b on every row of Y + k*Y[x0].  A line along
-        the last coordinate is one interval: rows rising along it (and the box) bound it above,
-        falling ones below, and a flat one keeps or drops it; slacks b - a . m step along m."""
+        """The points m of ``box(k)`` with a . m <= b on every row.  With slack = b - a . m over the other m
+        and slope |a_l|, a line along m_l is [-min(falling slack // slope), min(rising slack // slope)],
+        empty if a flat slack is negative; each rising slack carries one more slope, so the line holds
+        max(0, the sum of the two mins).  The last two m are swept a plane at a time (``_plane``)."""
         box, last = self.box(k), len(self.steps)
         bounds = [min(u + k * v for u, v in b) for b in self.bounds] + [box[-1].stop - 1, -box[-1].start]
+        (up, down, flat), (ups, _) = self.groups, self.slopes
+        slack = [[bounds[i] + t for i, t in zip(up, ups)], [bounds[i] for i in down], [bounds[i] for i in flat]]
+        if not last:  # one line
+            if min(slack[2], default=0) < 0:
+                return 0
+            return max(0, sum(min(map(operator.floordiv, s, t)) for s, t in zip(slack, self.slopes)))
 
         def scan(j: int, slack: list[list[int]]) -> int:  # slack: rising, falling, flat
-            if j == last:  # the line is [-min(falling // slope), min(rising // slope)]
-                if min(slack[2], default=0) < 0:
-                    return 0
-                return max(0, sum(min(map(operator.floordiv, s, t)) for s, t in zip(slack, self.slopes)) + 1)
+            if j == last - 1:
+                return self._plane(slack, box[j])
             steps, total = self.steps[j], 0
             slack = [[x - a * box[j].start for x, a in zip(s, step)] for s, step in zip(slack, steps)]
             for _ in box[j]:
@@ -718,19 +748,44 @@ class CountPlan:
                 slack = [list(map(operator.sub, s, step)) for s, step in zip(slack, steps)]
             return total
 
-        return scan(0, [[bounds[i] for i in g] for g in self.groups])
+        return scan(0, slack)
+
+    def _plane(self, slack: list[list[int]], values: range) -> int:
+        """The points with m_j, j = l - 1, in ``values``, from the slacks at m_j = 0, which fall by a_j per step
+        of m_j: each flat row cuts m_j once, and each other row's floors on every line are one pipeline."""
+        (up, down, flat), (aup, adown, aflat) = slack, self.steps[-1]
+        lo, hi = values.start, values.stop - 1
+        for s, a in zip(flat, aflat):
+            if a > 0:
+                hi = min(hi, s // a)
+            elif a < 0:
+                lo = max(lo, -(s // -a))
+            elif s < 0:
+                return 0
+        if lo > hi:
+            return 0
+        n, groups = hi - lo + 1, ((up, aup, self.slopes[0]), (down, adown, self.slopes[1]))
+        ends = [[_floors(s - a * lo, a, t, n) for s, a, t in zip(*group)] for group in groups]
+        lines = [map(min, *f) if len(f) > 1 else f[0] for f in ends]  # map(min, f) would min each int
+        return sum(map(max, repeat(0, n), map(operator.add, *lines)))
 
 
-def hull_rows(y: OrthogonalSet, basis: Sequence[Vec]) -> list[tuple[tuple[int, ...], int]]:
+def _floors(x: int, a: int, t: int, n: int) -> Iterator[int]:
+    """(x - a*i) // t for i in range(n)."""
+    return map(operator.floordiv, range(x, x - a * n, -a), repeat(t)) if a else repeat(x // t, n)
+
+
+def hull_rows(y: OrthogonalSet, basis: Optional[Sequence[Vec]] = None) -> list[tuple[tuple[int, ...], int]]:
     """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
 
     Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
     chamber P and every covector c of ``RestrictedRootSystem.facet_rows``,
-    keeping the least bound of each covector.  The kernel is not built.
+    keeping the least bound of each covector.  The kernel is not built.  The basis
+    defaults to the normalization lattice's, paired in ``lattice_pairing``.
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
-    (pairing, e), den = _pairing(y.system, basis), y._integral[1]
+    (pairing, e), den = y.system.lattice_pairing if basis is None else _pairing(y.system, basis), y._integral[1]
     return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
@@ -740,8 +795,9 @@ def _pairing(sys: RestrictedRootSystem, basis: Sequence[Vec]) -> tuple[list[tupl
     return linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints)), e
 
 
-# A count costs one step per scan line; the largest count of a README command
-# scans 95,053 lines.
+# A count takes one Python step per plane of its last two coordinates and one C-level
+# pipeline item per scan line and row; the largest count of a README command scans
+# 95,053 lines (A3, 0.04-0.09 s on a shared 2-core VM, Python 3.11).
 MAX_SCAN_LINES = 200_000
 
 

@@ -327,6 +327,13 @@ class RestrictedRootSystem:
         return list(rows.items())
 
     @functools.cached_property
+    def lattice_pairing(self) -> tuple[list[tuple[int, ...]], int]:
+        """(A, e) with <c, b_i> = A[m][i] / e for the m-th covector c of ``facet_rows`` and the i-th
+        vector b_i of the normalization lattice basis: the rows of every hull in lattice coordinates."""
+        ints, e = linalg.integer_basis(self.lattice.basis)
+        return linalg.matmul([c for c, _ in self.facet_rows], linalg.transpose(ints)), e
+
+    @functools.cached_property
     def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
         covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P.  P's

@@ -210,6 +210,42 @@ def test_basis_spellings_share_one_plan():
     assert len(y._plans) == 1
 
 
+def test_plan_is_found_by_value_not_by_identity():
+    sys = builtin_system("A2")
+    y = _sweep(sys, (1, 2))
+    basis, x0 = [[1, 0], [0, 1]], [2, 1]
+    coarse = v_tilde_lattice(y, basis, 2, x0)
+    basis[0][0] = Fraction(1, 2)  # the same list, a finer lattice
+    fine = v_tilde_lattice(y, basis, 2, x0)
+    assert fine == _explicit_count(y, [(Fraction(1, 2), 0), (0, 1)], 2, (2, 1)) != coarse
+    basis[0][0] = 1
+    assert v_tilde_lattice(y, basis, 2, x0) == coarse
+    assert len(y._plans) == 2
+
+
+def test_a_basis_given_as_an_iterator_is_read_once():
+    sys = builtin_system("A2")
+    y = _sweep(sys, (1, 2))
+    expected = _explicit_count(y, _basis(sys, 1), 2, (2, 1))
+    assert v_tilde_lattice(y, (b for b in [(1, 0), (0, 1)]), 2, (2, 1)) == expected  # a new plan
+    assert v_tilde_lattice(y, iter([(1, 0), (0, 1)]), 2, (2, 1)) == expected  # the same plan
+    assert len(y._plans) == 1
+
+
+@pytest.mark.parametrize(
+    "x0, basis",
+    [((2.0, 1), [(1, 0), (0, 1)]), ((2, True), [(1, 0), (0, 1)]), ((2, 1), [(True, 0), (0, 1)]),
+     ((2, 1), [(1, 0.0), (0, 1)]), ((2, 1), [{1: 0}, (0, 1)])],
+)
+def test_a_known_plan_does_not_admit_a_bad_spelling(x0, basis):
+    # equal in value to an admitted x0 and basis, so only the parse tells them apart
+    sys = builtin_system("A2")
+    y = _sweep(sys, (1, 2))
+    v_tilde_lattice(y, [(1, 0), (0, 1)], 2, (2, 1))
+    with pytest.raises(ValueError):
+        v_tilde_lattice(y, basis, 2, x0)
+
+
 def test_caches_do_not_outlive_the_set_and_its_system():
     # a fixture system, since built-ins are kept for the life of the process
     sys = system_from_dict(

@@ -392,8 +392,24 @@ class TestOrtho:
         assert code == EXIT_VIOLATION
         assert "FAIL support-bound [positive]: 18 supported points, c_emp=75/82, c_bound=0" in text
 
+    CENTERED = ["ortho", "check", "--system", str(Path(__file__).parent / "fixtures" / "a1_dim2.json")]
+
+    def test_support_bound_on_a_system_with_a_center(self):
+        # rank 1 in dimension 2: the kernel does not see the second coordinate, so only the
+        # coroot components are bounded
+        code, text = run(self.CENTERED + ["--samples", "200", "--seed", "1"])
+        assert code == EXIT_PASS, text
+        assert "pass support-bound [positive]: 30 supported points, c_emp=6/7, c_bound=2" in text
+        assert "pass support-bound [non-positive]: 73 supported points, c_emp=14/15, c_bound=2" in text
+
+    def test_support_bound_failure_on_a_system_with_a_center(self, monkeypatch):
+        monkeypatch.setattr("galpairs.families.support_bound_certificate", lambda sys: Fraction(1, 2))
+        code, text = run(self.CENTERED + ["--samples", "200", "--seed", "1"])
+        assert code == EXIT_VIOLATION
+        assert "FAIL support-bound [positive]: 30 supported points, c_emp=6/7, c_bound=1/2" in text
+
     def test_ehrhart_a3_default_sweep(self):
-        # a count costs one step per scan line, so this A3 run takes seconds
+        # the README's A3 run: its counts sweep about 1,900 planes of the last two coordinates
         argv = ["ortho", "ehrhart", "--system", "A3", "--special", "1,1,1", "--kmax", "3"]
         code, text = run(argv + ["--max-period", "1"])
         assert code == EXIT_PASS, text

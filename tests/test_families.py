@@ -21,7 +21,7 @@ from galpairs.families import (
     volume_analytic,
     volume_polytope,
 )
-from galpairs.root_data import BUILTIN_NAMES, builtin_system
+from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
 from hull_oracle import cofactor_normal, hull_volume
 from kernel_oracle import delta, gamma_cone_pair, parabolic_leq, projected, tau, tau_hat
 import root_oracle
@@ -456,6 +456,20 @@ class TestSupportBound:
         report = support_bound_check(sys, y, pts)
         assert report.ok
         assert report.c_empirical <= report.c_bound
+
+    def test_center_is_not_bounded(self):
+        # rank 1 in dimension 2: moving Y and the points along the roots' common kernel
+        # changes neither the kernel nor the report
+        sys = system_from_dict(
+            {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
+        )
+        rng = random.Random(53)
+        y = sampling.random_positive_set(rng, sys)
+        pts = sampling.sample_points(rng, 2, 60)
+        near = support_bound_check(sys, y, pts)
+        far = support_bound_check(sys, y.translate((0, 1000)), [(a, b + 777) for a, b in pts])
+        assert near.ok and far.ok and near.nonzero > 0
+        assert (near.nonzero, near.c_empirical, near.c_bound) == (far.nonzero, far.c_empirical, far.c_bound)
 
 
 class TestLatticeCounts:

@@ -2,7 +2,7 @@
 
 ``hull_rows`` reads the hull of a positive orthogonal set off the fan;
 ``Hull`` finds it by brute force over vertex subsets.  ``v_tilde_lattice``
-scans the box line by line and counts each line's interval inside the rows,
+counts each scan line's interval inside the rows, a plane of lines at a time,
 since the kernel is 1 on the closed hull; with ``exact=True`` it runs the
 kernel on every point of the box.
 """
