@@ -6,23 +6,28 @@ implements the alternating-sum kernels of the indicators tau / tau-hat / delta,
 compiled once per system, over W's orbits of face pairs, to integer bitmasks with two bits
 per covector id c (2c: <c, h> > 0, 2c + 1: <c, h> > <c, Y_P>), one AND per term, the
 resulting partition of unity, exact hull volumes and lattice-point counting with
-exponential-polynomial extrapolation.  A set is stored as integer rows over one
-denominator, and is built, added, translated and validated in integers against system tables
-(``RestrictedRootSystem.chamber_weyl_rows``, ``wall_coroot_rows``); its Fraction
-``points`` are a view.  A positive set's hull is read off the fan as integer rows
-(``hull_rows``): the polytope volume triangulates over them, and a count sweeps the lattice
-against them a plane of its last two coordinates at a time, from a ``CountPlan`` kept per
-(set, sweep point, basis).  The rows and the analytic volume's weights are system tables read off W's
-root permutations (``RestrictedRootSystem.facet_rows``, ``volume_weights``), so no
-count or volume builds the kernel.  The analytic volume reads chamber data as well,
-so the independent check of both is the brute-force ``Hull``, in the tests.  The
-fit of the counts solves its Vandermonde systems in integers too; Fractions are made
-only for results that are rational numbers: volumes, coefficients and constants.
+exponential-polynomial extrapolation.  Every system table it reads comes from the root
+datum as ``RestrictedRootSystem`` clears it once: the kernel compile reads ``cartan``,
+``simple_coordinates`` and the integer simple-root rows of ``integral_roots``.  A set is
+stored as integer rows over one denominator, and is built, added, translated and validated
+in integers against system tables (``chamber_weyl_rows``, ``wall_coroot_rows``); its
+Fraction ``points`` are a view.  A positive set's hull is read off the fan as integer rows
+(``hull_rows``): the covectors are ``facet_rows``, the primitive rows of the integer
+``chamber_duals``, paired with a basis by the one ``_pairing`` that ``hull_rows`` and
+``CountPlan`` share.  The polytope volume triangulates over them, and a count sweeps the
+lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
+kept per (set, sweep point, basis).  The rows and the analytic volume's weights
+(``volume_weights``) are system tables read off W's root permutations, so no count or
+volume builds the kernel, and the support bound reads ``chamber_duals`` as well.  The
+analytic volume reads chamber data too, so the independent check of both is the
+brute-force ``Hull``, in the tests.  The fit of the counts solves its Vandermonde systems
+in integers; Fractions are made only for results that are rational numbers: volumes,
+coefficients and constants.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
-closed hull (proved in ``v_tilde_lattice``); for a non-positive set it may
-differ from closed-hull membership on a measure-zero set.
+closed hull (proved in README.md, "The kernel is 1 on the closed hull"); for a
+non-positive set it may differ from closed-hull membership on a measure-zero set.
 """
 
 from __future__ import annotations
@@ -111,8 +116,8 @@ class OrthogonalSet:
         e, the values <c, Y_P> its threshold bits compare with.  The covectors of tau^G_q and of
         the tau_hat^Q_R of entries q, the a_j o proj_I and varpi^J_j of ``_standard_covectors``
         moved by w_P to q = w_P(F_I), vanish on the coroots of I, the kernel of q's Levi
-        projection (step (ii) of ``v_tilde_lattice``), so at P = ``chamber_below(q)`` they read
-        <c, Y_q> = <c, Y_P>."""
+        projection (step 2 of README.md, "The kernel is 1 on the closed hull"), so at
+        P = ``chamber_below(q)`` they read <c, Y_q> = <c, Y_P>."""
         sys, (n, _) = self.system, self._integral
         covectors, read = sys.kernel_tables.covectors, sys.kernel_tables.read
         return {p: [linalg.dot(covectors[c], n[i]) for c in read[p]] for i, p in enumerate(sys.chambers)}
@@ -186,8 +191,7 @@ def _standard_covectors(sys: RestrictedRootSystem):
     canonical extensions a_j o proj_I = e_j - sum_(i in I) A[j][i] varpi^I_i, j in J - I, through the
     Levi projection proj_I = 1 - sum_(i in I) a_i^vee (x) varpi^I_i, and tau_hat(K, J) the dual basis
     of tau_hat^J_K, the varpi^J_j, j in J - K.  The literal per-cone forms are in ``tests/root_oracle.py``."""
-    simples, r = sys.simple_indices, sys.rank
-    cartan = [[linalg.dot(sys.roots[i], sys.coroots[j]) for j in simples] for i in simples]
+    cartan, r = sys.cartan, sys.rank
 
     @functools.cache
     def duals(i: frozenset) -> dict[int, list]:  # I -> {i: varpi^I_i}, in simple coordinates
@@ -288,7 +292,7 @@ class KernelTables:
             # digit 2c of the reversed binary digits of read >> 1 is id c's threshold bit
             self.read[p] = [c for c, b in enumerate(bin(read >> 1)[:1:-1][::2]) if b == "1"]
         self.compiled: list[tuple[int, int, list]] = list(zip(below, tops, tables))
-        roots = linalg.integer_basis([sys.roots[i] for i in sys.simple_indices])[0]
+        roots = [sys.integral_roots[0][i] for i in sys.simple_indices]
         self.covectors: list[tuple[int, ...]] = [linalg.scale_to_integers(linalg.vecmat(c, roots)) for c in ids]
 
     def point(self, h: Sequence) -> tuple[list[int], int]:
@@ -357,17 +361,13 @@ def partition_of_unity_check(
 # -- lattice coordinates ------------------------------------------------------
 
 
+_OUTSIDE_LATTICE = "point is outside the span of the normalization lattice"
+
+
 def lattice_coords(sys: RestrictedRootSystem, points: Sequence[Vec]) -> list[Vec]:
     """Coordinates of each point in the normalization lattice basis, from one elimination."""
-    cols, d = _lattice_matrix(sys, points)
+    cols, d = _coordinates(sys.lattice.basis, points, _OUTSIDE_LATTICE)
     return [tuple(Fraction(x, d) for x in col) for col in zip(*cols)]
-
-
-def _lattice_matrix(sys: RestrictedRootSystem, points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """``linalg.coordinate_matrix`` of the points in the normalization lattice basis."""
-    if (coords := linalg.coordinate_matrix(sys.lattice.basis, points)) is None:
-        raise ValueError("point is outside the span of the normalization lattice")
-    return coords
 
 
 def _sup_norm(v: Vec) -> Fraction:
@@ -524,13 +524,12 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
 
     With Y = N / e, one elimination gives the lattice coordinates of N as C / d, so
     the vertices are C / (d e), and the hull's rows are read off the fan
-    (``hull_rows``, from the system's ``lattice_pairing``); ``triangulated_volume``
-    runs over both scaled by d e.
+    (``hull_rows``); ``triangulated_volume`` runs over both scaled by d e.
     """
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys, (n, e) = y.system, y._integral
-    cols, d = _lattice_matrix(sys, n)
+    cols, d = _coordinates(sys.lattice.basis, n, _OUTSIDE_LATTICE)
     rows = [(a, b * d * e) for a, b in hull_rows(y)]
     return triangulated_volume(list(zip(*cols)), rows) / (d * e) ** len(cols)
 
@@ -575,15 +574,15 @@ def support_bound_certificate(sys: RestrictedRootSystem) -> Fraction:
 
     Derived from the dual bases: any supported point decomposes over some
     chamber's coroots with coefficients read off by the dual covectors
-    (``RestrictedRootSystem.chamber_duals``).
+    (``RestrictedRootSystem.chamber_duals``, integer rows over one denominator D).
     """
-    basis = [linalg.vec(b) for b in sys.lattice.basis]
+    basis, (duals, den) = [linalg.vec(b) for b in sys.lattice.basis], sys.chamber_duals
     best = Fraction(0)
     for c in sys.chambers:
         coroots = [linalg.coordinates_in_basis(basis, av) for _, av in sys.chamber_simple_pairs(c)]
-        total = sum(_sup_norm(av) * sum(map(abs, w)) for av, w in zip(coroots, sys.chamber_duals[c]))
+        total = sum(_sup_norm(av) * sum(map(abs, w)) for av, w in zip(coroots, duals[c]))
         best = max(best, total)
-    return best * max(map(_sup_norm, basis)) * sys.ambient_dim
+    return best / den * max(map(_sup_norm, basis)) * sys.ambient_dim
 
 
 def support_bound_check(
@@ -593,9 +592,9 @@ def support_bound_check(
 ) -> SupportBoundReport:
     """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel, by their parts
     sum_i <varpi_i, .> a_i^vee in the coroots' span: the kernel does not see the roots' common kernel."""
-    g, base = sys.full_cone().index, sys.base_chamber
-    coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], sys.chamber_duals[base]
-    part = lambda h: linalg.combination([linalg.dot(w, h) for w in duals], coroots, sys.ambient_dim)
+    g, base, (duals, den) = sys.full_cone().index, sys.base_chamber, sys.chamber_duals
+    coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], duals[base]
+    part = lambda h: linalg.combination([linalg.dot(w, h) / den for w in duals], coroots, sys.ambient_dim)
     sup_y = max(map(_sup_norm, lattice_coords(sys, [part(p) for p in y.points.values()])), default=Fraction(0))
     supported = [_parse_vec(h) for h in points if gamma_family(sys, g, h, y) != 0]
     c_emp = Fraction(0)
@@ -636,34 +635,10 @@ def v_tilde_lattice(
     (Y, x0, basis) (``OrthogonalSet.count_plan``).  With ``exact`` Y + Y[k*x0] is
     built and validated literally.
 
-    Proof, in the conventions of ``KernelTables`` and ``_standard_covectors``
-    moved by w_P to Q = w_P(F_I), P = ``chamber_below(Q)``, so the a_i are P's
-    simple roots, A their Cartan matrix and the varpi^I_i the rows of A_II^-1:
-    Q's Levi projection is proj_Q = 1 - sum_(i in I) a_i^vee (x) varpi^I_i,
-    Y_Q = proj_Q Y_P (at any chamber P <= Q), the roots of tau^G_Q are the
-    canonical extensions a_j o proj_Q = a_j - sum_(i in I) A[j][i] varpi^I_i,
-    j not in I, and the sign is (-1)^(dim R - dim Q).  Every step is a sign
-    test, so it covers the non-reduced BC systems, whose fan and chamber
-    simple roots are those of their indivisible roots.
-    (i) With delta_r(H) = [H in span r], delta_r tau^G_r is the indicator of
-    the relative interior of the cone r, so sum_r delta_r(H) tau^G_r(H) = 1.
-    (ii) For r <= Q, proj_Q maps Y_r to Y_Q, so
-    tau^G_Q(H - Y_Q) = tau^G_Q(H - Y_r).  Exchanging the sums of the
-    partition of unity sum_Q Gamma^Q(H) tau^G_Q(H - Y_Q) and applying
-    Langlands' combinatorial lemma, sum over R <= Q <= G of
-    (-1)^(dim R - dim Q) tau_hat^Q_R(X) tau^G_Q(X) = [R = G] at
-    X = H - Y_r, turns it into (i): it is 1 at every H.
-    (iii) Let H meet every row, Q != G and P = ``chamber_below(Q)``.  Each w
-    of the dual basis of (Q, G), a row varpi_j, j not in I, of A^-1, is in
-    ``chamber_duals[P]`` and vanishes on the coroots of I, the kernel of
-    proj_Q, so by its row <w, H - Y_Q> = <w, H - Y_P> <= 0.  A^-1 is
-    nonnegative (a finite reflection group's Cartan matrix is a nonsingular
-    M-matrix), so w is a nonzero nonnegative combination of P's simple roots,
-    and as w = w o proj_Q, of the a_j o proj_Q, j not in I, which cannot all
-    be positive at H - Y_Q, where w is not: tau^G_Q(H - Y_Q) = 0.  Only Q = G
-    is left in (ii): Gamma^G(H) = 1.
-    That Gamma^G(H) is not 1 where a row fails is Arthur's hull statement
-    (*The trace formula in invariant form*, 1981), as in ``hull_rows``.
+    That the kernel of a positive set is 1 at every H meeting every hull row is
+    proved in three steps in README.md, "The kernel is 1 on the closed hull".
+    That it is not 1 where a row fails is Arthur's hull statement (*The trace
+    formula in invariant form*, 1981), as in ``hull_rows``.
     """
     if k < 0:
         raise ValueError("dilation must be nonnegative")
@@ -781,11 +756,12 @@ def hull_rows(y: OrthogonalSet, basis: Optional[Sequence[Vec]] = None) -> list[t
     Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
     chamber P and every covector c of ``RestrictedRootSystem.facet_rows``,
     keeping the least bound of each covector.  The kernel is not built.  The basis
-    defaults to the normalization lattice's, paired in ``lattice_pairing``.
+    defaults to the normalization lattice's.
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
-    (pairing, e), den = y.system.lattice_pairing if basis is None else _pairing(y.system, basis), y._integral[1]
+    pairing, e = _pairing(y.system, y.system.lattice.basis if basis is None else basis)
+    den = y._integral[1]
     return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
@@ -801,11 +777,16 @@ def _pairing(sys: RestrictedRootSystem, basis: Sequence[Vec]) -> tuple[list[tupl
 MAX_SCAN_LINES = 200_000
 
 
-def _coordinates(basis: Sequence[Vec], points: Sequence[Sequence]) -> tuple[list[list[int]], int]:
-    """``linalg.coordinate_matrix`` of the points, refused unless the basis is independent and spans them."""
+def _coordinates(
+    basis: Sequence[Sequence],
+    points: Sequence[Sequence],
+    refusal: str = "the counting basis must be independent and span every vertex",
+) -> tuple[list[list[int]], int]:
+    """``linalg.coordinate_matrix`` of the points, refused with ``refusal`` unless the basis is
+    independent and spans them."""
     coords = linalg.coordinate_matrix(basis, points) if basis else None
     if coords is None:
-        raise ValueError("the counting basis must be independent and span every vertex")
+        raise ValueError(refusal)
     return coords
 
 
@@ -888,21 +869,25 @@ def refinement_constant_term(
     Counts points of (1/k) times the normalization lattice inside the shifted
     hulls Y + Y[j*x0] for j = 0, 1, ..., fits an exponential polynomial in j,
     and returns its polynomial-part constant scaled by the refined covolume.
+    Each count checks its own box; ``refinement_boxes`` checks them all first.
     """
     r = y.system.ambient_dim
-    basis, dilations = refinement_boxes(y, x0, k, max_period)
+    basis, dilations = _refinement(y.system, k, max_period)
     counts = [v_tilde_lattice(y, basis, j, x0) for j in dilations]
     fit = fit_exp_polynomial(counts, max_period=max_period, max_degree=r)
     return fit.polynomial_part_constant * Fraction(1, k**r)
 
 
-def refinement_boxes(y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4) -> tuple[list[Vec], range]:
-    """(basis of (1/k) times the normalization lattice, dilations j) counted by
-    ``refinement_constant_term`` at k, once the box of every count is checked, largest
-    j first: a count that would be refused raises its ValueError before any scan."""
-    sys, xv = y.system, _parse_vec(x0, y.system.ambient_dim)
-    basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
-    dilations = range(max_period * (sys.ambient_dim + 2) + 2)
+def refinement_boxes(y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4) -> None:
+    """Check the box of every count of ``refinement_constant_term`` at k, largest j first:
+    a count that would be refused raises its ValueError before any scan."""
+    basis, dilations = _refinement(y.system, k, max_period)
+    xv = _parse_vec(x0, y.system.ambient_dim)
     for j in reversed(dilations):
         y.count_plan(xv, basis).box(j)
-    return basis, dilations
+
+
+def _refinement(sys: RestrictedRootSystem, k: int, max_period: int) -> tuple[list[Vec], range]:
+    """(basis of (1/k) times the normalization lattice, dilations j) of the counts at refinement 1/k."""
+    basis = [linalg.vscale(Fraction(1, k), linalg.vec(b)) for b in sys.lattice.basis]
+    return basis, range(max_period * (sys.ambient_dim + 2) + 2)

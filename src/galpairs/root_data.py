@@ -1,11 +1,16 @@
 """Possibly non-reduced restricted root systems and their cone fans.
 
 A system is given by root covectors on an ambient rational vector space,
-together with a coroot for each root and a choice of simple roots.  The Weyl
-group is built once, as the permutations of root indices that the simple
-reflections generate; the fan (faces indexed by sign vectors over the root
-hyperplanes) and every chamber's tables are read off those permutations; the
-Weyl matrices and the chamber duals off one Cartan-block dual.
+together with a coroot for each root and a choice of simple roots.  The datum is
+cleared once: the roots and the coroots to integer rows over one denominator each
+(``integral_roots``, ``integral_coroots``), each root's coefficients over the simple
+roots from one elimination (``simple_coordinates``), and the Cartan matrix
+(``cartan``) with one integer inverse.  The Weyl group is built once, as the
+permutations of root indices that the simple reflections generate; the fan (faces
+indexed by sign vectors over the root hyperplanes) and every chamber's tables are
+read off those permutations, and one integer dual-basis routine, the inverse Cartan
+matrix times a chamber's simple roots, gives the Weyl matrices, the chamber duals and
+the hull's facet rows.
 
 Conventions:
   * roots are covectors (pairings ``<alpha, x>`` with ambient vectors x),
@@ -79,6 +84,9 @@ class RestrictedRootSystem:
         order = sorted(range(len(roots)), key=lambda i: tuple(roots[i]))
         self.roots: list[Vec] = [linalg.vec(roots[i]) for i in order]
         self.coroots: list[Vec] = [linalg.vec(coroots[i]) for i in order]
+        # roots[k] = R[k] / r and coroots[k] = C[k] / c: the one clearing every integer table reads
+        self.integral_roots: tuple[list[tuple[int, ...]], int] = linalg.integer_basis(self.roots)
+        self.integral_coroots: tuple[list[tuple[int, ...]], int] = linalg.integer_basis(self.coroots)
         old_to_new = {order[k]: k for k in range(len(order))}
         for i in simple_indices:
             if i not in old_to_new:
@@ -89,14 +97,18 @@ class RestrictedRootSystem:
         if self.lattice.ambient_dim != ambient_dim:
             raise ValueError("normalization lattice has wrong ambient dimension")
         self._root_index = {a: k for k, a in enumerate(self.roots)}
-        self._coefficients, reflections = self._validate()
-        self._build_fan(self._coefficients, reflections)
+        # (C, d), d > 0: each root a is sum_j C[a][j] / d * roots[simple_indices[j]]
+        self.simple_coordinates, reflections = self._validate()
+        # <a_i, a_j^vee> over the simple indices i, j, which every chamber shares (W keeps the pairing)
+        pairs = [(self.roots[i], self.coroots[i]) for i in simple_new]
+        self.cartan: Mat = tuple(tuple(linalg.dot(a, bv) for _, bv in pairs) for a, _ in pairs)
+        self._build_fan(reflections)
 
     # -- validation ----------------------------------------------------------
 
-    def _validate(self) -> tuple[list[Vec], list[tuple[int, ...]]]:
-        """Check the root datum; return each root's coefficients over the simple roots
-        and each simple reflection as the permutation of root indices it induces."""
+    def _validate(self) -> tuple[tuple[dict[Vec, tuple[int, ...]], int], list[tuple[int, ...]]]:
+        """Check the root datum; return ``simple_coordinates`` and each simple reflection
+        as the permutation of root indices it induces."""
         index = self._root_index
         if len(index) != len(self.roots):
             raise ValueError("duplicate roots")
@@ -111,45 +123,48 @@ class RestrictedRootSystem:
                 expected = linalg.vscale(Fraction(1, 2), av)
                 if self.coroots[index[double]] != expected:
                     raise ValueError(f"coroot of {double} must be half the coroot of {a}")
-        simple = [self.roots[i] for i in self.simple_indices]
-        if linalg.rank(simple) < len(simple):
-            raise ValueError("simple roots are dependent")
-        # every root must be a one-signed rational combination of the simples
-        all_coeffs = []
-        for a in self.roots:
-            coeffs = linalg.coordinates_in_basis(simple, a)
-            if coeffs is None:
-                raise ValueError(f"root {a} is outside the span of the simple roots")
-            if not (all(c >= 0 for c in coeffs) or all(c <= 0 for c in coeffs)):
+        # every root must be a one-signed rational combination of the simples, read off one
+        # elimination; if some root is outside their span, the roots before it are checked first
+        simple, outside = [self.roots[i] for i in self.simple_indices], None
+        if (found := linalg.coordinate_matrix(simple, self.roots)) is None:
+            if linalg.rank(simple) < len(simple):
+                raise ValueError("simple roots are dependent")
+            k = next(k for k, a in enumerate(self.roots) if linalg.coordinate_matrix(simple, [a]) is None)
+            found, outside = linalg.coordinate_matrix(simple, self.roots[:k]), self.roots[k]
+        (rows, d), coords = found, {}
+        g = math.gcd(d, *(x for row in rows for x in row))  # to the least common denominator
+        for a, col in zip(self.roots, zip(*rows)):
+            if not (all(x >= 0 for x in col) or all(x <= 0 for x in col)):
                 raise ValueError(f"root {a} is not one-signed over the simple roots")
-            all_coeffs.append(coeffs)
-        # closure under the simple reflections: s(b) = b - <b, a_coroot> a on covectors,
-        # and the coroot of s(b) must be s(b_coroot) = b_coroot - <a, b_coroot> a_coroot
+            coords[a] = tuple(x // g for x in col)
+        if outside is not None:
+            raise ValueError(f"root {outside} is outside the span of the simple roots")
+        # closure under the simple reflections, and the coroot of s(b) must be s(b_coroot)
         perms = []
         for i in self.simple_indices:
             alpha, av = self.roots[i], self.coroots[i]
             perm = []
             for b, bv in zip(self.roots, self.coroots):
-                img = linalg.vsub(b, linalg.vscale(linalg.dot(b, av), alpha))
+                img, img_v = _reflect(alpha, av, b, bv)
                 if img not in index:
                     raise ValueError(
                         f"roots are not closed under the reflection in {alpha}: {b} -> {img}"
                     )
-                img_v = linalg.vsub(bv, linalg.vscale(linalg.dot(alpha, bv), av))
                 if self.coroots[index[img]] != img_v:
                     raise ValueError(
                         f"the reflection in {alpha} maps {b} to {img} but its coroot to {img_v}"
                     )
                 perm.append(index[img])
             perms.append(tuple(perm))
-        return all_coeffs, perms
+        return (coords, d // g), perms
 
     # -- fan construction ----------------------------------------------------
 
-    def _build_fan(self, simple_coeffs: list[Vec], gens: list[tuple[int, ...]]) -> None:
+    def _build_fan(self, gens: list[tuple[int, ...]]) -> None:
         """W as permutations w of root indices, w(roots[k]) = roots[w[k]], and the faces
         w(F_I) of the chambers, F_I the face of the base chamber where the simples I vanish."""
         n, r, simples = self.ambient_dim, self.rank, self.simple_indices
+        simple_coeffs = self.simple_coordinates[0].values()  # in root order
         # the sign of root k on F_I (I as a bit mask): that of its coefficients outside I
         face_sign = []
         for c in simple_coeffs:
@@ -186,12 +201,13 @@ class RestrictedRootSystem:
 
         # w moves the simple coroots to coroots[w[i]] and fixes the common kernel of the
         # roots: w(x) = x + sum_i <duals[i], x> (coroots[w[i]] - coroots[i]), in integers
-        # over one denominator D = c d, with the coroots cleared to C / c and the duals to R / d
-        duals, d = linalg.integer_basis(_coroot_duals([(self.roots[i], self.coroots[i]) for i in simples]))
-        coroots, c = linalg.integer_basis(self.coroots)
+        # over one denominator c D, with the coroots C / c and the base chamber's duals V / D
+        self._inverse_cartan, e = linalg.integer_basis(linalg.invert(self.cartan))
+        self._dual_den = e * self.integral_roots[1]
+        duals, (coroots, c) = self._duals(ident), self.integral_coroots
         moved = lambda w: [linalg.vsub(coroots[w[i]], coroots[i]) for i in simples]
-        self._weyl_rows = {w: _identity_plus(moved(w), duals, c * d) for w in elements}
-        self._weyl_den = c * d
+        self._weyl_den = c * self._dual_den
+        self._weyl_rows = {w: _identity_plus(moved(w), duals, self._weyl_den) for w in elements}
         order = sorted(elements, key=self._weyl_rows.__getitem__)
 
         types = [frozenset(i for i in range(r) if bits >> i & 1) for bits in range(1 << r)]
@@ -253,13 +269,6 @@ class RestrictedRootSystem:
         """The least chamber P with P <= cone: the one chamber used per cone."""
         return self._chamber_below[cone]
 
-    @functools.cached_property
-    def simple_coordinates(self) -> tuple[dict[Vec, tuple[int, ...]], int]:
-        """(C, d), d > 0: each root a is sum_j C[a][j] / d * roots[simple_indices[j]], the
-        coefficients ``_validate`` finds, cleared to integers over one denominator."""
-        rows, d = linalg.integer_basis(self._coefficients)
-        return dict(zip(self.roots, rows)), d
-
     def full_cone(self) -> Cone:
         """The minimal cone of the fan (all signs zero)."""
         return self.cone_by_signs((0,) * len(self.hyperplanes))
@@ -294,44 +303,34 @@ class RestrictedRootSystem:
         """(rows, c), c > 0: per row (p, q, root, coroot) of ``walls``, (i, j, K, m) with i, j the
         positions of p and q in ``chambers``, K = c * coroot in integers (c the one denominator
         of the coroots) and m the first index with K[m] != 0."""
-        coroots, c = linalg.integer_basis(self.coroots)
+        coroots, c = self.integral_coroots
         position = {p: i for i, p in enumerate(self.chambers)}
         rows = [(position[p], position[q], coroots[self._root_index[a]]) for p, q, a, _ in self.walls]
         return [(i, j, k, next(m for m, x in enumerate(k) if x)) for i, j, k in rows], c
 
-    @functools.cached_property
-    def _inverse_cartan(self) -> Mat:
-        """The inverse of <a_i, a_j^vee>, i, j simple, which every chamber shares (W keeps the pairing)."""
-        s = self.simple_indices
-        return linalg.invert([[linalg.dot(self.roots[i], self.coroots[j]) for j in s] for i in s])
+    def _duals(self, w: tuple[int, ...]) -> list[tuple[int, ...]]:
+        """D times the covectors dual to the coroots[w[i]] that vanish on the common kernel of
+        the roots, i over the simple indices, D = ``_dual_den``: row i is sum_j inv[i][j] R[w[j]],
+        with the inverse of ``cartan`` cleared to inv / e and the roots to R / r, D = e r."""
+        roots = self.integral_roots[0]
+        return [linalg.vecmat(row, [roots[w[j]] for j in self.simple_indices]) for row in self._inverse_cartan]
 
     @functools.cached_property
-    def chamber_duals(self) -> dict[int, list[Vec]]:
-        """Per chamber P, the covectors dual to P's simple coroots that vanish on the
-        common kernel of the roots, the dual basis of (P, G): row i is sum_j inv[i][j]
-        roots[w_P[j]] over the simple indices j, inv the inverse Cartan matrix."""
-        return {p: _coroot_duals(self.chamber_simple_pairs(p), self._inverse_cartan) for p in self.chambers}
+    def chamber_duals(self) -> tuple[dict[int, list[tuple[int, ...]]], int]:
+        """(V, D), D > 0: per chamber P, V[P][i] / D is the dual basis of (P, G), the covectors
+        dual to P's simple coroots that vanish on the common kernel of the roots (``_duals`` of w_P)."""
+        return {p: self._duals(self._chamber_perms[p]) for p in self.chambers}, self._dual_den
 
     @functools.cached_property
     def facet_rows(self) -> list[tuple[tuple[int, ...], list[int]]]:
-        """(c, positions i in ``chambers`` of the P_i with c in chamber_duals[P_i]), c made
-        primitive integral; for a positive set Y, hull(Y) = {H : <c, H> <= <c, Y_P_i>} over
-        these rows (Arthur, *The trace formula in invariant form*, 1981).  Each c is read off
-        w_P in integers, sum_j inv[i][j] roots[w_P[j]] over integer rows, made primitive."""
-        (inv, _), (roots, _) = linalg.integer_basis(self._inverse_cartan), linalg.integer_basis(self.roots)
+        """(c, positions i in ``chambers`` of the P_i with c a row of chamber_duals[P_i]), c made
+        primitive; for a positive set Y, hull(Y) = {H : <c, H> <= <c, Y_P_i>} over these rows
+        (Arthur, *The trace formula in invariant form*, 1981)."""
         rows: dict[tuple[int, ...], list[int]] = {}
         for i, p in enumerate(self.chambers):
-            simple = [roots[self._chamber_perms[p][j]] for j in self.simple_indices]
-            for row in inv:
-                rows.setdefault(linalg.scale_to_integers(linalg.vecmat(row, simple)), []).append(i)
+            for row in self.chamber_duals[0][p]:
+                rows.setdefault(linalg.scale_to_integers(row), []).append(i)
         return list(rows.items())
-
-    @functools.cached_property
-    def lattice_pairing(self) -> tuple[list[tuple[int, ...]], int]:
-        """(A, e) with <c, b_i> = A[m][i] / e for the m-th covector c of ``facet_rows`` and the i-th
-        vector b_i of the normalization lattice basis: the rows of every hull in lattice coordinates."""
-        ints, e = linalg.integer_basis(self.lattice.basis)
-        return linalg.matmul([c for c, _ in self.facet_rows], linalg.transpose(ints)), e
 
     @functools.cached_property
     def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -345,7 +344,7 @@ class RestrictedRootSystem:
         # chambers share the base chamber's coroot covolume
         base = [av for _, av in self.chamber_simple_pairs(self.base_chamber)]
         meas = abs(linalg.det([linalg.coordinates_in_basis(self.lattice.basis, v) for v in base]))
-        coroots, c = linalg.integer_basis(self.coroots)
+        coroots, c = self.integral_coroots
         perms = [[self._chamber_perms[p][i] for i in self.simple_indices] for p in self.chambers]
         orbit = {k for ks in perms for k in ks}
         # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
@@ -358,14 +357,10 @@ class RestrictedRootSystem:
         return [(mu, *weights(dots)) for mu, dots in islice(generic, 3)]
 
 
-def _coroot_duals(pairs: Sequence[tuple[Vec, Vec]], inverse: Optional[Mat] = None) -> list[Vec]:
-    """The covectors w_i = sum_j inverse[i][j] a_j over the pairs (a_j, a_j^vee): those in the
-    span of the pairs' roots with <w_i, a_k^vee> = delta_ik, computed in integers over one
-    denominator.  ``inverse`` is that of the Cartan block <a_i, a_j^vee>, found if not given."""
-    if inverse is None:
-        inverse = linalg.invert([[linalg.dot(a, av) for _, av in pairs] for a, _ in pairs])
-    (inv, d), (roots, e) = linalg.integer_basis(inverse), linalg.integer_basis([a for a, _ in pairs])
-    return [tuple(Fraction(x, d * e) for x in linalg.vecmat(row, roots)) for row in inv]
+def _reflect(a: Vec, av: Vec, b: Vec, bv: Vec) -> tuple[Vec, Vec]:
+    """s_a on the pair (b, b^vee): (b - <b, a^vee> a, b^vee - <a, b^vee> a^vee)."""
+    image = linalg.vsub(b, linalg.vscale(linalg.dot(b, av), a))
+    return image, linalg.vsub(bv, linalg.vscale(linalg.dot(a, bv), av))
 
 
 def _identity_plus(cols: Sequence[Vec], rows: Sequence[Vec], den: int) -> Mat:
@@ -385,21 +380,15 @@ def _unit(n: int, i: int, c: int = 1) -> Vec:
 
 
 def _closed_system(n: int, simple: list, extra: list, name: str) -> RestrictedRootSystem:
-    """The system of the (root, coroot) pairs that the simple reflections make of the simple
-    and the extra pairs: s_i(b) = b - <b, a_i^vee> a_i and s_i(b^vee) = b^vee - <a_i, b^vee> a_i^vee."""
+    """The system of the (root, coroot) pairs that the simple reflections (``_reflect``) make of
+    the simple and the extra pairs."""
     roots: dict[Vec, Vec] = {}
     todo = simple + extra
     while todo:
         b, bv = todo.pop()
         if b not in roots:
             roots[b] = bv
-            todo += [
-                (
-                    linalg.vsub(b, linalg.vscale(linalg.dot(b, av), a)),
-                    linalg.vsub(bv, linalg.vscale(linalg.dot(a, bv), av)),
-                )
-                for a, av in simple
-            ]
+            todo += [_reflect(a, av, b, bv) for a, av in simple]
     ordered = sorted(roots)
     simple_idx = [ordered.index(a) for a, _ in simple]
     return RestrictedRootSystem(n, ordered, [roots[a] for a in ordered], simple_idx, name=name)

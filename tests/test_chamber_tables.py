@@ -4,15 +4,18 @@ against the per-cone formulas they replaced.
 ``RestrictedRootSystem.walls`` (the neighbour of P = w(C) across its i-th wall
 is the chamber of w s_i) is compared with the scan of the induced fan,
 ``root_oracle.induced_walls``, and with a flip of one hyperplane's sign.
-``chamber_duals``, ``facet_rows`` and ``families.support_bound_certificate``
-(one inverse Cartan matrix moved by w_P) are compared with what the literal
+``chamber_duals`` (integer rows over one denominator, read here as Fractions),
+``facet_rows`` and ``families.support_bound_certificate`` (one inverse Cartan
+matrix moved by w_P) are compared with what the literal
 ``root_oracle.dual_basis(P, G)`` gives chamber by chamber, and ``volume_weights`` (each
 chamber's coroot product read at w_P's root indices) with the per-chamber
 Fraction table of ``volume_oracle.volume_weights``.
 """
 
 import functools
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -34,7 +37,9 @@ _CARTAN = {
 }
 # rank one in dimension two: a system with a center
 _CENTERED = {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
-NAMES = BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4")
+# rational root data: B2 with its short roots halved, whose tables have common denominators
+_B2_HALF = json.loads((Path(__file__).parent / "fixtures" / "b2_half.json").read_text())
+NAMES = BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4", "B2-half")
 # the induced-fan scan compares every pair of chambers: 1.2 s on B4 (0.3 s on D4),
 # so B4's wall table is checked against the sign flips only
 SLOW_SCAN = ("B4",)
@@ -44,6 +49,8 @@ SLOW_SCAN = ("B4",)
 def _build(name):
     if name == "centered":
         return root_data.system_from_dict(_CENTERED)
+    if name == "B2-half":
+        return root_data.system_from_dict(_B2_HALF)
     if name.startswith("BC"):
         return root_data._bc_system(int(name[2:]), name)
     return root_data._from_cartan(_CARTAN[name], name)
@@ -110,9 +117,10 @@ def test_walls_match_induced_fan(name):
 def test_chamber_duals_match_dual_basis(name):
     sys = _build(name)
     g = sys.full_cone().index
-    assert list(sys.chamber_duals) == sys.chambers
+    duals, den = sys.chamber_duals
+    assert list(duals) == sys.chambers and den > 0
     for p in sys.chambers:
-        assert sys.chamber_duals[p] == root_oracle.dual_basis(sys, p, g)
+        assert [tuple(Fraction(x, den) for x in row) for row in duals[p]] == root_oracle.dual_basis(sys, p, g)
     assert sys.facet_rows == dual_basis_rows(sys)
 
 

@@ -156,6 +156,13 @@ class TestBadInput:
             (VOLUME, {**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
             (VOLUME, A2_DEPENDENT, "simple roots are dependent"),
             (VOLUME, A7_SYSTEM, "reflection group is too large or not finite"),
+            # a normalization lattice that spans no chamber point, also when every point is 0
+            (VOLUME, {**A1_SYSTEM, "lattice_basis": []}, "point is outside the span of the normalization lattice"),
+            (
+                ["ortho", "volume", "--special", "0", "--system"],
+                {**A1_SYSTEM, "lattice_basis": []},
+                "point is outside the span of the normalization lattice",
+            ),
             # a simple index that names no root
             (VOLUME, {**A1_SYSTEM, "simple_indices": [5]}, "simple index 5 names no root: there are 2 roots"),
             (VOLUME, {**A1_SYSTEM, "simple_indices": [-1]}, "simple index -1 names no root: there are 2 roots"),

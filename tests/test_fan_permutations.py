@@ -36,12 +36,7 @@ _CARTAN = {
 # rank one in dimension two: a system with a center
 _CENTERED = {"ambient_dim": 2, "roots": [[1, 0], [-1, 0]], "coroots": [[2, 0], [-2, 0]], "simple_indices": [0]}
 # B2 with its short roots halved: e_1 / 2 = a_1 / 2 + a_2, so simple coordinates are not integral
-_B2_HALF = {
-    "ambient_dim": 2,
-    "roots": [[1, -1], [-1, 1], [1, 1], [-1, -1], ["1/2", 0], ["-1/2", 0], [0, "1/2"], [0, "-1/2"]],
-    "coroots": [[1, -1], [-1, 1], [1, 1], [-1, -1], [4, 0], [-4, 0], [0, 4], [0, -4]],
-    "simple_indices": [0, 6],
-}
+_B2_HALF = json.loads((Path(__file__).parent / "fixtures" / "b2_half.json").read_text())
 
 
 def _build(name):
@@ -57,7 +52,7 @@ def _build(name):
     return root_data._from_cartan(_CARTAN[name], name)
 
 
-@pytest.mark.parametrize("name", BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4"))
+@pytest.mark.parametrize("name", BUILTIN_NAMES + ("BC3", "centered", "B3", "C3", "A4", "D4", "B4", "B2-half"))
 def test_permutation_fan_matches_fraction_fan(name):
     sys = _build(name)
     want = fraction_fan(sys)

@@ -59,19 +59,18 @@ def test_kernel_values_do_not_depend_on_call_order(name, gamma_first, monkeypatc
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_lattice_pairing_is_the_pairing_of_the_lattice_basis(name, monkeypatch):
+def test_hull_rows_default_to_the_lattice_basis(name, monkeypatch):
     sys = _fresh(name, monkeypatch)
-    assert sys.lattice_pairing == fam._pairing(sys, sys.lattice.basis)
     y = sampling.random_positive_set(random.Random(107), sys)
     assert fam.hull_rows(y) == fam.hull_rows(y, [linalg.vec(b) for b in sys.lattice.basis])
-    # the polytope volume reads the table, not a fresh pairing
-    monkeypatch.setattr(fam, "_pairing", None)
     assert fam.volume_polytope(y) == fam.volume_analytic(y)
 
 
-def test_lattice_pairing_in_a_coarser_lattice():
+def test_hull_rows_in_a_coarser_lattice():
     sys = root_data.system_from_dict(
         {"ambient_dim": 1, "roots": [[1], [-1]], "coroots": [[2], [-2]], "simple_indices": [0],
          "lattice_basis": [[3]]}
     )
-    assert sys.lattice_pairing == fam._pairing(sys, [(3,)]) == (((-3,), (3,)), 1)
+    assert fam._pairing(sys, sys.lattice.basis) == (((-3,), (3,)), 1)
+    y = fam.OrthogonalSet.special(sys, (2,))
+    assert fam.hull_rows(y) == fam.hull_rows(y, [(3,)]) == [((-3,), 2), ((3,), 2)]

@@ -1,6 +1,7 @@
 """Tests for restricted root systems and their hyperplane-arrangement fans."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
@@ -188,6 +189,25 @@ class TestRestrictedCoroot:
             restricted_coroot(sys, small.index, zero)
 
 
+# A2 with the roots a_1, a_2, a_1 + a_2 and their negatives
+_A2 = {
+    "ambient_dim": 2,
+    "roots": [[2, -1], [-1, 2], [1, 1], [-2, 1], [1, -2], [-1, -1]],
+    "coroots": [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]],
+    "simple_indices": [0, 1],
+}
+
+
+def _rank_one(roots, coroots):
+    """The fixture of the roots and coroots with the first root as the one simple root."""
+    return {"ambient_dim": len(roots[0]), "roots": roots, "coroots": coroots, "simple_indices": [0]}
+
+
+def _exact(message):
+    """A pattern that matches exactly the message."""
+    return f"^{re.escape(message)}$"
+
+
 class TestValidation:
     def test_bad_pairing(self):
         with pytest.raises(ValueError):
@@ -205,6 +225,36 @@ class TestValidation:
             ({**A1_SYSTEM, "simple_indices": [0, 1]}, "simple roots are dependent"),
             (A2_DEPENDENT, "^simple roots are dependent$"),
             (A7_SYSTEM, "reflection group is too large or not finite"),
+            # one row per remaining message of ``_validate``, matched in full
+            (_rank_one([[1], [1], [-1]], [[2], [2], [-2]]), _exact("duplicate roots")),
+            (_rank_one([[1], [-1]], [[1], [-1]]), _exact("<a, a_coroot> != 2 for root (Fraction(-1, 1),)")),
+            (_rank_one([[2]], [[1]]), _exact("root set is not symmetric: missing (Fraction(-2, 1),)")),
+            # 2e_1 has the coroot (1, 1), not e_1
+            (
+                _rank_one([[1, 0], [-1, 0], [2, 0], [-2, 0]], [[2, 0], [-2, 0], [1, 1], [-1, -1]]),
+                _exact(
+                    "coroot of (Fraction(-2, 1), Fraction(0, 1)) must be half the coroot of "
+                    "(Fraction(-1, 1), Fraction(0, 1))"
+                ),
+            ),
+            # +-e_1 and +-e_2 with the simple set [e_1]
+            (
+                _rank_one([[1, 0], [-1, 0], [0, 1], [0, -1]], [[2, 0], [-2, 0], [0, 2], [0, -2]]),
+                _exact("root (Fraction(0, 1), Fraction(-1, 1)) is outside the span of the simple roots"),
+            ),
+            # A2 with the simple roots a_1 and a_1 + a_2, so a_2 = (a_1 + a_2) - a_1
+            (
+                {**_A2, "simple_indices": [0, 2]},
+                _exact("root (Fraction(-1, 1), Fraction(2, 1)) is not one-signed over the simple roots"),
+            ),
+            # A2 without +-(a_1 + a_2)
+            (
+                {**_A2, "roots": [[2, -1], [-1, 2], [-2, 1], [1, -2]], "coroots": [[1, 0], [0, 1], [-1, 0], [0, -1]]},
+                _exact(
+                    "roots are not closed under the reflection in (Fraction(-1, 1), Fraction(2, 1)): "
+                    "(Fraction(-2, 1), Fraction(1, 1)) -> (Fraction(-1, 1), Fraction(-1, 1))"
+                ),
+            ),
         ],
     )
     def test_unsound_root_datum(self, fixture, message):
