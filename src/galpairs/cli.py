@@ -32,21 +32,17 @@ from .exact_linalg import (
     split_torus,
     tate_h_minus1,
 )
+from .linalg import frac_str
 
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-# each --samples point costs about 0.6 ms on A3: 1,000 points take 0.7 s
+# each --samples point is read once per set, about 0.15-0.2 ms on A3: 1,000 points take 0.3-0.4 s
 MAX_SAMPLES = 1000
-# a point is tested against every cone, so points times cones bounds a system's work:
-# A3's 1,000 points over 75 cones take 0.7 s, B4's 44 over 1,697 cones 1.5 s, and
-# A1^6's 102 over 729 cones in dimension 16 2 s with its 1.3 s kernel compile
+# a point is tested against every cone, so points times cones bounds a system's work: A3's 1,000
+# points over 75 cones take 0.3-0.4 s, B4's 44 over 1,697 cones 0.8 s and A1^6's 102 over 729 cones
+# in dimension 16 1.4 s, each with its kernel compile (0.2 s and 0.5 s; 2-core VM, Python 3.11)
 MAX_SAMPLE_CONES = 75_000
-
-
-def frac_str(x) -> str:
-    f = Fraction(x)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 
 def chamber_order(system: rd.RestrictedRootSystem) -> list[int]:
@@ -54,8 +50,9 @@ def chamber_order(system: rd.RestrictedRootSystem) -> list[int]:
     return sorted(system.chambers, key=lambda c: system.cones[c].signs)
 
 
-def parse_point(text: str) -> tuple[Fraction, ...]:
-    return rd._parse_vec(text.split(","))
+def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
+    """A comma-separated rational point with ``dim`` coordinates."""
+    return rd._parse_vec(text.split(","), dim)
 
 
 def orthogonal_set_from_dict(data: dict, system: rd.RestrictedRootSystem) -> fam.OrthogonalSet:
@@ -157,7 +154,7 @@ def _load_set(args, system: rd.RestrictedRootSystem) -> Optional[fam.OrthogonalS
         with open(args.fixture, "r", encoding="utf-8") as fh:
             return orthogonal_set_from_dict(json.load(fh), system)
     if getattr(args, "special", None):
-        return fam.OrthogonalSet.special(system, args.special.split(","))
+        return fam.OrthogonalSet.special(system, parse_point(args.special, system.ambient_dim))
     return None
 
 
@@ -177,19 +174,14 @@ def _ortho_check(args, system) -> tuple[int, str]:
         ]
     for label, y in sets:
         points = sampling.sample_points(rng, system.ambient_dim, args.samples)
-        bad = fam.partition_of_unity_check(system, y, points)
+        bad, sb = fam.check_kernel(system, y, points)
         detail = f"{args.samples} points, {len(bad)} violations"
         if bad:
             h, value = bad[0]
             detail += f"; first at h={','.join(frac_str(x) for x in h)}: value {value}, want 1"
         report.add(f"partition-of-unity [{label}]", not bad, detail)
-        sb = fam.support_bound_check(system, y, points)
-        report.add(
-            f"support-bound [{label}]",
-            sb.ok,
-            f"{sb.nonzero} supported points, c_emp={frac_str(sb.c_empirical)}, "
-            f"c_bound={frac_str(sb.c_bound)}",
-        )
+        figures = f"c_emp={frac_str(sb.c_empirical)}, c_bound={frac_str(sb.c_bound)}"
+        report.add(f"support-bound [{label}]", sb.ok, f"{sb.nonzero} supported points, {figures}")
     return report.result(args.format)
 
 
@@ -213,7 +205,7 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
     y = _load_set(args, system)
     if y is None:
         raise ValueError("ortho ehrhart needs --fixture or --special")
-    x0 = parse_point(args.x0) if args.x0 else linalg.clear_denominators(
+    x0 = parse_point(args.x0, system.ambient_dim) if args.x0 else linalg.clear_denominators(
         sampling.random_dominant_point(random.Random(0), system)
     )[0]
     if any(x.denominator != 1 for x in x0):

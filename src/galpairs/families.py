@@ -18,8 +18,11 @@ Fraction ``points`` are a view.  A positive set's hull is read off the fan as in
 lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
 kept per (set, sweep point, basis).  The rows and the analytic volume's weights
 (``volume_weights``) are system tables read off W's root permutations, so no count or
-volume builds the kernel, and the support bound reads ``chamber_duals`` as well.  The
-analytic volume reads chamber data too, so the independent check of both is the
+volume builds the kernel.  ``check_kernel`` reads each sampled point once for both checks
+of ``ortho check``: the partition of unity and, from its full-cone term Gamma^G, the support
+bound, in integers through the coroots' lattice coordinates (``coroot_lattice_rows``, which
+``support_bound_certificate`` and ``volume_weights`` read too) and ``chamber_duals``.  The
+analytic volume reads chamber data too, so the independent check of both volumes is the
 brute-force ``Hull``, in the tests.  The fit of the counts solves its Vandermonde systems
 in integers; Fractions are made only for results that are rational numbers: volumes,
 coefficients and constants.
@@ -87,10 +90,9 @@ class OrthogonalSet:
         for (p, q, _, coroot), (i, j, k, m) in zip(sys.walls, sys.wall_coroot_rows[0]):
             diff = [a - b for a, b in zip(n[i], n[j])]
             if any(x * k[m] != diff[m] * y for x, y in zip(diff, k)):
-                diff = tuple(Fraction(x, e) for x in diff)
                 raise ValueError(
-                    f"chambers {p}, {q}: point difference {diff} is not a multiple "
-                    f"of the wall coroot {coroot}"
+                    f"chambers {p}, {q}: point difference {linalg.vec_str(Fraction(x, e) for x in diff)} "
+                    f"is not a multiple of the wall coroot {linalg.vec_str(coroot)}"
                 )
             self._wall_values.append(diff[m] * k[m])
         self.is_positive = all(t >= 0 for t in self._wall_values)
@@ -295,20 +297,20 @@ class KernelTables:
         roots = [sys.integral_roots[0][i] for i in sys.simple_indices]
         self.covectors: list[tuple[int, ...]] = [linalg.scale_to_integers(linalg.vecmat(c, roots)) for c in ids]
 
-    def point(self, h: Sequence) -> tuple[list[int], int]:
-        """(<c, H> for every covector c, D) where h = H / D, H integral, D > 0."""
+    def point(self, h: Sequence) -> tuple[tuple[int, ...], list[int], int]:
+        """(H, <c, H> for every covector c, D) where h = H / D, H integral, D > 0."""
         hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
-        return list(linalg.matvec(self.covectors, hi)), d
+        return hi, list(linalg.matvec(self.covectors, hi)), d
 
 
 class _Point(dict):
-    """One point h against one set Y, as masks.  ``nonzero`` has the sign bits of the covectors c
-    with <c, h> != 0, and self[P], made when first read, is the complement of the sign bits of
-    the c with <c, h> > 0 and the threshold bits of the c of ``read[P]`` with <c, h> > <c, Y_P>:
-    a test holds at h iff its mask & self[P] == 0."""
+    """One point h = H / d against one set Y, as masks.  ``nonzero`` has the sign bits of the
+    covectors c with <c, h> != 0, and self[P], made when first read, is the complement of the sign
+    bits of the c with <c, h> > 0 and the threshold bits of the c of ``read[P]`` with
+    <c, h> > <c, Y_P>: a test holds at h iff its mask & self[P] == 0."""
 
     def __init__(self, kernel: KernelTables, h: Sequence, y: OrthogonalSet):
-        self.dots, self.d = kernel.point(h)
+        self.h, self.dots, self.d = kernel.point(h)
         self.positive = sum(1 << 2 * c for c, x in enumerate(self.dots) if x > 0)
         self.nonzero = self.positive | sum(1 << 2 * c for c, x in enumerate(self.dots) if x < 0)
         self.read, self.y = kernel.read, y
@@ -339,39 +341,15 @@ def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSe
     return _gamma(kernel.compiled[q][2], _Point(kernel, h, y))
 
 
+def _cone_terms(kernel: KernelTables, point: _Point) -> list[int]:
+    """Per cone Q, Gamma_Q(h, Y) * tau^G_Q(h - Y_Q): the terms of the partition of unity."""
+    return [0 if top & point[p] else _gamma(table, point) for p, top, table in kernel.compiled]
+
+
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
     kernel = sys.kernel_tables
-    point = _Point(kernel, h, y)
-    return sum(_gamma(table, point) for p, top, table in kernel.compiled if not top & point[p])
-
-
-def partition_of_unity_check(
-    sys: RestrictedRootSystem, y: OrthogonalSet, points: Sequence[Sequence]
-) -> list[tuple[Vec, int]]:
-    """Evaluate the partition of unity at each point; return the violations."""
-    bad = []
-    for h in points:
-        v = partition_of_unity_value(sys, h, y)
-        if v != 1:
-            bad.append((_parse_vec(h), v))
-    return bad
-
-
-# -- lattice coordinates ------------------------------------------------------
-
-
-_OUTSIDE_LATTICE = "point is outside the span of the normalization lattice"
-
-
-def lattice_coords(sys: RestrictedRootSystem, points: Sequence[Vec]) -> list[Vec]:
-    """Coordinates of each point in the normalization lattice basis, from one elimination."""
-    cols, d = _coordinates(sys.lattice.basis, points, _OUTSIDE_LATTICE)
-    return [tuple(Fraction(x, d) for x in col) for col in zip(*cols)]
-
-
-def _sup_norm(v: Vec) -> Fraction:
-    return max((abs(x) for x in v), default=Fraction(0))
+    return sum(_cone_terms(kernel, _Point(kernel, h, y)))
 
 
 # -- exact convex hulls -------------------------------------------------------
@@ -529,7 +507,7 @@ def volume_polytope(y: OrthogonalSet) -> Fraction:
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys, (n, e) = y.system, y._integral
-    cols, d = _coordinates(sys.lattice.basis, n, _OUTSIDE_LATTICE)
+    cols, d = _coordinates(sys.lattice.basis, n, "point is outside the span of the normalization lattice")
     rows = [(a, b * d * e) for a, b in hull_rows(y)]
     return triangulated_volume(list(zip(*cols)), rows) / (d * e) ** len(cols)
 
@@ -557,7 +535,7 @@ def volume_analytic(y: OrthogonalSet) -> Fraction:
     return values[0]
 
 
-# -- support bound -------------------------------------------------------------
+# -- the kernel at sampled points: partition of unity and support bound ---------
 
 
 @dataclass
@@ -572,43 +550,47 @@ class SupportBoundReport:
 def support_bound_certificate(sys: RestrictedRootSystem) -> Fraction:
     """A Y-independent constant bounding support points of the hull kernel.
 
-    Derived from the dual bases: any supported point decomposes over some
-    chamber's coroots with coefficients read off by the dual covectors
-    (``RestrictedRootSystem.chamber_duals``, integer rows over one denominator D).
-    """
-    basis, (duals, den) = [linalg.vec(b) for b in sys.lattice.basis], sys.chamber_duals
-    best = Fraction(0)
-    for c in sys.chambers:
-        coroots = [linalg.coordinates_in_basis(basis, av) for _, av in sys.chamber_simple_pairs(c)]
-        total = sum(_sup_norm(av) * sum(map(abs, w)) for av, w in zip(coroots, duals[c]))
-        best = max(best, total)
-    return best / den * max(map(_sup_norm, basis)) * sys.ambient_dim
+    Derived from the dual bases: any supported point decomposes over some chamber's coroots with
+    coefficients read off by the dual covectors (``chamber_duals``, V / D).  The bound is the largest
+    chamber sum of |a_i^vee|, read in ``coroot_lattice_rows`` (L / d) at w_P[i], times |V[P][i]|_1,
+    over D d, times the lattice basis' sup norm and the dimension."""
+    (rows, d), (duals, den) = sys.coroot_lattice_rows, sys.chamber_duals
+    best = max(
+        sum(max(map(abs, rows[k])) * sum(map(abs, v)) for k, v in zip(sys.chamber_simple_indices(p), duals[p]))
+        for p in sys.chambers
+    )
+    width = max(abs(x) for b in sys.lattice.basis for x in b)
+    return Fraction(best * width * sys.ambient_dim, den * d)
 
 
-def support_bound_check(
-    sys: RestrictedRootSystem,
-    y: OrthogonalSet,
-    points: Sequence[Sequence],
-) -> SupportBoundReport:
-    """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel, by their parts
-    sum_i <varpi_i, .> a_i^vee in the coroots' span: the kernel does not see the roots' common kernel."""
-    g, base, (duals, den) = sys.full_cone().index, sys.base_chamber, sys.chamber_duals
-    coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], duals[base]
-    part = lambda h: linalg.combination([linalg.dot(w, h) / den for w in duals], coroots, sys.ambient_dim)
-    sup_y = max(map(_sup_norm, lattice_coords(sys, [part(p) for p in y.points.values()])), default=Fraction(0))
-    supported = [_parse_vec(h) for h in points if gamma_family(sys, g, h, y) != 0]
-    c_emp = Fraction(0)
-    ok = True
-    for hn in map(_sup_norm, lattice_coords(sys, list(map(part, supported)))):
-        if sup_y == 0:
-            if hn != 0:
+def check_kernel(
+    sys: RestrictedRootSystem, y: OrthogonalSet, points: Sequence[Sequence]
+) -> tuple[list[tuple[Vec, int]], SupportBoundReport]:
+    """(the points h where the partition of unity is not 1, with its value; the support bound), from one
+    ``_Point`` per point.  tau^G_G is empty, so the full cone's term is Gamma^G(h), and where it is not 0,
+    |h| / sup|Y_P| is bounded on the parts sum_i <varpi_i, .> a_i^vee in the coroots' span (the kernel does
+    not see the roots' common kernel): with the base chamber's duals V_i / D and coroots L_i / d in the lattice
+    (``coroot_lattice_rows``), h = H / D_h has part T H / (D d D_h), T = sum_i L_i (x) V_i in integers, so
+    with Y = N / e each ratio is e max|T H| / (D_h max|T N|)."""
+    kernel, g, base = sys.kernel_tables, sys.full_cone().index, sys.base_chamber
+    (rows, _), (duals, _) = sys.coroot_lattice_rows, sys.chamber_duals
+    t = linalg.matmul(linalg.transpose([rows[k] for k in sys.chamber_simple_indices(base)]), duals[base])
+    (n, e), c_bound = y._integral, support_bound_certificate(sys)
+    sup_y = max(max(map(abs, linalg.matvec(t, row))) for row in n)
+    violations, nonzero, c_emp, ok = [], 0, Fraction(0), True
+    for h in points:
+        point = _Point(kernel, h, y)
+        terms = _cone_terms(kernel, point)
+        if (value := sum(terms)) != 1:
+            violations.append((tuple(Fraction(x, point.d) for x in point.h), value))
+        if terms[g]:
+            nonzero += 1
+            hn = max(map(abs, linalg.matvec(t, point.h)))
+            if sup_y:
+                c_emp = max(c_emp, Fraction(hn * e, point.d * sup_y))
+            elif hn:
                 ok = False
-            continue
-        c_emp = max(c_emp, hn / sup_y)
-    c_bound = support_bound_certificate(sys)
-    if c_emp > c_bound:
-        ok = False
-    return SupportBoundReport(len(points), len(supported), c_emp, c_bound, ok)
+    return violations, SupportBoundReport(len(points), nonzero, c_emp, c_bound, ok and c_emp <= c_bound)
 
 
 # -- lattice counting and exponential-polynomial extrapolation -----------------

@@ -12,7 +12,7 @@ Every elimination is the one fraction-free integer routine ``_bareiss``:
 ``independent_subset`` scale each row to integers once and read their answer
 off its pivots, its rows and its final pivot d, and ``coordinate_matrix``
 reads the coordinates of many vectors in one basis off a single elimination.
-Integer hull normals use ``_bareiss`` directly.
+Integer hull normals use ``_bareiss`` directly.  ``frac_str`` and ``vec_str`` render rationals.
 Everything is exact; no floating point appears anywhere in this package.
 """
 
@@ -249,6 +249,17 @@ def integer_basis(rows: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], int]
     n = len(rows[0]) if rows else 0
     flat, e = clear_denominators([x for row in rows for x in row])
     return [flat[i * n : (i + 1) * n] for i in range(len(rows))], e
+
+
+def frac_str(x) -> str:
+    """A rational as "p/q", or as the bare integer when q = 1."""
+    f = Fraction(x)
+    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
+
+
+def vec_str(v: Sequence) -> str:
+    """A rational vector as "(p/q, ...)", each entry by ``frac_str``."""
+    return f"({', '.join(map(frac_str, v))})"
 
 
 def scale_to_integers(v: Sequence[Fraction]) -> tuple[int, ...]:

@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from . import linalg
 from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_ints, _as_list
-from .linalg import Mat, Vec
+from .linalg import Mat, Vec, vec_str
 
 _MAX_WEYL = 10000
 # the fan visits |W| * 2^rank faces: B4 visits 6,144 and A1^8 65,536 (about 0.5 s)
@@ -49,10 +49,10 @@ def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
         raise ValueError(f"not a rational vector: {xs!r}")
     try:
         v = linalg.vec(xs)
-    except (TypeError, ZeroDivisionError) as exc:
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational vector: {xs!r}") from exc
     if dim is not None and len(v) != dim:
-        raise ValueError(f"expected a point with {dim} coordinates, got {len(v)}: {xs!r}")
+        raise ValueError(f"expected a point with {dim} coordinates, got {len(v)}: {linalg.vec_str(v)}")
     return v
 
 
@@ -114,15 +114,15 @@ class RestrictedRootSystem:
             raise ValueError("duplicate roots")
         for a, av in zip(self.roots, self.coroots):
             if linalg.dot(a, av) != 2:
-                raise ValueError(f"<a, a_coroot> != 2 for root {a}")
+                raise ValueError(f"<a, a_coroot> != 2 for root {vec_str(a)}")
             neg = tuple(-x for x in a)
             if neg not in index:
-                raise ValueError(f"root set is not symmetric: missing {neg}")
+                raise ValueError(f"root set is not symmetric: missing {vec_str(neg)}")
             double = tuple(2 * x for x in a)
             if double in index:
                 expected = linalg.vscale(Fraction(1, 2), av)
                 if self.coroots[index[double]] != expected:
-                    raise ValueError(f"coroot of {double} must be half the coroot of {a}")
+                    raise ValueError(f"coroot of {vec_str(double)} must be half the coroot of {vec_str(a)}")
         # every root must be a one-signed rational combination of the simples, read off one
         # elimination; if some root is outside their span, the roots before it are checked first
         simple, outside = [self.roots[i] for i in self.simple_indices], None
@@ -135,10 +135,10 @@ class RestrictedRootSystem:
         g = math.gcd(d, *(x for row in rows for x in row))  # to the least common denominator
         for a, col in zip(self.roots, zip(*rows)):
             if not (all(x >= 0 for x in col) or all(x <= 0 for x in col)):
-                raise ValueError(f"root {a} is not one-signed over the simple roots")
+                raise ValueError(f"root {vec_str(a)} is not one-signed over the simple roots")
             coords[a] = tuple(x // g for x in col)
         if outside is not None:
-            raise ValueError(f"root {outside} is outside the span of the simple roots")
+            raise ValueError(f"root {vec_str(outside)} is outside the span of the simple roots")
         # closure under the simple reflections, and the coroot of s(b) must be s(b_coroot)
         perms = []
         for i in self.simple_indices:
@@ -147,13 +147,11 @@ class RestrictedRootSystem:
             for b, bv in zip(self.roots, self.coroots):
                 img, img_v = _reflect(alpha, av, b, bv)
                 if img not in index:
-                    raise ValueError(
-                        f"roots are not closed under the reflection in {alpha}: {b} -> {img}"
-                    )
+                    raise ValueError(f"roots are not closed under the reflection in {vec_str(alpha)}: "
+                                     f"{vec_str(b)} -> {vec_str(img)}")
                 if self.coroots[index[img]] != img_v:
-                    raise ValueError(
-                        f"the reflection in {alpha} maps {b} to {img} but its coroot to {img_v}"
-                    )
+                    raise ValueError(f"the reflection in {vec_str(alpha)} maps {vec_str(b)} to {vec_str(img)} "
+                                     f"but its coroot to {vec_str(img_v)}")
                 perm.append(index[img])
             perms.append(tuple(perm))
         return (coords, d // g), perms
@@ -259,11 +257,14 @@ class RestrictedRootSystem:
         of P's simple roots that vanish on it."""
         return self._chamber_faces[chamber]
 
-    def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
-        """(root covector, coroot vector) pairs of the chamber's simple roots: the
-        (roots[w[i]], coroots[w[i]]) for w = w_P and i over the simple indices."""
+    def chamber_simple_indices(self, chamber: int) -> list[int]:
+        """The root indices w_P[i] of the chamber's simple roots, i over the simple indices."""
         w = self._chamber_perms[chamber]
-        return [(self.roots[w[i]], self.coroots[w[i]]) for i in self.simple_indices]
+        return [w[i] for i in self.simple_indices]
+
+    def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
+        """(root covector, coroot vector) pairs of the chamber's simple roots."""
+        return [(self.roots[k], self.coroots[k]) for k in self.chamber_simple_indices(chamber)]
 
     def chamber_below(self, cone: int) -> int:
         """The least chamber P with P <= cone: the one chamber used per cone."""
@@ -333,6 +334,16 @@ class RestrictedRootSystem:
         return list(rows.items())
 
     @functools.cached_property
+    def coroot_lattice_rows(self) -> tuple[list[tuple[int, ...]], int]:
+        """(L, d), d > 0: coroots[k] = sum_i L[k][i] / d * lattice.basis[i], the coroots'
+        normalization-lattice coordinates from one ``coordinate_matrix`` of ``integral_coroots``;
+        ValueError when the lattice does not span them."""
+        (coroots, c), basis = self.integral_coroots, self.lattice.basis
+        if (found := linalg.coordinate_matrix(basis, coroots)) is None:
+            raise ValueError("the normalization lattice does not span the coroots")
+        return list(zip(*found[0])), found[1] * c
+
+    @functools.cached_property
     def volume_weights(self) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
         """(mu, W, D) for three generic integer covectors mu, where W[i] / D is
         covol(Z[coroots_P]) / (r! * prod <mu, coroot of P>) at the i-th chamber P.  P's
@@ -340,12 +351,12 @@ class RestrictedRootSystem:
         mu pairs once with each C_k, and P's product is read at the w_P[i]."""
         if (r := self.ambient_dim) != self.rank:  # the simple roots span the roots
             raise ValueError("analytic volume requires roots of full rank")
-        # every chamber's coroots are w(simple coroots) with det w = +-1, so all
-        # chambers share the base chamber's coroot covolume
-        base = [av for _, av in self.chamber_simple_pairs(self.base_chamber)]
-        meas = abs(linalg.det([linalg.coordinates_in_basis(self.lattice.basis, v) for v in base]))
+        # every chamber's coroots are w(simple coroots) with det w = +-1, so all chambers share
+        # the base chamber's coroot covolume, read off the coroots' lattice coordinates L / d
+        rows, d = self.coroot_lattice_rows
+        meas = abs(linalg.det([rows[k] for k in self.chamber_simple_indices(self.base_chamber)])) / d**r
         coroots, c = self.integral_coroots
-        perms = [[self._chamber_perms[p][i] for i in self.simple_indices] for p in self.chambers]
+        perms = [self.chamber_simple_indices(p) for p in self.chambers]
         orbit = {k for ks in perms for k in ks}
         # mu = (1, j, ..., j^(r-1)) pairs with a coroot to a nonzero polynomial in j of
         # degree < r, so each coroot rules out fewer than r values of j

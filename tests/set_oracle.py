@@ -10,7 +10,7 @@ are the formulas it replaced, on dicts chamber -> Fraction point:
   ``root_oracle.proportionality``, with the error text of the library;
 * ``integral``: the points cleared to integers over their least denominator;
 * ``volume_polytope``: the chamber points in Fraction lattice coordinates
-  (``lattice_coords``), cleared once, under hull rows paired with the basis in
+  (``support_oracle.lattice_coords``), cleared once, under hull rows paired with the basis in
   Fractions.
 """
 
@@ -22,6 +22,7 @@ from typing import Sequence
 from galpairs import families, linalg
 from galpairs.root_data import _parse_vec
 from root_oracle import chamber_weyl, proportionality
+from support_oracle import lattice_coords
 
 Points = dict[int, tuple[Fraction, ...]]
 
@@ -48,8 +49,8 @@ def validate(sys, points: Points) -> dict[tuple[int, int], Fraction]:
         r = proportionality(diff, coroot)
         if r is None:
             raise ValueError(
-                f"chambers {p}, {q}: point difference {diff} is not a multiple "
-                f"of the wall coroot {coroot}"
+                f"chambers {p}, {q}: point difference {linalg.vec_str(diff)} is not a multiple "
+                f"of the wall coroot {linalg.vec_str(coroot)}"
             )
         out[(p, q)] = out[(q, p)] = r
     return out
@@ -65,7 +66,7 @@ def volume_polytope(sys, points: Points) -> Fraction:
     if any(r < 0 for r in validate(sys, points).values()):
         raise ValueError("polytope volume requires a positive orthogonal set")
     basis = sys.lattice.basis
-    n, e = linalg.integer_basis(families.lattice_coords(sys, [points[c] for c in sys.chambers]))
+    n, e = linalg.integer_basis(lattice_coords(sys, [points[c] for c in sys.chambers]))
     rows = [
         (tuple(linalg.dot(c, b) for b in basis), min(linalg.dot(c, points[sys.chambers[i]]) for i in pos) * e)
         for c, pos in sys.facet_rows

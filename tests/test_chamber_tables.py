@@ -20,11 +20,12 @@ from pathlib import Path
 import pytest
 
 from galpairs import linalg, root_data
-from galpairs.families import _sup_norm, support_bound_certificate
+from galpairs.families import support_bound_certificate
 from galpairs.root_data import BUILTIN_NAMES
 import volume_oracle
 import root_oracle
 from root_oracle import induced_walls
+from support_oracle import sup_norm
 
 # entries <a_i, a_j^vee>, as in tests/test_fan_permutations.py
 _CARTAN = {
@@ -95,7 +96,7 @@ def dual_basis_certificate(sys):
         vanishing = [pairs[i] for i in root_oracle.vanishing_indices(sys, c, g)]
         for (a, av), w in zip(vanishing, root_oracle.dual_basis(sys, c, g)):
             av_c = linalg.coordinates_in_basis(basis, av)
-            total += _sup_norm(av_c) * sum(abs(x) for x in w) * max(_sup_norm(b) for b in basis)
+            total += sup_norm(av_c) * sum(abs(x) for x in w) * max(sup_norm(b) for b in basis)
         best = max(best, total)
     return best * sys.ambient_dim
 

@@ -14,7 +14,7 @@ from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_SAMPLES, build_parser, frac_str, run
 from galpairs.presets import MAX_GL_N, MAX_M
-from galpairs.root_data import MAX_AMBIENT_DIM
+from galpairs.root_data import MAX_AMBIENT_DIM, builtin_system
 
 # valid fixtures, as in the README schemas, that the bad-input cases spoil one field of
 A1_SYSTEM = {
@@ -36,6 +36,13 @@ A2_DEPENDENT = {
     "roots": [[-2, 1], [-1, -1], [-1, 2], [1, -2], [1, 1], [2, -1]],
     "coroots": [[-1, 0], [-1, -1], [0, 1], [0, -1], [1, 1], [1, 0]],
     "simple_indices": [2, 3],
+}
+# A2 over a normalization lattice of rank one, which misses the coroot (0, 1)
+A2_SHORT_LATTICE = {
+    "ambient_dim": 2,
+    "roots": [[2, -1], [-1, 2], [1, 1], [-2, 1], [1, -2], [-1, -1]],
+    "coroots": [[1, 0], [0, 1], [1, 1], [-1, 0], [0, -1], [-1, -1]],
+    "simple_indices": [0, 1], "lattice_basis": [[1, 0]],
 }
 # A7 as e_i - e_j in dimension 8: |W| = 8! = 40,320, over the Weyl-size limit
 _A7_ROOTS = [[int(k == i) - int(k == j) for k in range(8)] for i in range(8) for j in range(8) if i != j]
@@ -104,6 +111,13 @@ class TestBadInput:
         [
             (["ortho", "volume", "--system", "B2", "--special", "1/0,1"], "not a rational"),
             (["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1/0"], "not a rational"),
+            # rationals are read by _parse_vec and rendered as p/q, never as Fraction reprs
+            (["ortho", "volume", "--system", "A2", "--special", "1,x"], "not a rational vector: ['1', 'x']"),
+            (
+                ["ortho", "ehrhart", "--system", "A2", "--special", "1,1", "--x0", "1"],
+                "expected a point with 2 coordinates, got 1: (1)",
+            ),
+            (["ortho", "volume", "--system", "A2", "--special", "1/3,2,5"], "got 3: (1/3, 2, 5)"),
             # the sweep turns the set non-positive at j = 3: refused before any fit
             (["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "-1"], "positive"),
         ],
@@ -131,6 +145,14 @@ class TestBadInput:
         code, text = run(["ortho", "volume", "--system", system, "--fixture", str(path)])
         assert code == EXIT_USAGE
         assert text.startswith("error: not a rational")
+
+    def test_set_off_the_wall_coroots_is_a_usage_error(self, tmp_path):
+        # one chamber point moved off the zero set: the wall's difference is rendered as p/q
+        path = tmp_path / "set.json"
+        path.write_text(json.dumps({"points": [["1/2", "-1"]] + [[0, 0]] * 5}))
+        code, text = run(["ortho", "volume", "--system", "A2", "--fixture", str(path)])
+        assert code == EXIT_USAGE
+        assert text == "error: chambers 0, 7: point difference (-1/2, 1) is not a multiple of the wall coroot (1, 0)\n"
 
     @pytest.mark.parametrize(
         "argv, fixture, message",
@@ -162,6 +184,17 @@ class TestBadInput:
                 ["ortho", "volume", "--special", "0", "--system"],
                 {**A1_SYSTEM, "lattice_basis": []},
                 "point is outside the span of the normalization lattice",
+            ),
+            # a normalization lattice that spans every chamber point of 0 but misses a coroot
+            (
+                ["ortho", "check", "--special", "0,0", "--samples", "1", "--system"],
+                A2_SHORT_LATTICE,
+                "the normalization lattice does not span the coroots",
+            ),
+            (
+                ["ortho", "volume", "--special", "0,0", "--system"],
+                A2_SHORT_LATTICE,
+                "the normalization lattice does not span the coroots",
             ),
             # a simple index that names no root
             (VOLUME, {**A1_SYSTEM, "simple_indices": [5]}, "simple index 5 names no root: there are 2 roots"),
@@ -383,15 +416,16 @@ class TestOrtho:
         assert code == EXIT_PASS, text
 
     def test_check_failure_shows_witness(self, monkeypatch):
-        monkeypatch.setattr(
-            "galpairs.families.partition_of_unity_value", lambda sys, h, y: 1 if h[0] < 0 else 0
-        )
+        # a failure planted in the kernel: without the table of the chamber h > 0, the partition of
+        # unity loses that chamber's term, which is 1 past its point Y_P = 2, so the sum reads 0 at
+        # the sampled points 6 and 9/2 (the others are -28/3, 1/2 and -5/3)
+        sys = builtin_system("A1")
+        kernel, positive = sys.kernel_tables, sys.cone_by_signs((1,)).index
+        planted = [(p, top, [] if q == positive else table) for q, (p, top, table) in enumerate(kernel.compiled)]
+        monkeypatch.setattr(kernel, "compiled", planted)
         code, text = run(["ortho", "check", "--system", "A1", "--special", "2", "--samples", "5"])
         assert code == EXIT_VIOLATION
-        line = next(l for l in text.splitlines() if l.startswith("FAIL partition-of-unity"))
-        h = line.split("first at h=")[1].split(":")[0]
-        assert Fraction(h) >= 0
-        assert line.endswith(f"first at h={h}: value 0, want 1")
+        assert "FAIL partition-of-unity [fixture]: 5 points, 2 violations; first at h=6: value 0, want 1\n" in text
 
     def test_support_bound_failure(self, monkeypatch):
         monkeypatch.setattr("galpairs.families.support_bound_certificate", lambda sys: 0)

@@ -11,12 +11,12 @@ from galpairs import linalg, sampling
 from galpairs.families import (
     Hull,
     OrthogonalSet,
+    check_kernel,
     fit_exp_polynomial,
     gamma_family,
     partition_of_unity_value,
     refinement_constant_term,
     support_bound_certificate,
-    support_bound_check,
     v_tilde_lattice,
     volume_analytic,
     volume_polytope,
@@ -453,7 +453,7 @@ class TestSupportBound:
         rng = random.Random(47)
         y = sampling.random_positive_set(rng, sys)
         pts = sampling.sample_points(rng, 2, 50, numerator_bound=60)
-        report = support_bound_check(sys, y, pts)
+        _, report = check_kernel(sys, y, pts)
         assert report.ok
         assert report.c_empirical <= report.c_bound
 
@@ -466,8 +466,8 @@ class TestSupportBound:
         rng = random.Random(53)
         y = sampling.random_positive_set(rng, sys)
         pts = sampling.sample_points(rng, 2, 60)
-        near = support_bound_check(sys, y, pts)
-        far = support_bound_check(sys, y.translate((0, 1000)), [(a, b + 777) for a, b in pts])
+        _, near = check_kernel(sys, y, pts)
+        _, far = check_kernel(sys, y.translate((0, 1000)), [(a, b + 777) for a, b in pts])
         assert near.ok and far.ok and near.nonzero > 0
         assert (near.nonzero, near.c_empirical, near.c_bound) == (far.nonzero, far.c_empirical, far.c_bound)
 

@@ -15,6 +15,7 @@ from galpairs import linalg, sampling
 from galpairs.families import Hull, OrthogonalSet, volume_analytic, volume_polytope
 from galpairs.root_data import BUILTIN_NAMES, _from_cartan, builtin_system
 from hull_oracle import hull_volume
+from support_oracle import lattice_coords
 
 
 def _sweep(sys, targets):
@@ -41,7 +42,7 @@ def test_fan_rows_volume_matches_brute_force_hull_and_analytic(name):
     sys = builtin_system(name)
     volumes = set()
     for y in _sets(sys, 81):
-        brute = hull_volume(Hull(fam.lattice_coords(sys, list(y.points.values()))))
+        brute = hull_volume(Hull(lattice_coords(sys, list(y.points.values()))))
         v = volume_polytope(y)
         assert v == brute == volume_analytic(y), y.points
         volumes.add(v)
