@@ -1,8 +1,10 @@
 """Tests for Smith normal form, lattices and lattice cohomology."""
 
+import json
 import random
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +13,10 @@ from hypothesis import strategies as st
 import tate_oracle
 from galpairs import exact_linalg as el
 from galpairs import linalg
+
+
+# (m, U, D, V) recorded from the pivot rule: one case for each of its steps
+SNF_GOLDEN = json.loads(Path(__file__).with_name("snf_golden.json").read_text(encoding="utf-8"))
 
 
 def _matmul(a, b):
@@ -47,6 +53,12 @@ class TestSmithNormalForm:
         assert el.diagonal_of(d) == [0, 0]
         u, d, v = el.smith_normal_form([[1, 2, 3]])
         assert el.diagonal_of(d) == [1]
+
+    @pytest.mark.parametrize("case", SNF_GOLDEN, ids=[c["name"] for c in SNF_GOLDEN])
+    def test_pivot_rule_golden(self, case):
+        # the smallest |entry|, then the uppermost, then the leftmost; a new search
+        # after a remainder; the fix-up adds the first row with a non-multiple
+        assert el.smith_normal_form(case["m"]) == (case["u"], case["d"], case["v"])
 
     def test_deterministic(self):
         m = [[12, 8, 3], [-4, 7, 9], [0, 5, -11]]
@@ -426,6 +438,13 @@ class TestTateCohomology:
         expect = el.tate_h_minus1(t).direct_sum(el.tate_h_minus1(s))
         assert el.tate_h_minus1(combined) == expect
         assert el.tate_h_minus1(combined).invariant_factors == (2, 2)
+
+    def test_committed_torus_fixture(self):
+        # Z[G] + sign + trivial in a basis whose (s - 1) columns are not diagonal:
+        # only the sign summand contributes, Z/2
+        path = Path(__file__).with_name("fixtures") / "torus_z2_rank4.json"
+        x = el.lattice_with_action_from_json(str(path))
+        assert el.tate_h_minus1(x) == tate_oracle.tate_h_minus1(x) == el.FiniteAbelianGroup((2,))
 
     @pytest.mark.parametrize("x", tate_cases(range(3)))
     def test_matches_the_literal_quotient(self, x):
