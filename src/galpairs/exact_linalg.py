@@ -8,6 +8,10 @@ For cocharacter lattices of tori this group classifies the first Galois
 cohomology of the torus.  The group's closure, its preservation of the lattice
 and the augmentation columns are all read through a generating set T of the
 group, which has at most log2 |G| elements.
+``smith_normal_form`` eliminates on one bordered matrix [[A, I], [I, 0]]:
+each row or column operation is written once and carries U and V along with
+A.  Its pivot is the smallest |entry|, then the uppermost, then the leftmost,
+so (U, D, V) depend only on the input; rows of unequal length are refused.
 """
 
 from __future__ import annotations
@@ -73,96 +77,59 @@ def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """Return (U, D, V) with U @ m @ V = D, U and V unimodular.
+    """Return (U, D, V) with U @ m @ V = D, U and V unimodular, and D diagonal
+    with nonnegative entries forming a divisibility chain d_1 | d_2 | ... .
 
-    D is diagonal with nonnegative entries forming a divisibility chain
-    d_1 | d_2 | ... .  The pivot choice is deterministic: at each step the
-    remaining entry of smallest absolute value is selected, ties broken by
-    smallest row index then smallest column index, so identical inputs give
-    identical (U, D, V).
+    The n x k matrix A = m is bordered as B = [[A, I_n], [I_k, 0]], its zero
+    block left out: row operations act on the top rows [A | U] and column
+    operations on the left columns [A ; V], so U and V ride along with A.  The
+    pivot is the remaining entry of smallest absolute value, then the
+    uppermost, then the leftmost, so identical inputs give identical (U, D, V).
+    A remainder left in its row or column starts a new search; once both are
+    clear, the first row holding an entry the pivot does not divide is added
+    to its row.  Rows of unequal length raise ValueError.
     """
     a = _as_int_matrix(m)
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
-    u = [list(row) for row in linalg.identity(nrows)]
-    v = [list(row) for row in linalg.identity(ncols)]
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-        u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
-
+    if len({len(row) for row in a}) > 1:
+        raise ValueError("rows of unequal length do not form a matrix")
+    n = len(a)
+    k = len(a[0]) if a else 0
+    b = [row + list(e) for row, e in zip(a, linalg.identity(n))]
+    b += [list(e) for e in linalg.identity(k)]
     t = 0
-    while t < min(nrows, ncols):
-        # deterministic pivot: smallest |value|, then uppermost, then leftmost
-        pivot = None
+    while t < min(n, k):
         best = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] != 0:
-                    key = abs(a[i][j])
-                    if best is None or key < best:
-                        best = key
-                        pivot = (i, j)
-        if pivot is None:
+        for i in range(t, n):
+            for j in range(t, k):
+                if b[i][j] and (best is None or abs(b[i][j]) < best):
+                    best, pi, pj = abs(b[i][j]), i, j
+        if best is None:
             break
-        pi, pj = pivot
-        if pi != t:
-            swap_rows(t, pi)
+        b[t], b[pi] = b[pi], b[t]
         if pj != t:
-            swap_cols(t, pj)
-        if a[t][t] < 0:
-            negate_row(t)
-
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t] != 0:
-                q = a[i][t] // a[t][t]
-                add_row(t, i, -q)
-                if a[i][t] != 0:
-                    dirty = True
-        for j in range(t + 1, ncols):
-            if a[t][j] != 0:
-                q = a[t][j] // a[t][t]
-                add_col(t, j, -q)
-                if a[t][j] != 0:
-                    dirty = True
-        if dirty:
-            continue
-        # row and column are clear; enforce divisibility of the remaining block
-        bad = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % a[t][t] != 0:
-                    bad = i
-                    break
-            if bad is not None:
-                break
-        if bad is not None:
-            add_row(bad, t, 1)
-            continue
-        t += 1
-
-    return u, a, v
+            for row in b:
+                row[t], row[pj] = row[pj], row[t]
+        if b[t][t] < 0:
+            b[t] = [-x for x in b[t]]
+        p = b[t][t]
+        for i in range(t + 1, n):
+            if b[i][t]:
+                q = b[i][t] // p
+                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
+        for j in range(t + 1, k):
+            if b[t][j]:
+                q = b[t][j] // p
+                for row in b:
+                    row[j] -= q * row[t]
+        if any(b[i][t] for i in range(t + 1, n)) or any(b[t][t + 1 : k]):
+            continue  # a remainder is left in the pivot's column or row
+        # p divides every entry of the remaining block iff it divides each row's gcd
+        bad = next((i for i in range(t + 1, n) if math.gcd(*b[i][t + 1 : k]) % p), None)
+        if bad is None:
+            t += 1
+        else:
+            b[t] = [x + y for x, y in zip(b[t], b[bad])]
+    return [row[k:] for row in b[:n]], [row[:k] for row in b[:n]], b[n:]
 
 
 def diagonal_of(d: IntMat) -> list[int]:

@@ -54,6 +54,14 @@ class TestSmithNormalForm:
         u, d, v = el.smith_normal_form([[1, 2, 3]])
         assert el.diagonal_of(d) == [1]
 
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]])
+    def test_ragged_matrix_is_refused(self, m):
+        # the bordered elimination would misread a short row instead of failing
+        with pytest.raises(ValueError, match="unequal length"):
+            el.smith_normal_form(m)
+        with pytest.raises(ValueError, match="unequal length"):
+            el.cokernel_structure(m, len(m))
+
     @pytest.mark.parametrize("case", SNF_GOLDEN, ids=[c["name"] for c in SNF_GOLDEN])
     def test_pivot_rule_golden(self, case):
         # the smallest |entry|, then the uppermost, then the leftmost; a new search
