@@ -122,31 +122,10 @@ def cmd_verify_prasad(args) -> tuple[int, str]:
         )
     for spec in args.preset or []:
         preset = pr.resolve_preset(spec)
-        all_ok = True
-        checked = 0
-        for chi in mu.distinct_b_characters(preset):
-            got = mu.steinberg_multiplicity(preset, chi)
-            want = mu.steinberg_indicator(preset, chi)
-            checked += 1
-            if got != want:
-                all_ok = False
-        report.add(
-            f"multiplicity-indicator {preset.name}",
-            all_ok,
-            f"{checked} characters of B",
-        )
+        chars = mu.distinct_b_characters(preset)
+        ok = all(mu.steinberg_multiplicity(preset, chi) == mu.steinberg_indicator(preset, chi) for chi in chars)
+        report.add(f"multiplicity-indicator {preset.name}", ok, f"{len(chars)} characters of B")
     return report.result(args.format)
-
-
-def cmd_ortho(args) -> tuple[int, str]:
-    system = rd.resolve_system(args.system)
-    if args.action == "check":
-        return _ortho_check(args, system)
-    if args.action == "volume":
-        return _ortho_volume(args, system)
-    if args.action == "ehrhart":
-        return _ortho_ehrhart(args, system)
-    raise ValueError(f"unknown ortho action {args.action!r}")
 
 
 def _load_set(args, system: rd.RestrictedRootSystem) -> Optional[fam.OrthogonalSet]:
@@ -229,6 +208,14 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
     return report.result(args.format)
 
 
+# the ortho actions, run on the resolved system; the parser takes its choices from here
+_ORTHO = {"check": _ortho_check, "volume": _ortho_volume, "ehrhart": _ortho_ehrhart}
+
+
+def cmd_ortho(args) -> tuple[int, str]:
+    return _ORTHO[args.action](args, rd.resolve_system(args.system))
+
+
 def _resolve_torus(args):
     if args.fixture:
         return lattice_with_action_from_json(args.fixture)
@@ -290,14 +277,14 @@ def cmd_list_levis(args) -> tuple[int, str]:
 # -- argument parsing ---------------------------------------------------------------
 
 
-def _int_at_least(lowest: int, highest: Optional[int] = None):
-    """argparse type: an integer no smaller than ``lowest`` (nor larger than ``highest``)."""
+def _int_at_least(lowest: int, highest: int):
+    """argparse type: an integer no smaller than ``lowest`` nor larger than ``highest``."""
 
     def count(text: str) -> int:
         value = int(text)
         if value < lowest:
             raise argparse.ArgumentTypeError(f"must be at least {lowest}, got {value}")
-        if highest is not None and value > highest:
+        if value > highest:
             raise argparse.ArgumentTypeError(f"must be at most {highest}, got {value}")
         return value
 
@@ -321,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_prasad)
 
     p = sub.add_parser("ortho", help="orthogonal-set checks")
-    p.add_argument("action", choices=("check", "volume", "ehrhart"))
+    p.add_argument("action", choices=tuple(_ORTHO))
     p.add_argument("--system", required=True, help="built-in name or fixture path")
     p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=100)
     p.add_argument("--seed", type=int, default=0)

@@ -18,14 +18,15 @@ Fraction ``points`` are a view.  A positive set's hull is read off the fan as in
 lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
 kept per (set, sweep point, basis).  The rows and the analytic volume's weights
 (``volume_weights``) are system tables read off W's root permutations, so no count or
-volume builds the kernel.  ``check_kernel`` reads each sampled point once for both checks
-of ``ortho check``: the partition of unity and, from its full-cone term Gamma^G, the support
-bound, in integers through the coroots' lattice coordinates (``coroot_lattice_rows``, which
-``support_bound_certificate`` and ``volume_weights`` read too) and ``chamber_duals``.  The
-analytic volume reads chamber data too, so the independent check of both volumes is the
-brute-force ``Hull``, in the tests.  The fit of the counts solves its Vandermonde systems
-in integers; Fractions are made only for results that are rational numbers: volumes,
-coefficients and constants.
+volume builds the kernel.  A ``_Point`` parses, clears and pairs a point with the kernel's
+covectors once, and refuses a set of another system; ``check_kernel`` makes one per sampled
+point for both checks of ``ortho check``: the partition of unity and, from its full-cone
+term Gamma^G, the support bound, in integers through the coroots' lattice coordinates
+(``coroot_lattice_rows``, which ``support_bound_certificate`` and ``volume_weights`` read
+too) and ``chamber_duals``.  The analytic volume reads chamber data too, so the independent
+check of both volumes is the brute-force ``Hull``, in the tests.  The fit of the counts
+solves its Vandermonde systems in integers; Fractions are made only for results that are
+rational numbers: volumes, coefficients and constants.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
@@ -61,8 +62,8 @@ class OrthogonalSet:
     from (N, e) on first use.  Validation checks every wall-adjacent pair (P, P') of
     the chamber wall table ``RestrictedRootSystem.walls``: Y_P - Y_P' must be r * (the
     coroot of P's simple root along the wall), tested by integer cross-multiplication
-    against ``wall_coroot_rows``, and the rational r are the ``wall_coefficients``.
-    The set is *positive* when all of them are nonnegative.
+    against ``wall_coroot_rows``, and r has the sign of the integer kept per wall in
+    ``_wall_values``.  The set is *positive* when all of them are nonnegative.
     """
 
     def __init__(self, system: RestrictedRootSystem, points: Optional[dict[int, Sequence]] = None,
@@ -102,15 +103,6 @@ class OrthogonalSet:
         """Chamber -> Y_P = N[i] / e as a Fraction tuple."""
         n, e = self._integral
         return {c: tuple(Fraction(x, e) for x in row) for c, row in zip(self.system.chambers, n)}
-
-    @functools.cached_property
-    def wall_coefficients(self) -> dict[tuple[int, int], Fraction]:
-        """(P, P') -> r with Y_P - Y_P' = r * coroot, both ways round: t c / (e K[m]^2)."""
-        sys, e = self.system, self._integral[1]
-        (rows, c), out = sys.wall_coroot_rows, {}
-        for (p, q, _, _), (_, _, k, m), t in zip(sys.walls, rows, self._wall_values):
-            out[(p, q)] = out[(q, p)] = Fraction(t * c, e * k[m] ** 2)
-        return out
 
     @functools.cached_property
     def thresholds(self) -> dict[int, list[int]]:
@@ -161,10 +153,6 @@ class OrthogonalSet:
         rows, den = system.chamber_weyl_rows
         flat = linalg.matvec(rows, xi)
         return cls(system, integral=([flat[i : i + n] for i in range(0, len(flat), n)], den * d))
-
-    @classmethod
-    def zero(cls, system: RestrictedRootSystem) -> "OrthogonalSet":
-        return cls(system, integral=([(0,) * system.ambient_dim] * len(system.chambers), 1))
 
     def add(self, other: "OrthogonalSet") -> "OrthogonalSet":
         if other.system is not self.system:
@@ -249,7 +237,6 @@ class KernelTables:
         if (moves := weyl * 3**sys.rank) > MAX_KERNEL_MOVES:
             size = f"{moves} face pairs ({weyl} Weyl elements times 3^{sys.rank})"
             raise ValueError(f"the kernel compile would move {size}, more than the limit of {MAX_KERNEL_MOVES}")
-        self.system = sys
         ids: dict[tuple[int, ...], int] = {}  # primitive simple coordinates -> id
         coords = sys.simple_coordinates[0]
         std = sys.chamber_faces(sys.base_chamber)  # type I -> the standard face F_I
@@ -297,27 +284,31 @@ class KernelTables:
         roots = [sys.integral_roots[0][i] for i in sys.simple_indices]
         self.covectors: list[tuple[int, ...]] = [linalg.scale_to_integers(linalg.vecmat(c, roots)) for c in ids]
 
-    def point(self, h: Sequence) -> tuple[tuple[int, ...], list[int], int]:
-        """(H, <c, H> for every covector c, D) where h = H / D, H integral, D > 0."""
-        hi, d = linalg.clear_denominators(_parse_vec(h, self.system.ambient_dim))
-        return hi, list(linalg.matvec(self.covectors, hi)), d
+
+def _same_system(sys: RestrictedRootSystem, y: OrthogonalSet) -> None:
+    """Refuse a set of another system, whose chambers and walls are not this system's."""
+    if y.system is not sys:
+        raise ValueError("the orthogonal set lives on a different system")
 
 
 class _Point(dict):
-    """One point h = H / d against one set Y, as masks.  ``nonzero`` has the sign bits of the
-    covectors c with <c, h> != 0, and self[P], made when first read, is the complement of the sign
-    bits of the c with <c, h> > 0 and the threshold bits of the c of ``read[P]`` with
-    <c, h> > <c, Y_P>: a test holds at h iff its mask & self[P] == 0."""
+    """One point h = H / d, parsed, cleared and paired with the kernel's covectors c once (``dots``), against
+    one set Y of the same system, as masks.  ``nonzero`` has the sign bits of the c with <c, h> != 0, and
+    self[P], made when first read, is the complement of the sign bits of the c with <c, h> > 0 and the
+    threshold bits of the c of ``read[P]`` with <c, h> > <c, Y_P>: a test holds at h iff its mask & self[P] == 0."""
 
-    def __init__(self, kernel: KernelTables, h: Sequence, y: OrthogonalSet):
-        self.h, self.dots, self.d = kernel.point(h)
+    def __init__(self, sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet):
+        _same_system(sys, y)
+        self.kernel = kernel = sys.kernel_tables
+        self.h, self.d = linalg.clear_denominators(_parse_vec(h, sys.ambient_dim))
+        self.dots = linalg.matvec(kernel.covectors, self.h)
         self.positive = sum(1 << 2 * c for c, x in enumerate(self.dots) if x > 0)
         self.nonzero = self.positive | sum(1 << 2 * c for c, x in enumerate(self.dots) if x < 0)
-        self.read, self.y = kernel.read, y
+        self.y = y
 
     def __missing__(self, p: int) -> int:
         dots, d, den, good = self.dots, self.d, self.y._integral[1], self.positive
-        for c, num in zip(self.read[p], self.y.thresholds[p]):
+        for c, num in zip(self.kernel.read[p], self.y.thresholds[p]):
             if dots[c] * den > d * num:
                 good |= 2 << 2 * c
         self[p] = ~good
@@ -337,19 +328,18 @@ def _gamma(table: list, point: _Point) -> int:
 
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
-    kernel = sys.kernel_tables
-    return _gamma(kernel.compiled[q][2], _Point(kernel, h, y))
+    point = _Point(sys, h, y)
+    return _gamma(point.kernel.compiled[q][2], point)
 
 
-def _cone_terms(kernel: KernelTables, point: _Point) -> list[int]:
+def _cone_terms(point: _Point) -> list[int]:
     """Per cone Q, Gamma_Q(h, Y) * tau^G_Q(h - Y_Q): the terms of the partition of unity."""
-    return [0 if top & point[p] else _gamma(table, point) for p, top, table in kernel.compiled]
+    return [0 if top & point[p] else _gamma(table, point) for p, top, table in point.kernel.compiled]
 
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
-    kernel = sys.kernel_tables
-    return sum(_cone_terms(kernel, _Point(kernel, h, y)))
+    return sum(_cone_terms(_Point(sys, h, y)))
 
 
 # -- exact convex hulls -------------------------------------------------------
@@ -572,15 +562,16 @@ def check_kernel(
     not see the roots' common kernel): with the base chamber's duals V_i / D and coroots L_i / d in the lattice
     (``coroot_lattice_rows``), h = H / D_h has part T H / (D d D_h), T = sum_i L_i (x) V_i in integers, so
     with Y = N / e each ratio is e max|T H| / (D_h max|T N|)."""
-    kernel, g, base = sys.kernel_tables, sys.full_cone().index, sys.base_chamber
+    _same_system(sys, y)
+    g, base = sys.full_cone().index, sys.base_chamber
     (rows, _), (duals, _) = sys.coroot_lattice_rows, sys.chamber_duals
     t = linalg.matmul(linalg.transpose([rows[k] for k in sys.chamber_simple_indices(base)]), duals[base])
     (n, e), c_bound = y._integral, support_bound_certificate(sys)
     sup_y = max(max(map(abs, linalg.matvec(t, row))) for row in n)
     violations, nonzero, c_emp, ok = [], 0, Fraction(0), True
     for h in points:
-        point = _Point(kernel, h, y)
-        terms = _cone_terms(kernel, point)
+        point = _Point(sys, h, y)
+        terms = _cone_terms(point)
         if (value := sum(terms)) != 1:
             violations.append((tuple(Fraction(x, point.d) for x in point.h), value))
         if terms[g]:

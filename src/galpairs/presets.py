@@ -141,7 +141,7 @@ def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
 
 
 def builtin_preset(family: str, n: int) -> ThetaPreset:
-    """Presets "GL:n" (general linear over a quadratic extension) and "U:n"."""
+    """Presets "GL:n" (general linear over a quadratic extension) and "U:n"; "SO:n" is refused."""
     if n < 1:
         raise ValueError("n must be positive")
     num = n - 1
@@ -212,10 +212,10 @@ def preset_from_json(path: str) -> ThetaPreset:
 
 
 def resolve_preset(spec: str) -> ThetaPreset:
-    """Accept "GL:n" / "U:n" or a path to a JSON fixture."""
+    """Accept "GL:n" / "U:n" / "SO:n" or a path to a JSON fixture."""
     if ":" in spec:
         family, _, num = spec.partition(":")
-        if family in ("GL", "U"):
+        if family in ("GL", "U", "SO"):
             return builtin_preset(family, int(num))
     return preset_from_json(spec)
 

@@ -433,24 +433,21 @@ _CARTAN = {
     "G2": [[2, -1], [-3, 2]],
 }
 
-_BUILTIN_CACHE: dict[str, RestrictedRootSystem] = {}
+# each built-in name and the builder of its system; BUILTIN_NAMES is read off this table
+_BUILTINS = {
+    **{name: functools.partial(_from_cartan, cartan) for name, cartan in _CARTAN.items()},
+    "BC1": functools.partial(_bc_system, 1),
+    "BC2": functools.partial(_bc_system, 2),
+}
+BUILTIN_NAMES = tuple(_BUILTINS)
 
 
+@functools.cache
 def builtin_system(name: str) -> RestrictedRootSystem:
-    """Built-in systems: A1, A2, A3, B2, C2, G2, BC1, BC2."""
-    if name not in _BUILTIN_CACHE:
-        if name in _CARTAN:
-            _BUILTIN_CACHE[name] = _from_cartan(_CARTAN[name], name)
-        elif name == "BC1":
-            _BUILTIN_CACHE[name] = _bc_system(1, name)
-        elif name == "BC2":
-            _BUILTIN_CACHE[name] = _bc_system(2, name)
-        else:
-            raise ValueError(f"unknown built-in system {name!r}")
-    return _BUILTIN_CACHE[name]
-
-
-BUILTIN_NAMES = ("A1", "A2", "A3", "B2", "C2", "G2", "BC1", "BC2")
+    """The built-in system of that name, one of ``BUILTIN_NAMES``, built once."""
+    if name not in _BUILTINS:
+        raise ValueError(f"unknown built-in system {name!r}")
+    return _BUILTINS[name](name)
 
 
 def system_from_dict(data: dict) -> RestrictedRootSystem:

@@ -25,10 +25,8 @@ def sample_rational_point(
     )
 
 
-def sample_points(
-    rng: random.Random, dim: int, count: int, numerator_bound: int = 30, max_denominator: int = 6
-) -> list[Vec]:
-    return [sample_rational_point(rng, dim, numerator_bound, max_denominator) for _ in range(count)]
+def sample_points(rng: random.Random, dim: int, count: int) -> list[Vec]:
+    return [sample_rational_point(rng, dim) for _ in range(count)]
 
 
 def random_dominant_point(rng: random.Random, sys: RestrictedRootSystem) -> Vec:

@@ -12,6 +12,10 @@ are the formulas it replaced, on dicts chamber -> Fraction point:
 * ``volume_polytope``: the chamber points in Fraction lattice coordinates
   (``support_oracle.lattice_coords``), cleared once, under hull rows paired with the basis in
   Fractions.
+
+Two helpers on ``OrthogonalSet`` itself are here because only tests read them: ``zero``,
+the set whose every point is 0, and ``wall_coefficients``, the rational r of each wall
+read off the integers its validation keeps.
 """
 
 from __future__ import annotations
@@ -72,3 +76,18 @@ def volume_polytope(sys, points: Points) -> Fraction:
         for c, pos in sys.facet_rows
     ]
     return families.triangulated_volume(n, rows) / e ** len(basis)
+
+
+def zero(sys) -> families.OrthogonalSet:
+    """The set Y_P = 0 at every chamber, as rows of zeros over 1."""
+    return families.OrthogonalSet(sys, integral=([(0,) * sys.ambient_dim] * len(sys.chambers), 1))
+
+
+def wall_coefficients(y: families.OrthogonalSet) -> dict[tuple[int, int], Fraction]:
+    """(P, P') -> r with Y_P - Y_P' = r * coroot, both ways round: t c / (e K[m]^2), with t per
+    wall of ``OrthogonalSet._wall_values`` and (K, m) per row of ``wall_coroot_rows`` (over c)."""
+    sys, e = y.system, y._integral[1]
+    (rows, c), out = sys.wall_coroot_rows, {}
+    for (p, q, _, _), (_, _, k, m), t in zip(sys.walls, rows, y._wall_values):
+        out[(p, q)] = out[(q, p)] = Fraction(t * c, e * k[m] ** 2)
+    return out

@@ -21,6 +21,7 @@ from itertools import product
 
 import pytest
 
+import set_oracle
 import volume_oracle
 from galpairs import families as fam
 from galpairs import linalg, sampling
@@ -56,7 +57,7 @@ def _volume_sets(sys, seed):
         positive.translate(sampling.sample_rational_point(rng, r, 6, 5)),
         _sweep(sys, (1,) + (0,) * (r - 1)),
         _sweep(sys, (0,) * (r - 1) + (2,)).translate(sampling.sample_rational_point(rng, r, 3, 2)),
-        OrthogonalSet.zero(sys),
+        set_oracle.zero(sys),
     ]
 
 

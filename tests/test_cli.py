@@ -162,6 +162,10 @@ class TestBadInput:
             (H1, {**NORM_ONE, "ambient_rank": True}, "True"),
             (VOLUME, {**A1_SYSTEM, "simple_indices": [0.9]}, "0.9"),
             (VOLUME, {**A1_SYSTEM, "lattice_basis": [[1.5]]}, "1.5"),
+            # lattice bases that span no lattice of the stated rank
+            (VOLUME, {**A1_SYSTEM, "lattice_basis": [[1], [2]]}, "basis vectors are dependent"),
+            (VOLUME, {**A1_SYSTEM, "lattice_basis": [[1, 0]]}, "basis vector has wrong length"),
+            (H1, {**NORM_ONE, "basis": [[1], [2]]}, "basis vectors are dependent"),
             (LEVIS, {**U2_PRESET, "num_simple": 1.5}, "1.5"),
             (LEVIS, {**U2_PRESET, "delta_minus": [0.2]}, "0.2"),
             # malformed shapes
@@ -595,6 +599,13 @@ class TestToriAndLevis:
         code, text = run(["list-levis", "--preset", str(path)])
         assert code == EXIT_PASS, text
         assert "pass levi I=(1,): sign=+1 ker1=1 mab_index=2" in text
+
+    @pytest.mark.parametrize("command", [["list-levis"], ["verify-prasad", "--m", "1"]])
+    def test_odd_orthogonal_preset_is_refused(self, command):
+        # SO:n names a built-in family, so it is refused as one, not read as a fixture path
+        code, text = run(command + ["--preset", "SO:5"])
+        assert code == EXIT_USAGE
+        assert text.startswith("error: odd orthogonal data is only accepted through a fixture")
 
     @pytest.mark.parametrize("preset", ["U:4", "GL:6"])
     def test_list_levis_fails_on_a_perturbed_rank(self, preset, monkeypatch):

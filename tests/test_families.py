@@ -25,6 +25,7 @@ from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
 from hull_oracle import cofactor_normal, hull_volume
 from kernel_oracle import delta, gamma_cone_pair, parabolic_leq, projected, tau, tau_hat
 import root_oracle
+import set_oracle
 
 
 def a1_segment():
@@ -88,7 +89,7 @@ class TestOrthogonalSet:
 
     def test_zero_set(self):
         sys = builtin_system("B2")
-        z = OrthogonalSet.zero(sys)
+        z = set_oracle.zero(sys)
         assert z.is_positive
         assert all(p == (0, 0) for p in z.points.values())
 
@@ -452,7 +453,7 @@ class TestSupportBound:
         sys = builtin_system("A2")
         rng = random.Random(47)
         y = sampling.random_positive_set(rng, sys)
-        pts = sampling.sample_points(rng, 2, 50, numerator_bound=60)
+        pts = [sampling.sample_rational_point(rng, 2, numerator_bound=60) for _ in range(50)]
         _, report = check_kernel(sys, y, pts)
         assert report.ok
         assert report.c_empirical <= report.c_bound

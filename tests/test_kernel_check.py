@@ -19,13 +19,15 @@ import pytest
 from galpairs import sampling
 from galpairs.cli import run
 from galpairs.families import (
-    KernelTables,
     OrthogonalSet,
+    _Point,
     check_kernel,
+    gamma_family,
     partition_of_unity_value,
     support_bound_certificate,
 )
 from galpairs.root_data import BUILTIN_NAMES, _parse_vec, builtin_system, system_from_dict, system_from_json
+import set_oracle
 import support_oracle
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -40,7 +42,7 @@ def _system(name):
 
 def _sets(sys, rng):
     """A positive and a non-positive set, the zero set (every part of Y is 0) and a translate of it."""
-    zero = OrthogonalSet.zero(sys)
+    zero = set_oracle.zero(sys)
     shift = sampling.sample_rational_point(rng, sys.ambient_dim, 3, 2)
     return [sampling.random_positive_set(rng, sys), sampling.random_nonpositive_set(rng, sys), zero, zero.translate(shift)]
 
@@ -100,17 +102,35 @@ def test_zero_set_with_supported_parts_fails_the_bound(monkeypatch):
     planted = list(kernel.compiled)
     planted[g] = (kernel.compiled[g][0], 0, [(g, kernel.compiled[g][0], 0, [(0, 1)])])
     monkeypatch.setattr(kernel, "compiled", planted)
-    y, points = OrthogonalSet.zero(sys), [(0,), (1,)]
+    y, points = set_oracle.zero(sys), [(0,), (1,)]
     _, report = check_kernel(sys, y, points)
     assert (report.nonzero, report.c_empirical, report.ok) == (2, 0, False)
     assert report == support_oracle.support_bound_check(sys, y, points)
 
 
+@pytest.mark.parametrize("name, other", [("B2", "C2"), ("A2", "B2")])
+def test_set_of_another_system_is_refused_before_any_work(name, other):
+    # B2 and C2 share their chambers, so a C2 set would be read as if it were B2's and the partition
+    # of unity at (2, 2) would be 0; B2 has chambers that A2 lacks.  The system is built anew, so a refusal
+    # before any work leaves its kernel uncompiled.
+    y = OrthogonalSet.special(builtin_system(other), (1, 2))
+    calls = [
+        lambda sys: partition_of_unity_value(sys, (2, 2), y),
+        lambda sys: gamma_family(sys, sys.full_cone().index, (2, 2), y),
+        lambda sys: check_kernel(sys, y, [(2, 2)]),
+    ]
+    for call in calls:
+        sys = builtin_system.__wrapped__(name)
+        with pytest.raises(ValueError, match="^the orthogonal set lives on a different system$"):
+            call(sys)
+        assert "kernel_tables" not in sys.__dict__
+
+
 @pytest.mark.parametrize("argv", [["A2"], ["A3"], [str(FIXTURES / "a2_lattice2.json")]])
 def test_check_reads_each_point_once(argv, monkeypatch):
     calls = []
-    point = KernelTables.point
-    monkeypatch.setattr(KernelTables, "point", lambda self, h: calls.append(h) or point(self, h))
+    init = _Point.__init__
+    monkeypatch.setattr(_Point, "__init__", lambda self, sys, h, y: calls.append(h) or init(self, sys, h, y))
     code, text = run(["ortho", "check", "--samples", "30", "--seed", "2", "--system", *argv])
     assert code == 0, text
     assert len(calls) == 2 * 30  # a positive and a non-positive set

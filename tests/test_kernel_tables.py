@@ -17,15 +17,14 @@ from galpairs import linalg, root_data, sampling
 from galpairs.root_data import BUILTIN_NAMES
 
 
-def _fresh(name, monkeypatch):
-    """The built-in system, built anew, so none of its lazy tables exists yet."""
-    monkeypatch.setattr(root_data, "_BUILTIN_CACHE", {})
-    return root_data.builtin_system(name)
+def _fresh(name):
+    """The built-in system, built anew by its builder past the cache, so none of its lazy tables exists yet."""
+    return root_data.builtin_system.__wrapped__(name)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_counts_and_volumes_build_no_kernel(name, monkeypatch):
-    sys = _fresh(name, monkeypatch)
+def test_counts_and_volumes_build_no_kernel(name):
+    sys = _fresh(name)
     y = sampling.random_positive_set(random.Random(101), sys)
     basis = [linalg.vec(b) for b in sys.lattice.basis]
     assert fam.volume_polytope(y) == fam.volume_analytic(y)
@@ -40,14 +39,14 @@ def test_counts_and_volumes_build_no_kernel(name, monkeypatch):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 @pytest.mark.parametrize("gamma_first", [True, False])
-def test_kernel_values_do_not_depend_on_call_order(name, gamma_first, monkeypatch):
+def test_kernel_values_do_not_depend_on_call_order(name, gamma_first):
     """gamma_family at every cone q, from the first (a chamber, whose table
     names the fewest covectors) up to G, then the partition of unity; and the
     reverse order on a second fresh system."""
-    sys = _fresh(name, monkeypatch)
+    sys = _fresh(name)
     rng = random.Random(103)
     sets = [sampling.random_positive_set(rng, sys), sampling.random_nonpositive_set(rng, sys)]
-    points = sampling.sample_points(rng, sys.ambient_dim, 2, 12, 2) + [(0,) * sys.ambient_dim]
+    points = [sampling.sample_rational_point(rng, sys.ambient_dim, 12, 2) for _ in range(2)] + [(0,) * sys.ambient_dim]
     for y in sets:
         steps = [
             lambda mod, h: [mod.gamma_family(sys, q, h, y) for q in range(len(sys.cones))],
@@ -59,8 +58,8 @@ def test_kernel_values_do_not_depend_on_call_order(name, gamma_first, monkeypatc
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
-def test_hull_rows_default_to_the_lattice_basis(name, monkeypatch):
-    sys = _fresh(name, monkeypatch)
+def test_hull_rows_default_to_the_lattice_basis(name):
+    sys = _fresh(name)
     y = sampling.random_positive_set(random.Random(107), sys)
     assert fam.hull_rows(y) == fam.hull_rows(y, [linalg.vec(b) for b in sys.lattice.basis])
     assert fam.volume_polytope(y) == fam.volume_analytic(y)

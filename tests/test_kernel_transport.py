@@ -18,7 +18,7 @@ import pytest
 
 import kernel_oracle as oracle
 from galpairs import linalg, sampling
-from galpairs.families import KernelTables
+from galpairs.families import KernelTables, _Point
 from galpairs.root_data import BUILTIN_NAMES, RestrictedRootSystem
 from test_fan_permutations import _build
 
@@ -91,7 +91,8 @@ def test_thresholds_match_levi_projection(name):
         for q, want_ids in enumerate(read):
             p, den = sys.chamber_below(q), y._integral[1]
             row = dict(zip(kernel.read[p], y.thresholds[p]))
-            _, want, d = kernel.point(oracle.projected(y, q))
+            point = _Point(sys, oracle.projected(y, q), y)
+            want, d = point.dots, point.d
             for c in want_ids:
                 assert Fraction(row[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
 

@@ -19,6 +19,7 @@ from galpairs import families as fam
 from galpairs import linalg, sampling
 from galpairs.families import Hull, OrthogonalSet, hull_rows, v_tilde_lattice
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
+import set_oracle
 
 
 def _basis(sys, k=1):
@@ -37,7 +38,7 @@ def _sets(sys, seed):
     rng = random.Random(seed)
     out = [sampling.random_positive_set(rng, sys) for _ in range(2)]
     out += [_sweep(sys, t) for t in product(range(3), repeat=sys.ambient_dim)]
-    out.append(OrthogonalSet.zero(sys).translate(sampling.sample_rational_point(rng, sys.ambient_dim, 4, 2)))
+    out.append(set_oracle.zero(sys).translate(sampling.sample_rational_point(rng, sys.ambient_dim, 4, 2)))
     return out
 
 
@@ -97,7 +98,7 @@ def _boundary_cases(sys, seed):
     r = sys.ambient_dim
     ones = _integral_sweep(sys, (1,) * r)
     singular = _integral_sweep(sys, (1,) + (0,) * (r - 1))
-    point = OrthogonalSet.zero(sys).translate(sampling.sample_rational_point(rng, r, 4, 2))
+    point = set_oracle.zero(sys).translate(sampling.sample_rational_point(rng, r, 4, 2))
     refined = (1, 2, 3) if r < 3 else (1, 2)  # the kernel takes about 0.5 ms per A3 point
     cases = [(y, k) for y in (ones, singular) for k in refined] + [(point, 3), (singular, 3)]
     cases.append((sampling.random_positive_set(rng, sys), 2 if r < 3 else 1))
@@ -159,7 +160,7 @@ def test_count_runs_no_kernel(name, monkeypatch):
         raise AssertionError("the row-by-row count ran the kernel")
 
     monkeypatch.setattr(fam, "_gamma", refuse)
-    monkeypatch.setattr(fam.KernelTables, "point", refuse)
+    monkeypatch.setattr(fam, "_Point", refuse)
     assert v_tilde_lattice(y, basis, 0, zero) == exact
 
 

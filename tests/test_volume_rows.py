@@ -15,6 +15,7 @@ from galpairs import linalg, sampling
 from galpairs.families import Hull, OrthogonalSet, volume_analytic, volume_polytope
 from galpairs.root_data import BUILTIN_NAMES, _from_cartan, builtin_system
 from hull_oracle import hull_volume
+import set_oracle
 from support_oracle import lattice_coords
 
 
@@ -33,7 +34,7 @@ def _sets(sys, seed):
     out = [sampling.random_positive_set(rng, sys) for _ in range(3)]
     out += [_sweep(sys, t) for t in product(range(3), repeat=r)]
     out += [y.translate(sampling.sample_rational_point(rng, r, 6, 3)) for y in out[:4]]
-    out.append(OrthogonalSet.zero(sys).translate(sampling.sample_rational_point(rng, r, 4, 2)))
+    out.append(set_oracle.zero(sys).translate(sampling.sample_rational_point(rng, r, 4, 2)))
     return out
 
 
