@@ -12,10 +12,10 @@ both text and JSON output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys as _sys
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import families as fam
@@ -29,6 +29,7 @@ from .exact_linalg import (
     _as_list,
     lattice_with_action_from_json,
     norm_one_torus,
+    read_json,
     split_torus,
     tate_h_minus1,
 )
@@ -48,11 +49,6 @@ MAX_SAMPLE_CONES = 75_000
 def chamber_order(system: rd.RestrictedRootSystem) -> list[int]:
     """Canonical chamber ordering: lexicographic in the sign vectors."""
     return sorted(system.chambers, key=lambda c: system.cones[c].signs)
-
-
-def parse_point(text: str, dim: int) -> tuple[Fraction, ...]:
-    """A comma-separated rational point with ``dim`` coordinates."""
-    return rd._parse_vec(text.split(","), dim)
 
 
 def orthogonal_set_from_dict(data: dict, system: rd.RestrictedRootSystem) -> fam.OrthogonalSet:
@@ -101,15 +97,11 @@ class Report:
         lines.append("OK" if self.ok else "FAILED")
         return "\n".join(lines) + "\n"
 
-    def result(self, fmt: str) -> tuple[int, str]:
-        """(exit code, rendered report)."""
-        return (EXIT_PASS if self.ok else EXIT_VIOLATION), self.render(fmt)
-
 
 # -- subcommand implementations ---------------------------------------------------
 
 
-def cmd_verify_prasad(args) -> tuple[int, str]:
+def cmd_verify_prasad(args) -> Report:
     report = Report("verify-prasad")
     min_m, max_m = (args.m, args.m) if args.m is not None else (0, args.max_m)
     for m in range(min_m, max_m + 1):
@@ -125,19 +117,16 @@ def cmd_verify_prasad(args) -> tuple[int, str]:
         chars = mu.distinct_b_characters(preset)
         ok = all(mu.steinberg_multiplicity(preset, chi) == mu.steinberg_indicator(preset, chi) for chi in chars)
         report.add(f"multiplicity-indicator {preset.name}", ok, f"{len(chars)} characters of B")
-    return report.result(args.format)
+    return report
 
 
 def _load_set(args, system: rd.RestrictedRootSystem) -> Optional[fam.OrthogonalSet]:
-    if getattr(args, "fixture", None):
-        with open(args.fixture, "r", encoding="utf-8") as fh:
-            return orthogonal_set_from_dict(json.load(fh), system)
-    if getattr(args, "special", None):
-        return fam.OrthogonalSet.special(system, parse_point(args.special, system.ambient_dim))
-    return None
+    if args.fixture:
+        return orthogonal_set_from_dict(read_json(args.fixture), system)
+    return fam.OrthogonalSet.special(system, args.special.split(",")) if args.special else None
 
 
-def _ortho_check(args, system) -> tuple[int, str]:
+def _ortho_check(args, system) -> Report:
     if (work := args.samples * len(system.cones)) > MAX_SAMPLE_CONES:
         size = f"{work} point-cone tests ({args.samples} points times {len(system.cones)} cones)"
         raise ValueError(f"the check would make {size}, more than the limit of {MAX_SAMPLE_CONES}")
@@ -161,10 +150,10 @@ def _ortho_check(args, system) -> tuple[int, str]:
         report.add(f"partition-of-unity [{label}]", not bad, detail)
         figures = f"c_emp={frac_str(sb.c_empirical)}, c_bound={frac_str(sb.c_bound)}"
         report.add(f"support-bound [{label}]", sb.ok, f"{sb.nonzero} supported points, {figures}")
-    return report.result(args.format)
+    return report
 
 
-def _ortho_volume(args, system) -> tuple[int, str]:
+def _ortho_volume(args, system) -> Report:
     report = Report(f"ortho volume {system.name or args.system}")
     y = _load_set(args, system)
     if y is None:
@@ -176,15 +165,15 @@ def _ortho_volume(args, system) -> tuple[int, str]:
         vp == va,
         f"polytope={frac_str(vp)}, analytic={frac_str(va)}",
     )
-    return report.result(args.format)
+    return report
 
 
-def _ortho_ehrhart(args, system) -> tuple[int, str]:
+def _ortho_ehrhart(args, system) -> Report:
     report = Report(f"ortho ehrhart {system.name or args.system}")
     y = _load_set(args, system)
     if y is None:
         raise ValueError("ortho ehrhart needs --fixture or --special")
-    x0 = parse_point(args.x0, system.ambient_dim) if args.x0 else linalg.clear_denominators(
+    x0 = rd._parse_vec(args.x0.split(","), system.ambient_dim) if args.x0 else linalg.clear_denominators(
         sampling.random_dominant_point(random.Random(0), system)
     )[0]
     if any(x.denominator != 1 for x in x0):
@@ -205,14 +194,14 @@ def _ortho_ehrhart(args, system) -> tuple[int, str]:
         ok and decreasing_ok,
         "errors " + ", ".join(frac_str(e) for e in errors) + f"; volume={frac_str(target)}",
     )
-    return report.result(args.format)
+    return report
 
 
 # the ortho actions, run on the resolved system; the parser takes its choices from here
 _ORTHO = {"check": _ortho_check, "volume": _ortho_volume, "ehrhart": _ortho_ehrhart}
 
 
-def cmd_ortho(args) -> tuple[int, str]:
+def cmd_ortho(args) -> Report:
     return _ORTHO[args.action](args, rd.resolve_system(args.system))
 
 
@@ -231,7 +220,7 @@ def _killed_by_group_order(torus, group) -> bool:
     return all(torus.order % f == 0 for f in group.invariant_factors)
 
 
-def cmd_h1(args) -> tuple[int, str]:
+def cmd_h1(args) -> Report:
     report = Report("h1")
     torus = _resolve_torus(args)
     group = tate_h_minus1(torus)
@@ -241,10 +230,10 @@ def cmd_h1(args) -> tuple[int, str]:
         f"invariant factors ({', '.join(str(f) for f in group.invariant_factors)}), "
         f"order {group.order}",
     )
-    return report.result(args.format)
+    return report
 
 
-def cmd_fibers(args) -> tuple[int, str]:
+def cmd_fibers(args) -> Report:
     report = Report("fibers")
     torus = _resolve_torus(args)
     group = tate_h_minus1(torus)
@@ -254,10 +243,10 @@ def cmd_fibers(args) -> tuple[int, str]:
         _killed_by_group_order(torus, group),
         f"|H1(T)|={group.order}, |H1(G)|={args.h1g}, fibers={count}",
     )
-    return report.result(args.format)
+    return report
 
 
-def cmd_list_levis(args) -> tuple[int, str]:
+def cmd_list_levis(args) -> Report:
     report = Report("list-levis")
     preset = pr.resolve_preset(args.preset)
     data = pr.enumerate_elliptic_levis(preset)
@@ -271,7 +260,7 @@ def cmd_list_levis(args) -> tuple[int, str]:
         detail = f"sign={d.sign:+d} ker1={d.ker1_size} mab_index={d.mab_index}"
         report.add(f"levi I={d.subset}", ok, detail + (f" label={d.label}" if d.label is not None else ""))
     report.add("invariant ker1*index=2^|I|", all(oks), f"{len(data)} subsets")
-    return report.result(args.format)
+    return report
 
 
 # -- argument parsing ---------------------------------------------------------------
@@ -296,18 +285,20 @@ def build_parser() -> argparse.ArgumentParser:
         prog="galpairs", description="Exact verification of multiplicity combinatorics"
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the options of every command
+    common.add_argument("--format", choices=("text", "json"), default="text")
+    command = functools.partial(sub.add_parser, parents=[common])
     torus_rank = _int_at_least(0, 64)  # the lattice closure check costs about k^3
 
-    p = sub.add_parser("verify-prasad", help="character-collapse and multiplicity checks")
+    p = command("verify-prasad", help="character-collapse and multiplicity checks")
     ranks = p.add_mutually_exclusive_group()
     rank = _int_at_least(0, pr.MAX_M)
     ranks.add_argument("--m", type=rank, default=None, help="single ambient rank to check")
     ranks.add_argument("--max-m", type=rank, default=6, help="check all ranks up to this")
     p.add_argument("--preset", action="append", help="preset spec GL:n / U:n / fixture path")
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_verify_prasad)
 
-    p = sub.add_parser("ortho", help="orthogonal-set checks")
+    p = command("ortho", help="orthogonal-set checks")
     p.add_argument("action", choices=tuple(_ORTHO))
     p.add_argument("--system", required=True, help="built-in name or fixture path")
     p.add_argument("--samples", type=_int_at_least(1, MAX_SAMPLES), default=100)
@@ -319,40 +310,38 @@ def build_parser() -> argparse.ArgumentParser:
     # kmax * (max_period * (rank + 2) + 2) counts, each sweeping its box a plane at a time
     p.add_argument("--kmax", type=_int_at_least(3, 6), default=4)
     p.add_argument("--max-period", type=_int_at_least(1, 4), default=2)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_ortho)
 
     for name, func in (("h1", cmd_h1), ("fibers", cmd_fibers)):
-        p = sub.add_parser(name, help="torus cohomology" if name == "h1" else "inner-form fibers")
+        p = command(name, help="torus cohomology" if name == "h1" else "inner-form fibers")
         p.add_argument("--fixture", help="lattice-with-action fixture path")
         p.add_argument("--norm-one", type=torus_rank, default=None, help="product of k norm-one tori")
         p.add_argument("--split", type=torus_rank, default=None, help="split torus of this rank")
         if name == "fibers":
             p.add_argument("--h1g", type=int, required=True, help="order of the ambient H1")
-        p.add_argument("--format", choices=("text", "json"), default="text")
         p.set_defaults(func=func)
 
-    p = sub.add_parser("list-levis", help="elliptic twisted-Levi data of a preset")
+    p = command("list-levis", help="elliptic twisted-Levi data of a preset")
     p.add_argument("--preset", required=True)
-    p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=cmd_list_levis)
 
     return parser
 
 
 def run(argv: Optional[Sequence[str]] = None) -> tuple[int, str]:
-    """Programmatic entry point: returns (exit code, report text)."""
+    """Programmatic entry point: returns (exit code, report text), the one place a report is rendered."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # argparse errors
         return (EXIT_USAGE if exc.code not in (0, None) else EXIT_PASS), ""
     try:
-        return args.func(args)
-    except (OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+        report = args.func(args)
+    except (OSError, ValueError, KeyError) as exc:  # a json.JSONDecodeError is a ValueError
         return EXIT_USAGE, f"error: {exc}\n"
     except ArithmeticError as exc:  # an exact identity failed inside a computation
         return EXIT_VIOLATION, f"error: {exc}\n"
+    return (EXIT_PASS if report.ok else EXIT_VIOLATION), report.render(args.format)
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

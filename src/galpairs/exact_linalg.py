@@ -53,6 +53,12 @@ def _as_dict(data) -> dict:
     return data
 
 
+def read_json(path: str):
+    """The JSON value in the file at ``path``: the one reader of fixture files."""
+    with open(path, "r", encoding="utf-8") as fh:
+        return json.load(fh)
+
+
 def _as_ints(xs) -> tuple[int, ...]:
     return tuple(_as_int(x) for x in _as_list(xs))
 
@@ -336,8 +342,7 @@ def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
 
 
 def lattice_with_action_from_json(path: str) -> LatticeWithAction:
-    with open(path, "r", encoding="utf-8") as fh:
-        return lattice_with_action_from_dict(json.load(fh))
+    return lattice_with_action_from_dict(read_json(path))
 
 
 # -- common constructions used by fixtures and tests -------------------------

@@ -26,7 +26,9 @@ term Gamma^G, the support bound, in integers through the coroots' lattice coordi
 too) and ``chamber_duals``.  The analytic volume reads chamber data too, so the independent
 check of both volumes is the brute-force ``Hull``, in the tests.  The fit of the counts
 solves its Vandermonde systems in integers; Fractions are made only for results that are
-rational numbers: volumes, coefficients and constants.
+rational numbers: volumes, coefficients and constants.  Every vector handed in (points, sweep
+points, counting bases) is read by ``_parse_vec`` where it is used, with the ambient dimension
+(a ``Hull``'s with its first point's length), so one of another length is refused, not cut by ``zip``.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
 whatever the alternating sum says.  For a positive set that is 1 on the whole
@@ -73,9 +75,7 @@ class OrthogonalSet:
         if integral is None:
             if sorted(points) != sorted(system.chambers):
                 raise ValueError("points must be indexed by exactly the chambers")
-            parsed = {p: _parse_vec(v, system.ambient_dim) for p, v in points.items()}
-            self.points = {c: parsed[c] for c in system.chambers}
-            integral = linalg.integer_basis(list(self.points.values()))
+            integral = linalg.integer_basis([_parse_vec(points[c], system.ambient_dim) for c in system.chambers])
         elif (g := math.gcd(integral[1], *(x for row in integral[0] for x in row))) > 1:
             integral = [tuple(x // g for x in row) for row in integral[0]], integral[1] // g
         self._integral: tuple[Sequence[tuple[int, ...]], int] = integral
@@ -137,7 +137,7 @@ class OrthogonalSet:
         kept under their ``_value_key``, so they are parsed (and "p/q" strings read) only on a miss."""
         vectors = (x0, *basis)  # the basis read once, as the parse reads it again
         if (plan := self._plans.get(_value_key(*vectors))) is None:
-            xv, parsed = _parse_vec(x0, self.system.ambient_dim), [_parse_vec(b) for b in vectors[1:]]
+            xv, *parsed = (_parse_vec(v, self.system.ambient_dim) for v in vectors)
             if (plan := self._plans.get(key := _value_key(xv, *parsed))) is None:
                 plan = self._plans[key] = CountPlan.of(self, xv, parsed)
         return plan
@@ -367,7 +367,7 @@ class Hull:
         pts = list(points)
         if not pts:
             raise ValueError("hull of no points")
-        self.dim = len(_parse_vec(pts[0]))
+        self.dim = len(pts[0])
         ints, self.scale = linalg.integer_basis([_parse_vec(p, self.dim) for p in pts])
         self.vertices: list[tuple[int, ...]] = sorted(set(ints))
         base = self.vertices[0]
@@ -621,7 +621,7 @@ def v_tilde_lattice(
         shifted = y.add(OrthogonalSet.special(sys, linalg.vscale(k, xv)))
         if not shifted.is_positive:
             raise ValueError("lattice counting requires a positive orthogonal set")
-        basis, g = [_parse_vec(b) for b in lattice_basis], sys.full_cone().index
+        basis, g = [_parse_vec(b, sys.ambient_dim) for b in lattice_basis], sys.full_cone().index
         cols, d = _coordinates(basis, shifted._integral[0])
         box = product(*_box(cols, d * shifted._integral[1]))
         points = (linalg.combination(m, basis, sys.ambient_dim) for m in box)
@@ -733,7 +733,9 @@ def hull_rows(y: OrthogonalSet, basis: Optional[Sequence[Vec]] = None) -> list[t
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
-    pairing, e = _pairing(y.system, y.system.lattice.basis if basis is None else basis)
+    sys = y.system
+    basis = sys.lattice.basis if basis is None else [_parse_vec(b, sys.ambient_dim) for b in basis]
+    pairing, e = _pairing(sys, basis)
     den = y._integral[1]
     return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
@@ -855,9 +857,8 @@ def refinement_boxes(y: OrthogonalSet, x0: Sequence, k: int, max_period: int = 4
     """Check the box of every count of ``refinement_constant_term`` at k, largest j first:
     a count that would be refused raises its ValueError before any scan."""
     basis, dilations = _refinement(y.system, k, max_period)
-    xv = _parse_vec(x0, y.system.ambient_dim)
     for j in reversed(dilations):
-        y.count_plan(xv, basis).box(j)
+        y.count_plan(x0, basis).box(j)
 
 
 def _refinement(sys: RestrictedRootSystem, k: int, max_period: int) -> tuple[list[Vec], range]:

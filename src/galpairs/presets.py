@@ -14,11 +14,10 @@ values here.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact_linalg import _as_dict, _as_int, _as_ints
+from .exact_linalg import _as_dict, _as_int, _as_ints, read_json
 
 
 # the largest rank m of (Z/2)^m: the character-collapse check costs m * 2^m
@@ -207,8 +206,7 @@ def preset_from_dict(data: dict) -> ThetaPreset:
 
 
 def preset_from_json(path: str) -> ThetaPreset:
-    with open(path, "r", encoding="utf-8") as fh:
-        return preset_from_dict(json.load(fh))
+    return preset_from_dict(read_json(path))
 
 
 def resolve_preset(spec: str) -> ThetaPreset:

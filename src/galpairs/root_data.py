@@ -23,7 +23,6 @@ Conventions:
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -31,7 +30,7 @@ from itertools import count, islice
 from typing import Optional, Sequence
 
 from . import linalg
-from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_ints, _as_list
+from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_ints, _as_list, read_json
 from .linalg import Mat, Vec, vec_str
 
 _MAX_WEYL = 10000
@@ -42,16 +41,16 @@ MAX_FACE_VISITS = 100_000
 MAX_AMBIENT_DIM = 16
 
 
-def _parse_vec(xs, dim: Optional[int] = None) -> Vec:
-    """Rational vector from a list or tuple of ints, Fractions or "p/q" strings; ValueError
-    on anything else (floats and bools too), or on a length other than ``dim`` if given."""
+def _parse_vec(xs, dim: int) -> Vec:
+    """Rational vector of ``dim`` coordinates from a list or tuple of ints, Fractions or "p/q"
+    strings; ValueError on anything else (floats and bools too), or on another length."""
     if not isinstance(xs, (list, tuple)) or not {bool, float}.isdisjoint(map(type, xs)):
         raise ValueError(f"not a rational vector: {xs!r}")
     try:
         v = linalg.vec(xs)
     except (TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValueError(f"not a rational vector: {xs!r}") from exc
-    if dim is not None and len(v) != dim:
+    if len(v) != dim:
         raise ValueError(f"expected a point with {dim} coordinates, got {len(v)}: {linalg.vec_str(v)}")
     return v
 
@@ -66,24 +65,26 @@ class Cone:
 
 
 class RestrictedRootSystem:
-    """A finite (possibly non-reduced) root datum with its complete fan."""
+    """A finite (possibly non-reduced) root datum, each root and coroot read with ``ambient_dim``
+    coordinates, and its complete fan."""
 
     def __init__(
         self,
         ambient_dim: int,
-        roots: Sequence[Vec],
-        coroots: Sequence[Vec],
+        roots: Sequence[Sequence],
+        coroots: Sequence[Sequence],
         simple_indices: Sequence[int],
         lattice: Optional[IntLattice] = None,
         name: str = "",
     ):
         self.ambient_dim = ambient_dim
         self.name = name
+        roots, coroots = ([_parse_vec(v, ambient_dim) for v in _as_list(vs)] for vs in (roots, coroots))
         if len(roots) != len(coroots):
             raise ValueError("roots and coroots differ in length")
-        order = sorted(range(len(roots)), key=lambda i: tuple(roots[i]))
-        self.roots: list[Vec] = [linalg.vec(roots[i]) for i in order]
-        self.coroots: list[Vec] = [linalg.vec(coroots[i]) for i in order]
+        order = sorted(range(len(roots)), key=roots.__getitem__)
+        self.roots: list[Vec] = [roots[i] for i in order]
+        self.coroots: list[Vec] = [coroots[i] for i in order]
         # roots[k] = R[k] / r and coroots[k] = C[k] / c: the one clearing every integer table reads
         self.integral_roots: tuple[list[tuple[int, ...]], int] = linalg.integer_basis(self.roots)
         self.integral_coroots: tuple[list[tuple[int, ...]], int] = linalg.integer_basis(self.coroots)
@@ -464,18 +465,15 @@ def system_from_dict(data: dict) -> RestrictedRootSystem:
         raise ValueError(f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got {n}")
     if not _as_list(data["roots"]):
         raise ValueError("roots: a system needs at least one root")
-    roots = [_parse_vec(r, n) for r in _as_list(data["roots"])]
-    coroots = [_parse_vec(r, n) for r in _as_list(data["coroots"])]
     simple = _as_ints(data["simple_indices"])
     lattice = None
     if "lattice_basis" in data:
         lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["lattice_basis"]))))
-    return RestrictedRootSystem(n, roots, coroots, simple, lattice, name=str(data.get("name", "")))
+    return RestrictedRootSystem(n, data["roots"], data["coroots"], simple, lattice, name=str(data.get("name", "")))
 
 
 def system_from_json(path: str) -> RestrictedRootSystem:
-    with open(path, "r", encoding="utf-8") as fh:
-        return system_from_dict(json.load(fh))
+    return system_from_dict(read_json(path))
 
 
 def resolve_system(spec: str) -> RestrictedRootSystem:

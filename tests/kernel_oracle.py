@@ -90,7 +90,7 @@ def tau(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     """1 when every simple root of p that lies in the Levi of q is positive at h."""
     if not parabolic_leq(sys, p, q):
         raise ValueError("tau requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
+    hv = _parse_vec(h, sys.ambient_dim)
     pairs = cone_simple_pairs(sys, p)
     for i in vanishing_indices(sys, p, q):
         if linalg.dot(pairs[i][0], hv) <= 0:
@@ -102,7 +102,7 @@ def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
     """1 when every dual-basis covector of (p, q) is positive at h."""
     if not parabolic_leq(sys, p, q):
         raise ValueError("tau_hat requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
+    hv = _parse_vec(h, sys.ambient_dim)
     for w in dual_basis(sys, p, q):
         if linalg.dot(w, hv) <= 0:
             return 0
@@ -111,7 +111,7 @@ def tau_hat(sys: RestrictedRootSystem, p: int, q: int, h: Sequence) -> int:
 
 def delta(sys: RestrictedRootSystem, r: int, h: Sequence) -> int:
     """1 exactly when h lies in the linear span of the cone r."""
-    hv = _parse_vec(h)
+    hv = _parse_vec(h, sys.ambient_dim)
     for a in zero_roots(sys, r):
         if linalg.dot(a, hv) != 0:
             return 0
@@ -122,8 +122,8 @@ def gamma_cone_pair(sys: RestrictedRootSystem, p: int, q: int, h: Sequence, x: S
     """Alternating sum over p <= R <= q of tau^R_p(h) * tau_hat^q_R(h - x)."""
     if not parabolic_leq(sys, p, q):
         raise ValueError("gamma requires p <= q in the parabolic order")
-    hv = _parse_vec(h)
-    hmx = linalg.vsub(hv, _parse_vec(x))
+    hv = _parse_vec(h, sys.ambient_dim)
+    hmx = linalg.vsub(hv, _parse_vec(x, sys.ambient_dim))
     total = 0
     dim_q = sys.cones[q].dim
     for r in [c for c in cones_below(sys, q) if parabolic_leq(sys, p, c)]:
@@ -137,7 +137,7 @@ def gamma_cone_pair(sys: RestrictedRootSystem, p: int, q: int, h: Sequence, x: S
 
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
-    hv = _parse_vec(h)
+    hv = _parse_vec(h, sys.ambient_dim)
     total = 0
     for r in cones_below(sys, q):
         if delta(sys, r, hv) == 0:
@@ -148,7 +148,7 @@ def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSe
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over all cones Q of gamma_family * tau^G_Q(h - Y_Q); must be 1."""
-    hv = _parse_vec(h)
+    hv = _parse_vec(h, sys.ambient_dim)
     g = sys.full_cone().index
     total = 0
     for cone in range(len(sys.cones)):

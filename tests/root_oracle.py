@@ -327,7 +327,7 @@ def restricted_coroot(sys: RestrictedRootSystem, cone: int, alpha: Sequence) -> 
     ``alpha`` is an ambient covector, read through its restriction to the
     span of the cone.
     """
-    a = _parse_vec(alpha)
+    a = _parse_vec(alpha, sys.ambient_dim)
     span = span_basis(sys, cone)
     if all(linalg.dot(a, b) == 0 for b in span):
         raise ValueError("alpha vanishes on the cone span")

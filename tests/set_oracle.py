@@ -41,7 +41,7 @@ def add(a: Points, b: Points) -> Points:
 
 
 def translate(points: Points, v: Sequence) -> Points:
-    vv = _parse_vec(v)
+    vv = _parse_vec(v, len(next(iter(points.values()))))
     return {c: linalg.vadd(p, vv) for c, p in points.items()}
 
 

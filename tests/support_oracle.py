@@ -56,7 +56,7 @@ def support_bound_check(sys, y, points: Sequence[Sequence]) -> SupportBoundRepor
     coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], duals[base]
     part = lambda h: linalg.combination([linalg.dot(w, h) / den for w in duals], coroots, sys.ambient_dim)
     sup_y = max(map(sup_norm, lattice_coords(sys, [part(p) for p in y.points.values()])), default=Fraction(0))
-    supported = [_parse_vec(h) for h in points if gamma_family(sys, g, h, y) != 0]
+    supported = [_parse_vec(h, sys.ambient_dim) for h in points if gamma_family(sys, g, h, y) != 0]
     c_emp = Fraction(0)
     ok = True
     for hn in map(sup_norm, lattice_coords(sys, list(map(part, supported)))):

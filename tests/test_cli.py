@@ -10,9 +10,12 @@ from pathlib import Path
 
 import pytest
 
+from galpairs import cli
 from galpairs import families as fam
 from galpairs import multiplicity as mu
+from galpairs import presets as pr
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_SAMPLES, build_parser, frac_str, run
+from galpairs.exact_linalg import TRIVIAL_GROUP
 from galpairs.presets import MAX_GL_N, MAX_M
 from galpairs.root_data import MAX_AMBIENT_DIM, builtin_system
 
@@ -645,6 +648,94 @@ class TestDeterminism:
         a = run(["ortho", "check", "--system", "A2", "--seed", "1", "--samples", "20"])
         b = run(["ortho", "check", "--system", "A2", "--seed", "2", "--samples", "20"])
         assert a[0] == b[0] == EXIT_PASS
+
+
+# ROADMAP item 2: |G| kills H^-1 by a theorem, so the check cannot see a wrong group of the right exponent
+_TAUTOLOGY = pytest.mark.xfail(strict=True, reason="the trivial group passes until item 2's independent identity lands")
+
+
+def _planted(stem, argv, owner, name, plant, *marks):
+    return pytest.param(stem, argv, owner, name, plant, id=stem, marks=marks)
+
+
+# one row per stem of a check name that cli.py reports: a run, and an error a real bug could make, planted as
+# owner.name = plant(the original); the run must report FAIL on that stem and exit 2
+PLANTED = [
+    # subset sums in place of superset sums
+    _planted(
+        "character-collapse", ["verify-prasad", "--m", "2"], mu, "superset_sums", lambda f: lambda v: f(v[::-1])[::-1]
+    ),
+    # the product character omega without its top coordinate
+    _planted(
+        "multiplicity-indicator", ["verify-prasad", "--m", "0", "--preset", "GL:4"], mu, "omega_mask",
+        lambda f: lambda m: f(m) >> 1,
+    ),
+    # the alternating kernel summed without its signs
+    _planted(
+        "partition-of-unity", ["ortho", "check", "--system", "A2", "--samples", "20"], fam, "_gamma",
+        lambda f: lambda table, point: f([(r, p, z, [(m, 1) for m, _ in terms]) for r, p, z, terms in table], point),
+    ),
+    # the certificate's fraction upside down
+    _planted(
+        "support-bound", ["ortho", "check", "--system", "A2", "--seed", "5", "--samples", "30"], fam,
+        "support_bound_certificate", lambda f: lambda sys: 1 / f(sys),
+    ),
+    # every hull row's bound one too high, so no row is tight at a vertex
+    _planted(
+        "volume-two-ways", ["ortho", "volume", "--system", "B2", "--special", "1,2"], fam, "hull_rows",
+        lambda f: lambda y, basis=None: [(a, b + 1) for a, b in f(y, basis)],
+    ),
+    # each count made at the next dilation
+    _planted(
+        "refinement-constants", ["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "1"], fam.CountPlan,
+        "count", lambda f: lambda plan, j: f(plan, j + 1),
+    ),
+    # the trivial group for the norm-one torus, whose H^-1 is Z/2
+    _planted(
+        "cohomology", ["h1", "--norm-one", "1"], cli, "tate_h_minus1", lambda f: lambda t: TRIVIAL_GROUP, _TAUTOLOGY
+    ),
+    _planted(
+        "fiber-count", ["fibers", "--norm-one", "1", "--h1g", "1"], cli, "tate_h_minus1",
+        lambda f: lambda t: TRIVIAL_GROUP, _TAUTOLOGY,
+    ),
+    # the echelon of B's generators without the last one
+    _planted(
+        "levi", ["list-levis", "--preset", "GL:6"], pr, "restriction_echelon",
+        lambda f: lambda gens, mask: f(gens[:-1], mask),
+    ),
+    # the Levi data one subset out of mask order
+    _planted(
+        "invariant", ["list-levis", "--preset", "GL:6"], pr, "enumerate_elliptic_levis",
+        lambda f: lambda preset: f(preset)[1:] + f(preset)[:1],
+    ),
+]
+
+
+@pytest.mark.parametrize("stem, argv, owner, name, plant", PLANTED)
+def test_planted_error_fails_its_check(monkeypatch, stem, argv, owner, name, plant):
+    monkeypatch.setattr(owner, name, plant(getattr(owner, name)))
+    code, text = run(argv)
+    assert code == EXIT_VIOLATION
+    assert any(line.startswith(f"FAIL {stem}") for line in text.splitlines()), text
+
+
+def test_every_reported_check_has_a_planted_error():
+    """The stems of every check name in the golden reports, text and JSON, are the table's."""
+    golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))
+    names = []
+    for case in golden:
+        if case["report"].startswith("{"):
+            names += [c["name"] for c in json.loads(case["report"])["checks"]]
+        else:
+            names += [line.split(":")[0][5:] for line in case["report"].splitlines() if line[:5] in ("pass ", "FAIL ")]
+    assert {name.split()[0] for name in names} == {row.values[0] for row in PLANTED}
+
+
+def test_negative_first_coordinate_needs_an_equals_sign():
+    """argparse reads "-1,2" after a space as a flag, so a point that starts negative is written --special=-1,2."""
+    argv = ["ortho", "check", "--system", "A2", "--samples", "20"]
+    assert run(argv + ["--special=-1,2"])[0] == EXIT_PASS
+    assert run(argv + ["--special", "-1,2"]) == (EXIT_USAGE, "")
 
 
 def test_frac_str():

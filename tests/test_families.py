@@ -21,7 +21,7 @@ from galpairs.families import (
     volume_analytic,
     volume_polytope,
 )
-from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
+from galpairs.root_data import BUILTIN_NAMES, RestrictedRootSystem, builtin_system, system_from_dict
 from hull_oracle import cofactor_normal, hull_volume
 from kernel_oracle import delta, gamma_cone_pair, parabolic_leq, projected, tau, tau_hat
 import root_oracle
@@ -122,8 +122,17 @@ def _projections_agree(y) -> bool:
         lambda sys, y: partition_of_unity_value(sys, (0, 0, 99), y),
         lambda sys, y: y.translate((1, 2, 3)),
         lambda sys, y: Hull([(0, 0), (1, 0), (0, 1)]).classify((0, 0, 5)),
+        # a counting basis one coordinate too long, which zip once cut to (2, 0), (0, 1): 13 points
+        lambda sys, y: v_tilde_lattice(y, [(2, 0, 9), (0, 1, 9)], 1, (1, 1)),
+        lambda sys, y: v_tilde_lattice(y, [(2, 0, 9), (0, 1, 9)], 1, (1, 1), exact=True),
+        lambda sys, y: fam.hull_rows(y, [(2, 0, 9), (0, 1, 9)]),
+        # roots of 3 coordinates in dimension 2, once built into a system
+        lambda sys, y: RestrictedRootSystem(2, [(1, -1, 0), (-1, 1, 0)], [(1, -1, 0), (-1, 1, 0)], [0]),
     ],
-    ids=["gamma_family", "gamma_family-short", "partition_of_unity_value", "translate", "classify"],
+    ids=[
+        "gamma_family", "gamma_family-short", "partition_of_unity_value", "translate", "classify",
+        "v_tilde_lattice-basis", "v_tilde_lattice-exact-basis", "hull_rows-basis", "RestrictedRootSystem",
+    ],
 )
 def test_point_of_wrong_length_is_rejected(call):
     sys = builtin_system("A2")

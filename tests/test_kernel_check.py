@@ -53,7 +53,7 @@ def _points(sys, rng, n):
 
 
 def _partition_violations(sys, y, points):
-    values = [(_parse_vec(h), partition_of_unity_value(sys, h, y)) for h in points]
+    values = [(_parse_vec(h, sys.ambient_dim), partition_of_unity_value(sys, h, y)) for h in points]
     return [(h, v) for h, v in values if v != 1]
 
 
