@@ -48,6 +48,7 @@ from itertools import chain, combinations, product, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
+from .exact_linalg import _as_list
 from .linalg import Vec
 from .root_data import RestrictedRootSystem, _parse_vec
 
@@ -364,10 +365,9 @@ class Hull:
     """
 
     def __init__(self, points: Sequence[Sequence]):
-        pts = list(points)
-        if not pts:
+        if not (pts := list(points)):
             raise ValueError("hull of no points")
-        self.dim = len(pts[0])
+        self.dim = len(_as_list(pts[0]))
         ints, self.scale = linalg.integer_basis([_parse_vec(p, self.dim) for p in pts])
         self.vertices: list[tuple[int, ...]] = sorted(set(ints))
         base = self.vertices[0]

@@ -732,10 +732,12 @@ def test_every_reported_check_has_a_planted_error():
 
 
 def test_negative_first_coordinate_needs_an_equals_sign():
-    """argparse reads "-1,2" after a space as a flag, so a point that starts negative is written --special=-1,2."""
-    argv = ["ortho", "check", "--system", "A2", "--samples", "20"]
-    assert run(argv + ["--special=-1,2"])[0] == EXIT_PASS
-    assert run(argv + ["--special", "-1,2"]) == (EXIT_USAGE, "")
+    """A point that starts negative, written --special=-1,2, is read as a point on every Python.
+
+    After a space, whether argparse reads "-1,2" as a flag or as the value depends on its
+    version, so only the form with the equals sign is pinned."""
+    argv = ["ortho", "check", "--system", "A2", "--samples", "20", "--special=-1,2"]
+    assert run(argv)[0] == EXIT_PASS
 
 
 def test_frac_str():

@@ -141,6 +141,13 @@ def test_point_of_wrong_length_is_rejected(call):
         call(sys, y)
 
 
+@pytest.mark.parametrize("first", [5, "1,2"])
+def test_hull_first_point_that_is_not_a_list_is_rejected(first):
+    """The first point sets the hull's dimension, so it is read as a list before its length is taken."""
+    with pytest.raises(ValueError, match="expected a list, got"):
+        Hull([first, (1, 0), (0, 1)])
+
+
 class TestIndicators:
     def test_tau_a1(self):
         sys = builtin_system("A1")
