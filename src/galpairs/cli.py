@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import random
 import sys as _sys
 from typing import Optional, Sequence
@@ -32,6 +33,7 @@ from .exact_linalg import (
     read_json,
     split_torus,
     tate_h_minus1,
+    tate_h_zero,
 )
 from .linalg import frac_str
 
@@ -215,9 +217,19 @@ def _resolve_torus(args):
     raise ValueError("a torus is required: --fixture, --norm-one or --split")
 
 
-def _killed_by_group_order(torus, group) -> bool:
-    """The group order annihilates H^-1: every invariant factor divides it."""
-    return all(torus.order % f == 0 for f in group.invariant_factors)
+def _cohomology_holds(torus, group) -> bool:
+    """The group order p annihilates H^-1, so every invariant factor divides it.  When p
+    is prime, also the Herbrand quotient |H^0| / |H^-1| = p^((p r0 - r) / (p - 1)) holds, for
+    L of rank r and L^G of rank r0 (Serre, *Local Fields*, ch. VIII, section 4).  H^0 comes
+    from its own Smith normal form, of the norm, so this can fail where the order cannot."""
+    p = torus.order
+    if any(p % f for f in group.invariant_factors):
+        return False
+    if p < 2 or any(p % q == 0 for q in range(2, math.isqrt(p) + 1)):
+        return True  # |G| is not prime: the order test is the whole check
+    h0, r0 = tate_h_zero(torus)
+    e, rest = divmod(p * r0 - torus.lattice.rank, p - 1)
+    return rest == 0 and h0.order * p ** max(-e, 0) == group.order * p ** max(e, 0)
 
 
 def cmd_h1(args) -> Report:
@@ -226,7 +238,7 @@ def cmd_h1(args) -> Report:
     group = tate_h_minus1(torus)
     report.add(
         "cohomology",
-        _killed_by_group_order(torus, group),
+        _cohomology_holds(torus, group),
         f"invariant factors ({', '.join(str(f) for f in group.invariant_factors)}), "
         f"order {group.order}",
     )
@@ -240,7 +252,7 @@ def cmd_fibers(args) -> Report:
     count = pr.inner_form_fiber_count(group.order, args.h1g)
     report.add(
         "fiber-count",
-        _killed_by_group_order(torus, group),
+        _cohomology_holds(torus, group),
         f"|H1(T)|={group.order}, |H1(G)|={args.h1g}, fibers={count}",
     )
     return report

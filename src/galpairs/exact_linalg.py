@@ -3,15 +3,23 @@
 The central computation is ``tate_h_minus1``: given a lattice with an action
 of a finite integer matrix group, return the finite abelian group
 ker(norm map) / (augmentation sublattice), presented by invariant factors and
-read as the torsion of the coinvariants.
+read as the torsion of the coinvariants.  ``tate_h_zero`` gives
+L^G / N L, for the Herbrand quotient.
 For cocharacter lattices of tori this group classifies the first Galois
 cohomology of the torus.  The group's closure, its preservation of the lattice
 and the augmentation columns are all read through a generating set T of the
-group, which has at most log2 |G| elements.
+group, which has at most log2 |G| elements.  Each lattice is eliminated once,
+[B^T | I] in ``IntLattice``: that one elimination tests the basis for
+independence and solves every later image in the basis.  Products and images
+are taken over sparse integer rows, and rows of plain ints are read as they
+are.
 ``smith_normal_form`` eliminates on one bordered matrix [[A, I], [I, 0]]:
 each row or column operation is written once and carries U and V along with
 A.  Its pivot is the smallest |entry|, then the uppermost, then the leftmost,
 so (U, D, V) depend only on the input; rows of unequal length are refused.
+The pivot search stops at the first entry as small as the previous pivot,
+which divides the whole remaining block, and a row or column operation
+touches only the entries where the pivot row or column is nonzero.
 """
 
 from __future__ import annotations
@@ -60,11 +68,30 @@ def read_json(path: str):
 
 
 def _as_ints(xs) -> tuple[int, ...]:
-    return tuple(_as_int(x) for x in _as_list(xs))
+    """The entries of the list xs as ints; a row of plain ints is taken as it is."""
+    xs = _as_list(xs)
+    if set(map(type, xs)) <= {int}:
+        return tuple(xs)
+    return tuple(map(_as_int, xs))
 
 
 def _as_int_matrix(m: Sequence[Sequence[int]]) -> IntMat:
-    return [[_as_int(x) for x in _as_list(row)] for row in _as_list(m)]
+    return [list(_as_ints(row)) for row in _as_list(m)]
+
+
+def _sparse(m: Sequence[Sequence[int]]) -> list[list[tuple[int, int]]]:
+    """Each row of m as its nonzero entries (column, value)."""
+    return [[(t, v) for t, v in enumerate(row) if v] for row in m]
+
+
+def _combine(terms: Sequence[tuple[int, int]], rows: Sequence[Sequence[int]], width: int) -> tuple[int, ...]:
+    """The sum of v * rows[t] over the sparse row ``terms``: one row of a product."""
+    if len(terms) == 1:
+        t, v = terms[0]
+        return tuple(rows[t]) if v == 1 else tuple([v * x for x in rows[t]])
+    if not terms:
+        return (0,) * width
+    return tuple(map(sum, zip(*([v * x for x in rows[t]] for t, v in terms))))
 
 
 def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
@@ -82,6 +109,25 @@ def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -
     return [[x // d for x in row] for row in cols]
 
 
+def _pivot(b: IntMat, t: int, n: int, k: int, floor: int) -> Optional[tuple[int, int]]:
+    """(i, j), i and j >= t, of the smallest nonzero |b[i][j]| with i < n and j < k, then
+    the uppermost, then the leftmost; None when that block is zero.
+
+    No nonzero entry of the block is smaller than ``floor`` in absolute value,
+    and the scan runs in the pivot order, so the first entry of that size ends it.
+    """
+    best = None
+    for i in range(t, n):
+        row = b[i]
+        for j in range(t, k):
+            x = row[j]
+            if x and (best is None or abs(x) < best[0]):
+                if abs(x) == floor:
+                    return i, j
+                best = abs(x), i, j
+    return best and best[1:]
+
+
 def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
     """Return (U, D, V) with U @ m @ V = D, U and V unimodular, and D diagonal
     with nonnegative entries forming a divisibility chain d_1 | d_2 | ... .
@@ -93,48 +139,58 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
     uppermost, then the leftmost, so identical inputs give identical (U, D, V).
     A remainder left in its row or column starts a new search; once both are
     clear, the first row holding an entry the pivot does not divide is added
-    to its row.  Rows of unequal length raise ValueError.
+    to its row.  Every entry of the block left after a pivot p is a multiple
+    of p, and stays one under the operations, so the next search ends at the
+    first entry of absolute value p (1 for the first search), and a next pivot
+    equal to p needs no fix-up.  Each operation touches only live entries: a
+    row operation subtracts a multiple of the pivot row, so it changes only
+    the columns where that row is nonzero, and a column operation subtracts a
+    multiple of the pivot column t, which it never changes, so it visits only
+    the rows with a nonzero entry in column t.  Rows of unequal length raise
+    ValueError.
     """
     a = _as_int_matrix(m)
     if len({len(row) for row in a}) > 1:
         raise ValueError("rows of unequal length do not form a matrix")
     n = len(a)
     k = len(a[0]) if a else 0
-    b = [row + list(e) for row, e in zip(a, linalg.identity(n))]
-    b += [list(e) for e in linalg.identity(k)]
-    t = 0
+    b = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
+    b += [[0] * j + [1] + [0] * (k - 1 - j) for j in range(k)]
+    t, floor = 0, 1  # every entry of the remaining block is a multiple of floor
     while t < min(n, k):
-        best = None
-        for i in range(t, n):
-            for j in range(t, k):
-                if b[i][j] and (best is None or abs(b[i][j]) < best):
-                    best, pi, pj = abs(b[i][j]), i, j
-        if best is None:
+        at = _pivot(b, t, n, k, floor)
+        if at is None:
             break
+        pi, pj = at
         b[t], b[pi] = b[pi], b[t]
         if pj != t:
             for row in b:
                 row[t], row[pj] = row[pj], row[t]
         if b[t][t] < 0:
             b[t] = [-x for x in b[t]]
-        p = b[t][t]
-        for i in range(t + 1, n):
-            if b[i][t]:
-                q = b[i][t] // p
-                b[i] = [x - q * y for x, y in zip(b[i], b[t])]
-        for j in range(t + 1, k):
-            if b[t][j]:
-                q = b[t][j] // p
-                for row in b:
-                    row[j] -= q * row[t]
-        if any(b[i][t] for i in range(t + 1, n)) or any(b[t][t + 1 : k]):
+        top = b[t]
+        p = top[t]
+        below = [row for row in b[t + 1 : n] if row[t]]
+        entries = [(j, y) for j, y in enumerate(top) if y] if below else []  # the columns a row operation changes
+        for row in below:
+            q = row[t] // p
+            for j, y in entries:
+                row[j] -= q * y
+        cols = [j for j in range(t + 1, k) if top[j]]  # an operation on column j changes only column j
+        live = [row for row in b if row[t]] if cols else []
+        for j in cols:
+            q = top[j] // p
+            for row in live:
+                row[j] -= q * row[t]
+        if any(b[i][t] for i in range(t + 1, n)) or any(top[t + 1 : k]):
             continue  # a remainder is left in the pivot's column or row
-        # p divides every entry of the remaining block iff it divides each row's gcd
-        bad = next((i for i in range(t + 1, n) if math.gcd(*b[i][t + 1 : k]) % p), None)
+        # p divides every entry of the remaining block iff it divides each row's gcd, and a
+        # pivot equal to floor divides them all
+        bad = None if p == floor else next((i for i in range(t + 1, n) if math.gcd(*b[i][t + 1 : k]) % p), None)
         if bad is None:
-            t += 1
+            t, floor = t + 1, p
         else:
-            b[t] = [x + y for x, y in zip(b[t], b[bad])]
+            b[t] = [x + y for x, y in zip(top, b[bad])]
     return [row[k:] for row in b[:n]], [row[:k] for row in b[:n]], b[n:]
 
 
@@ -197,17 +253,32 @@ def cokernel_structure(m: Sequence[Sequence[int]], ambient_rank: int) -> FiniteA
 
 @dataclass(frozen=True)
 class IntLattice:
-    """Full sublattice data: an integer basis inside Z^ambient_dim."""
+    """Full sublattice data: an integer basis inside Z^ambient_dim.
+
+    One fraction-free elimination of [B^T | I], with the basis vectors as the
+    columns of B^T, gives both the rank test and a solver.  Its row operations
+    M, the right-hand block, turn B^T into d times its reduced echelon form:
+    the first r rows of M B^T are d times the unit rows and the rest are zero.
+    So a vector v lies in the lattice iff the rows of M v past r vanish and
+    the first r are multiples of d, and then they are d times v's coordinates.
+    """
 
     ambient_dim: int
     basis: tuple[tuple[int, ...], ...]
+    # (M as sparse rows, d) from the elimination of [B^T | I]
+    _solver: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        n, r = self.ambient_dim, len(self.basis)
         for b in self.basis:
-            if len(b) != self.ambient_dim:
+            if len(b) != n:
                 raise ValueError("basis vector has wrong length")
-        if self.basis and linalg.rank(self.basis) != len(self.basis):
+        cols = [_as_ints(b) for b in self.basis]
+        rows = [[b[i] for b in cols] + [int(i == j) for j in range(n)] for i in range(n)]
+        pivots, d = linalg._bareiss(rows)
+        if pivots[:r] != list(range(r)):
             raise ValueError("basis vectors are dependent")
+        object.__setattr__(self, "_solver", (_sparse([row[r:] for row in rows]), d))
 
     @property
     def rank(self) -> int:
@@ -216,6 +287,18 @@ class IntLattice:
     @staticmethod
     def standard(n: int) -> "IntLattice":
         return IntLattice(n, linalg.identity(n))
+
+    def coordinates(self, vectors: Sequence[Sequence[int]], error: str) -> IntMat:
+        """The integer coordinates in the basis of the columns of ``vectors``, an n x w
+        matrix given by its rows, as an r x w matrix.
+
+        Raises ValueError(error) when a column is not in the lattice.
+        """
+        (m, d), r = self._solver, self.rank
+        solved = [_combine(row, vectors, 0) for row in m]  # M is invertible: no row of it is empty
+        if any(map(any, solved[r:])) or any(x % d for row in solved[:r] for x in row):
+            raise ValueError(error)
+        return [[x // d for x in row] for row in solved[:r]]
 
 
 def _check_actions(actions: Sequence, n: int) -> None:
@@ -253,28 +336,33 @@ class LatticeWithAction:
     def __post_init__(self):
         n = self.lattice.ambient_dim
         _check_actions(self.actions, n)
-        seen, reached, gens = set(self.actions), {linalg.identity(n)}, []
-        if not reached <= seen:
+        seen, ident = set(self.actions), linalg.identity(n)
+        if ident not in seen:
             raise ValueError("action set does not contain the identity")
+        reached, gens = {ident: _sparse(ident)}, []  # each reached element with its sparse rows
         for a in self.actions:
             if a not in reached:
                 gens.append(a)
-                todo = [(x, a) for x in reached]  # x * a, then each new y times every generator
+                todo = [(x, a) for x in reached.values()]  # x * a, then each new y times every generator
                 while todo:
-                    y = linalg.matmul(*todo.pop())
+                    x, g = todo.pop()
+                    y = tuple(_combine(row, g, n) for row in x)
                     if y not in seen:
                         raise ValueError("action set is not closed under multiplication")
                     if y not in reached:
-                        reached.add(y)
-                        todo += [(y, g) for g in gens]
+                        reached[y] = sy = _sparse(y)
+                        todo += [(sy, h) for h in gens]
         object.__setattr__(self, "_generator_columns", self._in_coordinates(gens))
 
     def _in_coordinates(self, matrices: Sequence) -> IntMat:
-        """The matrices in lattice-basis coordinates, side by side, from one elimination."""
-        basis = self.lattice.basis
-        images = (linalg.matvec(a, b) for a in matrices for b in basis)
-        error = "a group element does not preserve the lattice"
-        return _integer_coordinate_matrix(basis, images, error)
+        """The matrices in lattice-basis coordinates, side by side: the images of the
+        basis under each, the columns of one n x r|matrices| matrix, solved at once."""
+        lattice = self.lattice
+        n, r = lattice.ambient_dim, lattice.rank
+        basis_columns = [[b[i] for b in lattice.basis] for i in range(n)]
+        sparse = [_sparse(a) for a in matrices]
+        images = [sum((_combine(a[i], basis_columns, r) for a in sparse), ()) for i in range(n)]
+        return lattice.coordinates(images, "a group element does not preserve the lattice")
 
     @property
     def order(self) -> int:
@@ -307,6 +395,20 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
     return FiniteAbelianGroup(tuple(f for f in diagonal_of(d) if f >= 2))
 
 
+def tate_h_zero(x: LatticeWithAction) -> tuple[FiniteAbelianGroup, int]:
+    """Tate cohomology H^0(G, L) = L^G / N L, with the rank r0 of the invariants L^G.
+
+    N maps L into L^G and acts on L^G as |G|, so N L has the rank of L^G.  And
+    L^G is saturated in L, being a kernel.  So L^G / N L is the torsion of
+    L / N L, read off one Smith normal form of N in lattice-basis coordinates,
+    whose nonzero diagonal entries number r0.  Every listed element counts in N.
+    """
+    norm = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*x.actions))
+    _, d, _ = smith_normal_form(x._in_coordinates([norm]))
+    diag = [f for f in diagonal_of(d) if f]
+    return FiniteAbelianGroup(tuple(f for f in diag if f >= 2)), len(diag)
+
+
 def direct_sum_action(a: LatticeWithAction, b: LatticeWithAction) -> LatticeWithAction:
     """Block direct sum; requires the two action groups to be identified
     elementwise (same ordering), modelling one group acting on both factors."""
@@ -332,10 +434,10 @@ def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
     """
     data = _as_dict(data)
     n = _as_int(data["ambient_rank"])
-    actions = tuple(tuple(map(tuple, _as_int_matrix(g))) for g in _as_list(data["actions"]))
+    actions = tuple(tuple(map(_as_ints, _as_list(g))) for g in _as_list(data["actions"]))
     _check_actions(actions, n)
     if "basis" in data:
-        lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["basis"]))))
+        lattice = IntLattice(n, tuple(map(_as_ints, _as_list(data["basis"]))))
     else:
         lattice = IntLattice.standard(n)
     return LatticeWithAction(lattice, actions, label=str(data.get("label", "")))

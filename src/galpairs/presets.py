@@ -110,33 +110,30 @@ class EllipticLeviDatum:
 def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
     """One datum per subset I of the fixed simple roots, in mask order.
 
-    The index is 2^r for the GF(2) rank r of B's generators restricted to I
+    The subsets, their sizes, signs and labels are built by doubling: the masks
+    with bit i as their top are the earlier ones with bit i added.  The index is
+    2^r for the GF(2) rank r of B's generators restricted to I
     (``restriction_echelon``); the projection of every element of B, as
     written, is ``tests/prasad_oracle.py::elliptic_levis``.
     """
     m = preset.m
     subsets: list[tuple[int, ...]] = [()]
+    sizes, signs = [0], [(-1) ** m]
     for i in range(m):  # the subsets of bits 0..i in mask order: bit i is the top
         subsets += [s + (i,) for s in subsets]
+        sizes += [k + 1 for k in sizes]
+        signs += [-x for x in signs]
     labels = [None] * len(subsets)
     if preset.metadata.get("family") == "U":
         n = preset.metadata["n"]
         labels = [(n,)]  # the composition of n cut at i + 1 for each i in I
         for i in range(m):  # a cut at i + 1, past the earlier cuts, splits the last part
             labels += [lab[:-1] + (lab[-1] - (n - i - 1), n - i - 1) for lab in labels]
-    out = []
-    for mask, (subset, label) in enumerate(zip(subsets, labels)):
-        rank = restriction_echelon(preset.b_generators, mask)[0]
-        out.append(
-            EllipticLeviDatum(
-                subset=subset,
-                sign=(-1) ** (m - len(subset)),
-                ker1_size=1 << (len(subset) - rank),
-                mab_index=1 << rank,
-                label=label,
-            )
-        )
-    return out
+    ranks = [restriction_echelon(preset.b_generators, mask)[0] for mask in range(len(subsets))]
+    return [
+        EllipticLeviDatum(subset, sign, 1 << (k - r), 1 << r, label)
+        for subset, k, sign, r, label in zip(subsets, sizes, signs, ranks, labels)
+    ]
 
 
 def builtin_preset(family: str, n: int) -> ThetaPreset:

@@ -30,7 +30,7 @@ from itertools import count, islice
 from typing import Optional, Sequence
 
 from . import linalg
-from .exact_linalg import IntLattice, _as_dict, _as_int, _as_int_matrix, _as_ints, _as_list, read_json
+from .exact_linalg import IntLattice, _as_dict, _as_int, _as_ints, _as_list, read_json
 from .linalg import Mat, Vec, vec_str
 
 _MAX_WEYL = 10000
@@ -468,7 +468,7 @@ def system_from_dict(data: dict) -> RestrictedRootSystem:
     simple = _as_ints(data["simple_indices"])
     lattice = None
     if "lattice_basis" in data:
-        lattice = IntLattice(n, tuple(map(tuple, _as_int_matrix(data["lattice_basis"]))))
+        lattice = IntLattice(n, tuple(map(_as_ints, _as_list(data["lattice_basis"]))))
     return RestrictedRootSystem(n, data["roots"], data["coroots"], simple, lattice, name=str(data.get("name", "")))
 
 

@@ -15,7 +15,7 @@ from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs import presets as pr
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_SAMPLES, build_parser, frac_str, run
-from galpairs.exact_linalg import TRIVIAL_GROUP
+from galpairs.exact_linalg import TRIVIAL_GROUP, FiniteAbelianGroup
 from galpairs.presets import MAX_GL_N, MAX_M
 from galpairs.root_data import MAX_AMBIENT_DIM, builtin_system
 
@@ -490,6 +490,23 @@ class TestToriAndLevis:
         assert code == EXIT_PASS
         assert "order 2" in text
 
+    @pytest.mark.parametrize(
+        "command, line",
+        [
+            (["h1"], "pass cohomology: invariant factors (2, 2), order 4"),
+            (["fibers", "--h1g", "2"], "pass fiber-count: |H1(T)|=4, |H1(G)|=2, fibers=2"),
+        ],
+    )
+    def test_index_two_fixture_and_its_dependent_variant(self, command, line):
+        # the committed torus over an index-2 sublattice of Z^4 passes the Herbrand quotient;
+        # the same data with a dependent basis is refused before any cohomology
+        fixtures = Path(__file__).parent / "fixtures"
+        code, text = run([*command, "--fixture", str(fixtures / "torus_z2_index2.json")])
+        assert code == EXIT_PASS
+        assert line in text.splitlines()
+        code, text = run([*command, "--fixture", str(fixtures / "torus_z2_dependent.json")])
+        assert (code, text) == (EXIT_USAGE, "error: basis vectors are dependent\n")
+
     def test_fibers(self):
         code, text = run(["fibers", "--norm-one", "4", "--h1g", "2"])
         assert code == EXIT_PASS
@@ -650,12 +667,8 @@ class TestDeterminism:
         assert a[0] == b[0] == EXIT_PASS
 
 
-# ROADMAP item 2: |G| kills H^-1 by a theorem, so the check cannot see a wrong group of the right exponent
-_TAUTOLOGY = pytest.mark.xfail(strict=True, reason="the trivial group passes until item 2's independent identity lands")
-
-
-def _planted(stem, argv, owner, name, plant, *marks):
-    return pytest.param(stem, argv, owner, name, plant, id=stem, marks=marks)
+def _planted(stem, argv, owner, name, plant, id=None):
+    return pytest.param(stem, argv, owner, name, plant, id=id or stem)
 
 
 # one row per stem of a check name that cli.py reports: a run, and an error a real bug could make, planted as
@@ -691,12 +704,15 @@ PLANTED = [
         "count", lambda f: lambda plan, j: f(plan, j + 1),
     ),
     # the trivial group for the norm-one torus, whose H^-1 is Z/2
-    _planted(
-        "cohomology", ["h1", "--norm-one", "1"], cli, "tate_h_minus1", lambda f: lambda t: TRIVIAL_GROUP, _TAUTOLOGY
-    ),
+    _planted("cohomology", ["h1", "--norm-one", "1"], cli, "tate_h_minus1", lambda f: lambda t: TRIVIAL_GROUP),
     _planted(
         "fiber-count", ["fibers", "--norm-one", "1", "--h1g", "1"], cli, "tate_h_minus1",
-        lambda f: lambda t: TRIVIAL_GROUP, _TAUTOLOGY,
+        lambda f: lambda t: TRIVIAL_GROUP,
+    ),
+    # the last invariant factor of the index-2 fixture's Z/2 x Z/2 perturbed from 2 to 1
+    _planted(
+        "cohomology", ["h1", "--fixture", str(Path(__file__).parent / "fixtures" / "torus_z2_index2.json")], cli,
+        "tate_h_minus1", lambda f: lambda t: FiniteAbelianGroup(f(t).invariant_factors[:-1]), id="cohomology-factor",
     ),
     # the echelon of B's generators without the last one
     _planted(

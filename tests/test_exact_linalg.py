@@ -10,9 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import snf_oracle
 import tate_oracle
 from galpairs import exact_linalg as el
-from galpairs import linalg
+from galpairs import cli, linalg
 
 
 # (m, U, D, V) recorded from the pivot rule: one case for each of its steps
@@ -97,6 +98,51 @@ class TestSmithNormalForm:
             for j, x in enumerate(row):
                 if i != j:
                     assert x == 0
+
+
+_SIZES = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+def _rectangular(entries):
+    return _SIZES.flatmap(
+        lambda nk: st.lists(st.lists(entries, min_size=nk[1], max_size=nk[1]), min_size=nk[0], max_size=nk[0])
+    )
+
+
+def _diagonal(entries):
+    return st.lists(entries, max_size=7).map(lambda d: [[x * (i == j) for j in range(len(d))] for i, x in enumerate(d)])
+
+
+# random rectangular matrices, sparse or dense, diagonal ones (-2 * I_n among them), zero and negative ones
+SNF_INPUTS = st.one_of(
+    _rectangular(st.integers(-30, 30)),
+    _rectangular(st.sampled_from((0, 0, 0, 1, -1, 2, -3, 6))),
+    _diagonal(st.integers(-12, 12)),
+    st.integers(0, 7).map(lambda n: [[-2 * (i == j) for j in range(n)] for i in range(n)]),
+    _SIZES.map(lambda nk: [[0] * nk[1] for _ in range(nk[0])]),
+    _rectangular(st.integers(-9, 0)),
+)
+
+
+class TestSnfDifferential:
+    """The library's Smith normal form against the whole-block elimination of
+    ``tests/snf_oracle.py``: the same pivot rule, so the same (U, D, V) entry for entry."""
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(SNF_INPUTS)
+    def test_same_transforms_as_the_whole_block_elimination(self, m):
+        assert el.smith_normal_form(m) == snf_oracle.smith_normal_form(m)
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 12])
+    def test_minus_two_identity(self, n):
+        m = [[-2 * (i == j) for j in range(n)] for i in range(n)]
+        u, d, v = el.smith_normal_form(m)
+        assert (u, d, v) == snf_oracle.smith_normal_form(m)
+        assert el.diagonal_of(d) == [2] * n
+
+    @pytest.mark.parametrize("case", SNF_GOLDEN, ids=[c["name"] for c in SNF_GOLDEN])
+    def test_oracle_reproduces_the_golden_record(self, case):
+        assert snf_oracle.smith_normal_form(case["m"]) == (case["u"], case["d"], case["v"])
 
 
 class TestFiniteAbelianGroup:
@@ -562,3 +608,183 @@ class TestTateCohomology:
         }
         x = el.lattice_with_action_from_dict(data)
         assert el.tate_h_minus1(x).invariant_factors == (2,)
+
+
+def _generators(actions):
+    """The generating set the library takes: each action not in the monoid the earlier ones generate."""
+    gens, reached = [], {linalg.identity(len(actions[0]))}
+    for a in actions:
+        if a not in reached:
+            gens.append(a)
+            grown = True
+            while grown:
+                new = {linalg.matmul(x, g) for x in reached for g in gens} - reached
+                reached |= new
+                grown = bool(new)
+    return gens
+
+
+def _parity_basis(n):
+    """A basis of {x in Z^n : sum of x even}, of index 2: 2 e_0 and e_i - e_0."""
+    e = linalg.identity(n)
+    return (tuple(2 * x for x in e[0]),) + tuple(tuple(a - b for a, b in zip(e[i], e[0])) for i in range(1, n))
+
+
+def _padded(x, extra):
+    """x inside Z^(n + extra), the extra coordinates fixed: a lattice of rank n < n + extra."""
+    n = x.lattice.ambient_dim
+    basis = tuple(tuple(b) + (0,) * extra for b in x.lattice.basis)
+    acts = tuple(tuple(tuple(row) + (0,) * extra for row in g) + linalg.identity(n + extra)[n:] for g in x.actions)
+    return el.LatticeWithAction(el.IntLattice(n + extra, basis), acts)
+
+
+def reader_cases():
+    """Regular modules of the small groups in three kinds of random basis: of Z^n, of an
+    index-2 sublattice, and of a lattice of rank n inside Z^(n + 2)."""
+    cases = []
+    for name, table in ALL_SMALL_GROUPS:
+        reg, rng = el.regular_representation(table), random.Random(f"reader/{name}")
+        index2 = el.LatticeWithAction(el.IntLattice(len(table), _parity_basis(len(table))), reg.actions)
+        for kind, x in (("unimodular", reg), ("index-2", index2), ("rank<n", _padded(reg, 2))):
+            cases.append(pytest.param(in_random_basis(x, rng), id=f"{name}/{kind}"))
+    path = Path(__file__).with_name("fixtures") / "torus_z2_index2.json"
+    cases.append(pytest.param(el.lattice_with_action_from_json(str(path)), id="torus_z2_index2"))
+    return cases
+
+
+I2, ROT, SWAP = [[1, 0], [0, 1]], [[0, -1], [1, 0]], [[0, 1], [1, 0]]
+
+
+class TestLatticeReader:
+    """The lattice's one elimination of [B^T | I] against a fresh elimination of
+    [basis | images] for every reading, and the order of the reader's messages."""
+
+    @pytest.mark.parametrize("x", reader_cases())
+    def test_coordinates_match_one_elimination_of_basis_and_images(self, x):
+        basis, r = x.lattice.basis, x.lattice.rank
+        gens = _generators(x.actions)
+        images = [linalg.matvec(g, b) for g in gens for b in basis]
+        assert x._generator_columns == el._integer_coordinate_matrix(basis, images, "outside")
+        images = [linalg.matvec(g, b) for g in x.actions for b in basis]
+        cols = el._integer_coordinate_matrix(basis, images, "outside")
+        assert x.in_basis_matrices() == [[row[k * r : (k + 1) * r] for row in cols] for k in range(x.order)]
+
+    def test_index_two_fixture_is_not_unimodular(self):
+        path = Path(__file__).with_name("fixtures") / "torus_z2_index2.json"
+        x = el.lattice_with_action_from_json(str(path))
+        assert abs(linalg.det(x.lattice.basis)) == 2
+        assert el.tate_h_minus1(x) == tate_oracle.tate_h_minus1(x) == el.FiniteAbelianGroup((2, 2))
+
+    @pytest.mark.parametrize(
+        "basis, actions, message",
+        [
+            ([[1, 0], [0]], [I2], "basis vector has wrong length"),
+            ([[1, 2], [2, 4]], [I2], "basis vectors are dependent"),
+            ([[1, 0], [0, 1]], [I2, [[1, 0]]], "every action must be a 2 x 2 matrix"),
+            ([[1, 0], [0, 1]], [[[0, 1], [1, 0]]], "does not contain the identity"),
+            ([[1, 0], [0, 1]], [I2, ROT], "not closed under multiplication"),
+            ([[2, 0], [0, 1]], [I2, SWAP], "does not preserve the lattice"),
+            ([[1, 0], [0, 1]], [I2, [[0, 1], [1, Fraction(1, 2)]]], "non-integer entry"),
+            ([[Fraction(1, 2), 0], [0, 1]], [I2], "non-integer entry"),
+            ([[1, 0], [0, 1]], [I2, [[0, 1], [1, True]]], "non-integer entry"),
+            # two faults at once: the first check made names its own
+            ([[1, 2], [2, 4]], [I2, ROT], "basis vectors are dependent"),
+            ([[2, 0], [0, 1]], [I2, ROT], "not closed under multiplication"),
+            ([[2, 0], [0, 1]], [ROT, SWAP], "does not contain the identity"),
+            ([[1, 2], [2, 4]], [I2, [[1, 0]]], "every action must be a 2 x 2 matrix"),
+        ],
+    )
+    def test_validation_message(self, basis, actions, message):
+        with pytest.raises(ValueError, match=message):
+            el.lattice_with_action_from_dict({"ambient_rank": 2, "basis": basis, "actions": actions})
+
+    def test_lattice_of_rank_below_its_dimension_solves_only_inside_its_span(self):
+        # the line Z(1, 1) in Z^2 is kept by the swap, which moves (1, 0) off it
+        line = el.IntLattice(2, ((1, 1),))
+        assert line.coordinates([(1, 3), (1, 3)], "outside") == [[1, 3]]
+        with pytest.raises(ValueError, match="outside"):
+            line.coordinates([(1,), (0,)], "outside")
+        with pytest.raises(ValueError, match="outside"):
+            el.IntLattice(2, ((2, 2),)).coordinates([(1,), (1,)], "outside")
+        x = el.LatticeWithAction(line, (linalg.identity(2), ((0, 1), (1, 0))))
+        assert x.in_basis_matrices() == [[[1]], [[1]]]
+
+
+def _literal_h0(x):
+    """L^G / N L as it is defined: a basis of L^G is the kernel of the stacked (g - 1) from a
+    Smith normal form, and N L is written in it (the library reads the torsion of L / N L)."""
+    mats, r = x.in_basis_matrices(), x.lattice.rank
+    stacked = [[g[i][j] - (i == j) for j in range(r)] for g in mats for i in range(r)]
+    _, d, v = el.smith_normal_form(stacked)
+    diag = el.diagonal_of(d)
+    kernel = [[v[i][j] for i in range(r)] for j in range(r) if j >= len(diag) or diag[j] == 0]
+    if not kernel:
+        return el.TRIVIAL_GROUP, 0
+    norm = [[sum(g[i][j] for g in mats) for j in range(r)] for i in range(r)]
+    images = [[norm[i][j] for i in range(r)] for j in range(r)]
+    m = el._integer_coordinate_matrix(kernel, images, "N L is not inside L^G")
+    return el.cokernel_structure(m, len(kernel)), len(kernel)
+
+
+def _cyclotomic(p):
+    """Z[zeta_p] with zeta acting by the companion matrix of 1 + t + ... + t^(p-1), and its powers."""
+    c = tuple(tuple(1 if i == j + 1 else 0 for j in range(p - 1)) for i in range(p - 1))
+    c = tuple(row[:-1] + (-1,) for row in c)
+    powers = [linalg.identity(p - 1)]
+    for _ in range(p - 1):
+        powers.append(linalg.matmul(c, powers[-1]))
+    return el.LatticeWithAction(el.IntLattice.standard(p - 1), tuple(powers))
+
+
+def herbrand_cases():
+    """Lattices for the groups of prime order p: direct sums of Z, Z[zeta_p] and Z[C_p], the
+    indecomposables up to ideal classes, and the prime-order permutation modules, each in a
+    random basis."""
+    cases = []
+    for p in (2, 3, 5):
+        reg = el.regular_representation(cyclic_table(p))
+        blocks = {"trivial": el.split_torus(1, group_order=p), "cyclotomic": _cyclotomic(p), "regular": reg}
+        rng = random.Random(f"herbrand/{p}")
+        for i in range(8):
+            names = rng.choices(sorted(blocks), k=rng.randint(1, 3))
+            x = blocks[names[0]]
+            for name in names[1:]:
+                x = el.direct_sum_action(x, blocks[name])
+            cases.append(pytest.param(in_random_basis(x, rng), id=f"C{p}/{'+'.join(names)}/{i}"))
+    cases += [
+        pytest.param(x, id=f"{name}/{label}")
+        for name, table in ALL_SMALL_GROUPS
+        if len(table) in (2, 3, 5)
+        for label, x in permutation_modules(table).items()
+    ]
+    return cases
+
+
+class TestHerbrandQuotient:
+    """|H^0| / |H^-1| = p^((p r0 - r) / (p - 1)) for a group of prime order p, L of rank r
+    and L^G of rank r0: the identity by which h1 and fibers can fail."""
+
+    @pytest.mark.parametrize("x", herbrand_cases())
+    def test_identity_holds(self, x):
+        p, r = x.order, x.lattice.rank
+        h0, r0 = el.tate_h_zero(x)
+        assert (h0, r0) == _literal_h0(x)
+        h1 = el.tate_h_minus1(x)
+        assert Fraction(h0.order, h1.order) == Fraction(p) ** Fraction(p * r0 - r, p - 1)
+        assert cli._cohomology_holds(x, h1)
+
+    @pytest.mark.parametrize("x", herbrand_cases())
+    def test_one_factor_more_or_less_fails(self, x):
+        h1, p = el.tate_h_minus1(x), x.order
+        assert not cli._cohomology_holds(x, el.FiniteAbelianGroup((p,) + h1.invariant_factors))
+        if h1.invariant_factors:
+            assert not cli._cohomology_holds(x, el.FiniteAbelianGroup(h1.invariant_factors[1:]))
+
+    @pytest.mark.parametrize("name, table", [(n, t) for n, t in ALL_SMALL_GROUPS if n in ("C4", "C6", "V4")])
+    def test_composite_order_keeps_the_order_test(self, name, table):
+        # |G| = 4 or 6 is not prime: only the order test applies, so one factor more passes
+        x = permutation_modules(table)["norm-one"]
+        h1 = el.tate_h_minus1(x)
+        assert cli._cohomology_holds(x, h1)
+        assert cli._cohomology_holds(x, h1.direct_sum(el.FiniteAbelianGroup((len(table),))))
+        assert not cli._cohomology_holds(x, el.FiniteAbelianGroup((len(table) * 2,)))
