@@ -26,9 +26,10 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import linalg
 
@@ -92,21 +93,6 @@ def _combine(terms: Sequence[tuple[int, int]], rows: Sequence[Sequence[int]], wi
     if not terms:
         return (0,) * width
     return tuple(map(sum, zip(*([v * x for x in rows[t]] for t, v in terms))))
-
-
-def _integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
-    """Matrix whose columns are the integer coordinates of the vectors in the basis.
-
-    Raises ValueError(error) when a vector is not in the lattice the basis
-    spans: outside its span, or with a coordinate that is not an integer.
-    """
-    coords = linalg.coordinate_matrix(basis, tuple(vectors))
-    if coords is None:
-        raise ValueError(error)
-    cols, d = coords
-    if any(x % d for row in cols for x in row):
-        raise ValueError(error)
-    return [[x // d for x in row] for row in cols]
 
 
 def _pivot(b: IntMat, t: int, n: int, k: int, floor: int) -> Optional[tuple[int, int]]:
@@ -225,11 +211,6 @@ class FiniteAbelianGroup:
         diagonal = [[f * x for x in row] for f, row in zip(fs, linalg.identity(len(fs)))]
         return cokernel_structure(diagonal, len(fs))
 
-    def __str__(self) -> str:
-        if self.is_trivial:
-            return "1"
-        return " x ".join(f"Z/{f}" for f in self.invariant_factors)
-
 
 TRIVIAL_GROUP = FiniteAbelianGroup(())
 
@@ -317,21 +298,20 @@ def _check_actions(actions: Sequence, n: int) -> None:
 class LatticeWithAction:
     """A lattice together with a finite group of integer matrices acting on it.
 
-    ``actions`` must be closed under multiplication and contain the identity;
-    this is verified eagerly, as is preservation of the lattice, both through a
-    generating set T: each action not yet reached is a generator, and reached
-    elements are multiplied on the right by T, |G| * |T| products that must all
-    be actions.  The reached set, the monoid generated by T, is then closed and
-    holds every action.  If every generator maps the lattice into itself, so
-    does every word in them.  Matrices act on ambient column vectors.
+    ``actions`` must contain the identity, list every element equally often (the fibres
+    of a group homomorphism all have one size) and be closed under multiplication; this
+    is verified eagerly, as is preservation of the lattice, the last two through a
+    generating set T: each action not yet reached is a generator, and reached elements
+    are multiplied on the right by T, |G| * |T| products that must all be actions.  The
+    reached set, the monoid generated by T, is then closed and holds every action.  If
+    every generator maps the lattice into itself, so does every word in them.  Matrices
+    act on ambient column vectors.
     """
 
     lattice: IntLattice
     actions: tuple[tuple[tuple[int, ...], ...], ...]
-    label: str = ""
     # the generators in lattice-basis coordinates, side by side: r x r|T|
     _generator_columns: IntMat = field(init=False, repr=False, compare=False)
-    _in_basis: Optional[list[IntMat]] = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self):
         n = self.lattice.ambient_dim
@@ -339,6 +319,8 @@ class LatticeWithAction:
         seen, ident = set(self.actions), linalg.identity(n)
         if ident not in seen:
             raise ValueError("action set does not contain the identity")
+        if len(set(Counter(self.actions).values())) > 1:
+            raise ValueError("the action list must repeat every group element equally often")
         reached, gens = {ident: _sparse(ident)}, []  # each reached element with its sparse rows
         for a in self.actions:
             if a not in reached:
@@ -369,12 +351,9 @@ class LatticeWithAction:
         return len(self.actions)
 
     def in_basis_matrices(self) -> list[IntMat]:
-        """The action matrices rewritten in lattice-basis coordinates, solved on the first call."""
-        if self._in_basis is None:
-            r, cols = self.lattice.rank, self._in_coordinates(self.actions)
-            mats = [[row[k * r : (k + 1) * r] for row in cols] for k in range(self.order)]
-            object.__setattr__(self, "_in_basis", mats)
-        return self._in_basis
+        """The action matrices rewritten in lattice-basis coordinates."""
+        r, cols = self.lattice.rank, self._in_coordinates(self.actions)
+        return [[row[k * r : (k + 1) * r] for row in cols] for k in range(self.order)]
 
 
 def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
@@ -440,7 +419,7 @@ def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
         lattice = IntLattice(n, tuple(map(_as_ints, _as_list(data["basis"]))))
     else:
         lattice = IntLattice.standard(n)
-    return LatticeWithAction(lattice, actions, label=str(data.get("label", "")))
+    return LatticeWithAction(lattice, actions)
 
 
 def lattice_with_action_from_json(path: str) -> LatticeWithAction:
@@ -454,18 +433,18 @@ def split_torus(rank: int, group_order: int = 1) -> LatticeWithAction:
     """Split torus of the given rank: every group element acts as the identity.
 
     ``group_order`` repeats the identity so the element list can be paired
-    with another action of the same group in ``direct_sum_action``.
+    with another action of the same group in ``direct_sum_action``: the
+    identity, the one element, is listed ``group_order`` times, as the trivial
+    homomorphism's one fibre is the whole group.
     """
-    return LatticeWithAction(
-        IntLattice.standard(rank), (linalg.identity(rank),) * group_order, label=f"split^{rank}"
-    )
+    return LatticeWithAction(IntLattice.standard(rank), (linalg.identity(rank),) * group_order)
 
 
 def norm_one_torus(k: int = 1) -> LatticeWithAction:
     """Product of k norm-one tori of a quadratic extension: Z^k with {1, -1}."""
     ident = linalg.identity(k)
     minus = tuple(tuple(-x for x in row) for row in ident)
-    return LatticeWithAction(IntLattice.standard(k), (ident, minus), label=f"norm-one^{k}")
+    return LatticeWithAction(IntLattice.standard(k), (ident, minus))
 
 
 def regular_representation(group_table: Sequence[Sequence[int]]) -> LatticeWithAction:
@@ -481,4 +460,4 @@ def regular_representation(group_table: Sequence[Sequence[int]]) -> LatticeWithA
         for j in range(n):
             m[group_table[i][j]][j] = 1
         acts.append(tuple(tuple(row) for row in m))
-    return LatticeWithAction(IntLattice.standard(n), tuple(acts), label="regular")
+    return LatticeWithAction(IntLattice.standard(n), tuple(acts))

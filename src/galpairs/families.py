@@ -10,7 +10,7 @@ exponential-polynomial extrapolation.  Every system table it reads comes from th
 datum as ``RestrictedRootSystem`` clears it once: the kernel compile reads ``cartan``,
 ``simple_coordinates`` and the integer simple-root rows of ``integral_roots``.  A set is
 stored as integer rows over one denominator, and is built, added, translated and validated
-in integers against system tables (``chamber_weyl_rows``, ``wall_coroot_rows``); its
+in integers against system tables (``chamber_weyl_rows``, ``walls``); its
 Fraction ``points`` are a view.  A positive set's hull is read off the fan as integer rows
 (``hull_rows``): the covectors are ``facet_rows``, the primitive rows of the integer
 ``chamber_duals``, paired with a basis by the one ``_pairing`` that ``hull_rows`` and
@@ -65,8 +65,8 @@ class OrthogonalSet:
     from (N, e) on first use.  Validation checks every wall-adjacent pair (P, P') of
     the chamber wall table ``RestrictedRootSystem.walls``: Y_P - Y_P' must be r * (the
     coroot of P's simple root along the wall), tested by integer cross-multiplication
-    against ``wall_coroot_rows``, and r has the sign of the integer kept per wall in
-    ``_wall_values``.  The set is *positive* when all of them are nonnegative.
+    against its ``integral_coroots`` row, and r has the sign of the integer kept per
+    wall in ``_wall_values``.  The set is *positive* when all of them are nonnegative.
     """
 
     def __init__(self, system: RestrictedRootSystem, points: Optional[dict[int, Sequence]] = None,
@@ -87,14 +87,15 @@ class OrthogonalSet:
     def _validate(self) -> None:
         """Per wall, D = N[i] - N[j] must be a multiple of K, the integer coroot row: D[x] K[m]
         == D[m] K[x] for every x.  Then r = D[m] c / (e K[m]) has the sign of t = D[m] K[m]."""
-        sys, (n, e) = self.system, self._integral
+        sys, (n, e), coroots = self.system, self._integral, self.system.integral_coroots[0]
         self._wall_values: list[int] = []  # t per row of ``walls``
-        for (p, q, _, coroot), (i, j, k, m) in zip(sys.walls, sys.wall_coroot_rows[0]):
-            diff = [a - b for a, b in zip(n[i], n[j])]
+        for i, j, a, m in sys.walls:
+            diff, k = [x - y for x, y in zip(n[i], n[j])], coroots[a]
             if any(x * k[m] != diff[m] * y for x, y in zip(diff, k)):
                 raise ValueError(
-                    f"chambers {p}, {q}: point difference {linalg.vec_str(Fraction(x, e) for x in diff)} "
-                    f"is not a multiple of the wall coroot {linalg.vec_str(coroot)}"
+                    f"chambers {sys.chambers[i]}, {sys.chambers[j]}: point difference "
+                    f"{linalg.vec_str(Fraction(x, e) for x in diff)} "
+                    f"is not a multiple of the wall coroot {linalg.vec_str(sys.coroots[a])}"
                 )
             self._wall_values.append(diff[m] * k[m])
         self.is_positive = all(t >= 0 for t in self._wall_values)
@@ -260,7 +261,7 @@ class KernelTables:
         numbered = list(indicators)
         self.read: dict[int, list[int]] = {}
         for p in sys.chambers:
-            simple = [coords[a] for a, _ in sys.chamber_simple_pairs(p)]  # a multiple of w_P(a_j), per j
+            simple = [coords[sys.roots[k]] for k in sys.chamber_simple_indices(p)]  # a multiple of w_P(a_j), per j
 
             @functools.cache
             def move(c: tuple[int, ...]) -> int:  # the sign bit of c o w_P^-1
@@ -723,19 +724,17 @@ def _floors(x: int, a: int, t: int, n: int) -> Iterator[int]:
     return map(operator.floordiv, range(x, x - a * n, -a), repeat(t)) if a else repeat(x // t, n)
 
 
-def hull_rows(y: OrthogonalSet, basis: Optional[Sequence[Vec]] = None) -> list[tuple[tuple[int, ...], int]]:
+def hull_rows(y: OrthogonalSet) -> list[tuple[tuple[int, ...], int]]:
     """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
 
     Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
     chamber P and every covector c of ``RestrictedRootSystem.facet_rows``,
     keeping the least bound of each covector.  The kernel is not built.  The basis
-    defaults to the normalization lattice's.
+    is the normalization lattice's.
     """
     if not y.is_positive:
         raise ValueError("hull rows from the fan require a positive orthogonal set")
-    sys = y.system
-    basis = sys.lattice.basis if basis is None else [_parse_vec(b, sys.ambient_dim) for b in basis]
-    pairing, e = _pairing(sys, basis)
+    pairing, e = _pairing(y.system, y.system.lattice.basis)
     den = y._integral[1]
     return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 

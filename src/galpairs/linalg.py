@@ -39,10 +39,6 @@ def dot(a: Vec, b: Vec):
     return sum(map(mul, a, b))
 
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    return tuple(x + y for x, y in zip(a, b))
-
-
 def vsub(a: Vec, b: Vec) -> Vec:
     return tuple(x - y for x, y in zip(a, b))
 

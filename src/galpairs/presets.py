@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact_linalg import _as_dict, _as_int, _as_ints, read_json
+from .exact_linalg import _as_dict, _as_int, _as_ints, _as_list, read_json
 
 
 # the largest rank m of (Z/2)^m: the character-collapse check costs m * 2^m
@@ -184,13 +184,15 @@ def preset_from_dict(data: dict) -> ThetaPreset:
     b_generators (bitmasks over delta_minus positions), metadata.
 
     Every field but name and metadata takes JSON integers, and so does metadata's
-    n when its family is "U"."""
+    n when its family is "U", an n larger than the number m of fixed roots."""
     data = _as_dict(data)
     metadata = dict(_as_dict(data.get("metadata", {})))
-    if metadata.get("family") == "U":  # the unitary labels are compositions of n
+    if metadata.get("family") == "U":  # the unitary labels are compositions of n, cut at m places
         if "n" not in metadata:
             raise ValueError("metadata: a unitary preset (family \"U\") needs an integer n")
-        metadata["n"] = _as_int(metadata["n"])
+        metadata["n"] = n = _as_int(metadata["n"])
+        if n <= (m := len(_as_list(data["delta_minus"]))):
+            raise ValueError(f"metadata: a unitary preset's n must exceed its {m} fixed roots, got n = {n}")
     return ThetaPreset(
         name=str(data["name"]),
         num_simple=_as_int(data["num_simple"]),

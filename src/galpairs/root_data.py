@@ -205,9 +205,12 @@ class RestrictedRootSystem:
         self._dual_den = e * self.integral_roots[1]
         duals, (coroots, c) = self._duals(ident), self.integral_coroots
         moved = lambda w: [linalg.vsub(coroots[w[i]], coroots[i]) for i in simples]
-        self._weyl_den = c * self._dual_den
-        self._weyl_rows = {w: _identity_plus(moved(w), duals, self._weyl_den) for w in elements}
-        order = sorted(elements, key=self._weyl_rows.__getitem__)
+        den = c * self._dual_den
+        weyl = {w: _identity_plus(moved(w), duals, den) for w in elements}
+        order = sorted(elements, key=weyl.__getitem__)
+        # (M, D), D > 0: w_P = M[i n : (i + 1) n] / D at the i-th chamber P, every chamber's Weyl
+        # matrix as integer rows over one denominator, stacked in chamber order (that of ``order``)
+        self.chamber_weyl_rows: tuple[list[tuple[int, ...]], int] = [row for w in order for row in weyl[w]], den
 
         types = [frozenset(i for i in range(r) if bits >> i & 1) for bits in range(1 << r)]
         seen: dict[tuple[int, ...], int] = {}
@@ -243,16 +246,6 @@ class RestrictedRootSystem:
     def cone_by_signs(self, signs: tuple[int, ...]) -> Cone:
         return self.cones[self._sign_index[signs]]
 
-    def weyl_rows(self, chamber: int) -> Mat:
-        """D w_P as integer rows, D > 0 the one denominator of all the Weyl matrices."""
-        return self._weyl_rows[self._chamber_perms[chamber]]
-
-    @functools.cached_property
-    def chamber_weyl_rows(self) -> tuple[list[tuple[int, ...]], int]:
-        """(M, D), D > 0: w_P = M[i n : (i + 1) n] / D at the i-th chamber P, n = ``ambient_dim``,
-        every chamber's Weyl matrix as integer rows over one denominator, stacked in chamber order."""
-        return [row for p in self.chambers for row in self.weyl_rows(p)], self._weyl_den
-
     def chamber_faces(self, chamber: int) -> dict[frozenset, int]:
         """The faces w_P(F_I) of the closed chamber P, each keyed by the indices I
         of P's simple roots that vanish on it."""
@@ -262,10 +255,6 @@ class RestrictedRootSystem:
         """The root indices w_P[i] of the chamber's simple roots, i over the simple indices."""
         w = self._chamber_perms[chamber]
         return [w[i] for i in self.simple_indices]
-
-    def chamber_simple_pairs(self, chamber: int) -> list[tuple[Vec, Vec]]:
-        """(root covector, coroot vector) pairs of the chamber's simple roots."""
-        return [(self.roots[k], self.coroots[k]) for k in self.chamber_simple_indices(chamber)]
 
     def chamber_below(self, cone: int) -> int:
         """The least chamber P with P <= cone: the one chamber used per cone."""
@@ -283,32 +272,22 @@ class RestrictedRootSystem:
         return KernelTables(self)
 
     @functools.cached_property
-    def walls(self) -> list[tuple[int, int, Vec, Vec]]:
-        """The chamber wall table: (p, q, root, coroot) for each pair of chambers p < q
-        that share a wall, in (p, q) order.  With w = w_P, P's neighbour across the wall
-        of its simple root roots[w[i]] is the chamber of the permutation w s_i, and the
-        row's pair is (roots[w[i]], coroots[w[i]]).  The scan of the fan induced on a
-        cone's span is ``tests/root_oracle.py::induced_walls``."""
-        chamber_of = {w: p for p, w in self._chamber_perms.items()}
-        table = []
-        for p in self.chambers:
+    def walls(self) -> list[tuple[int, int, int, int]]:
+        """The chamber wall table: (i, j, k, m) for each pair of chambers p < q at positions i < j
+        of ``chambers`` that share a wall, in (i, j) order.  With w = w_P, P's neighbour across
+        the wall of its simple root roots[w[a]] is the chamber of the permutation w s_a, and the
+        row's root index is k = w[a]; m is the first index of a nonzero entry of k's integer
+        coroot row in ``integral_coroots``.  The scan of the fan induced on a cone's span is
+        ``tests/root_oracle.py::induced_walls``."""
+        position = {self._chamber_perms[p]: i for i, p in enumerate(self.chambers)}
+        coroots, table = self.integral_coroots[0], []
+        for i, p in enumerate(self.chambers):
             w = self._chamber_perms[p]
             across = sorted(
-                (chamber_of[tuple(w[k] for k in s)], w[i])
-                for i, s in zip(self.simple_indices, self._reflections)
+                (position[tuple(w[k] for k in s)], w[a]) for a, s in zip(self.simple_indices, self._reflections)
             )
-            table += [(p, q, self.roots[k], self.coroots[k]) for q, k in across if p < q]
+            table += [(i, j, k, next(m for m, x in enumerate(coroots[k]) if x)) for j, k in across if i < j]
         return table
-
-    @functools.cached_property
-    def wall_coroot_rows(self) -> tuple[list[tuple[int, int, tuple[int, ...], int]], int]:
-        """(rows, c), c > 0: per row (p, q, root, coroot) of ``walls``, (i, j, K, m) with i, j the
-        positions of p and q in ``chambers``, K = c * coroot in integers (c the one denominator
-        of the coroots) and m the first index with K[m] != 0."""
-        coroots, c = self.integral_coroots
-        position = {p: i for i, p in enumerate(self.chambers)}
-        rows = [(position[p], position[q], coroots[self._root_index[a]]) for p, q, a, _ in self.walls]
-        return [(i, j, k, next(m for m, x in enumerate(k) if x)) for i, j, k in rows], c
 
     def _duals(self, w: tuple[int, ...]) -> list[tuple[int, ...]]:
         """D times the covectors dual to the coroots[w[i]] that vanish on the common kernel of

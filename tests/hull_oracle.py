@@ -8,6 +8,10 @@ O(k!) per minor, so only the tests call it.
 ``hull_volume`` runs the library's one triangulation over the facets that
 the brute-force ``families.Hull`` finds, where ``volume_polytope`` runs it
 over the rows read off the fan.
+
+``hull_rows_in`` is ``families.hull_rows`` in a basis of the caller's choice,
+the rows of the fan paired with it by ``families._pairing``; the library reads
+them in the normalization lattice's basis only.
 """
 
 from __future__ import annotations
@@ -16,12 +20,23 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from galpairs.families import Hull, triangulated_volume
+from galpairs.families import Hull, OrthogonalSet, _pairing, triangulated_volume
+from galpairs.root_data import _parse_vec
 
 
 def hull_volume(hull: Hull) -> Fraction:
     """Volume of a brute-force hull, in the coordinates its points were given in."""
     return triangulated_volume(hull.vertices, hull.facets) / hull.scale**hull.dim
+
+
+def hull_rows_in(y: OrthogonalSet, basis: Sequence[Sequence]) -> list[tuple[tuple[int, ...], int]]:
+    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}, for a positive
+    set Y, each basis vector read by ``_parse_vec`` with the ambient dimension."""
+    if not y.is_positive:
+        raise ValueError("hull rows from the fan require a positive orthogonal set")
+    sys, den = y.system, y._integral[1]
+    pairing, e = _pairing(sys, [_parse_vec(b, sys.ambient_dim) for b in basis])
+    return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
 def cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:

@@ -4,7 +4,8 @@ restricted root, the per-cone Levi data, and the fan built with Fraction matrice
 ``induced_walls(sys, cone)`` lists the walls of the fan induced on a cone's
 span by comparing the signs of every pair of cones with that span, as
 ``RestrictedRootSystem.walls`` did before it became the chamber wall table
-read off the Weyl permutations; on a chamber it must give that table.
+read off the Weyl permutations; on a chamber it must give that table, read by
+``wall_pairs`` as (p, q, root, coroot) rows.
 
 ``restricted_coroot`` computes the coroot of such a wall independently, as
 the paper defines it: lift the restricted root to a simple root of a
@@ -37,9 +38,12 @@ matrices, maps a relative-interior point of each face of the base chamber by
 every element and reads the face's signs there.
 
 ``chamber_weyl``, ``chamber_weyl_inverse`` and ``weyl_elements`` read the Weyl
-matrices as Fractions off ``weyl_rows``, as ``RestrictedRootSystem`` kept them
-before the sets came to read the integer rows only; w_P^-1 is the matrix of the
+matrices as Fractions off ``weyl_rows``, one chamber's block of the system's one
+Weyl table ``chamber_weyl_rows``, as ``RestrictedRootSystem`` kept them before
+the sets came to read the integer rows only; w_P^-1 is the matrix of the
 chamber whose permutation is the inverse of w_P's.
+
+``vadd`` is the vector sum that only the tests and their oracles call.
 
 ``proportionality`` is the Fraction ratio test that ``OrthogonalSet`` validated
 its walls with before it cross-multiplied integer rows.
@@ -72,6 +76,10 @@ def _per_system(fn):
     return memoized
 
 
+def vadd(a: Vec, b: Vec) -> Vec:
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
     """c with a = c * b (None if not proportional).  a = 0 gives c = 0."""
     if linalg.is_zero_vec(a):
@@ -88,6 +96,16 @@ def proportionality(a: Vec, b: Vec) -> Optional[Fraction]:
             elif ratio != c:
                 return None
     return c
+
+
+def wall_pairs(sys: RestrictedRootSystem) -> list[tuple[int, int, Vec, Vec]]:
+    """``RestrictedRootSystem.walls`` with each row (i, j, k, m) read as (p, q, root, coroot): the
+    chambers at positions i and j and the pair of root k.  Each row's m is checked to be the first
+    index of a nonzero entry of k's integer coroot row."""
+    coroots = sys.integral_coroots[0]
+    for i, j, k, m in sys.walls:
+        assert coroots[k][m] and not any(coroots[k][:m]), (i, j, k, m)
+    return [(sys.chambers[i], sys.chambers[j], sys.roots[k], sys.coroots[k]) for i, j, k, _ in sys.walls]
 
 
 def induced_walls(sys: RestrictedRootSystem, cone: int) -> list[tuple[int, int, Vec, Vec]]:
@@ -225,11 +243,18 @@ def sign_vector(covectors: Sequence[Vec], v: Vec) -> tuple[int, ...]:
     return tuple(out)
 
 
+def weyl_rows(sys: RestrictedRootSystem, chamber: int) -> Mat:
+    """D w_P as integer rows, D > 0 the one denominator of ``chamber_weyl_rows``: its block of
+    ``ambient_dim`` rows at the chamber's position."""
+    (rows, _), n, i = sys.chamber_weyl_rows, sys.ambient_dim, sys.chambers.index(chamber)
+    return tuple(rows[i * n : (i + 1) * n])
+
+
 @_per_system
 def chamber_weyl(sys: RestrictedRootSystem, chamber: int) -> Mat:
     """w_P, the Weyl element mapping the base chamber onto the chamber P."""
     den = sys.chamber_weyl_rows[1]
-    return tuple(tuple(Fraction(x, den) for x in row) for row in sys.weyl_rows(chamber))
+    return tuple(tuple(Fraction(x, den) for x in row) for row in weyl_rows(sys, chamber))
 
 
 def chamber_weyl_inverse(sys: RestrictedRootSystem, chamber: int) -> Mat:
@@ -399,7 +424,7 @@ def _generic_halfspace_point(span: list[Vec], a: Vec, hyps: list[Vec]) -> Vec:
         pert = base
         t = Fraction(1, 100 * k)
         for j, s in enumerate(span):
-            pert = linalg.vadd(pert, linalg.vscale(t ** (j + 1), s))
+            pert = vadd(pert, linalg.vscale(t ** (j + 1), s))
         if linalg.dot(a, pert) > 0 and all(linalg.dot(h, pert) != 0 for h in relevant):
             return pert
         k += 1

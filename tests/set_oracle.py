@@ -5,7 +5,7 @@ denominator and builds, adds, translates and validates it in integers.  These
 are the formulas it replaced, on dicts chamber -> Fraction point:
 
 * ``special``: Y_P = w_P(x), one Fraction ``matvec`` of ``chamber_weyl(P)`` per chamber;
-* ``add`` and ``translate``: chamber by chamber ``vadd``;
+* ``add`` and ``translate``: chamber by chamber ``root_oracle.vadd``;
 * ``validate``: each wall's Fraction difference against its coroot by
   ``root_oracle.proportionality``, with the error text of the library;
 * ``integral``: the points cleared to integers over their least denominator;
@@ -25,7 +25,7 @@ from typing import Sequence
 
 from galpairs import families, linalg
 from galpairs.root_data import _parse_vec
-from root_oracle import chamber_weyl, proportionality
+from root_oracle import chamber_weyl, proportionality, vadd, wall_pairs
 from support_oracle import lattice_coords
 
 Points = dict[int, tuple[Fraction, ...]]
@@ -37,18 +37,18 @@ def special(sys, x: Sequence) -> Points:
 
 
 def add(a: Points, b: Points) -> Points:
-    return {c: linalg.vadd(a[c], b[c]) for c in a}
+    return {c: vadd(a[c], b[c]) for c in a}
 
 
 def translate(points: Points, v: Sequence) -> Points:
     vv = _parse_vec(v, len(next(iter(points.values()))))
-    return {c: linalg.vadd(p, vv) for c, p in points.items()}
+    return {c: vadd(p, vv) for c, p in points.items()}
 
 
 def validate(sys, points: Points) -> dict[tuple[int, int], Fraction]:
     """The wall coefficients, both ways round; ValueError at the first wall that fails."""
     out = {}
-    for p, q, _, coroot in sys.walls:
+    for p, q, _, coroot in wall_pairs(sys):
         diff = linalg.vsub(points[p], points[q])
         r = proportionality(diff, coroot)
         if r is None:
@@ -85,9 +85,11 @@ def zero(sys) -> families.OrthogonalSet:
 
 def wall_coefficients(y: families.OrthogonalSet) -> dict[tuple[int, int], Fraction]:
     """(P, P') -> r with Y_P - Y_P' = r * coroot, both ways round: t c / (e K[m]^2), with t per
-    wall of ``OrthogonalSet._wall_values`` and (K, m) per row of ``wall_coroot_rows`` (over c)."""
+    wall of ``OrthogonalSet._wall_values`` and, per row (i, j, k, m) of ``walls``, K the row of
+    ``integral_coroots`` (over c) of root k."""
     sys, e = y.system, y._integral[1]
-    (rows, c), out = sys.wall_coroot_rows, {}
-    for (p, q, _, _), (_, _, k, m), t in zip(sys.walls, rows, y._wall_values):
-        out[(p, q)] = out[(q, p)] = Fraction(t * c, e * k[m] ** 2)
+    (coroots, c), out = sys.integral_coroots, {}
+    for (i, j, k, m), t in zip(sys.walls, y._wall_values):
+        p, q = sys.chambers[i], sys.chambers[j]
+        out[(p, q)] = out[(q, p)] = Fraction(t * c, e * coroots[k][m] ** 2)
     return out

@@ -21,6 +21,7 @@ from typing import Sequence
 from galpairs import linalg
 from galpairs.families import SupportBoundReport, gamma_family
 from galpairs.root_data import _parse_vec
+from root_oracle import chamber_simple_pairs
 
 
 def lattice_coords(sys, points: Sequence) -> list[tuple[Fraction, ...]]:
@@ -43,7 +44,7 @@ def support_bound_certificate(sys) -> Fraction:
     basis, (duals, den) = [linalg.vec(b) for b in sys.lattice.basis], sys.chamber_duals
     best = Fraction(0)
     for c in sys.chambers:
-        coroots = [linalg.coordinates_in_basis(basis, av) for _, av in sys.chamber_simple_pairs(c)]
+        coroots = [linalg.coordinates_in_basis(basis, av) for _, av in chamber_simple_pairs(sys, c)]
         total = sum(sup_norm(av) * sum(map(abs, w)) for av, w in zip(coroots, duals[c]))
         best = max(best, total)
     return best / den * max(map(sup_norm, basis)) * sys.ambient_dim
@@ -53,7 +54,7 @@ def support_bound_check(sys, y, points: Sequence[Sequence]) -> SupportBoundRepor
     """Empirically bound |H| / sup|Y_P| over sampled points with nonzero kernel, by their parts
     sum_i <varpi_i, .> a_i^vee in the coroots' span."""
     g, base, (duals, den) = sys.full_cone().index, sys.base_chamber, sys.chamber_duals
-    coroots, duals = [av for _, av in sys.chamber_simple_pairs(base)], duals[base]
+    coroots, duals = [av for _, av in chamber_simple_pairs(sys, base)], duals[base]
     part = lambda h: linalg.combination([linalg.dot(w, h) / den for w in duals], coroots, sys.ambient_dim)
     sup_y = max(map(sup_norm, lattice_coords(sys, [part(p) for p in y.points.values()])), default=Fraction(0))
     supported = [_parse_vec(h, sys.ambient_dim) for h in points if gamma_family(sys, g, h, y) != 0]

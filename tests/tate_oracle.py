@@ -5,20 +5,41 @@ coinvariants L / I_G L, from one Smith normal form.  This computes the group
 as it is defined: take the kernel of the norm N = sum of the group elements
 from a Smith normal form of N, write every (g - 1) image in a basis of that
 kernel, and take the cokernel.  It is slower and only the tests call it.
+
+``integer_coordinate_matrix`` writes vectors in a lattice basis, refusing one
+outside the lattice, from one rational elimination: the oracle's own
+coordinate reader and the reference for ``IntLattice.coordinates``.
 """
 
 from __future__ import annotations
+
+from typing import Iterable, Sequence
 
 from galpairs import linalg
 from galpairs.exact_linalg import (
     TRIVIAL_GROUP,
     FiniteAbelianGroup,
+    IntMat,
     LatticeWithAction,
-    _integer_coordinate_matrix,
     cokernel_structure,
     diagonal_of,
     smith_normal_form,
 )
+
+
+def integer_coordinate_matrix(basis: Sequence, vectors: Iterable, error: str) -> IntMat:
+    """Matrix whose columns are the integer coordinates of the vectors in the basis.
+
+    Raises ValueError(error) when a vector is not in the lattice the basis
+    spans: outside its span, or with a coordinate that is not an integer.
+    """
+    coords = linalg.coordinate_matrix(basis, tuple(vectors))
+    if coords is None:
+        raise ValueError(error)
+    cols, d = coords
+    if any(x % d for row in cols for x in row):
+        raise ValueError(error)
+    return [[x // d for x in row] for row in cols]
 
 
 def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
@@ -47,5 +68,5 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
     eye = linalg.identity(r)
     images = ([g[i][j] - eye[i][j] for i in range(r)] for g in mats for j in range(r))
     error = "augmentation image is not integral in the norm kernel"
-    m = _integer_coordinate_matrix(kernel_basis, images, error)
+    m = integer_coordinate_matrix(kernel_basis, images, error)
     return cokernel_structure(m, k)

@@ -5,7 +5,8 @@
 Fractions term by term.  ``v_tilde_lattice`` builds Y + k*Y[x0] from one
 validated sweep kept on Y, and reads its box and rows off a ``CountPlan`` kept
 on Y per (x0, basis); the reference builds and validates that set explicitly
-and counts the points of its box that meet its ``hull_rows``.  The plan's
+and counts the points of its box that meet its hull rows in the basis
+(``hull_oracle.hull_rows_in``).  The plan's
 counts are also compared with those of a freshly built set (and, in
 ``tests/test_lattice_rows.py``, with the literal kernel, ``exact=True``), and a
 set and its system must not outlive their last reference: no cache may be kept
@@ -25,9 +26,10 @@ import set_oracle
 import volume_oracle
 from galpairs import families as fam
 from galpairs import linalg, sampling
-from galpairs.families import OrthogonalSet, hull_rows, v_tilde_lattice
+from galpairs.families import OrthogonalSet, v_tilde_lattice
 from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
-from root_oracle import chamber_weyl
+from hull_oracle import hull_rows_in
+from root_oracle import chamber_weyl, vadd
 
 
 def _point(sys, targets):
@@ -100,9 +102,9 @@ def _explicit_count(y, basis, k, x0):
     sys = y.system
     xk = linalg.vscale(k, linalg.vec(x0))
     shifted = OrthogonalSet(
-        sys, {c: linalg.vadd(p, linalg.matvec(chamber_weyl(sys, c), xk)) for c, p in y.points.items()}
+        sys, {c: vadd(p, linalg.matvec(chamber_weyl(sys, c), xk)) for c, p in y.points.items()}
     )
-    rows = hull_rows(shifted, basis)  # ValueError unless positive
+    rows = hull_rows_in(shifted, basis)  # ValueError unless positive
     coords = [linalg.coordinates_in_basis(basis, p) for p in shifted.points.values()]
     box = [range(math.floor(min(c)), math.ceil(max(c)) + 1) for c in zip(*coords)]
     return sum(fam._facet_side(rows, m) >= 0 for m in product(*box))

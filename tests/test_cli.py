@@ -210,6 +210,10 @@ class TestBadInput:
             (LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": "x"}}, "non-integer entry 'x'"),
             (LEVIS, {**U2_PRESET, "metadata": {"family": "U"}}, "needs an integer n"),
             (LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": 1.5}}, "non-integer entry 1.5"),
+            # the m fixed roots cut n into m + 1 parts, so n = m leaves a part of size 0
+            (LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": 1}}, "n must exceed its 1 fixed roots, got n = 1"),
+            # an action list with the identity twice and -1 once: no homomorphism onto {1, -1}
+            (H1, {**NORM_ONE, "actions": [[[1]], [[-1]], [[1]]]}, "repeat every group element equally often"),
             # sizes out of range, refused before anything of that size is built
             (VOLUME, {**A1_SYSTEM, "ambient_dim": 0}, f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got 0"),
             (VOLUME, {**A1_SYSTEM, "ambient_dim": -1}, f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got -1"),
@@ -374,6 +378,17 @@ class TestOrtho:
         )
         assert code == EXIT_PASS
 
+    def test_committed_points_fixture(self):
+        # the A2 sweep of (2, 3) translated by (1/2, -1), point by point in chamber order with
+        # "p/q" strings: the set the library builds, and the sweep's volume
+        path = str(Path(__file__).parent / "fixtures" / "a2_points.json")
+        system = builtin_system("A2")
+        want = fam.OrthogonalSet.special(system, (2, 3)).translate(("1/2", "-1"))
+        assert cli.orthogonal_set_from_dict(json.loads(Path(path).read_text()), system).points == want.points
+        code, text = run(["ortho", "volume", "--system", "A2", "--fixture", path])
+        assert (code, text) == run(["ortho", "volume", "--system", "A2", "--special", "2,3"])
+        assert code == EXIT_PASS and "polytope=33/2, analytic=33/2" in text
+
     def test_points_fixture_in_chamber_order(self, tmp_path):
         # A1 chamber order is (-1,) then (1,): interval [-1, 3]
         path = tmp_path / "set.json"
@@ -507,6 +522,14 @@ class TestToriAndLevis:
         code, text = run([*command, "--fixture", str(fixtures / "torus_z2_dependent.json")])
         assert (code, text) == (EXIT_USAGE, "error: basis vectors are dependent\n")
 
+    @pytest.mark.parametrize("command", [["h1"], ["fibers", "--h1g", "1"]])
+    def test_repeated_element_fixture_is_refused(self, command):
+        # the committed sign action listed as (1, -1, 1): read as a group of order 3, whose prime
+        # order the invariant factor 2 does not divide, h1 would fail with exit 2; it is bad input
+        path = Path(__file__).parent / "fixtures" / "torus_repeated_element.json"
+        code, text = run([*command, "--fixture", str(path)])
+        assert (code, text) == (EXIT_USAGE, "error: the action list must repeat every group element equally often\n")
+
     def test_fibers(self):
         code, text = run(["fibers", "--norm-one", "4", "--h1g", "2"])
         assert code == EXIT_PASS
@@ -610,6 +633,15 @@ class TestToriAndLevis:
         code_gl, text_gl = run(["list-levis", "--preset", "GL:6"])
         assert code_gl == EXIT_PASS
 
+    def test_committed_unitary_fixtures(self):
+        # U:4 written as a fixture gives the built-in's report; n = 2 with three fixed roots, whose
+        # labels (2, 0), (3, -1) and (1, 1, 1, -1) are no compositions of n, is refused
+        fixtures = Path(__file__).parent / "fixtures"
+        code, text = run(["list-levis", "--preset", str(fixtures / "unitary_u4.json")])
+        assert (code, text) == run(["list-levis", "--preset", "U:4"]) and code == EXIT_PASS
+        code, text = run(["list-levis", "--preset", str(fixtures / "unitary_n_too_small.json")])
+        assert (code, text) == (EXIT_USAGE, "error: metadata: a unitary preset's n must exceed its 3 fixed roots, got n = 2\n")
+
     def test_list_levis_on_a_proper_subgroup(self, tmp_path):
         # B = <{0, 1}, {1, 2}> inside (Z/2)^3: |B| = 4, and for I = {1} the projection
         # has 2 elements and the kernel {0, {0, 2}} 2
@@ -696,7 +728,7 @@ PLANTED = [
     # every hull row's bound one too high, so no row is tight at a vertex
     _planted(
         "volume-two-ways", ["ortho", "volume", "--system", "B2", "--special", "1,2"], fam, "hull_rows",
-        lambda f: lambda y, basis=None: [(a, b + 1) for a, b in f(y, basis)],
+        lambda f: lambda y: [(a, b + 1) for a, b in f(y)],
     ),
     # each count made at the next dilation
     _planted(

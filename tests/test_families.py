@@ -22,7 +22,7 @@ from galpairs.families import (
     volume_polytope,
 )
 from galpairs.root_data import BUILTIN_NAMES, RestrictedRootSystem, builtin_system, system_from_dict
-from hull_oracle import cofactor_normal, hull_volume
+from hull_oracle import cofactor_normal, hull_rows_in, hull_volume
 from kernel_oracle import delta, gamma_cone_pair, parabolic_leq, projected, tau, tau_hat
 import root_oracle
 import set_oracle
@@ -125,7 +125,7 @@ def _projections_agree(y) -> bool:
         # a counting basis one coordinate too long, which zip once cut to (2, 0), (0, 1): 13 points
         lambda sys, y: v_tilde_lattice(y, [(2, 0, 9), (0, 1, 9)], 1, (1, 1)),
         lambda sys, y: v_tilde_lattice(y, [(2, 0, 9), (0, 1, 9)], 1, (1, 1), exact=True),
-        lambda sys, y: fam.hull_rows(y, [(2, 0, 9), (0, 1, 9)]),
+        lambda sys, y: hull_rows_in(y, [(2, 0, 9), (0, 1, 9)]),
         # roots of 3 coordinates in dimension 2, once built into a system
         lambda sys, y: RestrictedRootSystem(2, [(1, -1, 0), (-1, 1, 0)], [(1, -1, 0), (-1, 1, 0)], [0]),
     ],
@@ -433,7 +433,7 @@ class TestVolumes:
         covolumes = {
             abs(linalg.det([
                 linalg.coordinates_in_basis(sys.lattice.basis, av)
-                for _, av in sys.chamber_simple_pairs(c)
+                for _, av in root_oracle.chamber_simple_pairs(sys, c)
             ]))
             for c in sys.chambers
         }

@@ -3,7 +3,7 @@
 ``OrthogonalSet`` keeps integer rows over one denominator: ``special`` multiplies
 the cleared point by ``RestrictedRootSystem.chamber_weyl_rows``, ``add`` and
 ``translate`` combine rows, the walls are checked by cross-multiplication
-against ``wall_coroot_rows``, and ``volume_polytope`` reads the vertices' lattice
+against the ``integral_coroots`` rows that ``walls`` names, and ``volume_polytope`` reads the vertices' lattice
 coordinates off one elimination of the rows.  ``set_oracle`` is the Fraction
 layer this replaced, compared on every built-in, on B3, C3 and BC3 and on a
 system with a center, with rational base points and translations.
@@ -21,6 +21,7 @@ from galpairs import linalg, root_data, sampling
 from galpairs.families import OrthogonalSet
 from galpairs.root_data import BUILTIN_NAMES
 import fit_oracle
+import root_oracle
 import set_oracle
 import volume_oracle
 
@@ -104,7 +105,7 @@ def test_non_orthogonal_error_text(name):
     for _ in range(6):
         pts = set_oracle.special(sys, _rational(rng, sys.ambient_dim))
         c = rng.choice(sys.chambers)
-        pts[c] = linalg.vadd(pts[c], _rational(rng, sys.ambient_dim))
+        pts[c] = root_oracle.vadd(pts[c], _rational(rng, sys.ambient_dim))
         want = _outcome(lambda: set_oracle.validate(sys, pts))
         assert _outcome(lambda: set_oracle.wall_coefficients(OrthogonalSet(sys, pts))) == want
         raised += isinstance(want, str)

@@ -106,7 +106,8 @@ def test_compile_reads_no_ambient_matrix(name, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("read a Weyl matrix")
 
-    monkeypatch.setattr(RestrictedRootSystem, "weyl_rows", refuse)
+    # the one Weyl table: a property of the class shadows the value each system stores
+    monkeypatch.setattr(RestrictedRootSystem, "chamber_weyl_rows", property(refuse), raising=False)
     sizes, invert = [], linalg.invert
     monkeypatch.setattr(linalg, "invert", lambda m: sizes.append(len(m)) or invert(m))
     kernel = KernelTables(sys)

@@ -169,6 +169,18 @@ class TestFixtures:
         with pytest.raises(ValueError):
             resolve_preset("GL:")
 
+    @pytest.mark.parametrize("m", [1, 2, 5])
+    def test_unitary_n_must_exceed_the_fixed_roots(self, m):
+        # the labels are the compositions of n cut after each of the m fixed roots: every
+        # part is positive iff n > m, and U:(m + 1), the built-in, is the least n admitted
+        data = {"name": "u", "num_simple": m, "iota": list(range(m)), "delta_minus": list(range(m))}
+        for n in (0, m):
+            with pytest.raises(ValueError, match=f"n must exceed its {m} fixed roots, got n = {n}"):
+                preset_from_dict({**data, "metadata": {"family": "U", "n": n}})
+        levis = enumerate_elliptic_levis(preset_from_dict({**data, "metadata": {"family": "U", "n": m + 1}}))
+        assert [d.label for d in levis] == [d.label for d in enumerate_elliptic_levis(builtin_preset("U", m + 1))]
+        assert all(min(d.label) > 0 and sum(d.label) == m + 1 for d in levis)
+
 
 class TestInnerFormFibers:
     def test_even_split(self):

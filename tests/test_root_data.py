@@ -54,11 +54,11 @@ def test_cone_dimensions(name):
 def test_chamber_walls(name):
     """Each chamber has rank walls, each shared by two chambers."""
     sys = builtin_system(name)
-    walls = sys.walls
+    walls = root_oracle.wall_pairs(sys)
     assert len(walls) == len(sys.chambers) * sys.rank // 2
     for p, q, a, av in walls:
         assert p < q and p in sys.chambers and q in sys.chambers
-        assert (a, av) in sys.chamber_simple_pairs(p)
+        assert (a, av) in root_oracle.chamber_simple_pairs(sys, p)
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
@@ -141,13 +141,13 @@ def test_doubled_coroot_convention_bc():
     assert lookup[(Fraction(2),)] == tuple(Fraction(x, 2) for x in lookup[a])
 
 
-def test_chamber_simple_pairs_count():
+def test_chamber_simple_indices_count():
     sys = builtin_system("A2")
     for ch in sys.chambers:
-        pairs = sys.chamber_simple_pairs(ch)
-        assert len(pairs) == sys.rank
-        for a, av in pairs:
-            assert linalg.dot(a, av) == 2
+        simple = sys.chamber_simple_indices(ch)
+        assert len(simple) == sys.rank
+        for k in simple:
+            assert linalg.dot(sys.roots[k], sys.coroots[k]) == 2
 
 
 class TestRestrictedCoroot:

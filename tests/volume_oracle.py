@@ -22,6 +22,7 @@ from fractions import Fraction
 from itertools import count, islice
 
 from galpairs import linalg
+from root_oracle import chamber_simple_pairs
 
 
 def volume_weights(sys) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
@@ -31,9 +32,9 @@ def volume_weights(sys) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
     r = sys.ambient_dim
     if linalg.rank(sys.roots) != r:
         raise ValueError("analytic volume requires roots of full rank")
-    base = [av for _, av in sys.chamber_simple_pairs(sys.base_chamber)]
+    base = [av for _, av in chamber_simple_pairs(sys, sys.base_chamber)]
     meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, v) for v in base]))
-    coroots = [[av for _, av in sys.chamber_simple_pairs(c)] for c in sys.chambers]
+    coroots = [[av for _, av in chamber_simple_pairs(sys, c)] for c in sys.chambers]
     mus = (tuple(j**i for i in range(r)) for j in count(1))
     generic = (mu for mu in mus if all(linalg.dot(mu, v) for cs in coroots for v in cs))
     out = []
@@ -45,7 +46,7 @@ def volume_weights(sys) -> list[tuple[tuple[int, ...], tuple[int, ...], int]]:
 
 def generic_directions(sys, count: int) -> list[tuple[Fraction, ...]]:
     """Covectors (1, j, j^2, ...), j = 1, 2, ..., skipping any that vanish on a chamber coroot."""
-    coroots = [av for c in sys.chambers for _, av in sys.chamber_simple_pairs(c)]
+    coroots = [av for c in sys.chambers for _, av in chamber_simple_pairs(sys, c)]
     out, j = [], 1
     while len(out) < count:
         mu = linalg.vec([j**i for i in range(sys.ambient_dim)])
@@ -64,7 +65,7 @@ def volume_analytic(y) -> Fraction:
     for mu in generic_directions(sys, 3):
         total = Fraction(0)
         for c in sys.chambers:
-            coroots = [av for _, av in sys.chamber_simple_pairs(c)]
+            coroots = [av for _, av in chamber_simple_pairs(sys, c)]
             meas = abs(linalg.det([linalg.coordinates_in_basis(sys.lattice.basis, av) for av in coroots]))
             den = Fraction(math.factorial(r))
             for av in coroots:
