@@ -40,11 +40,11 @@ from .linalg import frac_str
 EXIT_PASS = 0
 EXIT_USAGE = 1
 EXIT_VIOLATION = 2
-# each --samples point is read once per set, about 0.15-0.2 ms on A3: 1,000 points take 0.3-0.4 s
+# each --samples point is read once per set, about 0.06 ms on A3: 1,000 points take about 0.25 s
 MAX_SAMPLES = 1000
 # a point is tested against every cone, so points times cones bounds a system's work: A3's 1,000
-# points over 75 cones take 0.3-0.4 s, B4's 44 over 1,697 cones 0.8 s and A1^6's 102 over 729 cones
-# in dimension 16 1.4 s, each with its kernel compile (0.2 s and 0.5 s; 2-core VM, Python 3.11)
+# points over 75 cones take about 0.25 s, B4's 44 over 1,697 cones 0.7 s and A1^6's 102 over 729 cones
+# in dimension 16 0.9 s, each with its kernel compile (0.15 s and 0.35 s; 2-core VM, Python 3.11)
 MAX_SAMPLE_CONES = 75_000
 
 

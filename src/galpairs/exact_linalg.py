@@ -62,6 +62,13 @@ def _as_dict(data) -> dict:
     return data
 
 
+def _field(data: dict, key: str):
+    """The fixture field data[key]; ValueError naming the field when the fixture lacks it."""
+    if key not in data:
+        raise ValueError(f"missing field {key!r}")
+    return data[key]
+
+
 def read_json(path: str):
     """The JSON value in the file at ``path``: the one reader of fixture files."""
     with open(path, "r", encoding="utf-8") as fh:
@@ -412,8 +419,8 @@ def lattice_with_action_from_dict(data: dict) -> LatticeWithAction:
     standard lattice Z^n is used.
     """
     data = _as_dict(data)
-    n = _as_int(data["ambient_rank"])
-    actions = tuple(tuple(map(_as_ints, _as_list(g))) for g in _as_list(data["actions"]))
+    n = _as_int(_field(data, "ambient_rank"))
+    actions = tuple(tuple(map(_as_ints, _as_list(g))) for g in _as_list(_field(data, "actions")))
     _check_actions(actions, n)
     if "basis" in data:
         lattice = IntLattice(n, tuple(map(_as_ints, _as_list(data["basis"]))))

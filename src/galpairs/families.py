@@ -3,9 +3,10 @@
 An orthogonal set assigns a point Y_P to every chamber P so that points of
 wall-adjacent chambers differ by a rational multiple of the wall's coroot.  This module
 implements the alternating-sum kernels of the indicators tau / tau-hat / delta,
-compiled once per system, over W's orbits of face pairs, to integer bitmasks with two bits
-per covector id c (2c: <c, h> > 0, 2c + 1: <c, h> > <c, Y_P>), one AND per term, the
-resulting partition of unity, exact hull volumes and lattice-point counting with
+compiled once per system, over W's orbits of face pairs, to integer bitmasks with a sign
+bit per covector id c (<c, h> > 0) and after them a block per chamber P with a threshold
+bit per id c read against Y_P (<c, h> > <c, Y_P>), one AND per term, the resulting
+partition of unity, exact hull volumes and lattice-point counting with
 exponential-polynomial extrapolation.  Every system table it reads comes from the root
 datum as ``RestrictedRootSystem`` clears it once: the kernel compile reads ``cartan``,
 ``simple_coordinates`` and the integer simple-root rows of ``integral_roots``.  A set is
@@ -18,8 +19,10 @@ Fraction ``points`` are a view.  A positive set's hull is read off the fan as in
 lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
 kept per (set, sweep point, basis).  The rows and the analytic volume's weights
 (``volume_weights``) are system tables read off W's root permutations, so no count or
-volume builds the kernel.  A ``_Point`` parses, clears and pairs a point with the kernel's
-covectors once, and refuses a set of another system; ``check_kernel`` makes one per sampled
+volume builds the kernel.  A ``_Point`` reads a point as ``_parse_vec`` does, clears it to
+integers with no Fraction made, pairs it with the kernel's covectors once and sets its bits for
+every chamber in one mask, each covector's threshold bits by one bisection of the set's sorted
+``thresholds``, and refuses a set of another system; ``check_kernel`` makes one per sampled
 point for both checks of ``ortho check``: the partition of unity and, from its full-cone
 term Gamma^G, the support bound, in integers through the coroots' lattice coordinates
 (``coroot_lattice_rows``, which ``support_bound_certificate`` and ``volume_weights`` read
@@ -27,7 +30,8 @@ too) and ``chamber_duals``.  The analytic volume reads chamber data too, so the 
 check of both volumes is the brute-force ``Hull``, in the tests.  The fit of the counts
 solves its Vandermonde systems in integers; Fractions are made only for results that are
 rational numbers: volumes, coefficients and constants.  Every vector handed in (points, sweep
-points, counting bases) is read by ``_parse_vec`` where it is used, with the ambient dimension
+points, counting bases) is read by ``_parse_vec`` (a kernel point by ``_parse_integral``, which
+clears it) where it is used, with the ambient dimension
 (a ``Hull``'s with its first point's length), so one of another length is refused, not cut by ``zip``.
 
 All boundary values are canonical: an indicator kernel evaluated on a wall is
@@ -42,15 +46,16 @@ import contextlib
 import functools
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, product, repeat
+from itertools import accumulate, chain, combinations, compress, product, repeat
 from typing import Iterator, Optional, Sequence
 
 from . import linalg
 from .exact_linalg import _as_list
 from .linalg import Vec
-from .root_data import RestrictedRootSystem, _parse_vec
+from .root_data import RestrictedRootSystem, _parse_integral, _parse_vec
 
 
 # -- orthogonal sets ----------------------------------------------------------
@@ -107,16 +112,21 @@ class OrthogonalSet:
         return {c: tuple(Fraction(x, e) for x in row) for c, row in zip(self.system.chambers, n)}
 
     @functools.cached_property
-    def thresholds(self) -> dict[int, list[int]]:
-        """Per chamber P at position i, <c, N[i]> for each id c of the kernel's ``read[P]``: over
-        e, the values <c, Y_P> its threshold bits compare with.  The covectors of tau^G_q and of
-        the tau_hat^Q_R of entries q, the a_j o proj_I and varpi^J_j of ``_standard_covectors``
-        moved by w_P to q = w_P(F_I), vanish on the coroots of I, the kernel of q's Levi
-        projection (step 2 of README.md, "The kernel is 1 on the closed hull"), so at
-        P = ``chamber_below(q)`` they read <c, Y_q> = <c, Y_P>."""
-        sys, (n, _) = self.system, self._integral
-        covectors, read = sys.kernel_tables.covectors, sys.kernel_tables.read
-        return {p: [linalg.dot(covectors[c], n[i]) for c in read[p]] for i, p in enumerate(sys.chambers)}
+    def thresholds(self) -> tuple[list[list[int]], list[list[int]]]:
+        """(values, masks): per covector id c of the kernel, the values <c, N[i]> of c's threshold bits
+        ``slots[c]``, sorted, and the ORs of their bits in that order, masks[c][k] those of the k least, so
+        the bits of the values below t are masks[c][bisect_left(values[c], t)].  Over e, <c, N[i]> is the
+        <c, Y_P> a threshold bit compares with.  The covectors of tau^G_q and of the tau_hat^Q_R of entries q,
+        the a_j o proj_I and varpi^J_j of ``_standard_covectors`` moved by w_P to q = w_P(F_I), vanish on the
+        coroots of I, the kernel of q's Levi projection (step 2 of README.md, "The kernel is 1 on the closed
+        hull"), so at P = ``chamber_below(q)`` they read <c, Y_q> = <c, Y_P>."""
+        kernel, (n, _) = self.system.kernel_tables, self._integral
+        values, masks = [], []
+        for c, slots in zip(kernel.covectors, kernel.slots):
+            pairs = sorted((linalg.dot(c, n[i]), b) for i, b in slots)
+            values.append([v for v, _ in pairs])
+            masks.append(list(accumulate((1 << b for _, b in pairs), operator.or_, initial=0)))
+        return values, masks
 
     @functools.cached_property
     def _facet_values(self) -> list[list[int]]:
@@ -151,7 +161,7 @@ class OrthogonalSet:
         """The set Y_P = w_P(x) obtained by sweeping one point around the fan: with x = X / d
         and w_P = M_P / D (``chamber_weyl_rows``), N[i] = M_P X over e = D d."""
         n = system.ambient_dim
-        xi, d = linalg.clear_denominators(_parse_vec(x, n))
+        xi, d = _parse_integral(x, n)
         rows, den = system.chamber_weyl_rows
         flat = linalg.matvec(rows, xi)
         return cls(system, integral=([flat[i : i + n] for i in range(0, len(flat), n)], den * d))
@@ -164,7 +174,7 @@ class OrthogonalSet:
         return OrthogonalSet(self.system, integral=(rows, e * f))
 
     def translate(self, v: Sequence) -> "OrthogonalSet":
-        (n, e), (t, d) = self._integral, linalg.clear_denominators(_parse_vec(v, self.system.ambient_dim))
+        (n, e), (t, d) = self._integral, _parse_integral(v, self.system.ambient_dim)
         rows = [tuple(a * d + x * e for a, x in zip(row, t)) for row in n]
         return OrthogonalSet(self.system, integral=(rows, e * d))
 
@@ -203,21 +213,22 @@ def _standard_covectors(sys: RestrictedRootSystem):
 
 
 class KernelTables:
-    """The alternating kernel of one system as integer bitmasks over covector ids.
+    """The alternating kernel of one system as integer bitmasks, one bit per test.
 
     ``covectors`` are distinct primitive integer covectors, each a positive
     multiple of the root, dual-basis covector or hyperplane it stands for, so
-    comparisons keep their truth values.  Id c owns two bits of every mask: the
-    sign bit 2c, set at a point h with <c, h> > 0, and the threshold bit 2c + 1,
-    set where <c, h> > <c, Y_P> for the chamber P a test is read against.
-    ``compiled[q]`` is (P, top, table) with P = ``chamber_below(q)``: top has the
-    threshold bits of tau^G_q, and the table has an entry (r, chamber_below(r),
-    zeros, terms) per cone r <= q, zeros the sign bits of the hyperplanes of
-    delta^r, and a term (mask, (-1)^(dim R - dim q)) per r <= R <= q, mask the sign
-    bits of tau^R_r and the threshold bits of tau_hat^q_R.  ``read[P]`` are the
-    sorted ids tested against Y_P: the top ids of the cones and the tau_hat ids of
-    the entries whose ``chamber_below`` is P.  A test holds at h when its mask lies
-    in h's bits, which ``_Point`` builds once per point.
+    comparisons keep their truth values.  Bit c of a mask, c below the number of
+    ids, is id c's sign bit (``signs[c]``), set at a point h with <c, h> > 0.
+    After the sign bits each chamber P, in ``chambers`` order, owns a block of
+    threshold bits, one per id c read against Y_P, set where <c, h> > <c, Y_P>;
+    ``slots[c]`` lists c's threshold bits as (P's position in ``chambers``, bit),
+    and ``full`` has every bit of the layout set.  ``compiled[q]`` is (top, table):
+    top has the threshold bits of tau^G_q, in the block of ``chamber_below(q)``,
+    and the table has an entry (r, zeros, terms) per cone r <= q, zeros the sign
+    bits of the hyperplanes of delta^r, and a term (mask, (-1)^(dim R - dim q)) per
+    r <= R <= q, mask the sign bits of tau^R_r and the threshold bits of
+    tau_hat^q_R in the block of ``chamber_below(r)``.  A test holds at h when its
+    mask lies in h's bits, which ``_Point`` sets once per point.
 
     Every covector the kernel tests is a combination of the simple roots, so the
     compile works in simple-root coordinates, vectors of length rank.  Terms are
@@ -228,10 +239,12 @@ class KernelTables:
     between them, and w_P maps cones, simple roots, Levi projections and dual bases
     to those of the image and keeps dimensions.  So c becomes c o w_P^-1 = sum_j c_j
     w_P(a_j), and w_P(a_j) is P's j-th simple root: c times the rank x rank integer
-    rows of those roots' ``simple_coordinates``, made primitive once per (c, P), and
-    each standard indicator's mask is made once per P; signs stay.  ``covectors``
-    are the ids' primitive ambient forms, c times the simple roots.  The pair-by-pair
-    compile of the literal per-cone data is ``kernel_oracle.one_pass_tables``.
+    rows of those roots' ``simple_coordinates``, made primitive once per (c, P).  The
+    covectors are moved first, so that every sign bit precedes the blocks; then each
+    standard indicator's sign and threshold masks are made once per P; signs stay.
+    ``covectors`` are the ids' primitive ambient forms, c times the simple roots.
+    The pair-by-pair compile of the literal per-cone data is
+    ``kernel_oracle.one_pass_tables``.
     """
 
     def __init__(self, sys: RestrictedRootSystem):
@@ -254,37 +267,49 @@ class KernelTables:
         }
         top = {i: number(tau(i, frozenset(range(sys.rank)))) for i in std}  # tau^G_I
         above = {i: [j for j in std if i <= j] for i in std}
-        planes = [1 << 2 * ids.setdefault(linalg.scale_to_integers(coords[a]), len(ids)) for a in sys.hyperplanes]
+        numbered = list(indicators)
+        uses = {}  # I -> the standard covectors of the terms and top of a cone of type I
+        for i in std:
+            numbers = [top[i], *(n for j in above[i] for t, h, _ in standard[i, j] for n in (t, h))]
+            uses[i] = set().union(*(numbered[n] for n in numbers))
+        planes = [1 << ids.setdefault(linalg.scale_to_integers(coords[a]), len(ids)) for a in sys.hyperplanes]
         zeros = [sum(b for b, s in zip(planes, c.signs) if not s) for c in sys.cones]  # delta^r
         below = [sys.chamber_below(q) for q in range(len(sys.cones))]
-        tops, tables = [0] * len(sys.cones), [[] for _ in sys.cones]
-        numbered = list(indicators)
-        self.read: dict[int, list[int]] = {}
+        moved = []  # per chamber: (its faces, the types of those it is chamber_below of, {c: id of c o w_P^-1})
         for p in sys.chambers:
             simple = [coords[sys.roots[k]] for k in sys.chamber_simple_indices(p)]  # a multiple of w_P(a_j), per j
+            faces = sys.chamber_faces(p)
+            own = [i for i, r in faces.items() if below[r] == p]
+            move = lambda c: ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, simple)), len(ids))
+            moved.append((faces, own, {c: move(c) for c in sorted(set().union(*map(uses.get, own)))}))
+        tops, tables = [0] * len(sys.cones), [[] for _ in sys.cones]
+        self.slots: list[list[tuple[int, int]]] = [[] for _ in ids]
+        width = len(ids)  # the first bit of the next chamber's block
+        for position, (faces, own, move) in enumerate(moved):
+            block: dict[int, int] = {}  # id -> its threshold bit in P's block
 
             @functools.cache
-            def move(c: tuple[int, ...]) -> int:  # the sign bit of c o w_P^-1
-                return 1 << 2 * ids.setdefault(linalg.scale_to_integers(linalg.vecmat(c, simple)), len(ids))
+            def sign(n: int) -> int:  # the sign bits of the n-th standard indicator's covectors moved
+                return sum(1 << move[c] for c in numbered[n])
 
             @functools.cache
-            def mask(n: int) -> int:  # the sign bits of the n-th standard indicator's covectors moved
-                return sum(map(move, numbered[n]))
+            def threshold(n: int) -> int:  # their threshold bits against Y_P
+                return sum(1 << block.setdefault(move[c], width + len(block)) for c in numbered[n])
 
-            read, faces = 0, sys.chamber_faces(p)  # read: the bits of every mask read against P
-            for i, r in faces.items():
-                if below[r] == p:  # once per cone r
-                    for j in above[i]:
-                        terms = [(mask(t) | mask(h) << 1, s) for t, h, s in standard[i, j]]
-                        tables[faces[j]].append((r, p, zeros[r], terms))
-                        read = functools.reduce(operator.or_, (m for m, _ in terms), read)
-                    tops[r] = mask(top[i]) << 1
-                    read |= tops[r]
-            # digit 2c of the reversed binary digits of read >> 1 is id c's threshold bit
-            self.read[p] = [c for c, b in enumerate(bin(read >> 1)[:1:-1][::2]) if b == "1"]
-        self.compiled: list[tuple[int, int, list]] = list(zip(below, tops, tables))
+            for i in own:  # once per cone r
+                r = faces[i]
+                for j in above[i]:
+                    terms = [(sign(t) | threshold(h), s) for t, h, s in standard[i, j]]
+                    tables[faces[j]].append((r, zeros[r], terms))
+                tops[r] = threshold(top[i])
+            for c, b in block.items():
+                self.slots[c].append((position, b))
+            width += len(block)
+        self.compiled: list[tuple[int, list]] = list(zip(tops, tables))
+        self.full, self.signs = (1 << width) - 1, [1 << c for c in range(len(ids))]
         roots = [sys.integral_roots[0][i] for i in sys.simple_indices]
         self.covectors: list[tuple[int, ...]] = [linalg.scale_to_integers(linalg.vecmat(c, roots)) for c in ids]
+        self.columns = list(zip(*self.covectors))
 
 
 def _same_system(sys: RestrictedRootSystem, y: OrthogonalSet) -> None:
@@ -293,35 +318,33 @@ def _same_system(sys: RestrictedRootSystem, y: OrthogonalSet) -> None:
         raise ValueError("the orthogonal set lives on a different system")
 
 
-class _Point(dict):
-    """One point h = H / d, parsed, cleared and paired with the kernel's covectors c once (``dots``), against
-    one set Y of the same system, as masks.  ``nonzero`` has the sign bits of the c with <c, h> != 0, and
-    self[P], made when first read, is the complement of the sign bits of the c with <c, h> > 0 and the
-    threshold bits of the c of ``read[P]`` with <c, h> > <c, Y_P>: a test holds at h iff its mask & self[P] == 0."""
+class _Point:
+    """One point h = H / d, read as ``_parse_vec`` reads it and cleared to integers, against one set Y = N / e of
+    the same system: its bits, set once, in two masks.  ``nonzero`` has the sign bits of the kernel's covectors c
+    with <c, h> != 0, and ``bad`` the bits h lacks: the sign bits of the c with <c, h> <= 0 and the threshold bits
+    (P, c) with <c, h> <= <c, Y_P>.  H is paired once with each c, and <c, h> > <c, Y_P> is <c, H> e > d <c, N_P>,
+    so the threshold bits h has are those of the values <c, N_P> below ceil(<c, H> e / d): one ``bisect_left``
+    per covector over Y's sorted ``thresholds``.  A test holds at h iff its mask & bad == 0."""
 
     def __init__(self, sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet):
         _same_system(sys, y)
+        self.h, self.d = _parse_integral(h, sys.ambient_dim)
         self.kernel = kernel = sys.kernel_tables
-        self.h, self.d = linalg.clear_denominators(_parse_vec(h, sys.ambient_dim))
-        self.dots = linalg.matvec(kernel.covectors, self.h)
-        self.positive = sum(1 << 2 * c for c, x in enumerate(self.dots) if x > 0)
-        self.nonzero = self.positive | sum(1 << 2 * c for c, x in enumerate(self.dots) if x < 0)
-        self.y = y
-
-    def __missing__(self, p: int) -> int:
-        dots, d, den, good = self.dots, self.d, self.y._integral[1], self.positive
-        for c, num in zip(self.kernel.read[p], self.y.thresholds[p]):
-            if dots[c] * den > d * num:
-                good |= 2 << 2 * c
-        self[p] = ~good
-        return ~good
+        products = map(map, repeat(operator.mul), kernel.columns, map(repeat, self.h))  # a column of c times H[j]
+        dots = list(functools.reduce(functools.partial(map, operator.add), products))  # <c, H> per c
+        (values, masks), e = y.thresholds, y._integral[1]
+        # ceil(<c, H> e / d) per c
+        ceil = map(operator.neg, map(operator.floordiv, map(operator.mul, dots, repeat(-e)), repeat(self.d)))
+        good = sum(map(operator.getitem, masks, map(bisect_left, values, ceil)))
+        good += sum(compress(kernel.signs, map(operator.gt, dots, repeat(0))))
+        self.nonzero = sum(compress(kernel.signs, dots))
+        self.bad = good ^ kernel.full
 
 
 def _gamma(table: list, point: _Point) -> int:
-    total, nonzero = 0, point.nonzero
-    for _, p, zeros, terms in table:
+    total, nonzero, bad = 0, point.nonzero, point.bad
+    for _, zeros, terms in table:
         if not zeros & nonzero:
-            bad = point[p]
             for mask, sign in terms:
                 if not mask & bad:
                     total += sign
@@ -331,12 +354,13 @@ def _gamma(table: list, point: _Point) -> int:
 def gamma_family(sys: RestrictedRootSystem, q: int, h: Sequence, y: OrthogonalSet) -> int:
     """Sum over cones R <= q whose span contains h of the kernel at Y's projection."""
     point = _Point(sys, h, y)
-    return _gamma(point.kernel.compiled[q][2], point)
+    return _gamma(point.kernel.compiled[q][1], point)
 
 
 def _cone_terms(point: _Point) -> list[int]:
     """Per cone Q, Gamma_Q(h, Y) * tau^G_Q(h - Y_Q): the terms of the partition of unity."""
-    return [0 if top & point[p] else _gamma(table, point) for p, top, table in point.kernel.compiled]
+    bad = point.bad
+    return [0 if top & bad else _gamma(table, point) for top, table in point.kernel.compiled]
 
 
 def partition_of_unity_value(sys: RestrictedRootSystem, h: Sequence, y: OrthogonalSet) -> int:

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .exact_linalg import _as_dict, _as_int, _as_ints, _as_list, read_json
+from .exact_linalg import _as_dict, _as_int, _as_ints, _as_list, _field, read_json
 
 
 # the largest rank m of (Z/2)^m: the character-collapse check costs m * 2^m
@@ -191,13 +191,13 @@ def preset_from_dict(data: dict) -> ThetaPreset:
         if "n" not in metadata:
             raise ValueError("metadata: a unitary preset (family \"U\") needs an integer n")
         metadata["n"] = n = _as_int(metadata["n"])
-        if n <= (m := len(_as_list(data["delta_minus"]))):
+        if n <= (m := len(_as_list(_field(data, "delta_minus")))):
             raise ValueError(f"metadata: a unitary preset's n must exceed its {m} fixed roots, got n = {n}")
     return ThetaPreset(
-        name=str(data["name"]),
-        num_simple=_as_int(data["num_simple"]),
-        iota=_as_ints(data["iota"]),
-        delta_minus=_as_ints(data["delta_minus"]),
+        name=str(_field(data, "name")),
+        num_simple=_as_int(_field(data, "num_simple")),
+        iota=_as_ints(_field(data, "iota")),
+        delta_minus=_as_ints(_field(data, "delta_minus")),
         s_choice=_as_ints(data.get("s_choice", ())),
         b_generators=_as_ints(data.get("b_generators", ())),
         metadata=metadata,

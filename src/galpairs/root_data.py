@@ -30,7 +30,7 @@ from itertools import count, islice
 from typing import Optional, Sequence
 
 from . import linalg
-from .exact_linalg import IntLattice, _as_dict, _as_int, _as_ints, _as_list, read_json
+from .exact_linalg import IntLattice, _as_dict, _as_int, _as_ints, _as_list, _field, read_json
 from .linalg import Mat, Vec, vec_str
 
 _MAX_WEYL = 10000
@@ -53,6 +53,15 @@ def _parse_vec(xs, dim: int) -> Vec:
     if len(v) != dim:
         raise ValueError(f"expected a point with {dim} coordinates, got {len(v)}: {linalg.vec_str(v)}")
     return v
+
+
+def _parse_integral(xs, dim: int) -> tuple[tuple[int, ...], int]:
+    """(N, d) with ``_parse_vec(xs, dim)`` = N / d, cleared by ``linalg.clear_denominators``: ``dim`` ints and
+    Fractions in a list or tuple are cleared as they are, with no Fraction made; anything else is read, or
+    refused with its ValueError, by ``_parse_vec``."""
+    if not (isinstance(xs, (list, tuple)) and len(xs) == dim and set(map(type, xs)) <= {int, Fraction}):
+        xs = _parse_vec(xs, dim)
+    return linalg.clear_denominators(xs)
 
 
 @dataclass(frozen=True)
@@ -439,16 +448,17 @@ def system_from_dict(data: dict) -> RestrictedRootSystem:
     of that size is built.
     """
     data = _as_dict(data)
-    n = _as_int(data["ambient_dim"])
+    n = _as_int(_field(data, "ambient_dim"))
     if not 1 <= n <= MAX_AMBIENT_DIM:
         raise ValueError(f"ambient_dim must be between 1 and {MAX_AMBIENT_DIM}, got {n}")
-    if not _as_list(data["roots"]):
+    roots, coroots = _field(data, "roots"), _field(data, "coroots")
+    if not _as_list(roots):
         raise ValueError("roots: a system needs at least one root")
-    simple = _as_ints(data["simple_indices"])
+    simple = _as_ints(_field(data, "simple_indices"))
     lattice = None
     if "lattice_basis" in data:
         lattice = IntLattice(n, tuple(map(_as_ints, _as_list(data["lattice_basis"]))))
-    return RestrictedRootSystem(n, data["roots"], data["coroots"], simple, lattice, name=str(data.get("name", "")))
+    return RestrictedRootSystem(n, roots, coroots, simple, lattice, name=str(data.get("name", "")))
 
 
 def system_from_json(path: str) -> RestrictedRootSystem:

@@ -227,6 +227,19 @@ class TestBadInput:
         assert code == EXIT_USAGE
         assert text.startswith("error:") and message in text
 
+    @pytest.mark.parametrize(
+        "argv, fixture, field",
+        [(VOLUME, A1_SYSTEM, f) for f in ("ambient_dim", "roots", "coroots", "simple_indices")]
+        + [(H1, NORM_ONE, f) for f in ("ambient_rank", "actions")]
+        + [(LEVIS, U2_PRESET, f) for f in ("name", "num_simple", "iota", "delta_minus")]
+        # a unitary preset reads delta_minus first, to check its n
+        + [(LEVIS, {**U2_PRESET, "metadata": {"family": "U", "n": 3}}, "delta_minus")],
+    )
+    def test_fixture_without_a_required_field_names_it(self, tmp_path, argv, fixture, field):
+        path = tmp_path / "fixture.json"
+        path.write_text(json.dumps({k: v for k, v in fixture.items() if k != field}))
+        assert run(argv + [str(path)]) == (EXIT_USAGE, f"error: missing field {field!r}\n")
+
     @pytest.mark.parametrize("dim", [MAX_AMBIENT_DIM + 1, 200, 400])
     def test_system_dimension_above_the_limit_is_refused_before_any_work(self, tmp_path, dim):
         # the lattice and the fan eliminate n x n matrices: 34 s at n = 200 unchecked
@@ -443,7 +456,7 @@ class TestOrtho:
         # the sampled points 6 and 9/2 (the others are -28/3, 1/2 and -5/3)
         sys = builtin_system("A1")
         kernel, positive = sys.kernel_tables, sys.cone_by_signs((1,)).index
-        planted = [(p, top, [] if q == positive else table) for q, (p, top, table) in enumerate(kernel.compiled)]
+        planted = [(top, [] if q == positive else table) for q, (top, table) in enumerate(kernel.compiled)]
         monkeypatch.setattr(kernel, "compiled", planted)
         code, text = run(["ortho", "check", "--system", "A1", "--special", "2", "--samples", "5"])
         assert code == EXIT_VIOLATION
@@ -718,7 +731,7 @@ PLANTED = [
     # the alternating kernel summed without its signs
     _planted(
         "partition-of-unity", ["ortho", "check", "--system", "A2", "--samples", "20"], fam, "_gamma",
-        lambda f: lambda table, point: f([(r, p, z, [(m, 1) for m, _ in terms]) for r, p, z, terms in table], point),
+        lambda f: lambda table, point: f([(r, z, [(m, 1) for m, _ in terms]) for r, z, terms in table], point),
     ),
     # the certificate's fraction upside down
     _planted(

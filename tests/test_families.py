@@ -1,6 +1,7 @@
 """Tests for orthogonal sets, indicator kernels, volumes and lattice counts."""
 
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -120,6 +121,9 @@ def _projections_agree(y) -> bool:
         lambda sys, y: gamma_family(sys, sys.full_cone().index, (0, 0, 99), y),
         lambda sys, y: gamma_family(sys, sys.full_cone().index, (1,), y),
         lambda sys, y: partition_of_unity_value(sys, (0, 0, 99), y),
+        lambda sys, y: partition_of_unity_value(sys, [Fraction(1, 2)], y),
+        lambda sys, y: check_kernel(sys, y, [(1, 2), (0, 0, 99)]),
+        lambda sys, y: check_kernel(sys, y, [("1/2",)]),
         lambda sys, y: y.translate((1, 2, 3)),
         lambda sys, y: Hull([(0, 0), (1, 0), (0, 1)]).classify((0, 0, 5)),
         # a counting basis one coordinate too long, which zip once cut to (2, 0), (0, 1): 13 points
@@ -130,7 +134,8 @@ def _projections_agree(y) -> bool:
         lambda sys, y: RestrictedRootSystem(2, [(1, -1, 0), (-1, 1, 0)], [(1, -1, 0), (-1, 1, 0)], [0]),
     ],
     ids=[
-        "gamma_family", "gamma_family-short", "partition_of_unity_value", "translate", "classify",
+        "gamma_family", "gamma_family-short", "partition_of_unity_value", "partition_of_unity_value-short",
+        "check_kernel", "check_kernel-short", "translate", "classify",
         "v_tilde_lattice-basis", "v_tilde_lattice-exact-basis", "hull_rows-basis", "RestrictedRootSystem",
     ],
 )
@@ -139,6 +144,35 @@ def test_point_of_wrong_length_is_rejected(call):
     y = OrthogonalSet.special(sys, (2, 1))
     with pytest.raises(ValueError, match="expected a point with 2 coordinates"):
         call(sys, y)
+
+
+KERNEL_CALLS = {
+    "gamma_family": lambda sys, h, y: gamma_family(sys, sys.full_cone().index, h, y),
+    "partition_of_unity_value": lambda sys, h, y: partition_of_unity_value(sys, h, y),
+    "check_kernel": lambda sys, h, y: check_kernel(sys, y, [(0, 0), h]),
+}
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS)
+@pytest.mark.parametrize("h", [[1.5, 1], (True, 1), [1, "1/0"], ("x", 2), (1, "1/2/3"), "1,2", 5])
+def test_point_that_is_not_rational_is_rejected(call, h):
+    """A float, a bool, a bad "p/q" string or no list at all: the kernel reads its points as
+    ``_parse_vec`` does, with its message."""
+    sys = builtin_system("A2")
+    y = OrthogonalSet.special(sys, (2, 1))
+    with pytest.raises(ValueError, match=f"^not a rational vector: {re.escape(repr(h))}$"):
+        KERNEL_CALLS[call](sys, h, y)
+
+
+@pytest.mark.parametrize("call", KERNEL_CALLS)
+def test_point_of_ints_fractions_and_strings_is_read_as_its_value(call):
+    sys, rng = builtin_system("B2"), random.Random(11)
+    y = sampling.random_nonpositive_set(rng, sys)
+    for h in sampling.sample_points(rng, sys.ambient_dim, 20) + [y.points[c] for c in sys.chambers]:
+        want = KERNEL_CALLS[call](sys, h, y)
+        mixed = [x.numerator if x.denominator == 1 else x for x in h]  # ints where they are whole
+        strings = [f"{x.numerator}/{x.denominator}" for x in h]
+        assert KERNEL_CALLS[call](sys, mixed, y) == KERNEL_CALLS[call](sys, tuple(strings), y) == want, h
 
 
 @pytest.mark.parametrize("first", [5, "1,2"])

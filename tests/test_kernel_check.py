@@ -60,7 +60,7 @@ def _partition_violations(sys, y, points):
 @pytest.mark.parametrize("name", NAMES)
 def test_one_pass_matches_partition_of_unity_and_fraction_support_bound(name):
     sys = _system(name)
-    assert sys.kernel_tables.compiled[sys.full_cone().index][1] == 0  # tau^G_G is empty
+    assert sys.kernel_tables.compiled[sys.full_cone().index][0] == 0  # tau^G_G is empty
     n = 12 if sys.ambient_dim > 4 else 40
     supported = 0
     for seed in range(3):
@@ -85,7 +85,7 @@ def test_violations_match_under_a_planted_failure(name, monkeypatch):
     # without the base chamber's table both readings lose the same term of the partition of unity
     sys = _system(name)
     kernel, base = sys.kernel_tables, sys.base_chamber
-    planted = [(p, top, [] if q == base else table) for q, (p, top, table) in enumerate(kernel.compiled)]
+    planted = [(top, [] if q == base else table) for q, (top, table) in enumerate(kernel.compiled)]
     monkeypatch.setattr(kernel, "compiled", planted)
     rng = random.Random(7)
     y = sampling.random_positive_set(rng, sys)
@@ -100,7 +100,7 @@ def test_zero_set_with_supported_parts_fails_the_bound(monkeypatch):
     sys = builtin_system("A1")
     kernel, g = sys.kernel_tables, sys.full_cone().index
     planted = list(kernel.compiled)
-    planted[g] = (kernel.compiled[g][0], 0, [(g, kernel.compiled[g][0], 0, [(0, 1)])])
+    planted[g] = (0, [(g, 0, [(0, 1)])])
     monkeypatch.setattr(kernel, "compiled", planted)
     y, points = set_oracle.zero(sys), [(0,), (1,)]
     _, report = check_kernel(sys, y, points)

@@ -6,8 +6,8 @@ The two compiles number their covectors differently, so tables are compared in
 canonical form: the compiled masks are read back as id lists (``as_ids``), every
 id is replaced by its covector, and the entries of a table and the terms of an
 entry are compared as multisets.  The thresholds an orthogonal set reads off its
-chamber points are compared, covector by covector where the kernel reads them,
-with Y projected by the Levi projection.
+chamber points are read back bit by bit and compared, covector by covector where
+the kernel reads them, with Y projected by the Levi projection.
 """
 
 import random
@@ -18,7 +18,7 @@ import pytest
 
 import kernel_oracle as oracle
 from galpairs import linalg, sampling
-from galpairs.families import KernelTables, _Point
+from galpairs.families import KernelTables
 from galpairs.root_data import BUILTIN_NAMES, RestrictedRootSystem
 from test_fan_permutations import _build
 
@@ -35,23 +35,34 @@ def canonical(covectors, compiled):
     return [(cv(top), Counter(entry(*e) for e in table)) for top, table in compiled]
 
 
-def ids(mask, parity):
-    """The ids c whose bit 2c + parity is set: their sign bits (0) or threshold bits (1)."""
-    return [c for c in range(mask.bit_length()) if mask >> 2 * c + parity & 1]
-
-
 def as_ids(sys, kernel):
     """``kernel.compiled`` read back into the oracle's form, (top ids, [(r, zero ids, [(tau ids,
-    tau_hat ids, sign)])]), once each mask is seen to hold only the bits of its kind and each
-    chamber to be ``chamber_below`` of its cone."""
+    tau_hat ids, sign)])]), once each mask is seen to hold only the bits of its kind, every threshold
+    bit to lie in the block of the chamber it is read against, ``chamber_below`` of its cone, and the
+    blocks to follow the sign bits, one per chamber in ``chambers`` order."""
+    n, position = len(kernel.covectors), {p: i for i, p in enumerate(sys.chambers)}
+    blocks = sorted((b, i, c) for c, slots in enumerate(kernel.slots) for i, b in slots)
+    assert [b for b, _, _ in blocks] == list(range(n, kernel.full.bit_length()))
+    assert [i for _, i, _ in blocks] == sorted(i for _, i, _ in blocks)
+    assert len({(i, c) for _, i, c in blocks}) == len(blocks)  # one bit per (P, c)
+    owner = {b: (i, c) for b, i, c in blocks}
+
+    def signs(mask):
+        return [c for c in range(n) if mask >> c & 1]
+
+    def thresholds(mask, q):
+        bits = [owner[b] for b in range(n, mask.bit_length()) if mask >> b & 1]
+        assert all(i == position[sys.chamber_below(q)] for i, _ in bits), q
+        return [c for _, c in bits]
+
     out = []
-    for q, (p, top, table) in enumerate(kernel.compiled):
-        assert p == sys.chamber_below(q) and not ids(top, 0)
+    for q, (top, table) in enumerate(kernel.compiled):
+        assert not signs(top)
         entries = []
-        for r, pr, zeros, terms in table:
-            assert pr == sys.chamber_below(r) and not ids(zeros, 1)
-            entries.append((r, ids(zeros, 0), [(ids(m, 0), ids(m, 1), s) for m, s in terms]))
-        out.append((ids(top, 1), entries))
+        for r, zeros, terms in table:
+            assert zeros >> n == 0
+            entries.append((r, signs(zeros), [(signs(m), thresholds(m, r), s) for m, s in terms]))
+        out.append((thresholds(top, q), entries))
     return out
 
 
@@ -66,14 +77,25 @@ def test_orbit_compile_matches_one_pass(name):
     assert canonical(kernel.covectors, as_ids(sys, kernel)) == canonical(covectors, compiled)
 
 
-def _read_against(kernel, q):
-    """Ids the kernel compares with Y_q: the threshold bits of tau^G_q and of the terms of every entry r = q."""
-    read = set(ids(kernel.compiled[q][1], 1))
-    for _, _, table in kernel.compiled:
-        for r, _, _, terms in table:
-            if r == q:
-                read.update(c for m, _ in terms for c in ids(m, 1))
-    return read
+def _read_against(compiled, q):
+    """Ids the kernel compares with Y_q: those of the threshold bits of tau^G_q and of the terms of every entry r = q,
+    in ``as_ids`` form."""
+    top, _ = compiled[q]
+    return set(top).union(*(h for _, table in compiled for r, _, terms in table if r == q for _, h, _ in terms))
+
+
+def _values(y, kernel):
+    """bit -> <c, N_P> of its (P, c), read back off ``y.thresholds``, once each covector's values are seen to be
+    sorted and its masks to add the bits of its slots one at a time."""
+    values, masks = y.thresholds
+    out = {}
+    for c, slots in enumerate(kernel.slots):
+        assert values[c] == sorted(values[c]) and masks[c][0] == 0 and len(masks[c]) == len(slots) + 1
+        bits = [(masks[c][k + 1] ^ masks[c][k]).bit_length() - 1 for k in range(len(slots))]
+        assert [1 << b for b in bits] == [masks[c][k + 1] ^ masks[c][k] for k in range(len(slots))]
+        assert sorted(bits) == sorted(b for _, b in slots)
+        out.update(zip(bits, values[c]))
+    return out
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES + ("centered",))
@@ -83,18 +105,20 @@ def test_thresholds_match_levi_projection(name):
     rng = random.Random(107)
     sets = [sampling.random_positive_set(rng, sys) for _ in range(2)]
     sets += [sampling.random_nonpositive_set(rng, sys) for _ in range(2)]
-    read = [_read_against(kernel, q) for q in range(len(sys.cones))]
+    compiled = as_ids(sys, kernel)
+    read = [_read_against(compiled, q) for q in range(len(sys.cones))]
     assert any(read)
-    for p in sys.chambers:  # a chamber's ids are those read against its cones' Y_q
-        assert kernel.read[p] == sorted(set().union(*(c for q, c in enumerate(read) if sys.chamber_below(q) == p)))
+    slot = {(i, c): b for c, slots in enumerate(kernel.slots) for i, b in slots}
+    for i, p in enumerate(sys.chambers):  # a chamber's ids are those read against its cones' Y_q
+        want = set().union(*(c for q, c in enumerate(read) if sys.chamber_below(q) == p))
+        assert {c for j, c in slot if j == i} == want
     for y in sets:
+        values, den = _values(y, kernel), y._integral[1]
         for q, want_ids in enumerate(read):
-            p, den = sys.chamber_below(q), y._integral[1]
-            row = dict(zip(kernel.read[p], y.thresholds[p]))
-            point = _Point(sys, oracle.projected(y, q), y)
-            want, d = point.dots, point.d
+            i, yq = sys.chambers.index(sys.chamber_below(q)), oracle.projected(y, q)
             for c in want_ids:
-                assert Fraction(row[c], den) == Fraction(want[c], d), (q, kernel.covectors[c], y.points)
+                want = linalg.dot(kernel.covectors[c], yq)
+                assert Fraction(values[slot[i, c]], den) == want, (q, kernel.covectors[c], y.points)
 
 
 @pytest.mark.parametrize("name", ["A3", "B3", "A1^4"])
