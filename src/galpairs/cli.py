@@ -175,6 +175,8 @@ def _ortho_ehrhart(args, system) -> Report:
     y = _load_set(args, system)
     if y is None:
         raise ValueError("ortho ehrhart needs --fixture or --special")
+    if system.rank < system.ambient_dim:  # the hull lies in a proper affine subspace
+        raise ValueError("ortho ehrhart requires roots of full rank: the hull of a system with a center has volume 0")
     x0 = rd._parse_vec(args.x0.split(","), system.ambient_dim) if args.x0 else linalg.clear_denominators(
         sampling.random_dominant_point(random.Random(0), system)
     )[0]

@@ -14,13 +14,15 @@ stored as integer rows over one denominator, and is built, added, translated and
 in integers against system tables (``chamber_weyl_rows``, ``walls``); its
 Fraction ``points`` are a view.  A positive set's hull is read off the fan as integer rows
 (``hull_rows``): the covectors are ``facet_rows``, the primitive rows of the integer
-``chamber_duals``, paired with a basis by the one ``_pairing`` that ``hull_rows`` and
-``CountPlan`` share.  The polytope volume triangulates over them, and a count sweeps the
-lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
-kept per (set, sweep point, basis).  The rows and the analytic volume's weights
-(``volume_weights``) are system tables read off W's root permutations, so no count or
-volume builds the kernel.  A ``_Point`` reads a point as ``_parse_vec`` does, clears it to
-integers with no Fraction made, pairs it with the kernel's covectors once and sets its bits for
+``chamber_duals``, paired with a basis by the one ``_pairing``, kept per system and basis,
+that ``hull_rows`` and ``CountPlan`` share.  A count sweeps the lattice against them a plane
+of its last two coordinates at a time, from a ``CountPlan`` kept per (set, sweep point,
+basis), whose sweep set special(x0) is kept per system and x0 (``_sweep``).  The polytope
+volume is a signed sum of simplex determinants over one pulling triangulation of the hull,
+labelled by chambers and compiled once per system (``hull_simplices``), exact on every
+positive set.  The rows, the triangulation and the analytic volume's weights
+(``volume_weights``) are system tables, so no count or volume builds the kernel.  A
+``_Point`` reads a point as ``_parse_vec`` does, clears it to integers with no Fraction made, pairs it with the kernel's covectors once and sets its bits for
 every chamber in one mask, each covector's threshold bits by one bisection of the set's sorted
 ``thresholds``, and refuses a set of another system; ``check_kernel`` makes one per sampled
 point for both checks of ``ortho check``: the partition of unity and, from its full-cone
@@ -85,7 +87,6 @@ class OrthogonalSet:
         elif (g := math.gcd(integral[1], *(x for row in integral[0] for x in row))) > 1:
             integral = [tuple(x // g for x in row) for row in integral[0]], integral[1] // g
         self._integral: tuple[Sequence[tuple[int, ...]], int] = integral
-        self._sweeps: dict[Vec, tuple] = {}  # x0 -> ``sweep(x0)``
         self._plans: dict[tuple, CountPlan] = {}  # _value_key(x0, *basis) -> ``count_plan(x0, basis)``
         self._validate()
 
@@ -133,16 +134,6 @@ class OrthogonalSet:
         """<c, N[i]> for each hull covector c and chamber position i of ``facet_rows``."""
         n, _ = self._integral
         return [[linalg.dot(c, n[i]) for i in pos] for c, pos in self.system.facet_rows]
-
-    def sweep(self, x0: Vec) -> tuple["OrthogonalSet", list[tuple[int, int]]]:
-        """(special(x0), (a, b) at the walls where a + k*b can be negative), made once: with t_Y
-        and t_X of ``_validate``, a = t_Y e_X and b = t_X e_Y are one positive multiple of r_Y and r_X."""
-        if x0 not in self._sweeps:
-            sweep = OrthogonalSet.special(self.system, x0)
-            (_, ey), (_, ex) = self._integral, sweep._integral
-            pairs = [(t * ex, tx * ey) for t, tx in zip(self._wall_values, sweep._wall_values)]
-            self._sweeps[x0] = sweep, [(a, b) for a, b in pairs if min(a, b) < 0]
-        return self._sweeps[x0]
 
     def count_plan(self, x0: Sequence, basis: Sequence[Sequence]) -> "CountPlan":
         """The ``CountPlan`` of the counts of Y + k*Y[x0] in the basis, made once per value of the two:
@@ -472,25 +463,19 @@ def _cofactor_normal(rows: list[Sequence[int]]) -> Optional[tuple[int, ...]]:
 # -- volumes ------------------------------------------------------------------
 
 
-def triangulated_volume(
-    vertices: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[int, ...], int]]
-) -> Fraction:
-    """Euclidean volume of the convex hull of integer points, given integer rows
-    a . x <= b that hold at every point and include a row for every facet.
+def pulling_simplices(
+    points: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[int, ...], int]]
+) -> list[tuple[int, ...]]:
+    """The pulling triangulation of the hull of integer points, as tuples of their indices, given integer
+    rows a . x <= b that hold at every point and include a row for every facet.
 
-    Sums |det| over a pulling triangulation in integers, each from one
-    ``linalg._bareiss`` of a simplex's edges, and divides by d! once: each face is coned from
-    its least point (a vertex, being lexicographically least) over its
-    facets that miss that point, down to single points.  The facets of a
-    face are the inclusion-maximal proper cuts of it by the point sets tight
-    on the rows.  A redundant row cuts out a face, which lies in a facet, so
-    it adds no simplex.  A hull of affine rank below d has volume 0.
+    Each face is coned from its least index over its facets that miss that point, down to single points;
+    the least index of every face must be a vertex of it, as the lexicographically least point is, or any
+    point when all are vertices.  The facets of a face are the inclusion-maximal proper cuts of it by the
+    index sets tight on the rows; a redundant row cuts out a face, which lies in a facet, so it adds no
+    simplex.  The simplices of a full-dimensional hull have dim + 1 points and tile it.
     """
-    pts = sorted(set(vertices))
-    dim = len(pts[0])
-    if len(linalg._bareiss([linalg.vsub(p, pts[0]) for p in pts[1:]])[0]) < dim:  # the rank
-        return Fraction(0)
-    cuts = [frozenset(i for i, p in enumerate(pts) if linalg.dot(a, p) == b) for a, b in rows]
+    cuts = [frozenset(i for i, p in enumerate(points) if linalg.dot(a, p) == b) for a, b in rows]
 
     def simplices(face: frozenset) -> list[tuple[int, ...]]:
         apex = min(face)
@@ -504,27 +489,61 @@ def triangulated_volume(
             for rest in simplices(f)
         ]
 
-    total = 0
-    for simplex in simplices(frozenset(range(len(pts)))):
-        pivots, d = linalg._bareiss([linalg.vsub(pts[i], pts[simplex[0]]) for i in simplex[1:]])
-        # d is the determinant of the edges when they are independent
-        total += abs(d) if len(pivots) == dim else 0
-    return Fraction(total, math.factorial(dim))
+    return simplices(frozenset(range(len(points))))
+
+
+def _simplex_det(points: Sequence[tuple[int, ...]], simplex: tuple[int, ...]) -> int:
+    """The determinant of the simplex's edges from its first point, from one ``linalg._bareiss``; 0 when
+    they are dependent."""
+    pivots, d = linalg._bareiss([linalg.vsub(points[i], points[simplex[0]]) for i in simplex[1:]])
+    return d if len(pivots) == len(simplex) - 1 else 0
+
+
+def hull_simplices(sys: RestrictedRootSystem) -> list[tuple[tuple[int, ...], int]]:
+    """The pulling triangulation of every positive set's hull: (simplex, sign) with the simplex as chamber
+    positions in ``chambers``, apex the least, and sign that of its determinant in lattice coordinates on
+    one strictly positive reference set, ``special(x)`` at x the sum of the positive coroots' integer rows
+    (regular and dominant: a positive multiple of the sum of the positive coroots, with which each simple
+    root pairs to 2, or 3 when its double is a root).  Empty for a system
+    with a center or a normalization lattice of rank below the ambient dimension, whose hulls are not
+    full-dimensional.
+
+    Exact on every positive set: a set with every wall coefficient > 0 is a deformation of the Weyl
+    permutohedron with the Weyl fan as its normal fan (Ardila, Castillo, Eur and Postnikov, *Coxeter
+    submodular functions and deformations of Coxeter permutahedra*, 2020), so on the open cone of such
+    sets the hull's face lattice, labelled by chambers, is that of the reference set and its pulling
+    triangulation tiles each of them; no simplex degenerates there, and the cone is convex, so each
+    determinant keeps its sign.  The signed sum of the determinants is a polynomial in the set and the
+    volume is continuous, so the two agree on the closed cone too, on sets with a zero wall.
+    """
+    n = sys.ambient_dim
+    if sys.rank < n or sys.lattice.rank < n:
+        return []
+    (coroots, _), coords = sys.integral_coroots, sys.simple_coordinates[0]
+    positive = [row for a, row in zip(sys.roots, coroots) if min(coords[a]) >= 0]
+    ref = OrthogonalSet.special(sys, [sum(col) for col in zip(*positive)])
+    points = ref._integral[0]
+    rows = [(c, min(v)) for (c, _), v in zip(sys.facet_rows, ref._facet_values)]
+    cols, _ = _coordinates(sys.lattice.basis, points)
+    lattice = list(zip(*cols))
+    return [(s, 1 if _simplex_det(lattice, s) > 0 else -1) for s in pulling_simplices(points, rows)]
 
 
 def volume_polytope(y: OrthogonalSet) -> Fraction:
     """Volume of the hull of the chamber points, in normalization-lattice units.
 
-    With Y = N / e, one elimination gives the lattice coordinates of N as C / d, so
-    the vertices are C / (d e), and the hull's rows are read off the fan
-    (``hull_rows``); ``triangulated_volume`` runs over both scaled by d e.
+    With Y = N / e, one elimination gives the lattice coordinates of N as C / d, so the vertices are
+    C / (d e), and the volume is the signed sum of the determinants of the system's hull triangulation
+    (``RestrictedRootSystem.hull_simplices``, one ``_bareiss`` of C's rows per simplex) over r! (d e)^r:
+    no facet, cut or recursion per set.  It is 0 on a system whose table is empty.
     """
     if not y.is_positive:
         raise ValueError("polytope volume requires a positive orthogonal set")
     sys, (n, e) = y.system, y._integral
     cols, d = _coordinates(sys.lattice.basis, n, "point is outside the span of the normalization lattice")
-    rows = [(a, b * d * e) for a, b in hull_rows(y)]
-    return triangulated_volume(list(zip(*cols)), rows) / (d * e) ** len(cols)
+    points = list(zip(*cols))
+    total = sum(sign * _simplex_det(points, s) for s, sign in sys.hull_simplices)
+    return Fraction(total, math.factorial(len(cols)) * (d * e) ** len(cols))
 
 
 def volume_analytic(y: OrthogonalSet) -> Fraction:
@@ -627,7 +646,7 @@ def v_tilde_lattice(
     than ``MAX_SCAN_LINES`` scan lines is refused before either count.
 
     Without ``exact``, Y[x0] = ``special(x0)`` is built and validated once
-    per Y and value of x0 (``OrthogonalSet.sweep``).  The wall relation is linear, so
+    per system and value of x0 (``_sweep``).  The wall relation is linear, so
     Y + k*Y[x0] is orthogonal with wall coefficients r_Y + k*r_X and needs no
     check.  Its box and its rows are affine in k, read off integers kept once per
     (Y, x0, basis) (``OrthogonalSet.count_plan``).  With ``exact`` Y + Y[k*x0] is
@@ -665,9 +684,10 @@ def _value_key(*vectors: Sequence) -> Optional[tuple]:
 
 class CountPlan:
     """The integers of every count of Y + k*Y[x0] in one basis: rows a with bounds b = min(u + k*v over
-    ``bounds``), the box around coordinates u + k*v over ``den`` (``coords``, per coordinate), and the
-    walls' (r, r_X) of ``OrthogonalSet.sweep``.  The rows and the box's two along the last coordinate
-    m_l split by the sign of a_l: rising rows bound m_l above, falling ones below, flat ones the rest."""
+    ``bounds``), the box around coordinates u + k*v over ``den`` (``coords``, per coordinate), and
+    ``signed``, the walls' (a, b) where a + k*b, a positive multiple of r_Y + k*r_X, can be negative.
+    The rows and the box's two along the last coordinate m_l split by the sign of a_l: rising rows bound
+    m_l above, falling ones below, flat ones the rest."""
 
     def __init__(self, rows: list, bounds: list, coords: list, den: int, signed: Sequence = ()):
         self.rows, self.bounds, self.coords, self.den, self.signed = rows, bounds, coords, den, signed
@@ -680,16 +700,20 @@ class CountPlan:
 
     @classmethod
     def of(cls, y: OrthogonalSet, x0: Vec, basis: Sequence[Vec]) -> "CountPlan":
-        """With Y = N / e_Y and Y[x0] = M / e_X, the vertices' coordinates (one ``coordinate_matrix``) and
-        the bounds (the least <c, N> e_X + k <c, M> e_Y) of Y + k*Y[x0] are u + k*v over e_Y e_X."""
-        sweep, signed = y.sweep(x0)
+        """With Y = N / e_Y and Y[x0] = M / e_X (``_sweep``), the vertices' coordinates (one
+        ``coordinate_matrix``) and the bounds (the least <c, N> e_X + k <c, M> e_Y) of Y + k*Y[x0] are
+        u + k*v over e_Y e_X, and with t_Y and t_X per wall of ``_wall_values``, a = t_Y e_X and
+        b = t_X e_Y are one positive multiple of r_Y and r_X."""
+        sweep = _sweep(y.system, x0)
         (ny, ey), (nx, ex) = y._integral, sweep._integral
+        pairs = [(t * ex, tx * ey) for t, tx in zip(y._wall_values, sweep._wall_values)]
         cols, d = _coordinates(basis, ny + nx)
         coords = [[(u * ex, v * ey) for u, v in zip(col[: len(ny)], col[len(ny) :])] for col in cols]
         pairing, e = _pairing(y.system, basis)
         values = zip(y._facet_values, sweep._facet_values)
         bounds = [[(u * ex * e, v * ey * e) for u, v in zip(fy, fx)] for fy, fx in values]
-        return cls([tuple(x * ey * ex for x in row) for row in pairing], bounds, coords, d * ey * ex, signed)
+        rows = [tuple(x * ey * ex for x in row) for row in pairing]
+        return cls(rows, bounds, coords, d * ey * ex, [(a, b) for a, b in pairs if min(a, b) < 0])
 
     def box(self, k: int) -> list[range]:
         """The box of Y + k*Y[x0], refused unless that set is positive."""
@@ -763,10 +787,34 @@ def hull_rows(y: OrthogonalSet) -> list[tuple[tuple[int, ...], int]]:
     return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
+class LatticeMemo:
+    """What the counts of every set of one system share, made on first use: ``pairings``, per value of a
+    basis, the ``_pairing`` of ``facet_rows`` with it, and ``sweeps``, per value of a sweep point x0, the
+    set ``special(x0)`` (``_sweep``)."""
+
+    def __init__(self):
+        self.pairings: dict[tuple, tuple[list[tuple[int, ...]], int]] = {}
+        self.sweeps: dict[Vec, OrthogonalSet] = {}
+
+
 def _pairing(sys: RestrictedRootSystem, basis: Sequence[Vec]) -> tuple[list[tuple[int, ...]], int]:
-    """(A, e) with <c, basis_i> = A[m][i] / e for the m-th covector c of ``facet_rows``."""
-    ints, e = linalg.integer_basis(basis)
-    return linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints)), e
+    """(A, e) with <c, basis_i> = A[m][i] / e for the m-th covector c of ``facet_rows``, made once per
+    system and value of the basis (read vectors, so equal values are equal keys), in
+    ``RestrictedRootSystem.lattice_memo``."""
+    pairings = sys.lattice_memo.pairings
+    if (found := pairings.get(key := tuple(basis))) is None:
+        ints, e = linalg.integer_basis(basis)
+        found = pairings[key] = linalg.matmul([c for c, _ in sys.facet_rows], linalg.transpose(ints)), e
+    return found
+
+
+def _sweep(sys: RestrictedRootSystem, x0: Vec) -> OrthogonalSet:
+    """Y[x0] = ``special(x0)``, built and validated once per system and value of the read point x0, in
+    ``RestrictedRootSystem.lattice_memo``."""
+    sweeps = sys.lattice_memo.sweeps
+    if (found := sweeps.get(x0)) is None:
+        found = sweeps[x0] = OrthogonalSet.special(sys, x0)
+    return found
 
 
 # A count takes one Python step per plane of its last two coordinates and one C-level

@@ -281,6 +281,22 @@ class RestrictedRootSystem:
         return KernelTables(self)
 
     @functools.cached_property
+    def hull_simplices(self) -> list[tuple[tuple[int, ...], int]]:
+        """The pulling triangulation of every positive set's hull, labelled by chamber positions, with
+        each simplex's sign, as ``families.hull_simplices`` compiles it on first use."""
+        from .families import hull_simplices
+
+        return hull_simplices(self)
+
+    @functools.cached_property
+    def lattice_memo(self):
+        """The facet pairings and sweep sets that every count of the system shares, as
+        ``families.LatticeMemo``, filled on use."""
+        from .families import LatticeMemo
+
+        return LatticeMemo()
+
+    @functools.cached_property
     def walls(self) -> list[tuple[int, int, int, int]]:
         """The chamber wall table: (i, j, k, m) for each pair of chambers p < q at positions i < j
         of ``chambers`` that share a wall, in (i, j) order.  With w = w_P, P's neighbour across

@@ -39,7 +39,9 @@ def random_dominant_point(rng: random.Random, sys: RestrictedRootSystem) -> Vec:
 
 
 def random_positive_set(rng: random.Random, sys: RestrictedRootSystem) -> OrthogonalSet:
-    """Sum of two swept sets with dominant base points; always positive."""
+    """special(x) + special(z) = special(x + z) for two dominant points x and z: a special set, the
+    W-orbit of one point, always positive.  General positive sets, drawn by their support values, are
+    ``tests/set_oracle.py``'s ``random_positive_set``."""
     y = OrthogonalSet.special(sys, random_dominant_point(rng, sys))
     z = OrthogonalSet.special(sys, random_dominant_point(rng, sys))
     out = y.add(z)

@@ -5,9 +5,12 @@ The library reads a hull facet's normal off one fraction-free elimination
 vector of signed maximal minors, each minor by first-row expansion.  It costs
 O(k!) per minor, so only the tests call it.
 
-``hull_volume`` runs the library's one triangulation over the facets that
-the brute-force ``families.Hull`` finds, where ``volume_polytope`` runs it
-over the rows read off the fan.
+``triangulated_volume`` sums |det| over the library's one pulling triangulation
+(``families.pulling_simplices``) of any integer points under rows that include
+every facet, with the points in lexicographic order; the library runs that
+triangulation once per system, over one reference set, and reads every positive
+set's volume off its simplices (``families.hull_simplices``).  ``hull_volume``
+runs it over the facets that the brute-force ``families.Hull`` finds.
 
 ``hull_rows_in`` is ``families.hull_rows`` in a basis of the caller's choice,
 the rows of the fan paired with it by ``families._pairing``; the library reads
@@ -20,8 +23,22 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from galpairs.families import Hull, OrthogonalSet, _pairing, triangulated_volume
+from galpairs import linalg
+from galpairs.families import Hull, OrthogonalSet, _pairing, _simplex_det, pulling_simplices
 from galpairs.root_data import _parse_vec
+
+
+def triangulated_volume(
+    vertices: Sequence[tuple[int, ...]], rows: Sequence[tuple[tuple[int, ...], int]]
+) -> Fraction:
+    """Euclidean volume of the convex hull of integer points, given integer rows a . x <= b that hold at
+    every point and include a row for every facet: |det| summed over the pulling triangulation of the
+    points in lexicographic order, over d!.  A hull of affine rank below d has volume 0."""
+    pts = sorted(set(vertices))
+    dim = len(pts[0])
+    if len(linalg._bareiss([linalg.vsub(p, pts[0]) for p in pts[1:]])[0]) < dim:  # the rank
+        return Fraction(0)
+    return Fraction(sum(abs(_simplex_det(pts, s)) for s in pulling_simplices(pts, rows)), math.factorial(dim))
 
 
 def hull_volume(hull: Hull) -> Fraction:

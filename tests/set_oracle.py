@@ -25,6 +25,7 @@ from typing import Sequence
 
 from galpairs import families, linalg
 from galpairs.root_data import _parse_vec
+from hull_oracle import triangulated_volume
 from root_oracle import chamber_weyl, proportionality, vadd, wall_pairs
 from support_oracle import lattice_coords
 
@@ -75,7 +76,7 @@ def volume_polytope(sys, points: Points) -> Fraction:
         (tuple(linalg.dot(c, b) for b in basis), min(linalg.dot(c, points[sys.chambers[i]]) for i in pos) * e)
         for c, pos in sys.facet_rows
     ]
-    return families.triangulated_volume(n, rows) / e ** len(basis)
+    return triangulated_volume(n, rows) / e ** len(basis)
 
 
 def zero(sys) -> families.OrthogonalSet:
@@ -93,3 +94,40 @@ def wall_coefficients(y: families.OrthogonalSet) -> dict[tuple[int, int], Fracti
         p, q = sys.chambers[i], sys.chambers[j]
         out[(p, q)] = out[(q, p)] = Fraction(t * c, e * coroots[k][m] ** 2)
     return out
+
+
+def from_support(sys, support: Sequence, center: Sequence = ()) -> families.OrthogonalSet:
+    """The set whose point Y_P meets <c, Y_P> = support[m] on each covector c, the m-th of ``facet_rows``,
+    that lists P, and <z, Y_P> = center[i] on the i-th covector z that vanishes on every coroot (none
+    without a center).  Neighbours P, P' across a wall share every row but the wall's, so Y_P - Y_P' is
+    a multiple of its coroot: the set is orthogonal, and positive exactly when the support values are
+    those of a deformation of the Weyl permutohedron."""
+    rows = {i: [] for i in range(len(sys.chambers))}
+    for (c, positions), h in zip(sys.facet_rows, support):
+        for i in positions:
+            rows[i].append((c, h))
+    kernel = [(z, t) for z, t in zip(linalg.nullspace(sys.coroots, ncols=sys.ambient_dim), center)]
+    points = {
+        p: linalg.solve([c for c, _ in rows[i] + kernel], [h for _, h in rows[i] + kernel])
+        for i, p in enumerate(sys.chambers)
+    }
+    return families.OrthogonalSet(sys, points)
+
+
+def random_positive_set(rng, sys, spread: int = 3, tries: int = 1000) -> families.OrthogonalSet:
+    """A positive set drawn by its support values, not only a sweep: the support values of special(x) at a
+    dominant x with simple-root values in 0..spread, each raised by a draw in 0..spread, and the center
+    values in -spread..spread, redrawn until the set is positive.  Some draws are special sets, and some
+    have a zero wall."""
+    simple = [sys.roots[i] for i in sys.simple_indices]
+    for _ in range(tries):
+        x = linalg.solve(simple, [rng.randint(0, spread) for _ in simple])
+        base = families.OrthogonalSet.special(sys, x).points
+        support = [
+            min(linalg.dot(c, base[sys.chambers[i]]) for i in positions) + rng.randint(0, spread)
+            for c, positions in sys.facet_rows
+        ]
+        center = [rng.randint(-spread, spread) for _ in range(sys.ambient_dim - sys.rank)]
+        if (y := from_support(sys, support, center)).is_positive:
+            return y
+    raise RuntimeError("could not draw a positive orthogonal set")

@@ -3,8 +3,9 @@
 ``volume_analytic`` reads chamber weights computed once per system
 (``RestrictedRootSystem.volume_weights``); ``tests/volume_oracle.py`` sums the
 Fractions term by term.  ``v_tilde_lattice`` builds Y + k*Y[x0] from one
-validated sweep kept on Y, and reads its box and rows off a ``CountPlan`` kept
-on Y per (x0, basis); the reference builds and validates that set explicitly
+validated sweep kept per system and x0, and reads its box and rows off a
+``CountPlan`` kept on Y per (x0, basis), whose facet pairing is kept per system
+and basis; the reference builds and validates that set explicitly
 and counts the points of its box that meet its hull rows in the basis
 (``hull_oracle.hull_rows_in``).  The plan's
 counts are also compared with those of a freshly built set (and, in
@@ -27,7 +28,7 @@ import volume_oracle
 from galpairs import families as fam
 from galpairs import linalg, sampling
 from galpairs.families import OrthogonalSet, v_tilde_lattice
-from galpairs.root_data import BUILTIN_NAMES, builtin_system, system_from_dict
+from galpairs.root_data import _BUILTINS, BUILTIN_NAMES, builtin_system, system_from_dict
 from hull_oracle import hull_rows_in
 from root_oracle import chamber_weyl, vadd
 
@@ -39,6 +40,11 @@ def _point(sys, targets):
 
 def _sweep(sys, targets):
     return OrthogonalSet.special(sys, _point(sys, targets))
+
+
+def _fresh(name):
+    """The built-in system of that name built anew, so its memo holds only what a test puts there."""
+    return _BUILTINS[name](name)
 
 
 def _basis(sys, refine):
@@ -154,25 +160,27 @@ def test_nondominant_sweep_turns_negative(name):
         _explicit_count(y, basis, 3, x0)
 
 
-def test_one_set_with_two_sweep_points():
-    sys = builtin_system("B2")
-    y = _sweep(sys, (1, 1)).translate((Fraction(1, 7), Fraction(2, 11)))
+def test_sets_with_two_sweep_points_share_two_sweeps():
+    sys = _fresh("B2")
+    ys = [_sweep(sys, (1, 1)).translate((Fraction(1, 7), Fraction(2, 11))), _sweep(sys, (2, 1))]
     basis = _basis(sys, 2)
     x0s = [_point(sys, (1, 0)), _point(sys, (1, 2))]
-    for x0 in x0s + x0s:
-        for k in (1, 3):
-            assert v_tilde_lattice(y, basis, k, x0) == _explicit_count(y, basis, k, x0), (x0, k)
-    assert len(y._sweeps) == 2
+    for y in ys:
+        for x0 in x0s + x0s:
+            for k in (1, 3):
+                assert v_tilde_lattice(y, basis, k, x0) == _explicit_count(y, basis, k, x0), (x0, k)
+    assert sorted(sys.lattice_memo.sweeps) == sorted(x0s)
+    assert len(sys.lattice_memo.pairings) == 1
 
 
 def test_sweep_point_spellings_share_one_memo_entry():
-    sys = builtin_system("A2")
+    sys = _fresh("A2")
     y = _sweep(sys, (1, 2))
     basis = _basis(sys, 1)
     spellings = [(2, 1), (Fraction(2), Fraction(1)), ("2", "1"), ("4/2", "1/1")]
     counts = {v_tilde_lattice(y, basis, 2, x0) for x0 in spellings}
     assert counts == {_explicit_count(y, basis, 2, (2, 1))}
-    assert len(y._sweeps) == 1
+    assert len(sys.lattice_memo.sweeps) == 1
 
 
 # -- the count plan: one per (Y, x0, basis) -------------------------------------------
@@ -188,7 +196,7 @@ def _plan_case(sys):
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_planned_counts_match_a_fresh_set(name):
-    sys = builtin_system(name)
+    sys = _fresh(name)
     y, x0 = _plan_case(sys)
     for refine in (1, 2, 3):
         basis = _basis(sys, refine)
@@ -196,7 +204,8 @@ def test_planned_counts_match_a_fresh_set(name):
             fresh = OrthogonalSet(sys, y.points)
             assert v_tilde_lattice(y, basis, j, x0) == v_tilde_lattice(fresh, basis, j, x0), (refine, j)
             assert len(fresh._plans) == 1
-    assert len(y._plans) == 3 and len(y._sweeps) == 1
+    assert len(y._plans) == 3
+    assert len(sys.lattice_memo.sweeps) == 1 and len(sys.lattice_memo.pairings) == 3
 
 
 def test_basis_spellings_share_one_plan():
@@ -264,6 +273,7 @@ def test_caches_do_not_outlive_the_set_and_its_system():
     assert fam.refinement_constant_term(y, x0, 2, max_period=1) is not None
     assert fam.partition_of_unity_value(sys, (Fraction(1, 3), Fraction(1, 5)), y) == 1
     assert y._plans and sys.__dict__.get("volume_weights") and sys.__dict__.get("kernel_tables")
+    assert sys.hull_simplices and sys.lattice_memo.sweeps and sys.lattice_memo.pairings
     refs = [weakref.ref(y), weakref.ref(sys)]
     del y, sys
     gc.collect()

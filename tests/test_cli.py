@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 import time
@@ -10,10 +11,12 @@ from pathlib import Path
 
 import pytest
 
+import set_oracle
 from galpairs import cli
 from galpairs import families as fam
 from galpairs import multiplicity as mu
 from galpairs import presets as pr
+from galpairs import root_data as rd
 from galpairs.cli import EXIT_PASS, EXIT_USAGE, EXIT_VIOLATION, MAX_SAMPLES, build_parser, frac_str, run
 from galpairs.exact_linalg import TRIVIAL_GROUP, FiniteAbelianGroup
 from galpairs.presets import MAX_GL_N, MAX_M
@@ -123,6 +126,12 @@ class TestBadInput:
             (["ortho", "volume", "--system", "A2", "--special", "1/3,2,5"], "got 3: (1/3, 2, 5)"),
             # the sweep turns the set non-positive at j = 3: refused before any fit
             (["ortho", "ehrhart", "--system", "A1", "--special", "2", "--x0", "-1"], "positive"),
+            # a system with a center: its hulls have volume 0, so no count is fitted against it
+            (
+                ["ortho", "ehrhart", "--system", str(Path(__file__).parent / "fixtures" / "a1_dim2.json"),
+                 "--special", "2,0", "--x0", "1,0"],
+                "ortho ehrhart requires roots of full rank",
+            ),
         ],
     )
     def test_bad_point_is_a_usage_error(self, argv, message):
@@ -401,6 +410,20 @@ class TestOrtho:
         code, text = run(["ortho", "volume", "--system", "A2", "--fixture", path])
         assert (code, text) == run(["ortho", "volume", "--system", "A2", "--special", "2,3"])
         assert code == EXIT_PASS and "polytope=33/2, analytic=33/2" in text
+
+    def test_committed_general_points_fixture(self):
+        # the A3 set that set_oracle draws by its support values at seed 2: no sweep, two zero walls;
+        # its volume is read off the compiled hull triangulation, and its counts fit it
+        path = str(Path(__file__).parent / "fixtures" / "a3_points.json")
+        system = builtin_system("A3")
+        want = set_oracle.random_positive_set(random.Random(2), system, spread=1)
+        y = cli.orthogonal_set_from_dict(json.loads(Path(path).read_text()), system)
+        assert y.points == want.points != fam.OrthogonalSet.special(system, y.points[system.base_chamber]).points
+        assert y._wall_values.count(0) == 2
+        code, text = run(["ortho", "volume", "--system", "A3", "--fixture", path])
+        assert code == EXIT_PASS and "polytope=49, analytic=49" in text
+        code, text = run(["ortho", "ehrhart", "--system", "A3", "--fixture", path, "--kmax", "3", "--max-period", "1"])
+        assert code == EXIT_PASS and "pass refinement-constants" in text
 
     def test_points_fixture_in_chamber_order(self, tmp_path):
         # A1 chamber order is (-1,) then (1,): interval [-1, 3]
@@ -738,10 +761,11 @@ PLANTED = [
         "support-bound", ["ortho", "check", "--system", "A2", "--seed", "5", "--samples", "30"], fam,
         "support_bound_certificate", lambda f: lambda sys: 1 / f(sys),
     ),
-    # every hull row's bound one too high, so no row is tight at a vertex
+    # the compiled hull triangulation summed without its signs, so the simplices of negative
+    # determinant are taken away; a property wins over the table that the cached_property kept
     _planted(
-        "volume-two-ways", ["ortho", "volume", "--system", "B2", "--special", "1,2"], fam, "hull_rows",
-        lambda f: lambda y: [(a, b + 1) for a, b in f(y)],
+        "volume-two-ways", ["ortho", "volume", "--system", "B2", "--special", "1,2"], rd.RestrictedRootSystem,
+        "hull_simplices", lambda f: property(lambda sys: [(s, 1) for s, _ in f.__get__(sys)]),
     ),
     # each count made at the next dilation
     _planted(
