@@ -13,13 +13,17 @@ group, which has at most log2 |G| elements.  Each lattice is eliminated once,
 independence and solves every later image in the basis.  Products and images
 are taken over sparse integer rows, and rows of plain ints are read as they
 are.
-``smith_normal_form`` eliminates on one bordered matrix [[A, I], [I, 0]]:
-each row or column operation is written once and carries U and V along with
-A.  Its pivot is the smallest |entry|, then the uppermost, then the leftmost,
-so (U, D, V) depend only on the input; rows of unequal length are refused.
-The pivot search stops at the first entry as small as the previous pivot,
-which divides the whole remaining block, and a row or column operation
-touches only the entries where the pivot row or column is nonzero.
+One elimination loop, ``_diagonalize``, has two entry points.
+``smith_normal_form`` runs it on one bordered matrix [[A, I], [I, 0]]: each
+row or column operation is written once and carries U and V along with A.
+``smith_diagonal`` runs it on A alone and reads D's diagonal, which is all
+that the cohomology and ``cokernel_structure`` read.  The pivot is the
+smallest |entry|, then the uppermost, then the leftmost, read off A's block
+only, so D depends only on A and (U, D, V) only on the input; rows of unequal
+length are refused.  The pivot search stops at the first entry as small as
+the previous pivot, which divides the whole remaining block, and a row or
+column operation touches only the entries where the pivot row or column is
+nonzero.
 """
 
 from __future__ import annotations
@@ -121,16 +125,23 @@ def _pivot(b: IntMat, t: int, n: int, k: int, floor: int) -> Optional[tuple[int,
     return best and best[1:]
 
 
-def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
-    """Return (U, D, V) with U @ m @ V = D, U and V unimodular, and D diagonal
-    with nonnegative entries forming a divisibility chain d_1 | d_2 | ... .
+def _matrix(m: Sequence[Sequence[int]]) -> tuple[IntMat, int, int]:
+    """(A, n, k): m as an n x k list of int rows; rows of unequal length raise ValueError."""
+    a = _as_int_matrix(m)
+    if len({len(row) for row in a}) > 1:
+        raise ValueError("rows of unequal length do not form a matrix")
+    return a, len(a), len(a[0]) if a else 0
 
-    The n x k matrix A = m is bordered as B = [[A, I_n], [I_k, 0]], its zero
-    block left out: row operations act on the top rows [A | U] and column
-    operations on the left columns [A ; V], so U and V ride along with A.  The
-    pivot is the remaining entry of smallest absolute value, then the
-    uppermost, then the leftmost, so identical inputs give identical (U, D, V).
-    A remainder left in its row or column starts a new search; once both are
+
+def _diagonalize(b: IntMat, n: int, k: int) -> None:
+    """Bring the top-left n x k block of the rows b to Smith normal form, in place.
+
+    Row operations act on the first n rows, over their whole width, and column
+    operations on the first k columns, down every row of b, so a border to the
+    right of the block and rows below it ride along.  The pivot is the
+    remaining entry of smallest absolute value, then the uppermost, then the
+    leftmost, so identical blocks give identical results, border or not.  A
+    remainder left in its row or column starts a new search; once both are
     clear, the first row holding an entry the pivot does not divide is added
     to its row.  Every entry of the block left after a pivot p is a multiple
     of p, and stays one under the operations, so the next search ends at the
@@ -139,16 +150,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
     row operation subtracts a multiple of the pivot row, so it changes only
     the columns where that row is nonzero, and a column operation subtracts a
     multiple of the pivot column t, which it never changes, so it visits only
-    the rows with a nonzero entry in column t.  Rows of unequal length raise
-    ValueError.
+    the rows with a nonzero entry in column t.
     """
-    a = _as_int_matrix(m)
-    if len({len(row) for row in a}) > 1:
-        raise ValueError("rows of unequal length do not form a matrix")
-    n = len(a)
-    k = len(a[0]) if a else 0
-    b = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
-    b += [[0] * j + [1] + [0] * (k - 1 - j) for j in range(k)]
     t, floor = 0, 1  # every entry of the remaining block is a multiple of floor
     while t < min(n, k):
         at = _pivot(b, t, n, k, floor)
@@ -184,7 +187,31 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMa
             t, floor = t + 1, p
         else:
             b[t] = [x + y for x, y in zip(top, b[bad])]
+
+
+def smith_normal_form(m: Sequence[Sequence[int]]) -> tuple[IntMat, IntMat, IntMat]:
+    """Return (U, D, V) with U @ m @ V = D, U and V unimodular, and D diagonal
+    with nonnegative entries forming a divisibility chain d_1 | d_2 | ... .
+
+    The n x k matrix A = m is bordered as B = [[A, I_n], [I_k, 0]], its zero
+    block left out, and ``_diagonalize`` runs on it: row operations act on the
+    top rows [A | U] and column operations on the left columns [A ; V], so U
+    and V ride along with A.  Rows of unequal length raise ValueError.
+    """
+    a, n, k = _matrix(m)
+    b = [row + [0] * i + [1] + [0] * (n - 1 - i) for i, row in enumerate(a)]
+    b += [[0] * j + [1] + [0] * (k - 1 - j) for j in range(k)]
+    _diagonalize(b, n, k)
     return [row[k:] for row in b[:n]], [row[:k] for row in b[:n]], b[n:]
+
+
+def smith_diagonal(m: Sequence[Sequence[int]]) -> list[int]:
+    """The diagonal of D in ``smith_normal_form(m)``, from ``_diagonalize`` run on m
+    alone: the pivots and operations are read off the block only, so D is the
+    same, and no U or V is built.  Rows of unequal length raise ValueError."""
+    a, n, k = _matrix(m)
+    _diagonalize(a, n, k)
+    return diagonal_of(a)
 
 
 def diagonal_of(d: IntMat) -> list[int]:
@@ -223,7 +250,8 @@ TRIVIAL_GROUP = FiniteAbelianGroup(())
 
 
 def cokernel_structure(m: Sequence[Sequence[int]], ambient_rank: int) -> FiniteAbelianGroup:
-    """Structure of Z^ambient_rank / (integer column span of m).
+    """Structure of Z^ambient_rank / (integer column span of m), read off the
+    Smith diagonal of m (``smith_diagonal``).
 
     Raises ValueError if the quotient is infinite.
     """
@@ -231,9 +259,7 @@ def cokernel_structure(m: Sequence[Sequence[int]], ambient_rank: int) -> FiniteA
         return TRIVIAL_GROUP
     if not m or not m[0]:
         raise ValueError("quotient is infinite (zero map onto positive rank)")
-    _, d, _ = smith_normal_form(m)
-    diag = diagonal_of(d)
-    nonzero = [x for x in diag if x != 0]
+    nonzero = [x for x in smith_diagonal(m) if x != 0]
     if len(nonzero) < ambient_rank:
         raise ValueError("quotient is infinite (sublattice has smaller rank)")
     return FiniteAbelianGroup(tuple(x for x in nonzero if x >= 2))
@@ -371,14 +397,14 @@ def tate_h_minus1(x: LatticeWithAction) -> FiniteAbelianGroup:
     The two agree on a lattice.  If m x lies in I_G L, then m N(x) = N(m x) = 0,
     so N(x) = 0 as L is torsion-free.  If N(x) = 0, then |G| x = sum of
     (x - g x) lies in I_G L.  And the (s - 1) images of the generators s in T
-    span I_G L, as (gh - 1) x = (g - 1)(h x) + (h - 1) x.  So one Smith normal
-    form of the r x r|T| matrix of (s - 1) columns, in lattice-basis
-    coordinates, gives the group by its invariant factors.
+    span I_G L, as (gh - 1) x = (g - 1)(h x) + (h - 1) x.  So the Smith
+    diagonal of the r x r|T| matrix of (s - 1) columns, in lattice-basis
+    coordinates (``smith_diagonal``, no U or V), gives the group by its
+    invariant factors.
     """
     r, cols = x.lattice.rank, x._generator_columns  # column k: generator k // r on b_(k % r)
     augmentation = [[v - (k % r == i) for k, v in enumerate(row)] for i, row in enumerate(cols)]
-    _, d, _ = smith_normal_form(augmentation)
-    return FiniteAbelianGroup(tuple(f for f in diagonal_of(d) if f >= 2))
+    return FiniteAbelianGroup(tuple(f for f in smith_diagonal(augmentation) if f >= 2))
 
 
 def tate_h_zero(x: LatticeWithAction) -> tuple[FiniteAbelianGroup, int]:
@@ -386,12 +412,11 @@ def tate_h_zero(x: LatticeWithAction) -> tuple[FiniteAbelianGroup, int]:
 
     N maps L into L^G and acts on L^G as |G|, so N L has the rank of L^G.  And
     L^G is saturated in L, being a kernel.  So L^G / N L is the torsion of
-    L / N L, read off one Smith normal form of N in lattice-basis coordinates,
-    whose nonzero diagonal entries number r0.  Every listed element counts in N.
+    L / N L, read off the Smith diagonal of N in lattice-basis coordinates
+    (``smith_diagonal``), whose nonzero entries number r0.  Every listed element counts in N.
     """
     norm = tuple(tuple(map(sum, zip(*rows))) for rows in zip(*x.actions))
-    _, d, _ = smith_normal_form(x._in_coordinates([norm]))
-    diag = [f for f in diagonal_of(d) if f]
+    diag = [f for f in smith_diagonal(x._in_coordinates([norm])) if f]
     return FiniteAbelianGroup(tuple(f for f in diag if f >= 2)), len(diag)
 
 

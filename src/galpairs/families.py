@@ -13,14 +13,14 @@ datum as ``RestrictedRootSystem`` clears it once: the kernel compile reads ``car
 stored as integer rows over one denominator, and is built, added, translated and validated
 in integers against system tables (``chamber_weyl_rows``, ``walls``); its
 Fraction ``points`` are a view.  A positive set's hull is read off the fan as integer rows
-(``hull_rows``): the covectors are ``facet_rows``, the primitive rows of the integer
-``chamber_duals``, paired with a basis by the one ``_pairing``, kept per system and basis,
-that ``hull_rows`` and ``CountPlan`` share.  A count sweeps the lattice against them a plane
-of its last two coordinates at a time, from a ``CountPlan`` kept per (set, sweep point,
-basis), whose sweep set special(x0) is kept per system and x0 (``_sweep``).  The polytope
-volume is a signed sum of simplex determinants over one pulling triangulation of the hull,
-labelled by chambers and compiled once per system (``hull_simplices``), exact on every
-positive set.  The rows, the triangulation and the analytic volume's weights
+(``CountPlan``): the covectors are ``facet_rows``, the primitive rows of the integer
+``chamber_duals``, paired with a basis by the one ``_pairing``, kept per system and basis;
+``tests/hull_oracle.py::hull_rows`` reads the same rows for the tests.  A count sweeps the
+lattice against them a plane of its last two coordinates at a time, from a ``CountPlan``
+kept per (set, sweep point, basis), whose sweep set special(x0) is kept per system and x0
+(``_sweep``).  The polytope volume is a signed sum of simplex determinants over one pulling
+triangulation of the hull, labelled by chambers and compiled once per system
+(``hull_simplices``), exact on every positive set.  The rows, the triangulation and the analytic volume's weights
 (``volume_weights``) are system tables, so no count or volume builds the kernel.  A
 ``_Point`` reads a point as ``_parse_vec`` does, clears it to integers with no Fraction made, pairs it with the kernel's covectors once and sets its bits for
 every chamber in one mask, each covector's threshold bits by one bisection of the set's sorted
@@ -376,8 +376,9 @@ class Hull:
     0 (boundary) or -1 (outside); a hull of less than full dimension has no
     interior, so its points read 0.
 
-    The subset search is the brute-force reference for ``hull_rows``; no
-    volume or count of this module uses it.
+    The subset search is the brute-force reference for the hull rows read
+    off the fan (``tests/hull_oracle.py::hull_rows``); no volume or count of
+    this module uses it.
     """
 
     def __init__(self, points: Sequence[Sequence]):
@@ -639,7 +640,7 @@ def v_tilde_lattice(
     The counting lattice is spanned by ``lattice_basis`` (independent rational
     vectors).  With ``exact`` the kernel is evaluated at every point of the
     vertices' bounding box.  Otherwise the hull rows read off the fan
-    (``hull_rows``) cut each scan line along the last lattice coordinate to an
+    (``CountPlan``) cut each scan line along the last lattice coordinate to an
     integer interval, and all of it counts, since for a positive Y the kernel
     Gamma^G(H) is 1 at every H meeting every row; the lines are counted a plane
     of the last two coordinates at a time (``CountPlan.count``).  A box of more
@@ -655,7 +656,7 @@ def v_tilde_lattice(
     That the kernel of a positive set is 1 at every H meeting every hull row is
     proved in three steps in README.md, "The kernel is 1 on the closed hull".
     That it is not 1 where a row fails is Arthur's hull statement (*The trace
-    formula in invariant form*, 1981), as in ``hull_rows``.
+    formula in invariant form*, 1981).
     """
     if k < 0:
         raise ValueError("dilation must be nonnegative")
@@ -770,21 +771,6 @@ class CountPlan:
 def _floors(x: int, a: int, t: int, n: int) -> Iterator[int]:
     """(x - a*i) // t for i in range(n)."""
     return map(operator.floordiv, range(x, x - a * n, -a), repeat(t)) if a else repeat(x // t, n)
-
-
-def hull_rows(y: OrthogonalSet) -> list[tuple[tuple[int, ...], int]]:
-    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}.
-
-    Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every
-    chamber P and every covector c of ``RestrictedRootSystem.facet_rows``,
-    keeping the least bound of each covector.  The kernel is not built.  The basis
-    is the normalization lattice's.
-    """
-    if not y.is_positive:
-        raise ValueError("hull rows from the fan require a positive orthogonal set")
-    pairing, e = _pairing(y.system, y.system.lattice.basis)
-    den = y._integral[1]
-    return [(tuple(x * den for x in row), min(v) * e) for row, v in zip(pairing, y._facet_values)]
 
 
 class LatticeMemo:

@@ -82,29 +82,58 @@ def _bareiss(rows: list) -> tuple[list[int], int]:
     and 0 at every other pivot column: it is d times row i of the reduced row
     echelon form.  The rows from rank on are zero.  Each step replaces every
     other row by (p * row - row[c] * pivot row) / d_prev, a minor of the
-    input, so every division is exact (Bareiss, Math. Comp. 1968).  A row
-    swap negates the incoming pivot row, so d is the determinant of a
-    full-rank square input (1 for no rows).
+    input, so every division is exact (Bareiss, Math. Comp. 1968).  The
+    pivot is the first nonzero entry from row r down; row r is read first,
+    which holds it on dense input, and only a zero there starts a search and
+    a swap.  A row swap negates the incoming pivot row, so d is the
+    determinant of a full-rank square input (1 for no rows).
+
+    A row whose entry in the pivot column is 0 would only be scaled by p / d,
+    so it is not rewritten: ``stale`` (made on the first such row) keeps the d
+    at which it was last exact.  The ratios telescope, so the row is exact
+    again as row * d_now // d_then, a division without remainder; that is done
+    once, when a pivot column reads a nonzero entry of it (zero entries stay
+    zero under scaling, so the pivot search reads it as it is), or at the end.
+    A swap carries the marks with the rows.
     """
     pivots: list[int] = []
     d = 1
+    stale = None  # row index -> the d at which that row was last exact
     for c in range(len(rows[0]) if rows else 0):
         r = len(pivots)
         if r == len(rows):
             break
-        i = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if i is None:
-            continue
-        if i != r:
+        if not rows[r][c]:  # the pivot is the first nonzero entry from row r down
+            i = next((i for i in range(r + 1, len(rows)) if rows[i][c]), None)
+            if i is None:
+                continue
             rows[r], rows[i] = [-x for x in rows[i]], rows[r]
+            if stale:  # the marks move with the rows; a mark is a nonzero d, 0 for none
+                er, ei = stale.pop(r, 0), stale.pop(i, 0)
+                if ei:
+                    stale[r] = ei
+                if er:
+                    stale[i] = er
+        if stale:
+            for j in [j for j in stale if rows[j][c]]:  # the rows this column reads, made exact
+                e = stale.pop(j)
+                rows[j] = [x * d // e for x in rows[j]]
         top = rows[r]
         p = top[c]
         for j, row in enumerate(rows):
             f = row[c]
-            if j != r and (f or p != d):
-                rows[j] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            if f:
+                if j != r:
+                    rows[j] = [(p * x - f * y) // d for x, y in zip(row, top)]
+            elif p != d:
+                if stale is None:
+                    stale = {}
+                stale.setdefault(j, d)
         pivots.append(c)
         d = p
+    if stale:
+        for j, e in stale.items():
+            rows[j] = [x * d // e for x in rows[j]]
     return pivots, d
 
 

@@ -5,9 +5,10 @@ Characters of (Z/2)^m are encoded as bitmasks chi, with value
 are ``verify_prasad_identity``, the alternating sum of character sums over the
 subgroup family A_I, which collapses to the single product character omega
 and is computed by one superset-sum transform; and ``steinberg_multiplicity``,
-the alternating elliptic-Levi sum, read per I off a GF(2) elimination of B's
-generators and compared to the omega indicator by the caller or tests.  The
-literal loops they replace are the oracle in ``tests/prasad_oracle.py``.
+the alternating elliptic-Levi sum, read off one GF(2) elimination of B's
+generators per subset of their support and compared to the omega indicator
+by the caller or tests.  The literal loops they replace are the oracle in
+``tests/prasad_oracle.py``.
 """
 
 from __future__ import annotations
@@ -104,31 +105,33 @@ def steinberg_multiplicity(preset: ThetaPreset, chi_b: int) -> int:
 
     An elimination of B's generators restricted to I gives the rank r of
     their restriction, so ker1_size(I) = 2^(|I| - r), and generators of
-    B intersect A_I to test chi_b on.  It reads only the bits of I that some
-    generator has, so it runs once per subset of that support and every I
-    takes its r and its test from the one for I & support.  The sum over all
-    of B, as written, is ``tests/prasad_oracle.py::steinberg_multiplicity``.
+    B intersect A_I to test chi_b on.  Both depend only on K = I & S, for S
+    the support of B's generators, so write I = K + J with J inside the
+    complement of S, m - |S| bits.  With sign(I) = (-1)^(m - |K| - |J|),
+    the sum is
+        sum over K of [chi_b trivial on B intersect A_K] * (-1)^(m - |K|) * 2^(|K| - r(K))
+        times sum over J of (-1)^|J| * 2^|J|,
+    and the second factor is (1 - 2)^(m - |S|) = (-1)^(m - |S|) by the
+    binomial theorem.  So one elimination per submask K of S gives the whole
+    sum: a single term for the unitary presets, whose B is trivial.  The sum
+    over every I and all of B, as written, is
+    ``tests/prasad_oracle.py::steinberg_multiplicity``.
     """
     m = preset.m
     if chi_b < 0 or chi_b >= (1 << m):
         raise ValueError("chi_b is not a character mask of the ambient two-group")
     generators = preset.b_generators
     support = functools.reduce(operator.or_, generators, 0)
-    echelons = {}  # I & support -> (rank r, chi_b trivial on B intersect A_I)
-    key = support
-    while True:  # every submask of support, from support down to 0
+    total, key = 0, support
+    while True:  # every submask K of the support, from the support down to 0
         rank, vanishing = restriction_echelon(generators, key)
-        echelons[key] = rank, all(character_value(chi_b, x) == 1 for x in vanishing)
+        if all(character_value(chi_b, x) == 1 for x in vanishing):
+            size = key.bit_count()
+            total += (-1) ** (m - size) << (size - rank)
         if not key:
             break
         key = (key - 1) & support
-    total = 0
-    for i_mask in range(1 << m):
-        rank, trivial = echelons[i_mask & support]
-        if trivial:
-            size = i_mask.bit_count()
-            total += (-1) ** (m - size) << (size - rank)
-    return total
+    return (-1) ** (m - support.bit_count()) * total
 
 
 def steinberg_indicator(preset: ThetaPreset, chi_b: int) -> int:

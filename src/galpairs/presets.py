@@ -15,7 +15,7 @@ values here.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .exact_linalg import _as_dict, _as_int, _as_ints, _as_list, _field, read_json
 
@@ -96,9 +96,13 @@ class ThetaPreset:
         return len(self.delta_minus)
 
 
-@dataclass(frozen=True)
-class EllipticLeviDatum:
-    """Combinatorial invariants of the twisted Levi attached to I."""
+class EllipticLeviDatum(NamedTuple):
+    """Combinatorial invariants of the twisted Levi attached to I.
+
+    A named tuple: immutable and hashable, equal to a tuple of its fields, and
+    built by ``_make`` from one, as ``enumerate_elliptic_levis`` builds all of
+    a preset's at once.
+    """
 
     subset: tuple[int, ...]  # positions into delta_minus
     sign: int  # (-1)^(|delta_minus| - |I|)
@@ -130,10 +134,8 @@ def enumerate_elliptic_levis(preset: ThetaPreset) -> list[EllipticLeviDatum]:
         for i in range(m):  # a cut at i + 1, past the earlier cuts, splits the last part
             labels += [lab[:-1] + (lab[-1] - (n - i - 1), n - i - 1) for lab in labels]
     ranks = [restriction_echelon(preset.b_generators, mask)[0] for mask in range(len(subsets))]
-    return [
-        EllipticLeviDatum(subset, sign, 1 << (k - r), 1 << r, label)
-        for subset, k, sign, r, label in zip(subsets, sizes, signs, ranks, labels)
-    ]
+    kers = [1 << (k - r) for k, r in zip(sizes, ranks)]
+    return list(map(EllipticLeviDatum._make, zip(subsets, signs, kers, [1 << r for r in ranks], labels)))
 
 
 def builtin_preset(family: str, n: int) -> ThetaPreset:

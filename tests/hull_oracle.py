@@ -12,9 +12,11 @@ triangulation once per system, over one reference set, and reads every positive
 set's volume off its simplices (``families.hull_simplices``).  ``hull_volume``
 runs it over the facets that the brute-force ``families.Hull`` finds.
 
-``hull_rows_in`` is ``families.hull_rows`` in a basis of the caller's choice,
-the rows of the fan paired with it by ``families._pairing``; the library reads
-them in the normalization lattice's basis only.
+``hull_rows`` reads a positive set's hull off the fan as integer rows in the
+normalization lattice's basis, and ``hull_rows_in`` in a basis of the caller's
+choice: the rows of the fan paired with it by ``families._pairing``, which the
+library's counts read through ``families.CountPlan``.  No command or benchmark
+reads the rows by themselves, so they live here.
 """
 
 from __future__ import annotations
@@ -44,6 +46,17 @@ def triangulated_volume(
 def hull_volume(hull: Hull) -> Fraction:
     """Volume of a brute-force hull, in the coordinates its points were given in."""
     return triangulated_volume(hull.vertices, hull.facets) / hull.scale**hull.dim
+
+
+def hull_rows(y: OrthogonalSet) -> list[tuple[tuple[int, ...], int]]:
+    """Integer rows (a, b) with hull(Y) = {sum m_i basis_i : a . m <= b for every row}, the basis the
+    normalization lattice's.
+
+    Read off the fan for a positive set Y: <c, H> <= <c, Y_P> for every chamber P and every covector c
+    of ``RestrictedRootSystem.facet_rows``, keeping the least bound of each covector.  The kernel is not
+    built.  A set that is not positive is refused.
+    """
+    return hull_rows_in(y, y.system.lattice.basis)
 
 
 def hull_rows_in(y: OrthogonalSet, basis: Sequence[Sequence]) -> list[tuple[tuple[int, ...], int]]:

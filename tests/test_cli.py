@@ -804,6 +804,26 @@ def test_planted_error_fails_its_check(monkeypatch, stem, argv, owner, name, pla
     assert any(line.startswith(f"FAIL {stem}") for line in text.splitlines()), text
 
 
+@pytest.mark.parametrize("flipped", range(6))
+def test_volume_check_sees_every_simplex(monkeypatch, flipped):
+    """One simplex of B2's compiled hull triangulation taken with the wrong sign, each in turn, at the
+    regular point 2,3: no simplex degenerates there, so each flip moves the polytope volume and the
+    check fails (at 1,2, a point on a wall, four of the six have determinant 0)."""
+    argv = ["ortho", "volume", "--system", "B2", "--special", "2,3"]
+    assert run(argv)[0] == EXIT_PASS
+    table = rd.RestrictedRootSystem.__dict__["hull_simplices"]
+
+    def planted(sys):
+        simplices = table.__get__(sys)
+        assert len(simplices) == 6
+        return [(s, -sign if i == flipped else sign) for i, (s, sign) in enumerate(simplices)]
+
+    monkeypatch.setattr(rd.RestrictedRootSystem, "hull_simplices", property(planted))
+    code, text = run(argv)
+    assert code == EXIT_VIOLATION
+    assert text.splitlines()[1].startswith("FAIL volume-two-ways: polytope="), text
+
+
 def test_every_reported_check_has_a_planted_error():
     """The stems of every check name in the golden reports, text and JSON, are the table's."""
     golden = json.loads((Path(__file__).parent / "golden_cli.json").read_text(encoding="utf-8"))

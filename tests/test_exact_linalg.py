@@ -1,7 +1,9 @@
 """Tests for Smith normal form, lattices and lattice cohomology."""
 
+import inspect
 import json
 import random
+import textwrap
 from fractions import Fraction
 from itertools import permutations
 from pathlib import Path
@@ -10,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bareiss_oracle
 import snf_oracle
 import tate_oracle
 from galpairs import exact_linalg as el
@@ -143,6 +146,40 @@ class TestSnfDifferential:
     @pytest.mark.parametrize("case", SNF_GOLDEN, ids=[c["name"] for c in SNF_GOLDEN])
     def test_oracle_reproduces_the_golden_record(self, case):
         assert snf_oracle.smith_normal_form(case["m"]) == (case["u"], case["d"], case["v"])
+
+
+class TestSmithDiagonal:
+    """``smith_diagonal`` runs the elimination loop of ``smith_normal_form`` on the matrix
+    alone, with no border for U and V: its diagonal must be that of D."""
+
+    @pytest.mark.parametrize("case", SNF_GOLDEN, ids=[c["name"] for c in SNF_GOLDEN])
+    def test_golden_diagonal(self, case):
+        assert el.smith_diagonal(case["m"]) == el.diagonal_of(case["d"])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_seeded_rectangular_and_zero_row_matrices(self, seed):
+        rng = random.Random(f"smith-diagonal/{seed}")
+        for _ in range(40):
+            n, k = rng.randint(0, 7), rng.randint(0, 7)
+            m = [[rng.choice((0, 0, 1, -1, 2, -4, 6, 9)) for _ in range(k)] for _ in range(n)]
+            for _ in range(rng.randint(0, n)):  # some rows zero
+                m[rng.randrange(n)] = [0] * k
+            _, d, _ = el.smith_normal_form(m)
+            assert el.smith_diagonal(m) == el.diagonal_of(d)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(SNF_INPUTS)
+    def test_same_diagonal_as_the_bordered_loop(self, m):
+        assert el.smith_diagonal(m) == el.diagonal_of(el.smith_normal_form(m)[1])
+
+    @pytest.mark.parametrize("m", [[[1, 2], [3]], [[1], [2, 3]], [[1, 2], [3, 4], []]])
+    def test_ragged_matrix_is_refused(self, m):
+        with pytest.raises(ValueError, match="unequal length"):
+            el.smith_diagonal(m)
+
+    def test_input_is_left_alone(self):
+        m = [[0, 4], [6, -2]]
+        assert el.smith_diagonal(m) == [2, 12] and m == [[0, 4], [6, -2]]
 
 
 class TestFiniteAbelianGroup:
@@ -316,6 +353,63 @@ class TestTypePreservingPrimitives:
         assert v[0] is f
         assert v == (Fraction(2, 3), Fraction(1), Fraction(-1, 2))
         assert all(type(x) is Fraction for x in v)
+
+
+def _bareiss_inputs(kind, rng):
+    """Seeded integer rows of one kind; half of them tuples, as ``linalg._integer_rows`` gives."""
+    if kind == "signed-permutation":  # [B^T | I] for a basis B of signed permutations, or of sums of two
+        n = rng.randint(1, 12)
+        order = rng.sample(range(n), n)
+        cols = [[rng.choice((-1, 1)) * (j == order[i]) for j in range(n)] for i in range(n)]
+        if rng.random() < 0.5:
+            extra = rng.sample(range(n), n)
+            cols = [[x + (j == extra[i]) for j, x in enumerate(col)] for i, col in enumerate(cols)]
+        rows = [[col[i] for col in cols] + [int(i == j) for j in range(n)] for i in range(n)]
+    else:
+        n, k = {"dense": (6, 8), "sparse": (7, 9), "rank-deficient": (7, 8), "wide": (4, 16)}[kind]
+        n, k = rng.randint(1, n), rng.randint(n if kind == "wide" else 1, k)
+        entries = (0, 0, 0, 0, 1, -1, 2, -3) if kind == "sparse" else range(-9, 10)
+        rows = [[rng.choice(entries) for _ in range(k)] for _ in range(n)]
+        if kind == "rank-deficient":  # every row a combination of the first few
+            few = rows[: rng.randint(0, n - 1)] or [[0] * k]
+            rows = [[sum(c * x for c, x in zip(cs, col)) for col in zip(*few)] for cs in
+                    ([rng.randint(-3, 3) for _ in few] for _ in range(n))]
+    return [tuple(row) if rng.random() < 0.5 else row for row in rows]
+
+
+BAREISS_KINDS = ("dense", "sparse", "rank-deficient", "wide", "signed-permutation")
+
+
+def _bareiss_disagreements(bareiss, kind, count=400):
+    """The seeded inputs of one kind on which ``bareiss`` and the eager oracle differ in
+    (pivots, d) or in the rows they leave, a list against a tuple counting as a difference."""
+    rng, out = random.Random(f"bareiss/{kind}"), []
+    for _ in range(count):
+        rows = _bareiss_inputs(kind, rng)
+        got, want = list(rows), list(rows)
+        if (bareiss(got), got) != (bareiss_oracle.bareiss(want), want):
+            out.append(rows)
+    return out
+
+
+class TestLazyBareiss:
+    """``linalg._bareiss`` scales a row whose pivot-column entry is 0 only when a later
+    column reads it or at the end; the eager loop of ``tests/bareiss_oracle.py`` rewrites it
+    at every step.  Both must return the same (pivots, d) and leave the same rows."""
+
+    @pytest.mark.parametrize("kind", BAREISS_KINDS)
+    def test_same_elimination_as_the_eager_loop(self, kind):
+        assert _bareiss_disagreements(linalg._bareiss, kind) == []
+
+    def test_a_loop_that_skips_the_final_scaling_fails(self):
+        """A copy of ``_bareiss`` without its last loop, compiled from its source, leaves
+        stale rows unscaled, and the differential sees it on every kind of input."""
+        source = textwrap.dedent(inspect.getsource(linalg._bareiss))
+        final = "    if stale:\n        for j, e in stale.items():\n            rows[j] = [x * d // e for x in rows[j]]\n"
+        assert source.count(final) == 1
+        namespace = dict(vars(linalg))
+        exec(source.replace(final, ""), namespace)
+        assert all(_bareiss_disagreements(namespace["_bareiss"], kind) for kind in BAREISS_KINDS)
 
 
 @pytest.mark.parametrize("m", [[[1, 2, 3], [4, 5, 6]], [[1, 2, 3], [0, 1, 0]], [[1], [2]], [[1, 2], [3]]])

@@ -136,7 +136,7 @@ def _projections_agree(y) -> bool:
     ids=[
         "gamma_family", "gamma_family-short", "partition_of_unity_value", "partition_of_unity_value-short",
         "check_kernel", "check_kernel-short", "translate", "classify",
-        "v_tilde_lattice-basis", "v_tilde_lattice-exact-basis", "hull_rows-basis", "RestrictedRootSystem",
+        "v_tilde_lattice-basis", "v_tilde_lattice-exact-basis", "hull_rows_in-basis", "RestrictedRootSystem",
     ],
 )
 def test_point_of_wrong_length_is_rejected(call):

@@ -15,7 +15,7 @@ import kernel_oracle as oracle
 from galpairs import families as fam
 from galpairs import linalg, root_data, sampling
 from galpairs.root_data import BUILTIN_NAMES
-from hull_oracle import hull_rows_in
+from hull_oracle import hull_rows, hull_rows_in
 
 
 def _fresh(name):
@@ -29,7 +29,7 @@ def test_counts_and_volumes_build_no_kernel(name):
     y = sampling.random_positive_set(random.Random(101), sys)
     basis = [linalg.vec(b) for b in sys.lattice.basis]
     assert fam.volume_polytope(y) == fam.volume_analytic(y)
-    assert fam.hull_rows(y)
+    assert hull_rows(y)
     x0 = y.points[sys.base_chamber]  # dominant, so Y + k*Y[x0] stays positive
     assert fam.v_tilde_lattice(y, basis, 1, x0) > 0
     assert "kernel_tables" not in sys.__dict__
@@ -62,7 +62,7 @@ def test_kernel_values_do_not_depend_on_call_order(name, gamma_first):
 def test_hull_rows_default_to_the_lattice_basis(name):
     sys = _fresh(name)
     y = sampling.random_positive_set(random.Random(107), sys)
-    assert fam.hull_rows(y) == hull_rows_in(y, [linalg.vec(b) for b in sys.lattice.basis])
+    assert hull_rows(y) == hull_rows_in(y, [linalg.vec(b) for b in sys.lattice.basis])
     assert fam.volume_polytope(y) == fam.volume_analytic(y)
 
 
@@ -73,4 +73,4 @@ def test_hull_rows_in_a_coarser_lattice():
     )
     assert fam._pairing(sys, sys.lattice.basis) == (((-3,), (3,)), 1)
     y = fam.OrthogonalSet.special(sys, (2,))
-    assert fam.hull_rows(y) == hull_rows_in(y, [(3,)]) == [((-3,), 2), ((3,), 2)]
+    assert hull_rows(y) == hull_rows_in(y, [(3,)]) == [((-3,), 2), ((3,), 2)]

@@ -1,6 +1,6 @@
 """Row-by-row lattice counting against its literal references.
 
-``hull_rows`` reads the hull of a positive orthogonal set off the fan;
+``hull_oracle.hull_rows`` reads the hull of a positive orthogonal set off the fan;
 ``Hull`` finds it by brute force over vertex subsets.  ``v_tilde_lattice``
 counts each scan line's interval inside the rows, a plane of lines at a time,
 since the kernel is 1 on the closed hull; with ``exact=True`` it runs the
@@ -17,9 +17,9 @@ import pytest
 
 from galpairs import families as fam
 from galpairs import linalg, sampling
-from galpairs.families import Hull, OrthogonalSet, hull_rows, v_tilde_lattice
+from galpairs.families import Hull, OrthogonalSet, v_tilde_lattice
 from galpairs.root_data import BUILTIN_NAMES, builtin_system
-from hull_oracle import hull_rows_in
+from hull_oracle import hull_rows, hull_rows_in
 import set_oracle
 
 

@@ -9,6 +9,8 @@ full B, so the seeded fixtures, whose generators repeat and depend on each
 other, are what exercise the elimination.
 """
 
+import functools
+import operator
 import random
 
 import pytest
@@ -130,3 +132,33 @@ def test_general_linear_presets_match_the_oracle():
         for chi in mu.distinct_b_characters(preset):
             got = mu.steinberg_multiplicity(preset, chi)
             assert got == oracle.steinberg_multiplicity(preset, chi), (n, chi)
+
+
+# -- the Steinberg sum over B's support ------------------------------------------------
+
+
+def _inner_support_preset(rng: random.Random, m: int) -> ThetaPreset:
+    """A preset fixing all m simple roots whose B generators have a nonempty support
+    strictly inside the fixed set, so m - |support| >= 1 free bits."""
+    inner = rng.sample(range(m), rng.randint(1, m - 1))
+    gens = [sum(1 << i for i in inner if rng.random() < 0.6) for _ in range(rng.randint(1, m))]
+    gens.append(1 << inner[0])  # the support is not empty
+    return ThetaPreset(f"inner-{m}", m, tuple(range(m)), tuple(range(m)), (), tuple(gens), {})
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_steinberg_over_the_support_matches_the_oracle_at_every_character(seed):
+    """The sum runs over the submasks of the support S of B's generators and takes the free
+    bits as the factor (-1)^(m - |S|); the oracle sums over every I and all of B.  Dropping
+    that factor gives (-1)^(m - |S|) times the library's value, which differs from the
+    oracle's on a nonzero value at an odd m - |S|: the seeds include such a case."""
+    rng = random.Random(f"steinberg-support/{seed}")
+    seen_odd = False
+    for m in (rng.randint(2, 5), rng.randint(6, 8)):
+        preset = _inner_support_preset(rng, m)
+        free = preset.m - functools.reduce(operator.or_, preset.b_generators).bit_count()
+        for chi in range(1 << preset.m):
+            want = oracle.steinberg_multiplicity(preset, chi)
+            assert mu.steinberg_multiplicity(preset, chi) == want
+            seen_odd |= free % 2 == 1 and want != 0
+    assert seen_odd

@@ -87,6 +87,16 @@ class TestEllipticLevis:
         for d in enumerate_elliptic_levis(p):
             assert d.ker1_size == 2 ** len(d.subset)
 
+    def test_datum_is_an_immutable_hashable_record(self):
+        d = EllipticLeviDatum((0, 2), 1, 2, 2)
+        assert d.label is None and d == ((0, 2), 1, 2, 2, None)
+        assert EllipticLeviDatum._fields == ("subset", "sign", "ker1_size", "mab_index", "label")
+        assert hash(d) == hash(EllipticLeviDatum((0, 2), 1, 2, 2, None))
+        with pytest.raises(AttributeError):
+            d.sign = -1
+        data = enumerate_elliptic_levis(builtin_preset("U", 4))
+        assert len(set(data)) == len(data) and all(type(x) is EllipticLeviDatum for x in data)
+
 
 def a_subgroup(m, subset_mask):
     """The subgroup A_I of (Z/2)^m supported on the complement of I."""
